@@ -20,10 +20,16 @@ use std::sync::Arc;
 pub struct Atom(pub u32);
 
 /// An interner for atom names. Append-only.
+///
+/// Cloning is O(1): both tables sit behind an [`Arc`] and are copied only
+/// when a *shared* handle interns a name it has not seen. A reader can so
+/// parse against a private clone of a universe it may not mutate, and learn
+/// from `len()` whether the text named anything new; the owner, whose
+/// handle is unique whenever no such clone is alive, appends in place.
 #[derive(Default, Debug, Clone)]
 pub struct Universe {
-    names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, Atom>,
+    names: Arc<Vec<Arc<str>>>,
+    index: Arc<HashMap<Arc<str>, Atom>>,
 }
 
 impl Universe {
@@ -45,15 +51,17 @@ impl Universe {
         u
     }
 
-    /// Intern a name, returning its atom (existing or fresh).
+    /// Intern a name, returning its atom (existing or fresh). A known name
+    /// touches nothing; a fresh one copies the tables first iff a clone
+    /// still shares them.
     pub fn intern(&mut self, name: &str) -> Atom {
         if let Some(&a) = self.index.get(name) {
             return a;
         }
         let arc: Arc<str> = Arc::from(name);
         let a = Atom(u32::try_from(self.names.len()).expect("too many atoms"));
-        self.names.push(arc.clone());
-        self.index.insert(arc, a);
+        Arc::make_mut(&mut self.names).push(arc.clone());
+        Arc::make_mut(&mut self.index).insert(arc, a);
         a
     }
 
@@ -178,6 +186,72 @@ mod tests {
         assert_eq!(u.name(a), "a");
         assert_eq!(u.get("b"), Some(b));
         assert_eq!(u.get("zz"), None);
+    }
+
+    fn shares_tables(a: &Universe, b: &Universe) -> bool {
+        Arc::ptr_eq(&a.names, &b.names) && Arc::ptr_eq(&a.index, &b.index)
+    }
+
+    #[test]
+    fn clone_shares_both_tables_until_it_learns_a_name() {
+        let u = Universe::with_names(["a", "b"]);
+        let mut c = u.clone();
+        assert!(shares_tables(&u, &c), "clone is two refcount bumps");
+        // a known name writes nothing, so nothing is copied
+        assert_eq!(c.intern("b"), Atom(1));
+        assert!(shares_tables(&u, &c));
+        // a new name copies the clone's tables and leaves the original be
+        assert_eq!(c.intern("z"), Atom(2));
+        assert!(!Arc::ptr_eq(&u.names, &c.names) && !Arc::ptr_eq(&u.index, &c.index));
+        assert_eq!((u.len(), u.get("z")), (2, None));
+        assert_eq!(
+            (c.len(), c.name(Atom(2)), c.get("a")),
+            (3, "z", Some(Atom(0)))
+        );
+    }
+
+    #[test]
+    fn a_unique_owner_interns_in_place() {
+        let mut u = Universe::new();
+        u.intern("seed");
+        let (names, index) = (Arc::as_ptr(&u.names), Arc::as_ptr(&u.index));
+        for i in 0..1000 {
+            // a short-lived clone, as a reader takes and drops one
+            let reader = u.clone();
+            assert_eq!(reader.len(), i + 1);
+            drop(reader);
+            u.intern(&format!("n{i}"));
+            // same `Arc` allocations: the tables grew as a `Vec` and a
+            // `HashMap` grow, and were never copied into fresh ones
+            assert_eq!(Arc::as_ptr(&u.names), names);
+            assert_eq!(Arc::as_ptr(&u.index), index);
+        }
+        assert_eq!(u.len(), 1001);
+    }
+
+    proptest::proptest! {
+        /// A clone numbers new names exactly as the original would: after
+        /// interning `later` into a clone, interning the clone's new names
+        /// into the original in the clone's order reproduces every id.
+        #[test]
+        fn clone_assigns_the_ids_the_original_would(
+            base in proptest::collection::vec("[a-e]{1,2}", 0..12),
+            later in proptest::collection::vec("[a-h]{1,2}", 0..12),
+        ) {
+            let mut original = Universe::with_names(&base);
+            let known = original.len();
+            let mut clone = original.clone();
+            let ids: Vec<Atom> = later.iter().map(|n| clone.intern(n)).collect();
+            proptest::prop_assert_eq!(original.len(), known);
+            for a in clone.atoms().skip(known) {
+                proptest::prop_assert_eq!(original.intern(clone.name(a)), a);
+            }
+            for (name, id) in later.iter().zip(ids) {
+                proptest::prop_assert_eq!(original.get(name), Some(id));
+                proptest::prop_assert_eq!(original.name(id), name.as_str());
+            }
+            proptest::prop_assert_eq!(original.len(), clone.len());
+        }
     }
 
     #[test]

@@ -506,6 +506,11 @@ pub struct StatsOut {
     pub p99_us: u64,
     /// Live connections (servers only).
     pub connections: u64,
+    /// Read requests (`eval`/`explain`/`analyze`) that had to take the
+    /// store's exclusive lock because their text named an atom the
+    /// universe had never seen. Every other read runs under the shared
+    /// lock alone.
+    pub store_exclusive_reads: u64,
     /// Per-tenant breakdown.
     pub tenants: Vec<TenantStats>,
     /// Per-view maintenance breakdown.
@@ -635,6 +640,10 @@ impl Response {
                 ("p50_us".into(), Json::u64(s.p50_us)),
                 ("p99_us".into(), Json::u64(s.p99_us)),
                 ("connections".into(), Json::u64(s.connections)),
+                (
+                    "store_exclusive_reads".into(),
+                    Json::u64(s.store_exclusive_reads),
+                ),
                 (
                     "tenants".into(),
                     Json::Arr(
@@ -804,6 +813,7 @@ impl Response {
                 p50_us: u(s.get("p50_us")),
                 p99_us: u(s.get("p99_us")),
                 connections: u(s.get("connections")),
+                store_exclusive_reads: u(s.get("store_exclusive_reads")),
                 tenants,
                 views,
             });
@@ -1017,6 +1027,7 @@ mod tests {
                 p50_us: 500,
                 p99_us: 20_000,
                 connections: 4,
+                store_exclusive_reads: 6,
                 tenants: vec![TenantStats {
                     tenant: "acme".into(),
                     requests: 7,

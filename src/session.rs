@@ -81,15 +81,29 @@ fn default_parallelism() -> usize {
 
 /// The mutable database state behind a session: an interning [`Universe`],
 /// an in-memory [`Instance`], and — once attached — a durable [`Db`] that
-/// takes over both. Shared behind `Arc<RwLock<_>>` so concurrent readers
-/// (server requests) evaluate in parallel while mutations take the write
-/// lock.
+/// takes over both. Shared behind `Arc<RwLock<_>>` with this protocol:
+///
+/// * `eval`, `explain` and `analyze` take the lock **shared**, once, from
+///   parse through render, so independent reads overlap on independent
+///   cores. Parsing needs `&mut Universe` to intern quoted atoms; a read
+///   parses against an O(1) private clone instead and keeps the shared
+///   lock when the text named only atoms the universe already holds.
+///   `stats`, `subscribe` and a text-file `save` only ever read.
+/// * `insert`, `update`, `materialize` and a checkpoint `save` take it
+///   **exclusive** for the whole request and wait for in-flight reads;
+///   `open` recovers first and takes it only to swap the database in.
+/// * A read whose text names an atom never seen before drops the shared
+///   lock, takes the exclusive one just long enough to intern the new
+///   names, and starts over shared; [`StatsOut::store_exclusive_reads`]
+///   counts these.
 #[derive(Debug)]
 pub struct Store {
     universe: Universe,
     instance: Instance,
     db: Option<Db>,
     views: ViewRegistry,
+    /// Reads that took the exclusive lock to intern new atom names.
+    exclusive_reads: u64,
 }
 
 impl Default for Store {
@@ -101,12 +115,7 @@ impl Default for Store {
 impl Store {
     /// An empty in-memory store.
     pub fn new() -> Store {
-        Store {
-            universe: Universe::new(),
-            instance: Instance::empty(Schema::new()),
-            db: None,
-            views: ViewRegistry::new(),
-        }
+        Store::with_data(Universe::new(), Instance::empty(Schema::new()))
     }
 
     /// A store over already-built data.
@@ -116,6 +125,7 @@ impl Store {
             instance,
             db: None,
             views: ViewRegistry::new(),
+            exclusive_reads: 0,
         }
     }
 
@@ -499,6 +509,49 @@ impl Session {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    /// Parse a read request's text under the **shared** store lock and
+    /// hand that lock back with the result, so the caller plans, executes
+    /// and renders under one acquisition that excludes no other reader.
+    ///
+    /// The parsers intern quoted atoms through `&mut Universe`; here they
+    /// run unchanged against an O(1) copy-on-write clone of the store's
+    /// universe. If the clone did not grow, every atom the text names is
+    /// already the store's and the parse stands. If it grew, the new names
+    /// are charged to this request's governor, interned into the store's
+    /// universe under the exclusive lock — in the order the clone assigned
+    /// them, so ids match a parse made directly against the store — and
+    /// the text is parsed again: the universe is append-only, so the
+    /// second pass finds every name unless an `open` swapped the store in
+    /// between. `parse` errors are returned only after that interning, as
+    /// a failed parse interns the atoms it saw before failing.
+    fn read_parsed<T>(
+        &self,
+        parse: impl Fn(&Store, &mut Universe) -> Result<T, Refusal>,
+    ) -> Result<(RwLockReadGuard<'_, Store>, T), Refusal> {
+        loop {
+            let store = self.read_store();
+            let mut universe = store.universe().clone();
+            let known = universe.len();
+            let parsed = parse(&store, &mut universe);
+            if universe.len() == known {
+                return parsed.map(|t| (store, t));
+            }
+            // std's RwLock deadlocks on read-then-write from one thread
+            drop(store);
+            let fresh = || universe.atoms().skip(known).map(|a| universe.name(a));
+            let bytes = fresh().map(|name| name.len() as u64).sum();
+            if let Err(e) = self.governor.charge_mem("session.intern", bytes) {
+                return Err(Box::new(failure("resource", e.to_string(), true)));
+            }
+            let mut store = self.write_store();
+            store.exclusive_reads += 1;
+            let live = store.universe_mut();
+            for name in fresh() {
+                live.intern(name);
+            }
+        }
+    }
+
     // ----- the protocol entry point -----------------------------------
 
     /// Execute one [`Request`] against the session's store and return its
@@ -570,36 +623,28 @@ impl Session {
         // then run under the strongest applicable semantics. Both the
         // refusal and the successful run carry the analysis — the
         // certificate travels with the rows.
-        let mut checked_analysis = None;
-        let safe = match req.mode {
-            Mode::Fast => false,
-            Mode::Safe => true,
-            Mode::Checked => {
-                let analysis = {
-                    let mut store = self.write_store();
-                    let schema = store.instance().schema().clone();
-                    no_analysis::analyze_calc(&schema, &req.text, store.universe_mut())
-                };
-                let out = analysis_out(&analysis, &req.text);
-                if analysis.has_errors() {
-                    let err: Error = no_analysis::DiagnosticsError::new(&analysis).into();
-                    let mut resp = error_response(&err);
-                    resp.analysis = Some(out);
-                    return resp;
+        let parsed = self.read_parsed(|store, universe| {
+            let mut checked_analysis = None;
+            let safe = match req.mode {
+                Mode::Fast => false,
+                Mode::Safe => true,
+                Mode::Checked => {
+                    let schema = store.instance().schema();
+                    let analysis = no_analysis::analyze_calc(schema, &req.text, universe);
+                    let out = analysis_out(&analysis, &req.text);
+                    if analysis.has_errors() {
+                        return Err(checked_refusal(&analysis, out));
+                    }
+                    checked_analysis = Some(out);
+                    analysis.is_rr_safe()
                 }
-                let safe = analysis.is_rr_safe();
-                checked_analysis = Some(out);
-                safe
-            }
+            };
+            Ok((parse_calc(req, universe)?, safe, checked_analysis))
+        });
+        let (store, (query, safe, checked_analysis)) = match parsed {
+            Ok(p) => p,
+            Err(resp) => return *resp,
         };
-        let query = {
-            let mut store = self.write_store();
-            match no_core::parse_query(&req.text, store.universe_mut()) {
-                Ok(q) => q,
-                Err(e) => return Response::error("parse", e.render(&req.text)),
-            }
-        };
-        let store = self.read_store();
         let instance = store.instance();
         let result = match (safe, req.planned) {
             (false, false) => self.calc_active(instance, &query),
@@ -619,27 +664,21 @@ impl Session {
     }
 
     fn op_eval_datalog(&self, req: &Request) -> Response {
-        if req.mode == Mode::Checked {
-            let analysis = {
-                let mut store = self.write_store();
-                let schema = store.instance().schema().clone();
-                no_analysis::analyze_datalog(&schema, &req.text, store.universe_mut())
-            };
-            if analysis.has_errors() {
-                let err: Error = no_analysis::DiagnosticsError::new(&analysis).into();
-                let mut resp = error_response(&err);
-                resp.analysis = Some(analysis_out(&analysis, &req.text));
-                return resp;
+        let parsed = self.read_parsed(|store, universe| {
+            if req.mode == Mode::Checked {
+                let schema = store.instance().schema();
+                let analysis = no_analysis::analyze_datalog(schema, &req.text, universe);
+                if analysis.has_errors() {
+                    let out = analysis_out(&analysis, &req.text);
+                    return Err(checked_refusal(&analysis, out));
+                }
             }
-        }
-        let program = {
-            let mut store = self.write_store();
-            match no_datalog::parse_program(&req.text, store.universe_mut()) {
-                Ok(p) => p,
-                Err(e) => return Response::error("parse", e.render(&req.text)),
-            }
+            parse_datalog(req, universe)
+        });
+        let (store, program) = match parsed {
+            Ok(p) => p,
+            Err(resp) => return *resp,
         };
-        let store = self.read_store();
         let instance = store.instance();
         let (idb, rounds) = match req.strategy {
             no_proto::Strategy::Naive | no_proto::Strategy::SemiNaive => {
@@ -696,14 +735,10 @@ impl Session {
     }
 
     fn op_eval_algebra(&self, req: &Request) -> Response {
-        let expr = {
-            let mut store = self.write_store();
-            match no_algebra::parse_expr(&req.text, store.universe_mut()) {
-                Ok(e) => e,
-                Err(e) => return Response::error("parse", e.to_string()),
-            }
+        let (store, expr) = match self.read_parsed(|_, u| parse_algebra(req, u)) {
+            Ok(p) => p,
+            Err(resp) => return *resp,
         };
-        let store = self.read_store();
         let instance = store.instance();
         let result = if req.planned {
             self.algebra_planned(&expr, instance)
@@ -721,69 +756,56 @@ impl Session {
     }
 
     fn op_analyze(&self, req: &Request) -> Response {
-        let analysis = {
-            let mut store = self.write_store();
-            let schema = store.instance().schema().clone();
-            match req.lang {
-                Lang::Calc => no_analysis::analyze_calc(&schema, &req.text, store.universe_mut()),
-                Lang::Datalog => {
-                    no_analysis::analyze_datalog(&schema, &req.text, store.universe_mut())
-                }
-                Lang::Algebra => {
-                    return Response::error(
-                        "unsupported",
-                        "the algebra has no static analyzer; analyze calc or datalog text",
-                    )
-                }
+        let analyze = match req.lang {
+            Lang::Calc => no_analysis::analyze_calc,
+            Lang::Datalog => no_analysis::analyze_datalog,
+            Lang::Algebra => {
+                return Response::error(
+                    "unsupported",
+                    "the algebra has no static analyzer; analyze calc or datalog text",
+                )
             }
         };
-        Response {
-            ok: true,
-            analysis: Some(analysis_out(&analysis, &req.text)),
-            ..Response::default()
+        let parsed = self.read_parsed(|store, universe| {
+            let analysis = analyze(store.instance().schema(), &req.text, universe);
+            Ok(analysis_out(&analysis, &req.text))
+        });
+        match parsed {
+            Ok((_store, out)) => Response {
+                ok: true,
+                analysis: Some(out),
+                ..Response::default()
+            },
+            Err(resp) => *resp,
         }
     }
 
     fn op_explain(&self, req: &Request) -> Response {
-        let planned: Result<Arc<Planned>, Response> = match req.lang {
+        let planned = match req.lang {
             Lang::Calc => {
-                let query = {
-                    let mut store = self.write_store();
-                    match no_core::parse_query(&req.text, store.universe_mut()) {
-                        Ok(q) => q,
-                        Err(e) => return Response::error("parse", e.render(&req.text)),
-                    }
+                let (store, query) = match self.read_parsed(|_, u| parse_calc(req, u)) {
+                    Ok(p) => p,
+                    Err(resp) => return *resp,
                 };
                 let mode = if req.mode == Mode::Fast {
                     CalcMode::ActiveDomain
                 } else {
                     CalcMode::Safe
                 };
-                let store = self.read_store();
                 self.plan_calc(store.instance(), &query, mode)
-                    .map_err(|e| error_response(&e))
             }
             Lang::Algebra => {
-                let expr = {
-                    let mut store = self.write_store();
-                    match no_algebra::parse_expr(&req.text, store.universe_mut()) {
-                        Ok(e) => e,
-                        Err(e) => return Response::error("parse", e.to_string()),
-                    }
+                let (store, expr) = match self.read_parsed(|_, u| parse_algebra(req, u)) {
+                    Ok(p) => p,
+                    Err(resp) => return *resp,
                 };
-                let store = self.read_store();
                 self.plan_algebra(store.instance(), &expr)
-                    .map_err(|e| error_response(&e))
             }
             Lang::Datalog => {
-                let program = {
-                    let mut store = self.write_store();
-                    match no_datalog::parse_program(&req.text, store.universe_mut()) {
-                        Ok(p) => p,
-                        Err(e) => return Response::error("parse", e.render(&req.text)),
-                    }
+                let (store, program) = match self.read_parsed(|_, u| parse_datalog(req, u)) {
+                    Ok(p) => p,
+                    Err(resp) => return *resp,
                 };
-                let store = self.read_store();
                 let mode = match req.strategy {
                     no_proto::Strategy::Naive => DatalogMode::Naive,
                     no_proto::Strategy::SemiNaive => DatalogMode::SemiNaive,
@@ -793,7 +815,6 @@ impl Session {
                     ),
                 };
                 self.plan_datalog(store.instance(), &program, mode)
-                    .map_err(|e| error_response(&e))
             }
         };
         match planned {
@@ -805,7 +826,7 @@ impl Session {
                 }),
                 ..Response::default()
             },
-            Err(resp) => resp,
+            Err(e) => error_response(&e),
         }
     }
 
@@ -1147,24 +1168,24 @@ impl Session {
 
     fn op_stats(&self) -> Response {
         let (cache_hits, cache_misses) = self.plan_cache_stats();
-        let views = {
-            let store = self.read_store();
-            let reg = store.views();
-            reg.names()
-                .filter_map(|name| reg.get(name).map(|v| (name.to_string(), v.stats())))
-                .map(|(view, s)| ViewStatsOut {
-                    view,
-                    maintain_calls: s.maintain_calls,
-                    steps_total: s.steps_total,
-                    steps_last: s.steps_last,
-                })
-                .collect()
-        };
+        let store = self.read_store();
+        let reg = store.views();
+        let views = reg
+            .names()
+            .filter_map(|name| reg.get(name).map(|v| (name.to_string(), v.stats())))
+            .map(|(view, s)| ViewStatsOut {
+                view,
+                maintain_calls: s.maintain_calls,
+                steps_total: s.steps_total,
+                steps_last: s.steps_last,
+            })
+            .collect();
         Response {
             ok: true,
             stats: Some(StatsOut {
                 cache_hits,
                 cache_misses,
+                store_exclusive_reads: store.exclusive_reads,
                 views,
                 ..StatsOut::default()
             }),
@@ -1631,11 +1652,7 @@ fn error_response(e: &Error) -> Response {
             _ => "eval",
         }
     };
-    let mut resp = Response::error(kind, e.to_string());
-    if let Some(err) = resp.error.as_mut() {
-        err.resource_trip = trip;
-    }
-    resp
+    failure(kind, e.to_string(), trip)
 }
 
 fn ivm_error_response(e: &IvmError) -> Response {
@@ -1646,11 +1663,45 @@ fn ivm_error_response(e: &IvmError) -> Response {
         IvmError::UnknownView(_) => ("protocol", false),
         IvmError::Checkpoint(_) => ("storage", false),
     };
-    let mut resp = Response::error(kind, e.to_string());
+    failure(kind, e.to_string(), trip)
+}
+
+fn failure(kind: &str, message: String, resource_trip: bool) -> Response {
+    let mut resp = Response::error(kind, message);
     if let Some(err) = resp.error.as_mut() {
-        err.resource_trip = trip;
+        err.resource_trip = resource_trip;
     }
     resp
+}
+
+/// A reply that ends a read before it evaluates — a parse error, a
+/// `checked` refusal, a budget trip. Boxed because it travels in `Err`
+/// and a [`Response`] is several hundred bytes.
+type Refusal = Box<Response>;
+
+/// `mode: checked` found errors: the diagnostics as the error, the full
+/// analysis alongside.
+fn checked_refusal(analysis: &no_analysis::Analysis, out: AnalysisOut) -> Refusal {
+    let err: Error = no_analysis::DiagnosticsError::new(analysis).into();
+    let mut resp = error_response(&err);
+    resp.analysis = Some(out);
+    Box::new(resp)
+}
+
+fn parse_refusal(message: String) -> Refusal {
+    Box::new(Response::error("parse", message))
+}
+
+fn parse_calc(req: &Request, universe: &mut Universe) -> Result<Query, Refusal> {
+    no_core::parse_query(&req.text, universe).map_err(|e| parse_refusal(e.render(&req.text)))
+}
+
+fn parse_datalog(req: &Request, universe: &mut Universe) -> Result<Program, Refusal> {
+    no_datalog::parse_program(&req.text, universe).map_err(|e| parse_refusal(e.render(&req.text)))
+}
+
+fn parse_algebra(req: &Request, universe: &mut Universe) -> Result<Expr, Refusal> {
+    no_algebra::parse_expr(&req.text, universe).map_err(|e| parse_refusal(e.to_string()))
 }
 
 /// Check a fact/delete mutation against the schema without applying it,

@@ -425,3 +425,41 @@ fn mid_request_disconnect_does_not_wedge_the_server() {
     assert_eq!(resp.relations[0].name, "tc");
     server.shutdown();
 }
+
+/// Reads take the store lock shared: two clients issuing point reads over
+/// known keys never make the server take it exclusively, and the one read
+/// that names an atom the universe has never seen is the one `stats`
+/// counts.
+#[test]
+fn known_key_reads_never_take_the_store_exclusively() {
+    let server = chain_server(16, ServerConfig::default());
+    let addr = server.local_addr();
+    let workers: Vec<_> = (0..2)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for k in 0..200 {
+                    let key = (k * 7 + c) % 15;
+                    let mut req = Request::eval(Lang::Calc, format!("{{[y:U] | G('n{key}', y)}}"));
+                    req.planned = k % 2 == 0;
+                    let resp = client.roundtrip(&req).unwrap();
+                    assert!(resp.ok, "{:?}", resp.error);
+                    assert_eq!(resp.relations[0].rows, vec![format!("('n{}')", key + 1)]);
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(stats(&mut client).store_exclusive_reads, 0);
+
+    let resp = client
+        .roundtrip(&Request::eval(Lang::Calc, "{[y:U] | G('stranger', y)}"))
+        .unwrap();
+    assert!(resp.ok, "{:?}", resp.error);
+    assert!(resp.relations[0].rows.is_empty());
+    assert_eq!(stats(&mut client).store_exclusive_reads, 1);
+    server.shutdown();
+}
