@@ -17,11 +17,18 @@
 //! merges via union–find, variable/constant pins, constant/constant either
 //! vanishing or marking the query statically unsatisfiable — so the
 //! lowered plan sees only atoms, canonical variables, and pins.
+//!
+//! [`decompose_fixpoints`] widens the same recognizer by one arm: an
+//! application of a closed inflationary fixpoint whose body is again in
+//! the fragment is one more positive atom. That is the
+//! positive-existential fragment of CALC+IFP, which the planner compiles
+//! to a Datalog program for the semi-naive round engine.
 
-use crate::ast::{Formula, RelName, Term, VarName};
+use crate::ast::{FixOp, Fixpoint, Formula, RelName, Term, VarName};
 use crate::eval::Query;
-use no_object::Value;
+use no_object::{Type, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// An argument position of a conjunctive atom, after equality solving:
 /// either a canonical variable or a constant.
@@ -49,67 +56,105 @@ pub struct ConjunctiveQuery {
     pub unsat: bool,
 }
 
-struct Collector {
+/// Why a query is outside the fragment: the first construct the
+/// recognizer gave up on, phrased for `explain`.
+pub type Reject = String;
+
+fn outside(construct: &str) -> Reject {
+    format!("{construct} is outside the positive-existential fragment")
+}
+
+struct Collector<'f> {
     bound: HashSet<VarName>,
     atoms: Vec<(RelName, Vec<CArg>)>,
     var_eqs: Vec<(VarName, VarName)>,
     raw_pins: Vec<(VarName, Value)>,
     unsat: bool,
+    /// Where fixpoint applications register; `None` rejects them (the
+    /// flat fragment proper, which the columnar kernels serve).
+    fixes: Option<&'f mut Fixes>,
 }
 
-impl Collector {
-    fn collect(&mut self, f: &Formula) -> Option<()> {
+impl Collector<'_> {
+    /// Atom arguments must be in-scope variables or constants.
+    fn args(&self, rel: &str, args: &[Term]) -> Result<Vec<CArg>, Reject> {
+        args.iter()
+            .map(|a| match a {
+                Term::Var(v) if self.bound.contains(v) => Ok(CArg::Var(v.clone())),
+                Term::Const(c) => Ok(CArg::Const(c.clone())),
+                Term::Var(v) => Err(format!("variable {v} is not in scope")),
+                _ => Err(format!("{rel} takes a projection or fixpoint term")),
+            })
+            .collect()
+    }
+
+    fn collect(&mut self, f: &Formula) -> Result<(), Reject> {
         match f {
-            Formula::And(parts) => {
-                for p in parts {
-                    self.collect(p)?;
-                }
-                Some(())
-            }
+            Formula::And(parts) => parts.iter().try_for_each(|p| self.collect(p)),
             Formula::Exists(v, _, inner) => {
                 // Reject shadowing outright rather than α-renaming: the
                 // fragment check must stay conservative.
                 if !self.bound.insert(v.clone()) {
-                    return None;
+                    return Err(format!("variable {v} is bound twice"));
                 }
                 self.collect(inner)
             }
             Formula::Rel(name, args) => {
-                let mut out = Vec::with_capacity(args.len());
-                for a in args {
-                    match a {
-                        Term::Var(v) if self.bound.contains(v) => {
-                            out.push(CArg::Var(v.clone()));
-                        }
-                        Term::Const(c) => out.push(CArg::Const(c.clone())),
-                        _ => return None,
-                    }
-                }
-                self.atoms.push((name.clone(), out));
-                Some(())
+                let args = self.args(name, args)?;
+                // An enclosing fixpoint's relation variable reads its IDB.
+                let name = match self.fixes.as_deref().and_then(|fx| fx.in_scope(name)) {
+                    Some(idb) => idb.clone(),
+                    None => name.clone(),
+                };
+                self.atoms.push((name, args));
+                Ok(())
+            }
+            Formula::FixApp(fix, args) => {
+                let args = self.args(&fix.rel, args)?;
+                let Some(fixes) = self.fixes.as_deref_mut() else {
+                    return Err(outside("a fixpoint application"));
+                };
+                let idb = fixes.apply(fix)?;
+                self.atoms.push((idb, args));
+                Ok(())
             }
             Formula::Eq(a, b) => match (a, b) {
                 (Term::Var(x), Term::Var(y))
                     if self.bound.contains(x) && self.bound.contains(y) =>
                 {
                     self.var_eqs.push((x.clone(), y.clone()));
-                    Some(())
+                    Ok(())
                 }
                 (Term::Var(x), Term::Const(c)) | (Term::Const(c), Term::Var(x))
                     if self.bound.contains(x) =>
                 {
                     self.raw_pins.push((x.clone(), c.clone()));
-                    Some(())
+                    Ok(())
                 }
                 (Term::Const(c1), Term::Const(c2)) => {
                     if c1 != c2 {
                         self.unsat = true;
                     }
-                    Some(())
+                    Ok(())
                 }
-                _ => None,
+                _ => Err("= compares a projection, fixpoint term or out-of-scope variable".into()),
             },
-            _ => None,
+            Formula::Not(g) => {
+                let recursive = self.fixes.as_deref().and_then(|fx| {
+                    let under = g.referenced_relations();
+                    under.into_iter().find(|r| fx.in_scope(r).is_some())
+                });
+                Err(match recursive {
+                    Some(rel) => format!("{rel} occurs under ¬"),
+                    None => outside("¬"),
+                })
+            }
+            Formula::Or(_) => Err(outside("nested ∨")),
+            Formula::Forall(..) => Err(outside("∀")),
+            Formula::Implies(..) => Err(outside("→")),
+            Formula::Iff(..) => Err(outside("↔")),
+            Formula::In(..) => Err(outside("∈")),
+            Formula::Subset(..) => Err(outside("⊆")),
         }
     }
 }
@@ -134,21 +179,32 @@ fn resolve(parent: &mut HashMap<VarName, VarName>, v: &str) -> VarName {
 /// tree-walk path). Also `None` when some variable occurs in no atom —
 /// such queries need domain enumeration, not joins.
 pub fn decompose(q: &Query) -> Option<ConjunctiveQuery> {
+    conjunct(&q.head, &q.body, None).ok()
+}
+
+/// One conjunctive body over `head`; fixpoint applications are atoms over
+/// the IDB `fixes` names them, or a rejection when `fixes` is `None`.
+fn conjunct(
+    head: &[(VarName, Type)],
+    body: &Formula,
+    fixes: Option<&mut Fixes>,
+) -> Result<ConjunctiveQuery, Reject> {
     let mut c = Collector {
         bound: HashSet::new(),
         atoms: Vec::new(),
         var_eqs: Vec::new(),
         raw_pins: Vec::new(),
         unsat: false,
+        fixes,
     };
-    for (v, _) in &q.head {
+    for (v, _) in head {
         if !c.bound.insert(v.clone()) {
-            return None; // duplicate head variable
+            return Err(format!("duplicate head variable {v}"));
         }
     }
-    c.collect(&q.body)?;
+    c.collect(body)?;
     if c.atoms.is_empty() {
-        return None;
+        return Err("a disjunct has no relation atom".into());
     }
 
     let mut parent: HashMap<VarName, VarName> = HashMap::new();
@@ -189,11 +245,7 @@ pub fn decompose(q: &Query) -> Option<ConjunctiveQuery> {
         })
         .collect();
 
-    let head: Vec<VarName> = q
-        .head
-        .iter()
-        .map(|(v, _)| resolve(&mut parent, v))
-        .collect();
+    let head: Vec<VarName> = head.iter().map(|(v, _)| resolve(&mut parent, v)).collect();
 
     let in_atoms: HashSet<&str> = atoms
         .iter()
@@ -203,22 +255,19 @@ pub fn decompose(q: &Query) -> Option<ConjunctiveQuery> {
             CArg::Const(_) => None,
         })
         .collect();
-    let mentioned: HashSet<VarName> = head
-        .iter()
-        .cloned()
-        .chain(pins.keys().cloned())
-        .chain(
-            c.var_eqs
-                .iter()
-                .flat_map(|(x, y)| [x.clone(), y.clone()])
-                .map(|v| resolve(&mut parent, &v)),
-        )
-        .collect();
-    if mentioned.iter().any(|v| !in_atoms.contains(v.as_str())) {
-        return None;
+    let mentioned = head.iter().cloned().chain(pins.keys().cloned()).chain(
+        c.var_eqs
+            .iter()
+            .flat_map(|(x, y)| [x.clone(), y.clone()])
+            .map(|v| resolve(&mut parent, &v)),
+    );
+    for v in mentioned {
+        if !in_atoms.contains(v.as_str()) {
+            return Err(format!("variable {v} bound by no atom"));
+        }
     }
 
-    Some(ConjunctiveQuery {
+    Ok(ConjunctiveQuery {
         atoms,
         head,
         pins,
@@ -244,15 +293,140 @@ pub fn decompose_union(q: &Query) -> Option<Vec<ConjunctiveQuery>> {
     }
     parts
         .iter()
-        .map(|d| decompose(&Query::new(q.head.clone(), d.clone())))
+        .map(|d| conjunct(&q.head, d, None).ok())
         .collect()
+}
+
+/// One fixpoint of a [`FixpointQuery`]: the IDB relation it defines and
+/// one conjunctive body per disjunct of `φ(S)`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FixpointDef {
+    /// The relation's name in the program — the fixpoint's own name
+    /// unless another fixpoint of the query took it first.
+    pub idb: RelName,
+    /// Column types.
+    pub columns: Vec<Type>,
+    /// The disjuncts of the body, each over the fixpoint's columns; an
+    /// atom over `idb` (or an enclosing fixpoint's) is recursive.
+    pub disjuncts: Vec<ConjunctiveQuery>,
+}
+
+/// A query in the positive-existential fragment of CALC+IFP: unions of
+/// flat conjunctive bodies in which a fixpoint application is one more
+/// positive atom, over the relation its [`FixpointDef`] defines.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FixpointQuery {
+    /// Every distinct fixpoint applied, inner before outer.
+    pub fixpoints: Vec<FixpointDef>,
+    /// The disjuncts of the query body, each over the query head.
+    pub disjuncts: Vec<ConjunctiveQuery>,
+}
+
+/// `base`, or the first of `base_2`, `base_3`, … that is not `taken`.
+pub fn fresh_name(base: &str, taken: impl Fn(&str) -> bool) -> RelName {
+    std::iter::once(base.to_string())
+        .chain((2..).map(|k| format!("{base}_{k}")))
+        .find(|name| !taken(name))
+        .expect("an unbounded supply of names")
+}
+
+/// Enclosing fixpoints, innermost last: source name → IDB name.
+type Scope = Vec<(RelName, RelName)>;
+
+/// The fixpoints recognized so far, each once, named apart.
+#[derive(Default)]
+struct Fixes {
+    scope: Scope,
+    /// Identity and scope of each recognized application. The scope is
+    /// part of the key because a body may read an enclosing fixpoint's
+    /// relation: one `Arc` under two different enclosures is two IDBs.
+    seen: Vec<(*const Fixpoint, Scope, RelName)>,
+    defs: Vec<FixpointDef>,
+}
+
+impl Fixes {
+    fn in_scope(&self, rel: &str) -> Option<&RelName> {
+        let hit = self.scope.iter().rev().find(|(src, _)| src == rel);
+        hit.map(|(_, idb)| idb)
+    }
+
+    /// The IDB name for an application of `fix`, recognizing its body on
+    /// first sight.
+    fn apply(&mut self, fix: &Arc<Fixpoint>) -> Result<RelName, Reject> {
+        if fix.op != FixOp::Ifp {
+            return Err(format!("{} is a partial fixpoint (pfp)", fix.rel));
+        }
+        if let Some(v) = fix
+            .body
+            .free_vars()
+            .into_iter()
+            .find(|v| !fix.vars.iter().any(|(c, _)| c == v))
+        {
+            return Err(format!("fixpoint {} is open in {v}", fix.rel));
+        }
+        let id = Arc::as_ptr(fix);
+        if let Some((_, _, idb)) = self
+            .seen
+            .iter()
+            .find(|(p, scope, _)| *p == id && *scope == self.scope)
+        {
+            return Ok(idb.clone());
+        }
+        let idb = fresh_name(&fix.rel, |name| {
+            self.defs.iter().any(|d| d.idb == name) || self.scope.iter().any(|(_, i)| i == name)
+        });
+        self.scope.push((fix.rel.clone(), idb.clone()));
+        let body = disjuncts(&fix.vars, &fix.body, self);
+        self.scope.pop();
+        self.defs.push(FixpointDef {
+            idb: idb.clone(),
+            columns: fix.column_types(),
+            disjuncts: body?,
+        });
+        self.seen.push((id, self.scope.clone(), idb.clone()));
+        Ok(idb)
+    }
+}
+
+/// A body with at most one top-level ∨, each disjunct conjunctive.
+fn disjuncts(
+    head: &[(VarName, Type)],
+    body: &Formula,
+    fixes: &mut Fixes,
+) -> Result<Vec<ConjunctiveQuery>, Reject> {
+    let parts = match body {
+        Formula::Or(parts) => parts.as_slice(),
+        one => std::slice::from_ref(one),
+    };
+    parts
+        .iter()
+        .map(|d| conjunct(head, d, Some(&mut *fixes)))
+        .collect()
+}
+
+/// Recognize the positive-existential fragment of CALC+IFP: a body built
+/// from ∃, ∧, at most one top-level ∨, positive atoms and equalities over
+/// variables and constants, and applications of fixpoints that are
+/// inflationary, closed, and — recursively — have such a body. With no
+/// negation anywhere every stage operator is monotone, so nested
+/// inflationary fixpoints, one simultaneous fixpoint and the least
+/// fixpoint of the corresponding Datalog program all coincide, and (as in
+/// [`decompose`]) every value is drawn from a relation column, so
+/// active-domain and safe semantics coincide too. The query must
+/// type-check; `Err` names the first construct outside the fragment.
+pub fn decompose_fixpoints(q: &Query) -> Result<FixpointQuery, Reject> {
+    let mut fixes = Fixes::default();
+    let disjuncts = disjuncts(&q.head, &q.body, &mut fixes)?;
+    Ok(FixpointQuery {
+        fixpoints: fixes.defs,
+        disjuncts,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Formula;
-    use no_object::{Type, Universe, Value};
+    use no_object::{Universe, Value};
 
     fn var(v: &str) -> Term {
         Term::var(v)
@@ -367,6 +541,81 @@ mod tests {
         // a conjunctive (non-disjunctive) body is not this fragment
         let q = Query::new(vec![("x".into(), Type::Atom)], g(var("x"), var("x")));
         assert!(decompose_union(&q).is_none());
+    }
+
+    /// `ifp(name; x, y | G(x,y) ∨ ∃z (name(x,z) ∧ G(z,y)))`, optionally
+    /// another operator or with a body variable the columns do not bind.
+    fn closure(name: &str, op: FixOp, free: Option<&str>) -> Arc<Fixpoint> {
+        let s = |x: Term, y: Term| Formula::Rel(name.into(), vec![x, y]);
+        let last = free.unwrap_or("y");
+        Arc::new(Fixpoint {
+            op,
+            rel: name.into(),
+            vars: vec![("x".into(), Type::Atom), ("y".into(), Type::Atom)],
+            body: Box::new(Formula::or([
+                g(var("x"), var("y")),
+                Formula::exists(
+                    "z",
+                    Type::Atom,
+                    Formula::and([s(var("x"), var("z")), g(var("z"), var(last))]),
+                ),
+            ])),
+        })
+    }
+
+    fn pair_query(body: Formula) -> Query {
+        Query::new(
+            vec![("u".into(), Type::Atom), ("v".into(), Type::Atom)],
+            body,
+        )
+    }
+
+    #[test]
+    fn fixpoint_application_is_an_atom_over_its_idb() {
+        let fix = closure("S", FixOp::Ifp, None);
+        let app = |a: &str, b: &str| Formula::FixApp(Arc::clone(&fix), vec![var(a), var(b)]);
+        // one Arc applied twice is one IDB…
+        let fq = decompose_fixpoints(&pair_query(Formula::and([app("u", "v"), app("v", "u")])))
+            .expect("in the fragment");
+        assert_eq!(fq.fixpoints.len(), 1);
+        let def = &fq.fixpoints[0];
+        assert_eq!((def.idb.as_str(), def.disjuncts.len()), ("S", 2));
+        assert_eq!(def.disjuncts[1].atoms[0].0, "S", "the recursive atom");
+        assert!(fq.disjuncts[0].atoms.iter().all(|(rel, _)| rel == "S"));
+        // …two fixpoints that share a name are two, named apart
+        let other = closure("S", FixOp::Ifp, None);
+        let both = Formula::and([
+            app("u", "v"),
+            Formula::FixApp(other, vec![var("v"), var("u")]),
+        ]);
+        let fq = decompose_fixpoints(&pair_query(both)).expect("in the fragment");
+        let names: Vec<&str> = fq.fixpoints.iter().map(|d| d.idb.as_str()).collect();
+        assert_eq!(names, ["S", "S_2"]);
+        assert_eq!(fq.fixpoints[1].disjuncts[1].atoms[0].0, "S_2");
+        // the flat recognizers still refuse fixpoints
+        assert!(decompose(&pair_query(app("u", "v"))).is_none());
+    }
+
+    #[test]
+    fn fixpoint_rejections_name_the_first_obstacle() {
+        let reject = |fix: Arc<Fixpoint>| {
+            let q = pair_query(Formula::FixApp(fix, vec![var("u"), var("v")]));
+            decompose_fixpoints(&q).expect_err("outside the fragment")
+        };
+        assert_eq!(
+            reject(closure("S", FixOp::Pfp, None)),
+            "S is a partial fixpoint (pfp)"
+        );
+        assert_eq!(
+            reject(closure("S", FixOp::Ifp, Some("w"))),
+            "fixpoint S is open in w"
+        );
+        let mut negated = (*closure("S", FixOp::Ifp, None)).clone();
+        negated.body = Box::new(Formula::and([
+            g(var("x"), var("y")),
+            Formula::Rel("S".into(), vec![var("y"), var("x")]).not(),
+        ]));
+        assert_eq!(reject(Arc::new(negated)), "S occurs under ¬");
     }
 
     #[test]

@@ -12,6 +12,17 @@
 //! Fixpoint relations are computed bottom-up per Definition 3.1 and
 //! memoised by `Arc` identity so that a fixpoint applied under a
 //! quantifier is not recomputed per binding.
+//!
+//! **This fixpoint loop is the differential oracle, not the served
+//! path.** Each stage re-enumerates every candidate tuple over the column
+//! ranges — the definition, literally — which costs ≈ n^3.9 steps for a
+//! closure the semi-naive round engine does in ≈ n^1.9. The planner
+//! compiles closed positive-existential IFPs to a Datalog program for
+//! that engine (`no_plan::ifp`); this evaluator serves what is outside
+//! the fragment (negation, ∀, ∈/⊆, PFP, fixpoint terms), every
+//! `planned: false` request, and the tests that hold the served path to
+//! it. Keep it naive: `tests/ifp_lowering.rs` fails if its step-count
+//! slope on cycles drops below 3.
 
 use crate::ast::{FixOp, Fixpoint, Formula, Term, VarName};
 use crate::error::{EvalConfig, EvalError};

@@ -15,8 +15,9 @@
 //! `datalog_seminaive` measures the speedup (a design-choice ablation from
 //! DESIGN.md §6).
 //!
-//! The join loops run over hash-consed rows: the EDB is interned once per
-//! evaluation, the IDB and deltas are [`IdRelation`]s, and unification
+//! The join loops run over hash-consed rows: the relations the program
+//! reads are interned once per evaluation (the rest of the instance is
+//! never touched), the IDB and deltas are [`IdRelation`]s, and unification
 //! binds [`ValueId`]s — so fact dedup and (not-)membership tests cost
 //! O(arity) id compares regardless of value nesting. Results resolve back
 //! to [`Relation`]s at the boundary.
@@ -140,18 +141,35 @@ pub fn eval_pooled(
     pool: &ThreadPool,
 ) -> Result<(Idb, EvalStats), ProgramError> {
     program.validate(instance.schema())?;
+    eval_rounds(program, instance, &Idb::new(), strategy, governor, pool)
+}
+
+/// The round loop behind [`eval_pooled`], for a program already validated.
+/// `frozen` holds relations computed earlier — the lower strata of
+/// stratified evaluation — which the program reads like EDB relations
+/// (and which win over an instance relation of the same name).
+pub(crate) fn eval_rounds(
+    program: &Program,
+    instance: &Instance,
+    frozen: &Idb,
+    strategy: Strategy,
+    governor: &Governor,
+    pool: &ThreadPool,
+) -> Result<(Idb, EvalStats), ProgramError> {
     let interner = Interner::new();
-    // Intern the EDB once, as input data (uncharged).
-    let edb: HashMap<String, IdRelation> = instance
-        .schema()
-        .relations()
-        .map(|r| {
-            (
-                r.name.clone(),
-                IdRelation::from_relation(&interner, instance.relation(&r.name)),
-            )
-        })
-        .collect();
+    // Intern the relations the program reads once, as input data
+    // (uncharged); the rest of the instance is never touched.
+    let mut edb: HashMap<String, IdRelation> = HashMap::new();
+    for lit in program.rules.iter().flat_map(|r| &r.body) {
+        let (Literal::Pos(name, _) | Literal::Neg(name, _)) = lit else {
+            continue;
+        };
+        if program.idb.contains_key(name) || edb.contains_key(name) {
+            continue;
+        }
+        let rel = frozen.get(name).unwrap_or_else(|| instance.relation(name));
+        edb.insert(name.clone(), IdRelation::from_relation(&interner, rel));
+    }
     let mut idb: IdbI = program
         .idb
         .keys()

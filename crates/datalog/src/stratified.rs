@@ -130,7 +130,7 @@ pub fn eval_stratified_governed(
 }
 
 /// [`eval_stratified_governed`] with an explicit [`minipool::ThreadPool`]:
-/// each stratum's inflationary fixpoint runs through
+/// each stratum's inflationary fixpoint runs through the round loop of
 /// [`crate::eval::eval_pooled`], so rule evaluation inside every stratum
 /// fans out over the pool (strata themselves stay sequential — each one
 /// negates over the previous ones, a hard dependency).
@@ -142,12 +142,12 @@ pub fn eval_stratified_pooled(
 ) -> Result<Idb, StratifyError> {
     program.validate(instance.schema())?;
     let strata = stratify(program)?;
-    // Evaluate one stratum at a time. Lower strata are *frozen*: their
-    // computed relations are materialised into an extended instance as
-    // ordinary EDB relations, so the current stratum's negation only ever
-    // consults finished relations — the perfect-model guarantee.
+    // Evaluate one stratum at a time. Lower strata are *frozen*: the
+    // round loop reads their computed relations like EDB relations, so
+    // the current stratum's negation only ever consults finished
+    // relations — the perfect-model guarantee. Each stratum's rules were
+    // validated above as part of the whole program.
     let mut computed: Idb = Idb::new();
-    let mut frozen = instance.clone();
     for layer in &strata {
         let mut sub = Program::new();
         for name in layer {
@@ -161,24 +161,15 @@ pub fn eval_stratified_pooled(
         governor
             .checkpoint("datalog.stratum")
             .map_err(|e| StratifyError::Program(ProgramError::Resource(e)))?;
-        let (idb, _) = crate::eval::eval_pooled(&sub, &frozen, Strategy::SemiNaive, governor, pool)
-            .map_err(StratifyError::Program)?;
-        // freeze this stratum's results into the instance for the next one
-        let mut schema = frozen.schema().clone();
-        for name in layer {
-            schema.add(no_object::RelationSchema::new(
-                name.clone(),
-                program.idb[name].clone(),
-            ));
-        }
-        let mut next = Instance::empty(schema);
-        for rel in frozen.schema().relations() {
-            next.set_relation(&rel.name, frozen.relation(&rel.name).clone());
-        }
-        for (name, rel) in &idb {
-            next.set_relation(name, rel.clone());
-        }
-        frozen = next;
+        let (idb, _) = crate::eval::eval_rounds(
+            &sub,
+            instance,
+            &computed,
+            Strategy::SemiNaive,
+            governor,
+            pool,
+        )
+        .map_err(StratifyError::Program)?;
         computed.extend(idb);
     }
     // ensure all declared IDBs appear (empty when no rule derives them)

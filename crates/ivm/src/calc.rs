@@ -9,9 +9,10 @@
 //! single counting stratum and deletions are exact without any
 //! re-derivation.
 
-use no_core::conjunctive::{decompose, decompose_union, CArg, ConjunctiveQuery};
+use no_core::conjunctive::{decompose, decompose_union, ConjunctiveQuery};
 use no_core::Query;
-use no_datalog::{DTerm, Program};
+use no_datalog::Program;
+use no_plan::conjunctive_rule;
 
 /// Convert a CALC query in the maintainable fragment to a one-relation
 /// Datalog program deriving `name`. Returns `None` outside the
@@ -25,34 +26,10 @@ pub fn calc_to_program(name: &str, q: &Query) -> Option<Program> {
     let types = q.head.iter().map(|(_, t)| t.clone()).collect();
     let mut program = Program::new();
     program.declare(name, types);
-    for cq in &disjuncts {
-        if cq.unsat {
-            continue; // a statically empty disjunct derives nothing
-        }
-        let arg = |v: &str| -> DTerm {
-            match cq.pins.get(v) {
-                Some(c) => DTerm::Const(c.clone()),
-                None => DTerm::var(v),
-            }
-        };
-        let head_args: Vec<DTerm> = cq.head.iter().map(|v| arg(v)).collect();
-        let body = cq
-            .atoms
-            .iter()
-            .map(|(rel, args)| {
-                no_datalog::Literal::Pos(
-                    rel.clone(),
-                    args.iter()
-                        .map(|a| match a {
-                            CArg::Var(v) => arg(v),
-                            CArg::Const(c) => DTerm::Const(c.clone()),
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        program.rule(name, head_args.clone(), body);
-    }
+    let rules = disjuncts.iter();
+    program
+        .rules
+        .extend(rules.filter_map(|cq| conjunctive_rule(name, cq)));
     Some(program)
 }
 
@@ -120,7 +97,7 @@ mod tests {
         let no_datalog::Literal::Pos(_, args) = &p.rules[0].body[0] else {
             panic!("expected positive literal");
         };
-        assert_eq!(args[0], DTerm::Const(a));
+        assert_eq!(args[0], no_datalog::DTerm::Const(a));
     }
 
     #[test]

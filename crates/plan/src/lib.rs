@@ -23,6 +23,8 @@
 //!   algebra expressions lower to the columnar `no-exec` kernels, with a
 //!   statistics-driven algorithm picked per join (hash / merge / nested
 //!   loop) and recorded in the plan;
+//! - [`ifp`] — the positive-existential fragment of CALC+IFP compiles to a
+//!   Datalog program, so its fixpoints run on the semi-naive round engine;
 //! - [`physical`] — the executable plan and its kernel bindings;
 //! - [`explain`] — deterministic text/JSON renderings (`:explain`);
 //! - [`cache`] — the LRU plan cache keyed on normalized text + schema
@@ -33,6 +35,7 @@
 pub mod cache;
 pub mod delta;
 pub mod explain;
+pub mod ifp;
 pub mod ir;
 pub mod joins;
 pub mod lower;
@@ -45,6 +48,7 @@ pub use delta::{
     delta_rewrite, plan_maintenance, MaintenancePlan, MaintenanceStrategy, StratumPlan,
 };
 pub use explain::{json_escape, plan_tree_text};
+pub use ifp::{conjunctive_rule, lower_ifp};
 pub use ir::{Node, NodeId, Op, Plan};
 pub use joins::{choose_join, ExecLowering};
 pub use lower::{lower_algebra, lower_calc, lower_datalog, to_expr, CalcLowering};
@@ -115,6 +119,21 @@ impl<'a> Planner<'a> {
             CalcMode::Safe => "safe",
         };
 
+        // Closed positive-existential IFPs compile to a Datalog program
+        // and run on the semi-naive round engine; one physical plan
+        // serves both modes for the same reason as below. Any other
+        // fixpoint query stays on the tree-walk evaluator and says why.
+        let class = format!("query class: CALC⟨i={}, k={}⟩", lowered.ik.0, lowered.ik.1);
+        let mut oracle_note = None;
+        if no_core::nf::metrics(&query.body).fixpoint_depth > 0 {
+            match self.plan_ifp(query, &class, mode_label) {
+                Ok(planned) => return Ok(planned),
+                Err(why) => {
+                    oracle_note = Some(format!("fixpoints run on the tree-walk oracle: {why}"))
+                }
+            }
+        }
+
         // Flat conjunctive queries lower to the columnar join kernels
         // instead of quantifier enumeration: the recognized fragment has
         // identical active-domain and safe semantics (every variable is
@@ -141,10 +160,7 @@ impl<'a> Planner<'a> {
             };
             if let Some((lowering, class_note)) = lowering {
                 let applied = vec![Pass::Joins.name()];
-                let mut header = vec![
-                    format!("query class: CALC⟨i={}, k={}⟩", lowered.ik.0, lowered.ik.1),
-                    class_note.to_string(),
-                ];
+                let mut header = vec![class, class_note.to_string()];
                 header.extend(lowering.notes);
                 let physical = Physical::Exec {
                     plan: lowering.exec,
@@ -164,10 +180,8 @@ impl<'a> Planner<'a> {
         let mut plan = lowered.plan;
         let mut query = query.clone();
         let mut applied = Vec::new();
-        let mut header = vec![format!(
-            "query class: CALC⟨i={}, k={}⟩",
-            lowered.ik.0, lowered.ik.1
-        )];
+        let mut header = vec![class];
+        header.extend(oracle_note);
 
         // Pushdown: top-level `v = c` conjuncts pin ranges to singletons.
         let mut pins = Vec::new();
@@ -224,6 +238,38 @@ impl<'a> Planner<'a> {
             restore,
             pins,
         };
+        Ok(self.finish(plan, physical, "calc", mode_label, applied, header))
+    }
+
+    /// The Datalog plan of a query in the positive-existential fragment
+    /// of CALC+IFP (see [`ifp`]), or why it has none. Rendered and
+    /// delta-rewritten like a semi-naive Datalog request; gated on that
+    /// pass, so `PassSet::none()` keeps the tree-walk plan.
+    fn plan_ifp(
+        &self,
+        query: &Query,
+        class: &str,
+        mode_label: &str,
+    ) -> Result<Planned, no_core::conjunctive::Reject> {
+        if !self.passes.contains(Pass::Delta) {
+            return Err("the delta-rewrite pass is disabled".to_string());
+        }
+        let (program, result) = ifp::lower_ifp(self.schema, query)?;
+        let mode = DatalogMode::SemiNaive;
+        let plan = lower::lower_datalog(self.schema, self.stats.as_ref(), &program, &mode)
+            .map_err(|e| e.to_string())?;
+        let plan = passes::delta_rewrite(&plan, &program.idb.keys().cloned().collect());
+        let header = vec![
+            class.to_string(),
+            "closed positive-existential IFP: lowered to semi-naive Datalog rounds".to_string(),
+            format!(
+                "{} rule(s), {} idb relation(s), answer in {result}",
+                program.rules.len(),
+                program.idb.len()
+            ),
+        ];
+        let physical = Physical::Ifp { program, result };
+        let applied = vec![Pass::Delta.name()];
         Ok(self.finish(plan, physical, "calc", mode_label, applied, header))
     }
 

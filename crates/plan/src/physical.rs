@@ -83,6 +83,15 @@ pub enum Physical {
         /// The strategy (semi-naive iff the delta pass ran).
         mode: DatalogMode,
     },
+    /// A CALC query in the positive-existential fragment of CALC+IFP,
+    /// compiled to a Datalog program (see [`crate::ifp`]) and run by the
+    /// semi-naive round engine.
+    Ifp {
+        /// The program: one IDB per fixpoint, one rule per disjunct.
+        program: Program,
+        /// The IDB relation that holds the query's answer.
+        result: String,
+    },
     /// A columnar plan over the `no-exec` kernels, produced by the
     /// join-algorithms pass for flat conjunctive CALC queries and flat
     /// algebra expressions.
@@ -297,6 +306,18 @@ impl Physical {
                     Ok(Output::Idb(idb, None))
                 }
             },
+            Physical::Ifp { program, result } => {
+                // A trip is a CALC trip: the caller asked a CALC question.
+                let (mut idb, _) =
+                    eval_pooled(program, instance, Strategy::SemiNaive, governor, pool).map_err(
+                        |e| match e {
+                            ProgramError::Resource(r) => PlanError::Calc(EvalError::Resource(r)),
+                            other => PlanError::Datalog(other),
+                        },
+                    )?;
+                let rel = idb.remove(result).expect("the result is a declared IDB");
+                Ok(Output::Relation(rel))
+            }
             Physical::Exec { plan, origin } => {
                 let rel =
                     no_exec::execute(plan, instance, governor, pool).map_err(|r| match origin {

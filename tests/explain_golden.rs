@@ -91,6 +91,29 @@ fn calc_pinned_explain_snapshot() {
     check_golden("explain.calc.pinned.json.golden", &planned.render_json());
 }
 
+/// The one planner decision about fixpoints, both ways: a closure applied
+/// to a constant lowers to Datalog rounds with a result rule, and the same
+/// closure with `S` under a negation stays on the tree-walk oracle and
+/// says why.
+#[test]
+fn calc_ifp_explain_snapshots() {
+    let (mut u, instance) = graph_db();
+    let session = Session::default();
+    let mut snapshot = String::new();
+    for text in [
+        "{[v:U] | ifp(S; x:U, y:U | G(x, y) \\/ exists z:U (S(x, z) /\\ G(z, y)))('a', v)}",
+        "{[u:U, v:U] | ifp(S; x:U, y:U | G(x, y) \\/ exists z:U (G(x, z) /\\ ~S(z, y)))(u, v)}",
+    ] {
+        let q = nestdb::core::parse_query(text, &mut u).unwrap();
+        let mode = CalcMode::Safe;
+        let planned = session
+            .explain(&instance, ExplainTarget::Calc { query: &q, mode })
+            .unwrap();
+        let _ = writeln!(snapshot, "== {text} ==\n{}", planned.render_text());
+    }
+    check_golden("explain.calc.ifp.golden", &snapshot);
+}
+
 /// An algebra pipeline where predicate pushdown fires (σ over ×) and CSE
 /// merges the repeated `π₁ G` subexpression, feeding a powerset the trips
 /// pass annotates.
