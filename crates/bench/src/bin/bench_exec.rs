@@ -28,8 +28,6 @@
 //! Every engine computes the identical relation and the harness asserts
 //! the cardinalities agree before reporting a single number.
 
-#![allow(deprecated)] // benches the legacy shims directly to skip Request plumbing overhead
-
 use minipool::ThreadPool;
 use nestdb::exec::{execute, ExecOp, ExecPlan, JoinAlgo};
 use nestdb::plan::{CalcMode, Pass, PassSet, Physical, Planner};

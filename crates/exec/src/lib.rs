@@ -30,16 +30,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod delta;
 pub mod kernels;
 pub mod meter;
 pub mod plan;
 pub mod pred;
 pub mod table;
 
-pub use delta::{
-    delta_difference, delta_join, delta_project, delta_select, delta_union, DeltaTable,
-};
 pub use kernels::JoinAlgo;
 pub use plan::{execute, ExecId, ExecOp, ExecPlan};
 pub use pred::RowPred;

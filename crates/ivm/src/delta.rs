@@ -3,8 +3,7 @@
 //!
 //! Both are kept in **effective** form relative to the instance they
 //! apply to: `add` rows are absent from it, `del` rows present, and the
-//! two halves are disjoint — the same invariant the columnar
-//! `no_exec::DeltaTable` maintains one layer down.
+//! two halves are disjoint.
 
 use no_object::{Instance, Relation, Value};
 use std::collections::BTreeMap;

@@ -434,7 +434,7 @@ mod tests {
     fn scalars_round_trip() {
         for src in ["null", "true", "false", "0", "-7", "3.25", "1e9", "\"x\""] {
             let v = parse(src).unwrap();
-            assert_eq!(v.render(), src.replace("1e9", "1e9"));
+            assert_eq!(v.render(), src);
             assert_eq!(parse(&v.render()).unwrap(), v);
         }
     }

@@ -1,9 +1,9 @@
 //! The wire protocol: one serializable [`Request`]/[`Response`] pair.
 //!
 //! Historically every caller surface (REPL, CLI, embeddings) talked to a
-//! different corner of a ~15-method `Session` matrix (`eval_calc` ×
-//! `_safe` × `_planned`, three Datalog strategies × planned, `analyze`,
-//! `explain`, storage verbs). None of that can be put on a wire. This
+//! different corner of a typed `Session` method matrix (one method per
+//! engine × semantics × planned, plus analysis, explain and storage
+//! verbs). None of that can be put on a wire. This
 //! crate defines the one request shape they all reduce to:
 //!
 //! ```text

@@ -40,4 +40,4 @@ pub mod shell;
 pub use error::Error;
 pub use minipool::ThreadPool;
 pub use proto::{Request, Response};
-pub use session::{ExplainTarget, Session, SessionBuilder, Store};
+pub use session::{Session, SessionBuilder, Store};

@@ -34,21 +34,24 @@
 //! an override runs under a fresh per-request allowance (what the shell
 //! does per evaluation and the server does per tenant).
 //!
-//! The old typed entry points (`eval_calc`, `eval_datalog`, …) remain as
-//! thin deprecated shims over the same internals — `tests/api_equivalence.rs`
-//! asserts `run` is bit-identical to every one of them.
+//! `run` is the one way in. Every `eval` parses, compiles to a
+//! [`Planned`], executes it and renders the output; `planned` only picks
+//! the plan. `planned: true` runs the optimized plan from the cache;
+//! `planned: false` runs the tree-walk oracle, which is the plan the
+//! planner builds with no passes (`PassSet::none()`), compiled per request
+//! and never cached. The engines themselves are bound in one place,
+//! `Physical::execute`.
 
 use crate::error::Error;
 use minipool::ThreadPool;
 use no_algebra::Expr;
-use no_core::eval::{active_order, Evaluator};
 use no_core::print::Printer;
 use no_core::Query;
-use no_datalog::{EvalStats, Idb, Program, Strategy};
+use no_datalog::Program;
 use no_ivm::{decode_registry, encode_registry, BaseDelta, IvmError, ViewDelta, ViewRegistry};
 use no_object::text::{parse_clause, render_database, Clause};
 use no_object::{Governor, Instance, Limits, Relation, Schema, Type, Universe, Value};
-use no_plan::{CacheKey, CalcMode, DatalogMode, PlanCache, Planned, Planner};
+use no_plan::{CacheKey, CalcMode, DatalogMode, Output, PassSet, PlanCache, Planned, Planner};
 use no_proto::{
     AnalysisOut, DeltaOut, ExplainOut, Json, Lang, LimitsSpec, Mode, Op, RelationOut, Request,
     Response, Spend, StatsOut, ViewStatsOut,
@@ -600,11 +603,7 @@ impl Session {
 
     fn dispatch(&self, req: &Request) -> Response {
         match req.op {
-            Op::Eval => match req.lang {
-                Lang::Calc => self.op_eval_calc(req),
-                Lang::Datalog => self.op_eval_datalog(req),
-                Lang::Algebra => self.op_eval_algebra(req),
-            },
+            Op::Eval => self.op_eval(req),
             Op::Analyze => self.op_analyze(req),
             Op::Explain => self.op_explain(req),
             Op::Insert => self.op_insert(req),
@@ -618,153 +617,84 @@ impl Session {
         }
     }
 
-    fn op_eval_calc(&self, req: &Request) -> Response {
-        // Checked: analyze first, refuse with the findings on any error,
-        // then run under the strongest applicable semantics. Both the
-        // refusal and the successful run carry the analysis — the
-        // certificate travels with the rows.
+    /// Every `eval` takes one path: parse, compile to a [`Planned`],
+    /// execute, render. Only the plan differs (see `compile`).
+    fn op_eval(&self, req: &Request) -> Response {
+        // Checked: analyze first and refuse with the findings on any
+        // error. A clean CALC text runs under the strongest semantics its
+        // certificate allows, and the analysis travels with the rows.
         let parsed = self.read_parsed(|store, universe| {
-            let mut checked_analysis = None;
-            let safe = match req.mode {
-                Mode::Fast => false,
-                Mode::Safe => true,
-                Mode::Checked => {
-                    let schema = store.instance().schema();
-                    let analysis = no_analysis::analyze_calc(schema, &req.text, universe);
-                    let out = analysis_out(&analysis, &req.text);
-                    if analysis.has_errors() {
-                        return Err(checked_refusal(&analysis, out));
-                    }
-                    checked_analysis = Some(out);
-                    analysis.is_rr_safe()
-                }
-            };
-            Ok((parse_calc(req, universe)?, safe, checked_analysis))
-        });
-        let (store, (query, safe, checked_analysis)) = match parsed {
-            Ok(p) => p,
-            Err(resp) => return *resp,
-        };
-        let instance = store.instance();
-        let result = match (safe, req.planned) {
-            (false, false) => self.calc_active(instance, &query),
-            (false, true) => self.calc_active_planned(instance, &query),
-            (true, false) => self.calc_safe(instance, &query),
-            (true, true) => self.calc_safe_planned(instance, &query),
-        };
-        match result {
-            Ok(rel) => Response {
-                ok: true,
-                relations: vec![relation_out(store.universe(), "result", &rel)],
-                analysis: checked_analysis,
-                ..Response::default()
-            },
-            Err(e) => error_response(&e),
-        }
-    }
-
-    fn op_eval_datalog(&self, req: &Request) -> Response {
-        let parsed = self.read_parsed(|store, universe| {
-            if req.mode == Mode::Checked {
-                let schema = store.instance().schema();
-                let analysis = no_analysis::analyze_datalog(schema, &req.text, universe);
+            let schema = store.instance().schema();
+            let mut mode = calc_mode(req.mode);
+            let mut certified = None;
+            if let (Mode::Checked, Some(analyze)) = (req.mode, analyzer(req.lang)) {
+                let analysis = analyze(schema, &req.text, universe);
                 if analysis.has_errors() {
-                    let out = analysis_out(&analysis, &req.text);
-                    return Err(checked_refusal(&analysis, out));
+                    return Err(checked_refusal(&analysis, &req.text));
+                }
+                if req.lang == Lang::Calc {
+                    if !analysis.is_rr_safe() {
+                        mode = CalcMode::ActiveDomain;
+                    }
+                    certified = Some(analysis_out(&analysis, &req.text));
                 }
             }
-            parse_datalog(req, universe)
+            Ok((parse_source(req, schema, universe, mode)?, certified))
         });
-        let (store, program) = match parsed {
+        let (store, (source, analysis)) = match parsed {
             Ok(p) => p,
             Err(resp) => return *resp,
         };
         let instance = store.instance();
-        let (idb, rounds) = match req.strategy {
-            no_proto::Strategy::Naive | no_proto::Strategy::SemiNaive => {
-                let strat = if req.strategy == no_proto::Strategy::Naive {
-                    Strategy::Naive
-                } else {
-                    Strategy::SemiNaive
-                };
-                let result = if req.planned {
-                    self.datalog_planned(&program, instance, strat)
-                } else {
-                    self.datalog(&program, instance, strat)
-                };
-                match result {
-                    Ok((idb, stats)) => (idb, Some(stats.rounds as u64)),
-                    Err(e) => return error_response(&e),
-                }
-            }
-            no_proto::Strategy::Stratified => {
-                let result = if req.planned {
-                    self.datalog_stratified_planned(&program, instance)
-                } else {
-                    self.datalog_stratified(&program, instance)
-                };
-                match result {
-                    Ok(idb) => (idb, None),
-                    Err(e) => return error_response(&e),
-                }
-            }
-            no_proto::Strategy::Simultaneous => {
-                let typed = infer_body_var_types(&program, instance.schema());
-                let borrowed: Vec<(&str, Type)> =
-                    typed.iter().map(|(v, t)| (v.as_str(), t.clone())).collect();
-                let result = if req.planned {
-                    self.datalog_simultaneous_planned(&program, &borrowed, instance)
-                } else {
-                    self.datalog_simultaneous(&program, &borrowed, instance)
-                };
-                match result {
-                    Ok(idb) => (idb, None),
-                    Err(e) => return error_response(&e),
-                }
-            }
-        };
-        Response {
-            ok: true,
-            relations: idb
-                .iter()
-                .map(|(name, rel)| relation_out(store.universe(), name, rel))
-                .collect(),
-            rounds,
-            ..Response::default()
-        }
-    }
-
-    fn op_eval_algebra(&self, req: &Request) -> Response {
-        let (store, expr) = match self.read_parsed(|_, u| parse_algebra(req, u)) {
-            Ok(p) => p,
-            Err(resp) => return *resp,
-        };
-        let instance = store.instance();
-        let result = if req.planned {
-            self.algebra_planned(&expr, instance)
-        } else {
-            self.algebra(&expr, instance)
-        };
-        match result {
-            Ok(rel) => Response {
-                ok: true,
-                relations: vec![relation_out(store.universe(), "result", &rel)],
-                ..Response::default()
+        let output = self
+            .compile(instance, source, req.planned)
+            .and_then(|plan| Ok(plan.execute(instance, &self.governor, &self.pool)?));
+        match output {
+            Ok(output) => Response {
+                analysis,
+                ..render(store.universe(), output)
             },
             Err(e) => error_response(&e),
         }
+    }
+
+    /// The plan an `eval` runs. `planned` takes the session's optimized,
+    /// cached plan. Otherwise CALC and algebra compile with no passes:
+    /// that plan is the tree-walk oracle the differential suites hold the
+    /// served plans to, and it is built per request, never cached. A
+    /// Datalog strategy runs on the same engine either way, so it keeps
+    /// every pass (without the delta pass semi-naive would drop to naive)
+    /// and skips only the cache.
+    fn compile(
+        &self,
+        instance: &Instance,
+        source: Source,
+        planned: bool,
+    ) -> Result<Arc<Planned>, Error> {
+        if planned {
+            return match source {
+                Source::Calc(query, mode) => self.plan_calc(instance, &query, mode),
+                Source::Algebra(expr) => self.plan_algebra(instance, &expr),
+                Source::Datalog(program, mode) => self.plan_datalog(instance, &program, mode),
+            };
+        }
+        let planner = Planner::new(instance.schema());
+        let plan = match source {
+            Source::Calc(query, mode) => {
+                planner.with_passes(PassSet::none()).plan_calc(&query, mode)
+            }
+            Source::Algebra(expr) => planner.with_passes(PassSet::none()).plan_algebra(&expr),
+            Source::Datalog(program, mode) => planner.plan_datalog(&program, mode),
+        }?;
+        Ok(Arc::new(plan))
     }
 
     fn op_analyze(&self, req: &Request) -> Response {
-        let analyze = match req.lang {
-            Lang::Calc => no_analysis::analyze_calc,
-            Lang::Datalog => no_analysis::analyze_datalog,
-            Lang::Algebra => {
-                return Response::error(
-                    "unsupported",
-                    "the algebra has no static analyzer; analyze calc or datalog text",
-                )
-            }
+        let Some(analyze) = analyzer(req.lang) else {
+            return Response::error(
+                "unsupported",
+                "the algebra has no static analyzer; analyze calc or datalog text",
+            );
         };
         let parsed = self.read_parsed(|store, universe| {
             let analysis = analyze(store.instance().schema(), &req.text, universe);
@@ -780,44 +710,22 @@ impl Session {
         }
     }
 
+    /// `explain` renders the plan a `planned: true` eval of the same
+    /// request would run.
     fn op_explain(&self, req: &Request) -> Response {
-        let planned = match req.lang {
-            Lang::Calc => {
-                let (store, query) = match self.read_parsed(|_, u| parse_calc(req, u)) {
-                    Ok(p) => p,
-                    Err(resp) => return *resp,
-                };
-                let mode = if req.mode == Mode::Fast {
-                    CalcMode::ActiveDomain
-                } else {
-                    CalcMode::Safe
-                };
-                self.plan_calc(store.instance(), &query, mode)
-            }
-            Lang::Algebra => {
-                let (store, expr) = match self.read_parsed(|_, u| parse_algebra(req, u)) {
-                    Ok(p) => p,
-                    Err(resp) => return *resp,
-                };
-                self.plan_algebra(store.instance(), &expr)
-            }
-            Lang::Datalog => {
-                let (store, program) = match self.read_parsed(|_, u| parse_datalog(req, u)) {
-                    Ok(p) => p,
-                    Err(resp) => return *resp,
-                };
-                let mode = match req.strategy {
-                    no_proto::Strategy::Naive => DatalogMode::Naive,
-                    no_proto::Strategy::SemiNaive => DatalogMode::SemiNaive,
-                    no_proto::Strategy::Stratified => DatalogMode::Stratified,
-                    no_proto::Strategy::Simultaneous => DatalogMode::Simultaneous(
-                        infer_body_var_types(&program, store.instance().schema()),
-                    ),
-                };
-                self.plan_datalog(store.instance(), &program, mode)
-            }
+        let parsed = self.read_parsed(|store, universe| {
+            parse_source(
+                req,
+                store.instance().schema(),
+                universe,
+                calc_mode(req.mode),
+            )
+        });
+        let (store, source) = match parsed {
+            Ok(p) => p,
+            Err(resp) => return *resp,
         };
-        match planned {
+        match self.compile(store.instance(), source, true) {
             Ok(p) => Response {
                 ok: true,
                 explain: Some(ExplainOut {
@@ -1224,233 +1132,6 @@ impl Session {
         db.sync().map_err(Error::from)
     }
 
-    // ----- engine internals (the legacy shims and `run` share these) ---
-
-    fn calc_active(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        let order = active_order(instance, query);
-        let mut ev = Evaluator::with_governor(instance, order, self.governor.clone())
-            .with_pool(self.pool.clone());
-        ev.query(query).map_err(Error::from)
-    }
-
-    fn calc_safe(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        no_core::ranges::safe_eval_pooled(instance, query, &self.governor, &self.pool)
-            .map_err(Error::from)
-    }
-
-    fn datalog(
-        &self,
-        program: &Program,
-        instance: &Instance,
-        strategy: Strategy,
-    ) -> Result<(Idb, EvalStats), Error> {
-        no_datalog::eval_pooled(program, instance, strategy, &self.governor, &self.pool)
-            .map_err(Error::from)
-    }
-
-    fn datalog_stratified(&self, program: &Program, instance: &Instance) -> Result<Idb, Error> {
-        no_datalog::eval_stratified_pooled(program, instance, &self.governor, &self.pool)
-            .map_err(Error::from)
-    }
-
-    fn datalog_simultaneous(
-        &self,
-        program: &Program,
-        body_var_types: &[(&str, Type)],
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        let order = no_object::AtomOrder::new(instance.atoms().into_iter().collect());
-        no_datalog::eval_simultaneous_pooled(
-            program,
-            body_var_types,
-            instance,
-            order,
-            &self.governor,
-            &self.pool,
-        )
-        .map_err(Error::from)
-    }
-
-    fn algebra(&self, expr: &Expr, instance: &Instance) -> Result<Relation, Error> {
-        no_algebra::eval_pooled(expr, instance, &self.governor, &self.pool).map_err(Error::from)
-    }
-
-    fn calc_checked(
-        &self,
-        instance: &Instance,
-        src: &str,
-        universe: &mut Universe,
-    ) -> Result<Relation, Error> {
-        let analysis = no_analysis::analyze_calc(instance.schema(), src, universe);
-        if analysis.has_errors() {
-            return Err(no_analysis::DiagnosticsError::new(&analysis).into());
-        }
-        let query =
-            no_core::parse_query(src, universe).expect("analysis passed, so the query parses");
-        if analysis.is_rr_safe() {
-            self.calc_safe(instance, &query)
-        } else {
-            self.calc_active(instance, &query)
-        }
-    }
-
-    fn calc_active_planned(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        let planned = self.plan_calc(instance, query, CalcMode::ActiveDomain)?;
-        let out = planned.execute(instance, &self.governor, &self.pool)?;
-        Ok(out.into_relation())
-    }
-
-    fn calc_safe_planned(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        let planned = self.plan_calc(instance, query, CalcMode::Safe)?;
-        let out = planned.execute(instance, &self.governor, &self.pool)?;
-        Ok(out.into_relation())
-    }
-
-    fn algebra_planned(&self, expr: &Expr, instance: &Instance) -> Result<Relation, Error> {
-        let planned = self.plan_algebra(instance, expr)?;
-        let out = planned.execute(instance, &self.governor, &self.pool)?;
-        Ok(out.into_relation())
-    }
-
-    fn datalog_planned(
-        &self,
-        program: &Program,
-        instance: &Instance,
-        strategy: Strategy,
-    ) -> Result<(Idb, EvalStats), Error> {
-        let mode = match strategy {
-            Strategy::Naive => DatalogMode::Naive,
-            Strategy::SemiNaive => DatalogMode::SemiNaive,
-        };
-        let planned = self.plan_datalog(instance, program, mode)?;
-        match planned.execute(instance, &self.governor, &self.pool)? {
-            no_plan::Output::Idb(idb, Some(stats)) => Ok((idb, stats)),
-            _ => unreachable!("round strategies report stats"),
-        }
-    }
-
-    fn datalog_stratified_planned(
-        &self,
-        program: &Program,
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        let planned = self.plan_datalog(instance, program, DatalogMode::Stratified)?;
-        let out = planned.execute(instance, &self.governor, &self.pool)?;
-        Ok(out.into_idb())
-    }
-
-    fn datalog_simultaneous_planned(
-        &self,
-        program: &Program,
-        body_var_types: &[(&str, Type)],
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        let typed: Vec<(String, Type)> = body_var_types
-            .iter()
-            .map(|(v, t)| (v.to_string(), t.clone()))
-            .collect();
-        let planned = self.plan_datalog(instance, program, DatalogMode::Simultaneous(typed))?;
-        let out = planned.execute(instance, &self.governor, &self.pool)?;
-        Ok(out.into_idb())
-    }
-
-    // ----- deprecated typed shims -------------------------------------
-
-    /// Evaluate a CALC query under the active-domain semantics.
-    #[deprecated(note = "use Session::run with a Request { mode: Fast }")]
-    pub fn eval_calc(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        self.calc_active(instance, query)
-    }
-
-    /// Evaluate a CALC query under the restricted-domain semantics of
-    /// Theorem 5.1: compute ranges first, then enumerate only them.
-    #[deprecated(note = "use Session::run with a Request { mode: Safe }")]
-    pub fn eval_calc_safe(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        self.calc_safe(instance, query)
-    }
-
-    /// Evaluate a Datalog¬ program with inflationary semantics.
-    #[deprecated(note = "use Session::run with a Request { lang: Datalog }")]
-    pub fn eval_datalog(
-        &self,
-        program: &Program,
-        instance: &Instance,
-        strategy: Strategy,
-    ) -> Result<(Idb, EvalStats), Error> {
-        self.datalog(program, instance, strategy)
-    }
-
-    /// Evaluate a Datalog¬ program with stratified semantics.
-    #[deprecated(note = "use Session::run with a Request { strategy: Stratified }")]
-    pub fn eval_datalog_stratified(
-        &self,
-        program: &Program,
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        self.datalog_stratified(program, instance)
-    }
-
-    /// Evaluate a Datalog¬ program by translating it into one simultaneous
-    /// `IFP` fixpoint and running that on the CALC evaluator.
-    #[deprecated(note = "use Session::run with a Request { strategy: Simultaneous }")]
-    pub fn eval_datalog_simultaneous(
-        &self,
-        program: &Program,
-        body_var_types: &[(&str, Type)],
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        self.datalog_simultaneous(program, body_var_types, instance)
-    }
-
-    /// Evaluate an algebra expression.
-    #[deprecated(note = "use Session::run with a Request { lang: Algebra }")]
-    pub fn eval_algebra(&self, expr: &Expr, instance: &Instance) -> Result<Relation, Error> {
-        self.algebra(expr, instance)
-    }
-
-    /// Statically analyze a CALC query: diagnostics (spans, codes, paper
-    /// citations) plus a `⟨i,k⟩` complexity certificate when well-formed.
-    ///
-    /// Analysis is pure — it never evaluates and spends none of the
-    /// session's governor budget, so it is safe to run on untrusted input
-    /// before committing fuel to evaluation.
-    #[deprecated(note = "use Session::run with a Request { op: Analyze }")]
-    pub fn analyze(
-        &self,
-        schema: &no_object::Schema,
-        src: &str,
-        universe: &mut no_object::Universe,
-    ) -> no_analysis::Analysis {
-        no_analysis::analyze_calc(schema, src, universe)
-    }
-
-    /// Statically analyze a Datalog¬ program (same contract as
-    /// [`Session::analyze`]).
-    #[deprecated(note = "use Session::run with a Request { op: Analyze, lang: Datalog }")]
-    pub fn analyze_datalog(
-        &self,
-        schema: &no_object::Schema,
-        src: &str,
-        universe: &mut no_object::Universe,
-    ) -> no_analysis::Analysis {
-        no_analysis::analyze_datalog(schema, src, universe)
-    }
-
-    /// Analyze, then evaluate only if analysis found no errors; a refusal
-    /// comes back as [`Error::Diagnostics`] carrying every finding.
-    /// Certified range-restricted queries run under the restricted-domain
-    /// semantics (Theorem 5.1); others fall back to active-domain
-    /// enumeration.
-    #[deprecated(note = "use Session::run with a Request { mode: Checked }")]
-    pub fn eval_calc_checked(
-        &self,
-        instance: &Instance,
-        src: &str,
-        universe: &mut no_object::Universe,
-    ) -> Result<Relation, Error> {
-        self.calc_checked(instance, src, universe)
-    }
-
     // ----- compile-to-plan entry points -------------------------------
 
     /// Compile (or fetch from the plan cache) under the session's pass
@@ -1507,87 +1188,6 @@ impl Session {
         self.cached(key, || self.planner(instance).plan_datalog(program, mode))
     }
 
-    /// [`Session::eval_calc`] through the plan pipeline: compile (or hit
-    /// the plan cache), optimize, execute on the same kernels under the
-    /// same governor.
-    #[deprecated(note = "use Session::run with a Request { mode: Fast, planned: true }")]
-    pub fn eval_calc_planned(&self, instance: &Instance, query: &Query) -> Result<Relation, Error> {
-        self.calc_active_planned(instance, query)
-    }
-
-    /// [`Session::eval_calc_safe`] through the plan pipeline.
-    #[deprecated(note = "use Session::run with a Request { mode: Safe, planned: true }")]
-    pub fn eval_calc_safe_planned(
-        &self,
-        instance: &Instance,
-        query: &Query,
-    ) -> Result<Relation, Error> {
-        self.calc_safe_planned(instance, query)
-    }
-
-    /// [`Session::eval_algebra`] through the plan pipeline (predicate
-    /// pushdown runs here).
-    #[deprecated(note = "use Session::run with a Request { lang: Algebra, planned: true }")]
-    pub fn eval_algebra_planned(
-        &self,
-        expr: &Expr,
-        instance: &Instance,
-    ) -> Result<Relation, Error> {
-        self.algebra_planned(expr, instance)
-    }
-
-    /// [`Session::eval_datalog`] through the plan pipeline. A `SemiNaive`
-    /// request runs the delta-rewritten plan; `Naive` opts out.
-    #[deprecated(note = "use Session::run with a Request { lang: Datalog, planned: true }")]
-    pub fn eval_datalog_planned(
-        &self,
-        program: &Program,
-        instance: &Instance,
-        strategy: Strategy,
-    ) -> Result<(Idb, EvalStats), Error> {
-        self.datalog_planned(program, instance, strategy)
-    }
-
-    /// [`Session::eval_datalog_stratified`] through the plan pipeline.
-    #[deprecated(note = "use Session::run with a Request { strategy: Stratified, planned: true }")]
-    pub fn eval_datalog_stratified_planned(
-        &self,
-        program: &Program,
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        self.datalog_stratified_planned(program, instance)
-    }
-
-    /// [`Session::eval_datalog_simultaneous`] through the plan pipeline.
-    #[deprecated(
-        note = "use Session::run with a Request { strategy: Simultaneous, planned: true }"
-    )]
-    pub fn eval_datalog_simultaneous_planned(
-        &self,
-        program: &Program,
-        body_var_types: &[(&str, Type)],
-        instance: &Instance,
-    ) -> Result<Idb, Error> {
-        self.datalog_simultaneous_planned(program, body_var_types, instance)
-    }
-
-    /// Explain a query: the compiled, optimized plan with its pass
-    /// provenance, estimates, and early-trip warnings. Rendering is
-    /// deterministic — `planned.render_text()` / `planned.render_json()`
-    /// are snapshot-tested goldens.
-    #[deprecated(note = "use Session::run with a Request { op: Explain }")]
-    pub fn explain(
-        &self,
-        instance: &Instance,
-        target: ExplainTarget<'_>,
-    ) -> Result<Arc<Planned>, Error> {
-        match target {
-            ExplainTarget::Calc { query, mode } => self.plan_calc(instance, query, mode),
-            ExplainTarget::Algebra(expr) => self.plan_algebra(instance, expr),
-            ExplainTarget::Datalog { program, mode } => self.plan_datalog(instance, program, mode),
-        }
-    }
-
     /// `(hits, misses)` of the session's plan cache.
     pub fn plan_cache_stats(&self) -> (u64, u64) {
         self.plans.lock().unwrap().stats()
@@ -1599,26 +1199,6 @@ impl Session {
     pub fn clear_plan_cache(&self) {
         self.plans.lock().unwrap().clear()
     }
-}
-
-/// What [`Session::explain`] should compile.
-pub enum ExplainTarget<'a> {
-    /// A CALC query under the given semantics.
-    Calc {
-        /// The query.
-        query: &'a Query,
-        /// Active-domain or safe evaluation.
-        mode: CalcMode,
-    },
-    /// An algebra expression.
-    Algebra(&'a Expr),
-    /// A Datalog¬ program under a strategy.
-    Datalog {
-        /// The program.
-        program: &'a Program,
-        /// The strategy.
-        mode: DatalogMode,
-    },
 }
 
 // ---------------------------------------------------------------------------
@@ -1681,27 +1261,91 @@ type Refusal = Box<Response>;
 
 /// `mode: checked` found errors: the diagnostics as the error, the full
 /// analysis alongside.
-fn checked_refusal(analysis: &no_analysis::Analysis, out: AnalysisOut) -> Refusal {
+fn checked_refusal(analysis: &no_analysis::Analysis, src: &str) -> Refusal {
     let err: Error = no_analysis::DiagnosticsError::new(analysis).into();
     let mut resp = error_response(&err);
-    resp.analysis = Some(out);
+    resp.analysis = Some(analysis_out(analysis, src));
     Box::new(resp)
 }
 
-fn parse_refusal(message: String) -> Refusal {
-    Box::new(Response::error("parse", message))
+/// The static analyzer for `lang`; the algebra has none.
+fn analyzer(lang: Lang) -> Option<fn(&Schema, &str, &mut Universe) -> no_analysis::Analysis> {
+    match lang {
+        Lang::Calc => Some(no_analysis::analyze_calc),
+        Lang::Datalog => Some(no_analysis::analyze_datalog),
+        Lang::Algebra => None,
+    }
 }
 
-fn parse_calc(req: &Request, universe: &mut Universe) -> Result<Query, Refusal> {
-    no_core::parse_query(&req.text, universe).map_err(|e| parse_refusal(e.render(&req.text)))
+/// The CALC semantics a request mode asks for before any analysis.
+fn calc_mode(mode: Mode) -> CalcMode {
+    match mode {
+        Mode::Fast => CalcMode::ActiveDomain,
+        Mode::Safe | Mode::Checked => CalcMode::Safe,
+    }
 }
 
-fn parse_datalog(req: &Request, universe: &mut Universe) -> Result<Program, Refusal> {
-    no_datalog::parse_program(&req.text, universe).map_err(|e| parse_refusal(e.render(&req.text)))
+/// An `eval` or `explain` text, parsed, with the semantics it compiles
+/// under.
+enum Source {
+    Calc(Query, CalcMode),
+    Algebra(Expr),
+    Datalog(Program, DatalogMode),
 }
 
-fn parse_algebra(req: &Request, universe: &mut Universe) -> Result<Expr, Refusal> {
-    no_algebra::parse_expr(&req.text, universe).map_err(|e| parse_refusal(e.to_string()))
+/// Parse `req.text` in its language; a Datalog strategy becomes the plan
+/// mode it names.
+fn parse_source(
+    req: &Request,
+    schema: &Schema,
+    universe: &mut Universe,
+    calc_mode: CalcMode,
+) -> Result<Source, Refusal> {
+    let text = &req.text;
+    let refuse = |message: String| Box::new(Response::error("parse", message));
+    Ok(match req.lang {
+        Lang::Calc => Source::Calc(
+            no_core::parse_query(text, universe).map_err(|e| refuse(e.render(text)))?,
+            calc_mode,
+        ),
+        Lang::Algebra => Source::Algebra(
+            no_algebra::parse_expr(text, universe).map_err(|e| refuse(e.to_string()))?,
+        ),
+        Lang::Datalog => {
+            let program =
+                no_datalog::parse_program(text, universe).map_err(|e| refuse(e.render(text)))?;
+            let mode = match req.strategy {
+                no_proto::Strategy::Naive => DatalogMode::Naive,
+                no_proto::Strategy::SemiNaive => DatalogMode::SemiNaive,
+                no_proto::Strategy::Stratified => DatalogMode::Stratified,
+                no_proto::Strategy::Simultaneous => {
+                    DatalogMode::Simultaneous(infer_body_var_types(&program, schema))
+                }
+            };
+            Source::Datalog(program, mode)
+        }
+    })
+}
+
+/// An executed plan as an `ok` reply. A CALC or algebra answer is the
+/// relation `result`; a Datalog answer is every IDB relation, plus the
+/// round count when the strategy reports one.
+fn render(universe: &Universe, output: Output) -> Response {
+    let (relations, rounds) = match output {
+        Output::Relation(rel) => (vec![relation_out(universe, "result", &rel)], None),
+        Output::Idb(idb, stats) => (
+            idb.iter()
+                .map(|(name, rel)| relation_out(universe, name, rel))
+                .collect(),
+            stats.map(|s| s.rounds as u64),
+        ),
+    };
+    Response {
+        ok: true,
+        relations,
+        rounds,
+        ..Response::default()
+    }
 }
 
 /// Check a fact/delete mutation against the schema without applying it,
@@ -1840,14 +1484,11 @@ fn infer_body_var_types(program: &Program, schema: &Schema) -> Vec<(String, Type
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims are exercised on purpose here
 mod tests {
     use super::*;
-    use no_algebra::Pred;
-    use no_datalog::{DTerm, Literal};
     use no_object::{RelationSchema, Schema, Universe, Value};
 
-    fn graph(edges: &[(&str, &str)]) -> (Universe, Instance) {
+    fn graph_store(edges: &[(&str, &str)]) -> Arc<RwLock<Store>> {
         let mut u = Universe::new();
         let schema =
             Schema::from_relations([RelationSchema::new("G", vec![Type::Atom, Type::Atom])]);
@@ -1856,96 +1497,92 @@ mod tests {
             let (a, b) = (u.intern(a), u.intern(b));
             i.insert("G", vec![Value::Atom(a), Value::Atom(b)]);
         }
-        (u, i)
+        Arc::new(RwLock::new(Store::with_data(u, i)))
     }
 
     fn graph_session(edges: &[(&str, &str)]) -> Session {
-        let (u, i) = graph(edges);
-        Session::builder()
-            .store(Arc::new(RwLock::new(Store::with_data(u, i))))
-            .build()
-    }
-
-    fn tc_program() -> Program {
-        let mut p = Program::new();
-        p.declare("tc", vec![Type::Atom, Type::Atom]);
-        p.rule(
-            "tc",
-            vec![DTerm::var("x"), DTerm::var("y")],
-            vec![Literal::Pos(
-                "G".into(),
-                vec![DTerm::var("x"), DTerm::var("y")],
-            )],
-        );
-        p.rule(
-            "tc",
-            vec![DTerm::var("x"), DTerm::var("y")],
-            vec![
-                Literal::Pos("tc".into(), vec![DTerm::var("x"), DTerm::var("z")]),
-                Literal::Pos("G".into(), vec![DTerm::var("z"), DTerm::var("y")]),
-            ],
-        );
-        p
+        Session::builder().store(graph_store(edges)).build()
     }
 
     const TC_SRC: &str = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
+    const EDGES: &str = "{[x:U, y:U] | G(x, y)}";
+
+    fn calc(mode: Mode, text: &str) -> Request {
+        Request {
+            mode,
+            ..Request::eval(Lang::Calc, text)
+        }
+    }
+
+    fn tc(strategy: no_proto::Strategy) -> Request {
+        Request {
+            strategy,
+            ..Request::eval(Lang::Datalog, TC_SRC)
+        }
+    }
+
+    /// The rows of `relation` in the reply to `req`, which must succeed.
+    fn rows(s: &Session, req: &Request, relation: &str) -> usize {
+        let r = s.run(req);
+        assert!(r.ok, "{req:?}: {:?}", r.error);
+        r.relations
+            .iter()
+            .find(|r| r.name == relation)
+            .unwrap()
+            .rows
+            .len()
+    }
+
+    fn tripped(r: &Response) -> bool {
+        r.error.as_ref().is_some_and(|e| e.resource_trip)
+    }
 
     #[test]
     fn session_runs_every_engine() {
-        let (mut u, i) = graph(&[("a", "b"), ("b", "c")]);
+        let base = graph_session(&[("a", "b"), ("b", "c")]);
         for threads in [1, 4] {
-            let s = Session::builder().parallelism(threads).build();
+            let s = base.with_parallelism(threads);
             assert_eq!(s.parallelism(), threads);
-            let q = no_core::parse_query("{[x:U, y:U] | G(x, y)}", &mut u).unwrap();
-            assert_eq!(s.eval_calc(&i, &q).unwrap().len(), 2);
-            assert_eq!(s.eval_calc_safe(&i, &q).unwrap().len(), 2);
-            let (idb, _) = s
-                .eval_datalog(&tc_program(), &i, Strategy::SemiNaive)
-                .unwrap();
-            assert_eq!(idb["tc"].len(), 3);
-            let idb = s.eval_datalog_stratified(&tc_program(), &i).unwrap();
-            assert_eq!(idb["tc"].len(), 3);
-            let idb = s
-                .eval_datalog_simultaneous(&tc_program(), &[("z", Type::Atom)], &i)
-                .unwrap();
-            assert_eq!(idb["tc"].len(), 3);
-            let e = Expr::rel("G").select(Pred::EqCols(1, 1));
-            assert_eq!(s.eval_algebra(&e, &i).unwrap().len(), 2);
+            assert_eq!(rows(&s, &calc(Mode::Fast, EDGES), "result"), 2);
+            assert_eq!(rows(&s, &calc(Mode::Safe, EDGES), "result"), 2);
+            for strategy in [
+                no_proto::Strategy::SemiNaive,
+                no_proto::Strategy::Stratified,
+                no_proto::Strategy::Simultaneous,
+            ] {
+                assert_eq!(rows(&s, &tc(strategy), "tc"), 3);
+            }
+            let e = Request::eval(Lang::Algebra, "select[eq(1, 1)](G)");
+            assert_eq!(rows(&s, &e, "result"), 2);
         }
     }
 
     #[test]
     fn session_shares_one_budget_across_engines() {
-        let (_u, i) = graph(&[("a", "b"), ("b", "c"), ("c", "d")]);
         let s = Session::builder()
             .limits(Limits {
                 max_steps: 60,
                 ..Limits::unlimited()
             })
+            .store(graph_store(&[("a", "b"), ("b", "c"), ("c", "d")]))
             .build();
         // datalog spends most of the fuel…
-        let first = s.eval_datalog(&tc_program(), &i, Strategy::SemiNaive);
+        let first = s.run(&tc(no_proto::Strategy::SemiNaive));
         // …so by some point an evaluation trips, and the trip is
         // recognisable without matching engine-specific variants
-        let mut tripped = first.is_err();
+        let mut tripped_once = !first.ok;
         for _ in 0..20 {
-            if tripped {
+            if tripped_once {
                 break;
             }
-            tripped = s
-                .eval_algebra(&Expr::rel("G").product(Expr::rel("G")), &i)
-                .is_err();
+            tripped_once = !s.run(&Request::eval(Lang::Algebra, "(G x G)")).ok;
         }
-        assert!(tripped, "shared budget never tripped");
-        let err = s
-            .eval_datalog(&tc_program(), &i, Strategy::SemiNaive)
-            .unwrap_err();
-        assert!(err.is_resource_trip());
+        assert!(tripped_once, "shared budget never tripped");
+        assert!(tripped(&s.run(&tc(no_proto::Strategy::SemiNaive))));
     }
 
     #[test]
     fn analyze_is_pure_and_spends_no_fuel() {
-        let (mut u, i) = graph(&[("a", "b")]);
         // zero fuel: any evaluation attempt would trip immediately
         let s = Session::builder()
             .limits(Limits {
@@ -1953,35 +1590,39 @@ mod tests {
                 ..Limits::unlimited()
             })
             .parallelism(4)
+            .store(graph_store(&[("a", "b")]))
             .build();
-        let a = s.analyze(i.schema(), "{[x:U, y:U] | G(x, y)}", &mut u);
-        assert!(a.is_rr_safe(), "{:?}", a.diagnostics);
-        let d = s.analyze_datalog(i.schema(), "rel tc(U, U).\ntc(x, y) :- G(x, y).", &mut u);
-        assert!(d.is_rr_safe(), "{:?}", d.diagnostics);
+        for (lang, text) in [
+            (Lang::Calc, EDGES),
+            (Lang::Datalog, "rel tc(U, U).\ntc(x, y) :- G(x, y)."),
+        ] {
+            let r = s.run(&Request {
+                op: Op::Analyze,
+                lang,
+                text: text.into(),
+                ..Request::default()
+            });
+            assert!(r.ok, "{lang:?}: {:?}", r.error);
+            let a = r.analysis.as_ref().unwrap();
+            assert!(a.certified && a.errors == 0, "{}", a.text);
+        }
         assert_eq!(s.governor().steps_spent(), 0, "analysis must not evaluate");
     }
 
     #[test]
     fn checked_eval_refuses_on_errors_and_runs_when_clean() {
-        let (mut u, i) = graph(&[("a", "b"), ("b", "c")]);
-        let s = Session::default();
-        let out = s
-            .eval_calc_checked(&i, "{[x:U, y:U] | G(x, y)}", &mut u)
-            .unwrap();
-        assert_eq!(out.len(), 2);
-        let err = s
-            .eval_calc_checked(&i, "{[x:U] | H(x)}", &mut u)
-            .unwrap_err();
-        match &err {
-            Error::Diagnostics(d) => {
-                assert_eq!(
-                    d.diagnostics[0].code,
-                    no_analysis::codes::TY_UNKNOWN_RELATION
-                )
-            }
-            other => panic!("expected Diagnostics, got {other}"),
-        }
-        assert!(!err.is_resource_trip());
+        let s = graph_session(&[("a", "b"), ("b", "c")]);
+        assert_eq!(rows(&s, &calc(Mode::Checked, EDGES), "result"), 2);
+        let r = s.run(&calc(Mode::Checked, "{[x:U] | H(x)}"));
+        let e = r.error.as_ref().expect("refused");
+        assert_eq!(e.kind, "diagnostics");
+        assert!(!e.resource_trip);
+        let a = r.analysis.as_ref().unwrap();
+        assert!(
+            a.text.contains(no_analysis::codes::TY_UNKNOWN_RELATION),
+            "{}",
+            a.text
+        );
     }
 
     #[test]
@@ -2007,13 +1648,13 @@ mod tests {
         let err = tight.open(&dir).unwrap_err();
         assert!(err.is_resource_trip(), "{err}");
 
-        // A roomy session recovers the data and queries it directly.
+        // A roomy session recovers the data and queries it.
         let s2 = Session::builder().sync_policy(SyncPolicy::Manual).build();
-        let mut db = s2.open(&dir).unwrap();
+        let db = s2.open(&dir).unwrap();
         assert_eq!(db.epoch(), 1);
-        let q = no_core::parse_query("{[x:U, y:U] | G(x, y)}", db.universe_mut()).unwrap();
-        let out = s2.eval_calc(db.instance(), &q).unwrap();
-        assert_eq!(out.len(), 2);
+        s2.store().write().unwrap().attach(db);
+        assert_eq!(rows(&s2, &calc(Mode::Fast, EDGES), "result"), 2);
+        let mut db = s2.store().write().unwrap().detach().unwrap();
         s2.sync(&mut db).unwrap();
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);
@@ -2021,20 +1662,15 @@ mod tests {
 
     #[test]
     fn cancellation_reaches_every_engine() {
-        let (mut u, i) = graph(&[("a", "b")]);
         let g = Governor::default();
-        let s = Session::builder().governor(g.clone()).build();
+        let s = Session::builder()
+            .governor(g.clone())
+            .store(graph_store(&[("a", "b")]))
+            .build();
         g.cancel();
-        let q = no_core::parse_query("{[x:U, y:U] | G(x, y)}", &mut u).unwrap();
-        assert!(s.eval_calc(&i, &q).unwrap_err().is_resource_trip());
-        assert!(s
-            .eval_datalog(&tc_program(), &i, Strategy::Naive)
-            .unwrap_err()
-            .is_resource_trip());
-        assert!(s
-            .eval_algebra(&Expr::rel("G"), &i)
-            .unwrap_err()
-            .is_resource_trip());
+        assert!(tripped(&s.run(&calc(Mode::Fast, EDGES))));
+        assert!(tripped(&s.run(&tc(no_proto::Strategy::Naive))));
+        assert!(tripped(&s.run(&Request::eval(Lang::Algebra, "G"))));
     }
 
     // ----- Session::run ------------------------------------------------
@@ -2045,10 +1681,8 @@ mod tests {
         for mode in [Mode::Fast, Mode::Safe, Mode::Checked] {
             for planned in [false, true] {
                 let r = s.run(&Request {
-                    mode,
                     planned,
-                    text: "{[x:U, y:U] | G(x, y)}".into(),
-                    ..Request::default()
+                    ..calc(mode, EDGES)
                 });
                 assert!(r.ok, "{mode:?}/{planned}: {:?}", r.error);
                 assert_eq!(r.relations.len(), 1);
@@ -2059,7 +1693,43 @@ mod tests {
                 );
                 assert_eq!(r.relations[0].rows_json, r#"[["a","b"],["b","c"]]"#);
                 assert!(r.spend.is_some());
+                // a checked success carries its certificate with the rows
+                match &r.analysis {
+                    Some(a) => assert!(mode == Mode::Checked && a.certified && a.errors == 0),
+                    None => assert_ne!(mode, Mode::Checked),
+                }
             }
+        }
+    }
+
+    /// CALC is typed, so an ill-typed query has no answer, and an empty
+    /// relation would be a wrong one: fast mode refuses it with the shape
+    /// error every other mode gives, whichever plan runs.
+    #[test]
+    fn ill_typed_calc_gets_one_shape_error_planned_or_not() {
+        let s = graph_session(&[("a", "b")]);
+        for (text, message) in [
+            (
+                "{[x:U] | G(x)}",
+                "calc: shape error: relation G has arity 2, applied to 1 arguments",
+            ),
+            (
+                "{[x:U] | exists s:{U} (G(x, s))}",
+                r#"calc: shape error: term Var("s") has type {U}, expected U"#,
+            ),
+            ("{[x:U] | H(x)}", "calc: shape error: unknown relation H"),
+        ] {
+            let [unplanned, planned] = [false, true].map(|planned| {
+                let mut r = s.run(&Request {
+                    planned,
+                    ..calc(Mode::Fast, text)
+                });
+                r.spend = None;
+                r
+            });
+            assert_eq!(unplanned.to_json(), planned.to_json(), "{text}");
+            let e = unplanned.error.expect(text);
+            assert_eq!((e.kind.as_str(), e.message.as_str()), ("eval", message));
         }
     }
 
@@ -2334,8 +2004,10 @@ mod tests {
 
     #[test]
     fn infer_body_var_types_finds_body_only_vars() {
-        let (_u, i) = graph(&[("a", "b")]);
-        let typed = infer_body_var_types(&tc_program(), i.schema());
+        let store = graph_store(&[("a", "b")]);
+        let mut store = store.write().unwrap();
+        let program = no_datalog::parse_program(TC_SRC, store.universe_mut()).unwrap();
+        let typed = infer_body_var_types(&program, store.instance().schema());
         assert_eq!(typed, vec![("z".to_string(), Type::Atom)]);
     }
 

@@ -13,23 +13,26 @@
 //! engines must trip with a structured [`ResourceError`] — no panics, no
 //! hangs, no engine quietly returning a truncated answer.
 
-#![allow(deprecated)] // differential suite pins the legacy eval_* surface against Session::run
-
 mod common;
 
 use common::*;
 use nestdb::algebra::{self, AlgebraError, Expr, Pred};
 use nestdb::core::error::{EvalConfig, EvalError};
-use nestdb::core::eval::{active_order, eval_query_with};
-use nestdb::core::ranges::{safe_eval, safe_eval_governed};
+use nestdb::core::eval::{active_order, eval_query_with, Evaluator};
+use nestdb::core::print::Printer;
+use nestdb::core::ranges::{safe_eval, safe_eval_governed, safe_eval_pooled};
+use nestdb::core::Query;
 use nestdb::datalog::{
-    eval_governed, eval_simultaneous, eval_stratified_governed, DTerm, Literal, Program,
-    ProgramError, SimEvalError, Strategy, StratifyError,
+    self, eval_governed, eval_simultaneous, eval_simultaneous_pooled, eval_stratified_governed,
+    eval_stratified_pooled, DTerm, Idb, Literal, Program, ProgramError, SimEvalError, Strategy,
+    StratifyError,
 };
-use nestdb::object::{Governor, Limits, Relation, Value};
-use nestdb::plan::{CalcMode, PassSet, Planner};
-use nestdb::Session;
+use nestdb::object::{AtomOrder, Governor, Instance, Limits, Relation, Type, Universe, Value};
+use nestdb::plan::{CalcMode, DatalogMode, PassSet, Planner};
+use nestdb::proto::{Lang, Mode, Request, Strategy as WireStrategy};
+use nestdb::{Session, Store, ThreadPool};
 use proptest::prelude::*;
+use std::sync::{Arc, RwLock};
 
 /// The Datalog¬ transitive-closure program over `G[U,U]`.
 fn tc_program() -> Program {
@@ -285,17 +288,71 @@ fn analyzer_query_pool() -> Vec<&'static str> {
     ]
 }
 
-/// The compile-to-plan axis: every engine's planned execution must return
-/// exactly what its legacy tree-walk entry point returns — for CALC under
-/// both semantics (the analyzer pool covers AD fallbacks, sets, tuples,
-/// and fixpoints), the whole algebra operator suite, and all four Datalog¬
-/// strategies — at parallelism 1, 2, and 4.
+/// The engines' free functions, called directly. They are the oracle:
+/// every served plan, and every `planned: false` reply, is held to them.
+fn oracle_calc(
+    i: &Instance,
+    q: &Query,
+    mode: CalcMode,
+    gov: &Governor,
+    pool: &ThreadPool,
+) -> Result<Relation, EvalError> {
+    match mode {
+        CalcMode::ActiveDomain => Evaluator::with_governor(i, active_order(i, q), gov.clone())
+            .with_pool(pool.clone())
+            .query(q),
+        CalcMode::Safe => safe_eval_pooled(i, q, gov, pool),
+    }
+}
+
+/// [`oracle_calc`] for the Datalog¬ strategies: the IDB, and the round
+/// count where the strategy reports one. `tc_program`'s only body-only
+/// variable is `z`, so that is the simultaneous translation's typing.
+fn oracle_datalog(
+    p: &Program,
+    i: &Instance,
+    strategy: WireStrategy,
+    gov: &Governor,
+    pool: &ThreadPool,
+) -> (Idb, Option<u64>) {
+    let rounds = |strategy| {
+        let (idb, stats) = datalog::eval_pooled(p, i, strategy, gov, pool).unwrap();
+        (idb, Some(stats.rounds as u64))
+    };
+    match strategy {
+        WireStrategy::Naive => rounds(Strategy::Naive),
+        WireStrategy::SemiNaive => rounds(Strategy::SemiNaive),
+        WireStrategy::Stratified => (eval_stratified_pooled(p, i, gov, pool).unwrap(), None),
+        WireStrategy::Simultaneous => {
+            let order = AtomOrder::new(i.atoms().into_iter().collect());
+            let typed = [("z", Type::Atom)];
+            let idb = eval_simultaneous_pooled(p, &typed, i, order, gov, pool).unwrap();
+            (idb, None)
+        }
+    }
+}
+
+const STRATEGIES: [WireStrategy; 4] = [
+    WireStrategy::Naive,
+    WireStrategy::SemiNaive,
+    WireStrategy::Stratified,
+    WireStrategy::Simultaneous,
+];
+
+/// The compile-to-plan axis: every engine's served plan (all passes, with
+/// statistics) must return exactly what the engine's free function
+/// returns — for CALC under both semantics (the analyzer pool covers AD
+/// fallbacks, sets, tuples, and fixpoints), the whole algebra operator
+/// suite, and all four Datalog¬ strategies — at parallelism 1, 2, and 4.
 #[test]
 fn planned_execution_matches_tree_walk_across_all_engines() {
+    let gov = Governor::unlimited();
     for threads in [1usize, 2, 4] {
+        let pool = ThreadPool::new(threads);
         for edges in graphs() {
             let (mut u, _o, i) = graph_instance(5, &edges);
-            let s = Session::builder().parallelism(threads).build();
+            let planner = Planner::new(i.schema()).with_instance(&i);
+            let served = |planned: nestdb::plan::Planned| planned.execute(&i, &gov, &pool).unwrap();
 
             // CALC: the recursive TC query plus the full analyzer pool.
             let mut queries = vec![tc_query()];
@@ -303,34 +360,162 @@ fn planned_execution_matches_tree_walk_across_all_engines() {
                 queries.push(nestdb::core::parse_query(src, &mut u).unwrap());
             }
             for q in &queries {
-                let ad = s.eval_calc(&i, q).unwrap();
-                let ad_planned = s.eval_calc_planned(&i, q).unwrap();
-                assert_eq!(ad, ad_planned, "AD planned diverged at {threads} threads");
-                let rr = s.eval_calc_safe(&i, q).unwrap();
-                let rr_planned = s.eval_calc_safe_planned(&i, q).unwrap();
-                assert_eq!(rr, rr_planned, "safe planned diverged at {threads} threads");
+                for mode in [CalcMode::ActiveDomain, CalcMode::Safe] {
+                    let walk = oracle_calc(&i, q, mode, &gov, &pool).unwrap();
+                    let planned = served(planner.plan_calc(q, mode).unwrap()).into_relation();
+                    assert_eq!(
+                        walk, planned,
+                        "{mode:?} planned diverged at {threads} threads"
+                    );
+                }
             }
 
             // Algebra: every operator.
             for expr in operator_suite() {
-                let walk = s.eval_algebra(&expr, &i).unwrap();
-                let planned = s.eval_algebra_planned(&expr, &i).unwrap();
+                let walk = algebra::eval_pooled(&expr, &i, &gov, &pool).unwrap();
+                let planned = served(planner.plan_algebra(&expr).unwrap()).into_relation();
                 assert_eq!(walk, planned, "algebra planned diverged on {expr:?}");
             }
 
             // Datalog¬: all four strategies.
             let p = tc_program();
-            for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-                let (walk, _) = s.eval_datalog(&p, &i, strategy).unwrap();
-                let (planned, _) = s.eval_datalog_planned(&p, &i, strategy).unwrap();
+            for strategy in STRATEGIES {
+                let mode = match strategy {
+                    WireStrategy::Naive => DatalogMode::Naive,
+                    WireStrategy::SemiNaive => DatalogMode::SemiNaive,
+                    WireStrategy::Stratified => DatalogMode::Stratified,
+                    WireStrategy::Simultaneous => {
+                        DatalogMode::Simultaneous(vec![("z".into(), Type::Atom)])
+                    }
+                };
+                let (walk, _) = oracle_datalog(&p, &i, strategy, &gov, &pool);
+                let planned = served(planner.plan_datalog(&p, mode).unwrap()).into_idb();
                 assert_eq!(walk, planned, "{strategy:?} planned diverged");
             }
-            let walk = s.eval_datalog_stratified(&p, &i).unwrap();
-            let planned = s.eval_datalog_stratified_planned(&p, &i).unwrap();
-            assert_eq!(walk, planned, "stratified planned diverged");
-            let walk = s.eval_datalog_simultaneous(&p, &[], &i).unwrap();
-            let planned = s.eval_datalog_simultaneous_planned(&p, &[], &i).unwrap();
-            assert_eq!(walk, planned, "simultaneous planned diverged");
+        }
+    }
+}
+
+/// The canonical text rows `Session::run` replies with, from a raw
+/// relation.
+fn canon_rows(universe: &Universe, rel: &Relation) -> Vec<String> {
+    let printer = Printer::with_universe(universe);
+    rel.sorted_rows()
+        .iter()
+        .map(|row| {
+            let cells: Vec<String> = row.iter().map(|v| printer.value(v)).collect();
+            format!("({})", cells.join(", "))
+        })
+        .collect()
+}
+
+/// The operator suite as wire text (the algebra's `Display` is not its
+/// grammar).
+const ALGEBRA_TEXTS: [&str; 12] = [
+    "G",
+    "select[eq(1, 2)](G)",
+    "select[not(eq(1, 2))](G)",
+    "project[1](G)",
+    "project[2, 1](G)",
+    "(project[1](G) x project[2](G))",
+    "(G + project[2, 1](G))",
+    "(G - project[2, 1](G))",
+    "(G & project[2, 1](G))",
+    "nest[2](G)",
+    "unnest[2](nest[2](G))",
+    "powerset(project[1](G))",
+];
+
+const TC_TEXT: &str = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
+
+/// This is what labels `planned: false` as the oracle. For every engine,
+/// CALC mode and Datalog¬ strategy, at parallelism 1, 2 and 4,
+/// `Session::run` with `planned: false` replies with the rows (and
+/// rounds) of the engine's free function. At parallelism 1 it also spends
+/// exactly the steps and bytes a governor handed to that function meters.
+#[test]
+fn unplanned_run_is_the_free_function_oracle() {
+    for threads in [1usize, 2, 4] {
+        let pool = ThreadPool::new(threads);
+        for edges in graphs() {
+            let (u, _o, i) = graph_instance(5, &edges);
+            let session = Session::builder()
+                .parallelism(threads)
+                .store(Arc::new(RwLock::new(Store::with_data(
+                    u.clone(),
+                    i.clone(),
+                ))))
+                .build();
+            let check = |req: Request, gov: &Governor, want: Vec<(String, Vec<String>)>| {
+                let r = session.run(&req);
+                assert!(r.ok, "{req:?}: {:?}", r.error);
+                let got: Vec<(String, Vec<String>)> = r
+                    .relations
+                    .iter()
+                    .map(|rel| (rel.name.clone(), rel.rows.clone()))
+                    .collect();
+                assert_eq!(got, want, "{req:?} at {threads} threads");
+                if threads == 1 {
+                    let spend = r.spend.unwrap();
+                    let metered = (gov.steps_spent(), gov.mem_spent());
+                    assert_eq!((spend.steps, spend.mem_bytes), metered, "{req:?}");
+                }
+                r.rounds
+            };
+            let result = |rel: &Relation| vec![("result".to_string(), canon_rows(&u, rel))];
+
+            let mut parsing = u.clone();
+            for text in analyzer_query_pool() {
+                let q = nestdb::core::parse_query(text, &mut parsing).unwrap();
+                // `checked` runs safe evaluation only under a certificate
+                let certified = nestdb::analysis::analyze_calc(i.schema(), text, &mut parsing);
+                let checked = if certified.is_rr_safe() {
+                    CalcMode::Safe
+                } else {
+                    CalcMode::ActiveDomain
+                };
+                for (mode, calc_mode) in [
+                    (Mode::Fast, CalcMode::ActiveDomain),
+                    (Mode::Safe, CalcMode::Safe),
+                    (Mode::Checked, checked),
+                ] {
+                    let gov = Governor::unlimited();
+                    let want = oracle_calc(&i, &q, calc_mode, &gov, &pool).unwrap();
+                    let req = Request {
+                        mode,
+                        ..Request::eval(Lang::Calc, text)
+                    };
+                    check(req, &gov, result(&want));
+                }
+            }
+
+            for text in ALGEBRA_TEXTS {
+                let expr = algebra::parse_expr(text, &mut parsing).unwrap();
+                let gov = Governor::unlimited();
+                let want = algebra::eval_pooled(&expr, &i, &gov, &pool).unwrap();
+                check(Request::eval(Lang::Algebra, text), &gov, result(&want));
+            }
+
+            let p = datalog::parse_program(TC_TEXT, &mut parsing).unwrap();
+            for strategy in STRATEGIES {
+                let gov = Governor::unlimited();
+                let (idb, rounds) = oracle_datalog(&p, &i, strategy, &gov, &pool);
+                let want = idb
+                    .iter()
+                    .map(|(name, rel)| (name.clone(), canon_rows(&u, rel)))
+                    .collect();
+                let req = Request {
+                    strategy,
+                    ..Request::eval(Lang::Datalog, TC_TEXT)
+                };
+                assert_eq!(check(req, &gov, want), rounds, "{strategy:?}");
+            }
+            assert_eq!(parsing.len(), u.len(), "the texts name no new atoms");
+            assert_eq!(
+                session.plan_cache_stats(),
+                (0, 0),
+                "the oracle is never cached"
+            );
         }
     }
 }

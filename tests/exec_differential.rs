@@ -20,8 +20,6 @@
 //! materialized relations, and planner algorithm choices are a pure
 //! function of the stats snapshot (re-planning renders the same text).
 
-#![allow(deprecated)] // fuzzer drives the legacy eval_* shims on purpose
-
 mod common;
 
 use common::*;

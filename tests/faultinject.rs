@@ -10,8 +10,6 @@
 //! surfaces a structured [`ResourceError`] (never a panic) naming the
 //! injected budget.
 
-#![allow(deprecated)] // fault sweep drives the legacy eval_* shims on purpose
-
 mod common;
 
 use common::*;

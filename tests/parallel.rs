@@ -8,38 +8,17 @@
 //! matter how many threads are hammering the governor, and cancellation is
 //! observed by every worker.
 
-#![allow(deprecated)] // determinism suite drives the legacy eval_* shims on purpose
-
 mod common;
 
 use common::*;
-use nestdb::algebra::{Expr, Pred};
-use nestdb::datalog::{DTerm, Literal, Program, Strategy};
-use nestdb::object::{BudgetKind, Governor, Limits, Type};
-use nestdb::Session;
+use nestdb::object::{BudgetKind, Governor, Instance, Limits, Universe};
+use nestdb::proto::{Lang, Mode, Request, Strategy};
+use nestdb::{Session, Store};
+use std::sync::{Arc, RwLock};
 
-/// The Datalog¬ transitive-closure program over `G[U,U]`.
-fn tc_program() -> Program {
-    let mut p = Program::new();
-    p.declare("tc", vec![Type::Atom; 2]);
-    p.rule(
-        "tc",
-        vec![DTerm::var("x"), DTerm::var("y")],
-        vec![Literal::Pos(
-            "G".into(),
-            vec![DTerm::var("x"), DTerm::var("y")],
-        )],
-    );
-    p.rule(
-        "tc",
-        vec![DTerm::var("x"), DTerm::var("y")],
-        vec![
-            Literal::Pos("tc".into(), vec![DTerm::var("x"), DTerm::var("z")]),
-            Literal::Pos("G".into(), vec![DTerm::var("z"), DTerm::var("y")]),
-        ],
-    );
-    p
-}
+const TC_CALC: &str =
+    "{[u:U, v:U] | ifp(S; x:U, y:U | G(x, y) \\/ exists z:U (S(x, z) /\\ G(z, y)))(u, v)}";
+const TC_DATALOG: &str = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
 
 /// Edge lists exercising distinct shapes (mirrors the differential suite).
 fn graphs() -> Vec<Vec<(usize, usize)>> {
@@ -52,63 +31,70 @@ fn graphs() -> Vec<Vec<(usize, usize)>> {
     ]
 }
 
-/// Algebra expressions covering the parallelised operators and their
-/// neighbours.
-fn operator_suite() -> Vec<Expr> {
-    vec![
-        Expr::rel("G"),
-        Expr::rel("G").select(Pred::EqCols(1, 2).not()),
-        Expr::rel("G").project([2, 1]),
-        Expr::rel("G")
-            .project([1])
-            .product(Expr::rel("G").project([2])),
-        Expr::rel("G").difference(Expr::rel("G").project([2, 1])),
-        Expr::rel("G").nest(2).unnest(2),
-        Expr::rel("G").project([1]).powerset(),
-    ]
+fn session(threads: usize, limits: Limits, u: &Universe, i: &Instance) -> Session {
+    Session::builder()
+        .parallelism(threads)
+        .limits(limits)
+        .store(Arc::new(RwLock::new(Store::with_data(
+            u.clone(),
+            i.clone(),
+        ))))
+        .build()
+}
+
+/// Every engine on both plans: CALC+IFP under both semantics, three
+/// Datalog¬ strategies, and algebra texts covering the parallelised
+/// operators and their neighbours.
+fn requests() -> Vec<Request> {
+    let algebra = [
+        "G",
+        "select[not(eq(1, 2))](G)",
+        "project[2, 1](G)",
+        "(project[1](G) x project[2](G))",
+        "(G - project[2, 1](G))",
+        "unnest[2](nest[2](G))",
+        "powerset(project[1](G))",
+    ];
+    let mut reqs = Vec::new();
+    for planned in [false, true] {
+        let mut add = |req: Request| reqs.push(Request { planned, ..req });
+        for mode in [Mode::Fast, Mode::Safe] {
+            add(Request {
+                mode,
+                ..Request::eval(Lang::Calc, TC_CALC)
+            });
+        }
+        for strategy in [Strategy::Naive, Strategy::SemiNaive, Strategy::Stratified] {
+            add(Request {
+                strategy,
+                ..Request::eval(Lang::Datalog, TC_DATALOG)
+            });
+        }
+        for text in algebra {
+            add(Request::eval(Lang::Algebra, text));
+        }
+    }
+    reqs
+}
+
+/// The reply without its spend, which is all that may depend on timing.
+fn answer(s: &Session, req: &Request) -> String {
+    let mut resp = s.run(req);
+    assert!(resp.ok, "{req:?}: {:?}", resp.error);
+    resp.spend = None;
+    resp.to_json()
 }
 
 #[test]
 fn every_engine_agrees_across_parallelism_levels() {
     for edges in graphs() {
-        let (_u, _order, inst) = graph_instance(5, &edges);
-        let q = tc_query();
-        let p = tc_program();
-
-        let base = Session::builder().parallelism(1).build();
-        let calc = base.eval_calc(&inst, &q).unwrap();
-        let safe = base.eval_calc_safe(&inst, &q).unwrap();
-        let (dl_naive, _) = base.eval_datalog(&p, &inst, Strategy::Naive).unwrap();
-        let (dl_semi, _) = base.eval_datalog(&p, &inst, Strategy::SemiNaive).unwrap();
-        let strat = base.eval_datalog_stratified(&p, &inst).unwrap();
-        let alg: Vec<_> = operator_suite()
-            .iter()
-            .map(|e| base.eval_algebra(e, &inst).unwrap())
-            .collect();
-
+        let (u, _order, inst) = graph_instance(5, &edges);
+        let base = session(1, Limits::unlimited(), &u, &inst);
+        let want: Vec<String> = requests().iter().map(|r| answer(&base, r)).collect();
         for threads in [2, 4] {
-            let s = Session::builder().parallelism(threads).build();
-            assert_eq!(s.eval_calc(&inst, &q).unwrap(), calc, "calc @{threads}");
-            assert_eq!(
-                s.eval_calc_safe(&inst, &q).unwrap(),
-                safe,
-                "safe @{threads}"
-            );
-            let (n, _) = s.eval_datalog(&p, &inst, Strategy::Naive).unwrap();
-            assert_eq!(n, dl_naive, "naive @{threads}");
-            let (m, _) = s.eval_datalog(&p, &inst, Strategy::SemiNaive).unwrap();
-            assert_eq!(m, dl_semi, "semi-naive @{threads}");
-            assert_eq!(
-                s.eval_datalog_stratified(&p, &inst).unwrap(),
-                strat,
-                "stratified @{threads}"
-            );
-            for (e, expect) in operator_suite().iter().zip(&alg) {
-                assert_eq!(
-                    &s.eval_algebra(e, &inst).unwrap(),
-                    expect,
-                    "algebra {e:?} @{threads}"
-                );
+            let s = session(threads, Limits::unlimited(), &u, &inst);
+            for (req, want) in requests().iter().zip(&want) {
+                assert_eq!(&answer(&s, req), want, "{req:?} @{threads}");
             }
         }
     }
@@ -185,20 +171,24 @@ fn cancellation_is_observed_by_every_worker() {
 fn resource_trips_are_structured_at_every_parallelism() {
     // A starvation budget trips at parallelism 1 and 4 alike — possibly at
     // a different site/row, but always as a structured resource error.
-    let (_u, _order, inst) = graph_instance(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+    let (u, _order, inst) = graph_instance(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+    let starved = Limits {
+        max_steps: 25,
+        ..Limits::unlimited()
+    };
     for threads in [1, 4] {
-        let s = Session::builder()
-            .limits(Limits {
-                max_steps: 25,
-                ..Limits::unlimited()
-            })
-            .parallelism(threads)
-            .build();
-        let err = s
-            .eval_datalog(&tc_program(), &inst, Strategy::SemiNaive)
-            .unwrap_err();
-        assert!(err.is_resource_trip(), "@{threads}: {err}");
-        assert_eq!(err.resource().unwrap().budget, BudgetKind::Steps);
+        let s = session(threads, starved.clone(), &u, &inst);
+        for planned in [false, true] {
+            let r = s.run(&Request {
+                strategy: Strategy::SemiNaive,
+                planned,
+                ..Request::eval(Lang::Datalog, TC_DATALOG)
+            });
+            let err = r.error.expect("a 25-step budget cannot close a 5-cycle");
+            assert!(err.resource_trip, "@{threads}: {}", err.message);
+            assert_eq!(err.kind, "resource");
+            assert!(err.message.contains("step fuel"), "{}", err.message);
+        }
     }
 }
 

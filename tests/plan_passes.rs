@@ -15,8 +15,6 @@
 //! pass legitimately downgrades a semi-naive request to naive evaluation,
 //! which must still compute the same fixpoint.
 
-#![allow(deprecated)] // per-pass properties exercise the legacy planned-eval shims
-
 mod common;
 
 use common::*;
