@@ -108,7 +108,7 @@ pub fn decode_registry(
         }
         let program = parse_program(&source, universe)
             .map_err(|e| IvmError::Checkpoint(format!("view {name}: {e}")))?;
-        let plan = plan_maintenance(schema, None, &program).map_err(IvmError::Plan)?;
+        let plan = plan_maintenance(schema, &program).map_err(IvmError::Plan)?;
         let mut state: BTreeMap<String, Relation> = BTreeMap::new();
         let mut counts: BTreeMap<String, BTreeMap<Vec<Value>, u64>> = BTreeMap::new();
         loop {

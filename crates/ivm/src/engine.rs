@@ -358,7 +358,7 @@ impl ViewRegistry {
         instance: &Instance,
         gov: &Governor,
     ) -> Result<&MaintainedView, IvmError> {
-        let plan = plan_maintenance(instance.schema(), None, &program).map_err(IvmError::Plan)?;
+        let plan = plan_maintenance(instance.schema(), &program).map_err(IvmError::Plan)?;
         let before = gov.steps_spent();
         let (state, counts) = full_eval(&program, &plan, instance, gov)?;
         let spent = gov.steps_spent() - before;

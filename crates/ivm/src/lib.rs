@@ -3,9 +3,8 @@
 //! Materialized views over the complex-object database, kept consistent
 //! under base-table insertions and deletions without recomputation.
 //!
-//! A view is a stratified Datalog¬ program (or a CALC query in the
-//! maintainable fragment, converted by [`calc_to_program`]) evaluated
-//! to its **stratified model** and stored relation-by-relation. The
+//! A view is a stratified Datalog¬ program evaluated to its
+//! **stratified model** and stored relation-by-relation. The
 //! inflationary semantics the paper pairs with `CALC+IFP` is
 //! deliberately *not* offered here: a fact an inflationary fixpoint
 //! keeps because a negation held *early* has no local justification to
@@ -16,8 +15,8 @@
 //!
 //! * [`BaseDelta`] — a normalized batch of base mutations, the unit of
 //!   maintenance work;
-//! * `no_plan::plan_maintenance` — strata, Δ-rewritten plans, and the
-//!   counting-vs-DRed strategy decision;
+//! * `no_plan::plan_maintenance` — strata and the counting-vs-DRed
+//!   strategy decision;
 //! * [`ViewRegistry`] — materializes views, maintains all of them
 //!   transactionally per delta, and reports each view's net
 //!   [`ViewDelta`] (what the server pushes to subscribers);
@@ -32,14 +31,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod calc;
 pub mod checkpoint;
 pub mod delta;
 pub mod engine;
 pub mod error;
 pub mod fire;
 
-pub use calc::calc_to_program;
 pub use checkpoint::{decode_registry, encode_registry};
 pub use delta::{BaseDelta, ViewDelta};
 pub use engine::{MaintainedView, ViewRegistry, ViewStats};

@@ -24,7 +24,7 @@ use no_object::Schema;
 
 /// The rule `head(…) :- atoms` of one conjunctive body; pinned variables
 /// are replaced by their constants. `None` for a statically empty body.
-pub fn conjunctive_rule(head: &str, cq: &ConjunctiveQuery) -> Option<Rule> {
+fn conjunctive_rule(head: &str, cq: &ConjunctiveQuery) -> Option<Rule> {
     if cq.unsat {
         return None;
     }

@@ -25,6 +25,8 @@
 //!   loop) and recorded in the plan;
 //! - [`ifp`] — the positive-existential fragment of CALC+IFP compiles to a
 //!   Datalog program, so its fixpoints run on the semi-naive round engine;
+//! - [`maintenance`] — strata and per-stratum maintenance strategies for
+//!   incremental view maintenance;
 //! - [`physical`] — the executable plan and its kernel bindings;
 //! - [`explain`] — deterministic text/JSON renderings (`:explain`);
 //! - [`cache`] — the LRU plan cache keyed on normalized text + schema
@@ -33,26 +35,24 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod delta;
 pub mod explain;
 pub mod ifp;
 pub mod ir;
 pub mod joins;
 pub mod lower;
+pub mod maintenance;
 pub mod passes;
 pub mod physical;
 pub mod stats;
 
 pub use cache::{CacheKey, PlanCache, PlanKind};
-pub use delta::{
-    delta_rewrite, plan_maintenance, MaintenancePlan, MaintenanceStrategy, StratumPlan,
-};
 pub use explain::{json_escape, plan_tree_text};
-pub use ifp::{conjunctive_rule, lower_ifp};
+pub use ifp::lower_ifp;
 pub use ir::{Node, NodeId, Op, Plan};
 pub use joins::{choose_join, ExecLowering};
 pub use lower::{lower_algebra, lower_calc, lower_datalog, to_expr, CalcLowering};
-pub use passes::{Pass, PassSet};
+pub use maintenance::{plan_maintenance, MaintenancePlan, MaintenanceStrategy, StratumPlan};
+pub use passes::{delta_rewrite, Pass, PassSet};
 pub use physical::{CalcMode, DatalogMode, ExecOrigin, Output, Physical, PlanError};
 pub use stats::{schema_fingerprint, Stats};
 

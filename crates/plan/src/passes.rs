@@ -375,9 +375,107 @@ pub fn cse(plan: &Plan) -> Plan {
 // delta-rewrite
 // ---------------------------------------------------------------------------
 
-// The semi-naive rewrite moved to `crate::delta` so the IVM engine can
-// use it outside the optimizer; the pass pipeline keeps this alias.
-pub use crate::delta::delta_rewrite;
+fn copy_subtree(
+    src: &Plan,
+    id: NodeId,
+    dst: &mut Plan,
+    transform: &mut impl FnMut(&Node, &mut Plan, Vec<NodeId>) -> NodeId,
+) -> NodeId {
+    let node = src.node(id);
+    let children: Vec<NodeId> = node
+        .children
+        .iter()
+        .map(|&c| copy_subtree(src, c, dst, transform))
+        .collect();
+    transform(node, dst, children)
+}
+
+/// The semi-naive rewrite (the plan-level form of the classic Datalog
+/// delta transformation): each rule with `n ≥ 1` positive IDB body
+/// literals expands into `n` variants, the `k`-th reading literal `k`
+/// from the previous round's **delta** instead of the full relation.
+/// Non-recursive rules keep one variant, noted as contributing from the
+/// first round only. Soundness: every new fact derivable in round `m`
+/// uses at least one fact first derived in round `m−1`, so the variant
+/// family derives exactly what the naive rule does.
+pub fn delta_rewrite(plan: &Plan, idb: &BTreeSet<String>) -> Plan {
+    let root = plan.node(plan.root);
+    let Op::Program { semantics: _ } = &root.op else {
+        return plan.clone(); // not a Datalog plan; nothing to do
+    };
+    let mut out = Plan::new();
+    let mut new_rules = Vec::new();
+    for &rule_id in &root.children {
+        let rule = plan.node(rule_id);
+        let (Op::Rule { head, .. }, [body]) = (&rule.op, rule.children.as_slice()) else {
+            new_rules.push(copy_subtree(plan, rule_id, &mut out, &mut |n, dst, ch| {
+                dst.add_est(n.op.clone(), ch, n.est)
+            }));
+            continue;
+        };
+        // Count IDB scans in this body, in DFS order.
+        let idb_scans = {
+            let mut stack = vec![*body];
+            let mut n = 0usize;
+            while let Some(i) = stack.pop() {
+                let node = plan.node(i);
+                if matches!(&node.op, Op::Scan { rel } if idb.contains(rel)) {
+                    n += 1;
+                }
+                stack.extend(&node.children);
+            }
+            n
+        };
+        if idb_scans == 0 {
+            let new_body = copy_subtree(plan, *body, &mut out, &mut |n, dst, ch| {
+                dst.add_est(n.op.clone(), ch, n.est)
+            });
+            let id = out.add(
+                Op::Rule {
+                    head: head.clone(),
+                    delta_pos: None,
+                },
+                vec![new_body],
+            );
+            out.nodes[id].note = Some("non-recursive: fires from round 0".to_string());
+            new_rules.push(id);
+            continue;
+        }
+        for k in 0..idb_scans {
+            let mut seen = 0usize;
+            let new_body = copy_subtree(plan, *body, &mut out, &mut |n, dst, ch| {
+                if let Op::Scan { rel } = &n.op {
+                    if idb.contains(rel) {
+                        let this = seen;
+                        seen += 1;
+                        if this == k {
+                            let id = dst.add_est(Op::DeltaScan { rel: rel.clone() }, ch, None);
+                            dst.nodes[id].note =
+                                Some("facts new in the previous round".to_string());
+                            return id;
+                        }
+                    }
+                }
+                dst.add_est(n.op.clone(), ch, n.est)
+            });
+            new_rules.push(out.add(
+                Op::Rule {
+                    head: head.clone(),
+                    delta_pos: Some(k),
+                },
+                vec![new_body],
+            ));
+        }
+    }
+    out.root = out.add(
+        Op::Program {
+            semantics: "semi-naive".to_string(),
+        },
+        new_rules,
+    );
+    out.shared = plan.shared;
+    out
+}
 
 // ---------------------------------------------------------------------------
 // governor-trips
@@ -429,6 +527,9 @@ pub fn governor_trips(plan: &mut Plan, limits: &Limits) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lower::lower_datalog;
+    use crate::physical::DatalogMode;
+    use no_datalog::{DTerm, Literal, Program};
     use no_object::{RelationSchema, Type};
 
     fn graph_schema() -> Schema {
@@ -517,5 +618,44 @@ mod tests {
         assert_eq!(out.shared, 1);
         let join = out.node(out.root);
         assert_eq!(join.children[0], join.children[1], "scans hash-consed");
+    }
+
+    #[test]
+    fn delta_rewrite_expands_each_recursive_rule_per_idb_scan() {
+        let schema = graph_schema();
+        let mut p = Program::new();
+        p.declare("tc", vec![Type::Atom, Type::Atom]);
+        p.rule(
+            "tc",
+            vec![DTerm::var("x"), DTerm::var("y")],
+            vec![Literal::Pos(
+                "G".into(),
+                vec![DTerm::var("x"), DTerm::var("y")],
+            )],
+        );
+        p.rule(
+            "tc",
+            vec![DTerm::var("x"), DTerm::var("y")],
+            vec![
+                Literal::Pos("tc".into(), vec![DTerm::var("x"), DTerm::var("z")]),
+                Literal::Pos("tc".into(), vec![DTerm::var("z"), DTerm::var("y")]),
+            ],
+        );
+        let lowered = lower_datalog(&schema, None, &p, &DatalogMode::SemiNaive).unwrap();
+        let idb: BTreeSet<String> = ["tc".to_string()].into();
+        let rewritten = delta_rewrite(&lowered, &idb);
+        // base rule stays single; the quadratic rule splits into 2 variants
+        let rules = rewritten
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.op, Op::Rule { .. }))
+            .count();
+        assert_eq!(rules, 3);
+        let delta_scans = rewritten
+            .nodes
+            .iter()
+            .filter(|n| matches!(n.op, Op::DeltaScan { .. }))
+            .count();
+        assert_eq!(delta_scans, 2);
     }
 }

@@ -23,15 +23,11 @@
 //! those appends on the next open, so the database refuses further
 //! mutations until reopened.
 
-use crate::delta::{
-    decode_delta, decode_views, delta_file_name, encode_delta, encode_views, ViewsCheckpoint,
-};
 use crate::fault::IoFaults;
 use crate::snapshot::{decode_snapshot, encode_snapshot};
+use crate::views::{decode_views, encode_views, ViewsCheckpoint};
 use crate::wal::{scan_wal, WalWriter};
-use crate::{
-    fsio, StorageError, DELTA_TMP, SNAPSHOT_FILE, SNAPSHOT_TMP, VIEWS_FILE, VIEWS_TMP, WAL_FILE,
-};
+use crate::{fsio, StorageError, SNAPSHOT_FILE, SNAPSHOT_TMP, VIEWS_FILE, VIEWS_TMP, WAL_FILE};
 use no_object::text::{
     parse_clause, parse_database, render_fact, render_retract, render_schema_decl, Clause,
 };
@@ -81,11 +77,6 @@ pub struct OpenStats {
     pub stale_wal_discarded: bool,
     /// Bytes charged to the governor for replayed state.
     pub replayed_bytes: u64,
-    /// Incremental-checkpoint delta files replayed between the snapshot
-    /// and the WAL.
-    pub delta_files: u64,
-    /// Clauses replayed from those delta files.
-    pub delta_clauses: u64,
 }
 
 /// Counts from a bulk text import.
@@ -113,8 +104,6 @@ pub struct VerifyReport {
     pub stale_wal: bool,
     /// Bytes of torn tail that recovery would truncate.
     pub torn_tail_bytes: u64,
-    /// Incremental-checkpoint delta files in the recovery chain.
-    pub delta_files: u64,
     /// Atoms in the recovered universe.
     pub atoms: u64,
     /// Relations in the recovered schema.
@@ -135,10 +124,9 @@ pub struct Db {
     faults: IoFaults,
     stats: OpenStats,
     /// Every clause of the current epoch, replayed or appended, in log
-    /// order: payload bytes (for sealing into a delta file) plus the
-    /// parsed clause (the maintenance engine's change feed). Cleared by
-    /// every checkpoint.
-    tail: Vec<(Vec<u8>, Clause)>,
+    /// order — the maintenance engine's change feed. Cleared by every
+    /// checkpoint.
+    tail: Vec<Clause>,
 }
 
 impl Db {
@@ -178,39 +166,13 @@ impl Db {
         let snap = decode_snapshot(&snap_bytes, &snap_path)?;
         let mut universe = snap.universe;
         let mut instance = snap.instance;
-        let mut epoch = snap.epoch;
+        let epoch = snap.epoch;
 
         let mut stats = OpenStats {
             created: false,
             snapshot_epoch: epoch,
             ..OpenStats::default()
         };
-
-        // Replay the incremental-checkpoint chain: delta files at
-        // consecutive epochs after the snapshot. Each holds the clause
-        // texts of the WAL it sealed; replay is identical to WAL replay.
-        loop {
-            let delta_path = dir.join(delta_file_name(epoch + 1));
-            if !delta_path.exists() {
-                break;
-            }
-            let delta_bytes =
-                std::fs::read(&delta_path).map_err(|e| StorageError::io("read", &delta_path, e))?;
-            if let Some(g) = &options.governor {
-                g.charge_mem("storage.replay", delta_bytes.len() as u64)?;
-            }
-            replayed_bytes += delta_bytes.len() as u64;
-            let clauses = decode_delta(&delta_bytes, epoch + 1, &delta_path)?;
-            for (i, text) in clauses.iter().enumerate() {
-                let clause = parse_clause(text, &mut universe).map_err(|e| {
-                    StorageError::corrupt(&delta_path, 0, format!("clause {i} does not parse: {e}"))
-                })?;
-                apply_clause(&mut instance, &clause, &delta_path, i)?;
-            }
-            epoch += 1;
-            stats.delta_files += 1;
-            stats.delta_clauses += clauses.len() as u64;
-        }
 
         let mut tail = Vec::new();
         let wal = if !wal_path.exists() {
@@ -237,7 +199,7 @@ impl Db {
                         replayed_bytes += frame.len() as u64;
                         let clause = parse_frame(&mut universe, frame, &wal_path, i)?;
                         apply_clause(&mut instance, &clause, &wal_path, i)?;
-                        tail.push((frame.clone(), clause));
+                        tail.push(clause);
                     }
                     stats.replayed_frames = scan.frames.len() as u64;
                     stats.truncated_bytes = wal_bytes.len() as u64 - scan.keep_len;
@@ -312,8 +274,7 @@ impl Db {
         if self.sync == SyncPolicy::Always {
             self.wal.sync()?;
         }
-        self.tail
-            .push((clause.into_bytes(), Clause::Schema(rel.clone())));
+        self.tail.push(Clause::Schema(rel.clone()));
         apply_declare(&mut self.instance, rel);
         Ok(())
     }
@@ -332,10 +293,7 @@ impl Db {
         if self.sync == SyncPolicy::Always {
             self.wal.sync()?;
         }
-        self.tail.push((
-            clause.into_bytes(),
-            Clause::Fact(name.to_string(), row.clone()),
-        ));
+        self.tail.push(Clause::Fact(name.to_string(), row.clone()));
         self.instance.insert(name, row);
         Ok(true)
     }
@@ -356,10 +314,8 @@ impl Db {
         if self.sync == SyncPolicy::Always {
             self.wal.sync()?;
         }
-        self.tail.push((
-            clause.into_bytes(),
-            Clause::Retract(name.to_string(), row.to_vec()),
-        ));
+        self.tail
+            .push(Clause::Retract(name.to_string(), row.to_vec()));
         self.instance.delete(name, row);
         Ok(true)
     }
@@ -378,8 +334,7 @@ impl Db {
             if self.instance.schema().get(&rel.name).is_none() {
                 let clause = render_schema_decl(rel);
                 self.wal.append(clause.as_bytes())?;
-                self.tail
-                    .push((clause.into_bytes(), Clause::Schema(rel.clone())));
+                self.tail.push(Clause::Schema(rel.clone()));
                 apply_declare(&mut self.instance, rel.clone());
                 stats.relations_added += 1;
             }
@@ -393,10 +348,7 @@ impl Db {
                 }
                 let clause = render_fact(&self.universe, &rel.name, row);
                 self.wal.append(clause.as_bytes())?;
-                self.tail.push((
-                    clause.into_bytes(),
-                    Clause::Fact(rel.name.clone(), row.clone()),
-                ));
+                self.tail.push(Clause::Fact(rel.name.clone(), row.clone()));
                 self.instance.insert(&rel.name, row.clone());
                 stats.tuples_added += 1;
             }
@@ -436,80 +388,6 @@ impl Db {
 
         // Phase 2: publish. The rename is the commit point.
         if let Err(e) = fsio::rename(&self.faults, &tmp_path, &snap_path) {
-            let _ = std::fs::remove_file(&tmp_path);
-            return Err(e);
-        }
-
-        // Phase 3: from here the old WAL is stale; any failure leaves the
-        // writer unusable until reopen (recovery handles every window).
-        let finish = (|| {
-            fsio::sync_dir(&self.faults, &self.dir)?;
-            let mut wal = WalWriter::create(&self.dir.join(WAL_FILE), next, &self.faults)?;
-            wal.sync()?;
-            Ok(wal)
-        })();
-        match finish {
-            Ok(wal) => {
-                self.wal = wal;
-                self.epoch = next;
-                self.tail.clear();
-                // The new snapshot subsumes every sealed delta; leftover
-                // delta files are at epochs the chain scan can no longer
-                // reach, so removal is pure housekeeping and failures are
-                // harmless.
-                if let Ok(entries) = std::fs::read_dir(&self.dir) {
-                    for entry in entries.flatten() {
-                        let name = entry.file_name();
-                        let name = name.to_string_lossy();
-                        if name.starts_with("delta-") && name.ends_with(".bin") {
-                            let _ = std::fs::remove_file(entry.path());
-                        }
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.wal.poison();
-                Err(e)
-            }
-        }
-    }
-
-    /// Incremental checkpoint: seal the current WAL tail into an
-    /// immutable `delta-<e+1>.bin` file and reset the WAL to epoch `e+1`,
-    /// without rewriting the snapshot — O(changes since last checkpoint)
-    /// instead of O(`enc(I)`). A no-op when nothing changed. The crash
-    /// windows mirror [`Db::save`]: the delta rename is the single
-    /// publication point, and a crash between it and the WAL reset leaves
-    /// a stale-epoch WAL that recovery discards (its frames live in the
-    /// delta file).
-    pub fn save_incremental(&mut self) -> Result<(), StorageError> {
-        if self.tail.is_empty() {
-            return Ok(());
-        }
-        // The sealed frames must be durable before the log is reset.
-        if self.sync == SyncPolicy::Manual {
-            self.wal.sync()?;
-        }
-        let next = self.epoch + 1;
-        let payloads: Vec<Vec<u8>> = self.tail.iter().map(|(p, _)| p.clone()).collect();
-        let bytes = encode_delta(next, &payloads);
-        let tmp_path = self.dir.join(DELTA_TMP);
-        let delta_path = self.dir.join(delta_file_name(next));
-
-        // Phase 1: stage. Failure here changes nothing visible.
-        let stage = (|| {
-            let mut f = fsio::create(&self.faults, &tmp_path)?;
-            fsio::write_all(&self.faults, &mut f, &tmp_path, &bytes)?;
-            fsio::sync(&self.faults, &f, &tmp_path)
-        })();
-        if let Err(e) = stage {
-            let _ = std::fs::remove_file(&tmp_path);
-            return Err(e);
-        }
-
-        // Phase 2: publish. The rename is the commit point.
-        if let Err(e) = fsio::rename(&self.faults, &tmp_path, &delta_path) {
             let _ = std::fs::remove_file(&tmp_path);
             return Err(e);
         }
@@ -585,7 +463,7 @@ impl Db {
     /// frame `i`; a view checkpoint at frame count `f` catches up by
     /// replaying `epoch_clauses()[f..]`.
     pub fn epoch_clauses(&self) -> impl ExactSizeIterator<Item = &Clause> {
-        self.tail.iter().map(|(_, c)| c)
+        self.tail.iter()
     }
 
     /// `fsync` the WAL — makes every mutation so far durable under
@@ -769,7 +647,7 @@ pub fn verify(dir: &Path) -> Result<VerifyReport, StorageError> {
     let snap = decode_snapshot(&snap_bytes, &snap_path)?;
     let mut universe = snap.universe;
     let mut instance = snap.instance;
-    let mut epoch = snap.epoch;
+    let epoch = snap.epoch;
 
     let mut report = VerifyReport {
         snapshot_epoch: snap.epoch,
@@ -778,29 +656,10 @@ pub fn verify(dir: &Path) -> Result<VerifyReport, StorageError> {
         wal_frames: 0,
         stale_wal: false,
         torn_tail_bytes: 0,
-        delta_files: 0,
         atoms: 0,
         relations: 0,
         tuples: 0,
     };
-
-    loop {
-        let delta_path = dir.join(delta_file_name(epoch + 1));
-        if !delta_path.exists() {
-            break;
-        }
-        let delta_bytes =
-            std::fs::read(&delta_path).map_err(|e| StorageError::io("read", &delta_path, e))?;
-        let clauses = decode_delta(&delta_bytes, epoch + 1, &delta_path)?;
-        for (i, text) in clauses.iter().enumerate() {
-            let clause = parse_clause(text, &mut universe).map_err(|e| {
-                StorageError::corrupt(&delta_path, 0, format!("clause {i} does not parse: {e}"))
-            })?;
-            apply_clause(&mut instance, &clause, &delta_path, i)?;
-        }
-        epoch += 1;
-        report.delta_files += 1;
-    }
 
     if wal_path.exists() {
         let wal_bytes =
@@ -992,54 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_checkpoint_seals_and_replays() {
-        let t = TempDir::new("incr");
-        let mut db = populated(&t.0);
-        db.save_incremental().unwrap();
-        assert_eq!(db.epoch(), 1);
-        assert_eq!(db.wal_frames(), 0);
-        assert!(t.0.join(delta_file_name(1)).exists());
-        // Second incremental checkpoint over fresh mutations.
-        let c = db.universe_mut().intern("c");
-        let a = db.universe().get("a").unwrap();
-        db.insert("G", vec![Value::Atom(a), Value::Atom(c)])
-            .unwrap();
-        db.save_incremental().unwrap();
-        assert_eq!(db.epoch(), 2);
-        // Empty tail: a no-op, no delta file.
-        db.save_incremental().unwrap();
-        assert_eq!(db.epoch(), 2);
-        assert!(!t.0.join(delta_file_name(3)).exists());
-        drop(db);
-
-        let db = Db::open(&t.0, DbOptions::default()).unwrap();
-        assert_eq!(db.open_stats().snapshot_epoch, 0);
-        assert_eq!(db.open_stats().delta_files, 2);
-        assert_eq!(db.epoch(), 2);
-        assert_eq!(db.instance().relation("G").len(), 3);
-
-        let report = verify(&t.0).unwrap();
-        assert_eq!(report.delta_files, 2);
-        assert_eq!(report.tuples, 3);
-    }
-
-    #[test]
-    fn full_save_removes_delta_chain() {
-        let t = TempDir::new("fold");
-        let mut db = populated(&t.0);
-        db.save_incremental().unwrap();
-        assert!(t.0.join(delta_file_name(1)).exists());
-        db.save().unwrap();
-        assert_eq!(db.epoch(), 2);
-        assert!(!t.0.join(delta_file_name(1)).exists());
-        drop(db);
-        let db = Db::open(&t.0, DbOptions::default()).unwrap();
-        assert_eq!(db.open_stats().snapshot_epoch, 2);
-        assert_eq!(db.open_stats().delta_files, 0);
-        assert_eq!(db.instance().relation("G").len(), 2);
-    }
-
-    #[test]
     fn epoch_clauses_feed_and_view_checkpoint_roundtrip() {
         let t = TempDir::new("views");
         let mut db = populated(&t.0);
@@ -1070,7 +881,7 @@ mod tests {
         let t = TempDir::new("viewstale");
         let mut db = populated(&t.0);
         db.save_views(b"old").unwrap();
-        db.save_incremental().unwrap();
+        db.save().unwrap();
         // Epoch moved past the checkpoint without a view save.
         assert_eq!(db.load_views().unwrap(), None);
         drop(db);
@@ -1095,17 +906,6 @@ mod tests {
         assert_eq!(db.open_stats().replayed_frames, 0);
         assert_eq!(db.instance().relation("G").len(), 2);
         assert_eq!(db.epoch(), 1);
-    }
-
-    #[test]
-    fn future_wal_is_corruption() {
-        let t = TempDir::new("future");
-        let db = populated(&t.0);
-        drop(db);
-        let wal_path = t.0.join(WAL_FILE);
-        std::fs::write(&wal_path, crate::wal::header_bytes(99)).unwrap();
-        let err = Db::open(&t.0, DbOptions::default()).unwrap_err();
-        assert!(err.is_corruption());
     }
 
     #[test]

@@ -40,15 +40,15 @@
 
 pub mod crc;
 pub mod db;
-pub mod delta;
 pub mod fault;
 mod fsio;
 pub mod snapshot;
+pub mod views;
 pub mod wal;
 
 pub use db::{verify, Db, DbOptions, ImportStats, OpenStats, SyncPolicy, VerifyReport};
-pub use delta::ViewsCheckpoint;
 pub use fault::{FaultMode, IoFaults, OpKind};
+pub use views::ViewsCheckpoint;
 
 use no_object::ResourceError;
 use std::fmt;
@@ -59,8 +59,6 @@ pub const SNAPSHOT_FILE: &str = "snapshot.bin";
 pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
 /// The name of the write-ahead log inside a database directory.
 pub const WAL_FILE: &str = "wal.log";
-/// The name of the temporary delta file written before its atomic rename.
-pub const DELTA_TMP: &str = "delta.tmp";
 /// The name of the view-checkpoint file inside a database directory.
 pub const VIEWS_FILE: &str = "views.bin";
 /// The name of the temporary view checkpoint before its atomic rename.

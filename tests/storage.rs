@@ -12,7 +12,8 @@
 //! * **Mid-log corruption** — flipping a byte inside a non-final WAL
 //!   frame or inside the snapshot makes open/verify refuse with a
 //!   structured [`StorageError::Corrupt`]; a flipped *final* frame is a
-//!   torn tail and recovers the prefix.
+//!   torn tail and recovers the prefix. A WAL whose epoch is ahead of
+//!   the snapshot's is refused the same way.
 //! * **Never-panic properties** — arbitrary bytes as `wal.log` or
 //!   `snapshot.bin`, and arbitrary single-byte flips anywhere in a valid
 //!   store, can make open fail but never panic, and whatever state opens
@@ -200,6 +201,31 @@ fn mid_log_corruption_is_refused_with_a_structured_error() {
     assert!(msg.contains("corrupt"), "{msg}");
     let err = verify(scratch.path()).expect_err("verify must refuse too");
     assert!(err.is_corruption(), "{err}");
+}
+
+#[test]
+fn wal_ahead_of_snapshot_is_refused_with_a_structured_error() {
+    let scratch = ScratchDir::new("storage_walahead");
+    build_store(scratch.path());
+    let snapshot_epoch = verify(scratch.path()).unwrap().snapshot_epoch;
+    // Stamp the live WAL with the next epoch: its frames stay valid, but
+    // no snapshot they were logged against exists, so neither replaying
+    // them nor discarding them as stale is sound.
+    let wal_path = scratch.file(WAL_FILE);
+    let mut bytes = std::fs::read(&wal_path).unwrap();
+    bytes[8..16].copy_from_slice(&(snapshot_epoch + 1).to_le_bytes());
+    std::fs::write(&wal_path, &bytes).unwrap();
+
+    let err = Db::open(scratch.path(), DbOptions::default()).expect_err("open must refuse");
+    assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+    assert!(err.to_string().contains("ahead"), "{err}");
+    let err = verify(scratch.path()).expect_err("verify must refuse too");
+    assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+    assert_eq!(
+        std::fs::read(&wal_path).unwrap(),
+        bytes,
+        "a refused open leaves the log untouched"
+    );
 }
 
 #[test]
