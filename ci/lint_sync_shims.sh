@@ -18,7 +18,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-MIGRATED="crates/object/src crates/server/src crates/storage/src crates/vendor/minipool/src"
+MIGRATED="crates/exec/src crates/object/src crates/server/src crates/storage/src crates/vendor/minipool/src"
 PATTERN='std::sync::(Mutex|RwLock)|std::sync::atomic::(\{[^}]*)?Atomic(Bool|U8|U16|U32|U64|Usize|I8|I16|I32|I64|Isize|Ptr)'
 
 # shellcheck disable=SC2086  # MIGRATED is a deliberate word list

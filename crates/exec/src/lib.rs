@@ -14,10 +14,13 @@
 //!   algorithms produce bit-identical outputs and results are
 //!   independent of thread count — the property `tests/exec_differential.rs`
 //!   fuzzes.
-//! * **Deterministic interning.** Each execution interns scans and
-//!   constants from a single thread into a fresh arena; workers only read
-//!   ids, so raw-id order (an internal device that never escapes into
-//!   results) is reproducible.
+//! * **Per-version interning.** Scans read one arena and one canonical
+//!   table per relation ([`Resident`]), shared by every execution against
+//!   one version of the instance and dropped by the next write. Ids are
+//!   admission order within that version (which relation was scanned
+//!   first, which constants were admitted); workers only read them.
+//!   Raw-id order never escapes into results: the root is resolved to
+//!   values, and replies render rows in value order.
 //! * **Block-batched metering.** Governor charges accumulate locally and
 //!   flush per [`meter::BLOCK`] steps ([`meter::BlockMeter`]): same
 //!   totals as per-row charging, trip granularity coarsened by at most
@@ -34,9 +37,11 @@ pub mod kernels;
 pub mod meter;
 pub mod plan;
 pub mod pred;
+pub mod resident;
 pub mod table;
 
 pub use kernels::JoinAlgo;
 pub use plan::{execute, ExecId, ExecOp, ExecPlan};
 pub use pred::RowPred;
+pub use resident::Resident;
 pub use table::{ColumnTable, IndexedRel};

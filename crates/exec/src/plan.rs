@@ -2,13 +2,12 @@
 //!
 //! [`ExecPlan`] is the physical artifact `crates/plan` lowers conjunctive
 //! CALC queries and flat algebra expressions to. It is built once per
-//! (query, schema) and executed many times: [`execute`] starts from a
-//! fresh interner, interns the scanned base relations and plan constants
-//! (single-threaded, so id admission order — and hence every canonical
-//! table — is deterministic for a given plan and instance, independent of
-//! the pool), evaluates the arena bottom-up with the kernels of
-//! [`crate::kernels`], and resolves the root back to a value-level
-//! [`Relation`].
+//! (query, schema) and executed many times: [`execute`] reads the scanned
+//! base relations from the instance version's [`Resident`] tables
+//! (interned once per version, on the first scan after a write), interns
+//! plan constants into the same arena, evaluates the arena bottom-up with
+//! the kernels of [`crate::kernels`], and resolves the root back to a
+//! value-level [`Relation`].
 //!
 //! Join algorithm choice lives in the *plan* (picked by the planner from
 //! collected statistics, recorded in `:explain`); this module only runs
@@ -18,10 +17,12 @@ use crate::kernels;
 pub use crate::kernels::JoinAlgo;
 use crate::meter::BlockMeter;
 use crate::pred::RowPred;
+use crate::resident::Resident;
 use crate::table::ColumnTable;
 use minipool::ThreadPool;
-use no_object::{Governor, Instance, Interner, Relation, ResourceError, Value};
-use std::collections::HashMap;
+use no_object::{Governor, Instance, Relation, ResourceError, Value};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Index of a node in an [`ExecPlan`] arena.
 pub type ExecId = usize;
@@ -44,7 +45,8 @@ pub enum ExecOp {
     Const {
         /// Output arity (needed when `rows` is empty).
         arity: usize,
-        /// The rows, as values (interned per execution).
+        /// The rows, as values (interned into the instance version's
+        /// arena, which charges their growth).
         rows: Vec<Vec<Value>>,
     },
     /// σ — filter by a row predicate.
@@ -145,14 +147,18 @@ impl ExecPlan {
     }
 }
 
-/// Run a plan against an instance: fresh interner, bottom-up kernel
-/// evaluation, root resolved to a value-level relation.
+/// Run a plan against an instance: scans read the instance version's
+/// resident tables, the arena is evaluated bottom-up, and the root is
+/// resolved to a value-level relation.
 ///
 /// The first governor touch is a checkpoint at `"exec.start"`, so
-/// injected faults and cancellations fire before any work. Base-relation
-/// interning is treated as input admission (metered one step per row,
-/// like the Datalog engine's EDB load, but not charged as materialized
-/// memory); every operator's output is metered through [`BlockMeter`].
+/// injected faults and cancellations fire before any work. Each
+/// relation's first scan in an execution is metered one step per row as
+/// input admission (like the Datalog engine's EDB load), whether or not
+/// this version's table was already built, and is not charged as
+/// materialized memory. `Const` rows new to the arena are charged their
+/// growth at `"exec.intern"`; every operator's output is metered through
+/// [`BlockMeter`].
 pub fn execute(
     plan: &ExecPlan,
     instance: &Instance,
@@ -160,32 +166,21 @@ pub fn execute(
     pool: &ThreadPool,
 ) -> Result<Relation, ResourceError> {
     governor.checkpoint("exec.start")?;
-    let int = Interner::new();
-    let mut scans: HashMap<&str, ColumnTable> = HashMap::new();
-    let mut slots: Vec<ColumnTable> = Vec::with_capacity(plan.nodes.len());
+    let resident = Resident::of(instance);
+    let int = resident.interner();
+    let mut scanned: HashSet<&str> = HashSet::new();
+    let mut slots: Vec<Arc<ColumnTable>> = Vec::with_capacity(plan.nodes.len());
 
     for op in plan.nodes() {
         let table = match op {
             ExecOp::Scan { rel } => {
-                if let Some(t) = scans.get(rel.as_str()) {
-                    t.clone()
-                } else {
-                    let arity = instance
-                        .schema()
-                        .get(rel)
-                        .map_or(0, no_object::RelationSchema::arity);
-                    let base = instance.relation(rel);
+                if scanned.insert(rel.as_str()) {
                     let mut m = BlockMeter::new(governor, "exec.scan");
-                    m.work(base.len() as u64)?;
+                    m.work(instance.relation(rel).len() as u64)?;
                     m.finish()?;
-                    let mut t = ColumnTable::empty(arity);
-                    for row in base.iter() {
-                        t.push_row(&int.intern_row(row));
-                    }
-                    t.canonicalize();
-                    scans.insert(rel.as_str(), t.clone());
-                    t
                 }
+                slots.push(resident.scan(instance, rel));
+                continue;
             }
             ExecOp::Empty { arity } => ColumnTable::empty(*arity),
             ExecOp::Const { arity, rows } => {
@@ -194,14 +189,16 @@ pub fn execute(
                 m.finish()?;
                 let mut t = ColumnTable::empty(*arity);
                 for row in rows {
-                    t.push_row(&int.intern_row(row));
+                    let ids = row
+                        .iter()
+                        .map(|v| int.intern_charged(governor, "exec.intern", v))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    t.push_row(&ids);
                 }
                 t.canonicalize();
                 t
             }
-            ExecOp::Select { input, pred } => {
-                kernels::select(&slots[*input], pred, &int, governor)?
-            }
+            ExecOp::Select { input, pred } => kernels::select(&slots[*input], pred, int, governor)?,
             ExecOp::Project { input, cols } => kernels::project(&slots[*input], cols, governor)?,
             ExecOp::Union { left, right } => {
                 kernels::union(&slots[*left], &slots[*right], governor)?
@@ -222,7 +219,7 @@ pub fn execute(
                 algo,
             } => kernels::join(&slots[*left], &slots[*right], keys, *algo, governor, pool)?,
         };
-        slots.push(table);
+        slots.push(Arc::new(table));
     }
 
     let out = &slots[plan.root()];

@@ -3,9 +3,11 @@
 //! [`RowPred`] mirrors the algebra's `Pred` shape (equality between
 //! columns, equality with a constant, membership, subset, and the boolean
 //! connectives) but over **0-based** columns and carrying constants as
-//! plain values: an execution plan is built once and executed against a
-//! fresh interner each run, so constants are interned per execution by
-//! [`RowPred::compile`], after which evaluation is pure id work.
+//! plain values: an execution plan is built once and run against whichever
+//! arena the instance version holds, so [`RowPred::compile`] looks each
+//! constant up in that arena without admitting it — a value the arena
+//! lacks occurs in no row over it — after which evaluation is pure id
+//! work.
 
 use crate::table::ColumnTable;
 use no_object::{Interner, Value, ValueId};
@@ -35,12 +37,12 @@ impl RowPred {
         RowPred::And(Box::new(self), Box::new(other))
     }
 
-    /// Intern every constant, producing the id-level form evaluated by
-    /// the select kernel.
+    /// Resolve every constant to its id in `int`, admitting nothing,
+    /// producing the id-level form evaluated by the select kernel.
     pub fn compile(&self, int: &Interner) -> CompiledPred {
         match self {
             RowPred::EqCols(a, b) => CompiledPred::EqCols(*a, *b),
-            RowPred::EqConst(c, v) => CompiledPred::EqConst(*c, int.intern(v)),
+            RowPred::EqConst(c, v) => CompiledPred::EqConst(*c, int.lookup(v)),
             RowPred::InCols(a, b) => CompiledPred::InCols(*a, *b),
             RowPred::SubsetCols(a, b) => CompiledPred::SubsetCols(*a, *b),
             RowPred::Not(p) => CompiledPred::Not(Box::new(p.compile(int))),
@@ -59,8 +61,9 @@ impl RowPred {
 pub enum CompiledPred {
     /// Column = column.
     EqCols(usize, usize),
-    /// Column = interned constant.
-    EqConst(usize, ValueId),
+    /// Column = constant; `None` when the arena lacks the constant, which
+    /// then matches no row.
+    EqConst(usize, Option<ValueId>),
     /// Column ∈ column.
     InCols(usize, usize),
     /// Column ⊆ column.
@@ -78,7 +81,7 @@ impl CompiledPred {
     pub fn eval(&self, t: &ColumnTable, i: usize, int: &Interner) -> bool {
         match self {
             CompiledPred::EqCols(a, b) => t.col(*a)[i] == t.col(*b)[i],
-            CompiledPred::EqConst(c, id) => t.col(*c)[i] == *id,
+            CompiledPred::EqConst(c, id) => Some(t.col(*c)[i]) == *id,
             CompiledPred::InCols(a, b) => int
                 .set_elems(t.col(*b)[i])
                 .is_some_and(|elems| int.set_contains(elems, t.col(*a)[i])),

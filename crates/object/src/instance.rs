@@ -10,7 +10,9 @@
 use crate::atom::Atom;
 use crate::types::Type;
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use conc::Mutex;
+use std::any::{Any, TypeId};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -202,11 +204,45 @@ impl FromIterator<Vec<Value>> for Relation {
     }
 }
 
+/// What reads have derived from one version of an [`Instance`], keyed by
+/// type (see [`Instance::derived`]). Every write that changes the instance
+/// clears it. A clone shares the entries, because equal instances derive
+/// equal values, and equality ignores it.
+struct Derived(Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>);
+
+impl Derived {
+    fn new(entries: HashMap<TypeId, Arc<dyn Any + Send + Sync>>) -> Self {
+        Derived(Mutex::new_named("instance.derived", entries))
+    }
+}
+
+impl Clone for Derived {
+    fn clone(&self) -> Self {
+        Derived::new(self.0.lock().clone())
+    }
+}
+
+impl PartialEq for Derived {
+    fn eq(&self, _: &Derived) -> bool {
+        true
+    }
+}
+
 /// A database instance over a [`Schema`].
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq)]
 pub struct Instance {
     schema: Schema,
     relations: BTreeMap<String, Relation>,
+    derived: Derived,
+}
+
+impl fmt::Debug for Instance {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Instance")
+            .field("schema", &self.schema)
+            .field("relations", &self.relations)
+            .finish()
+    }
 }
 
 impl Instance {
@@ -216,7 +252,33 @@ impl Instance {
             .relations()
             .map(|r| (r.name.clone(), Relation::new()))
             .collect();
-        Instance { schema, relations }
+        Instance {
+            schema,
+            relations,
+            derived: Derived::new(HashMap::new()),
+        }
+    }
+
+    /// The value of type `T` derived from this version of the instance.
+    /// `build` runs on the first call after a write, and every later call
+    /// shares its result until the next write. The memo is keyed by type,
+    /// so crates above this one attach what they derive without this
+    /// crate knowing their types. Concurrent first calls build once:
+    /// `build` runs under the memo's lock, so it must not call `derived`
+    /// on this instance itself.
+    pub fn derived<T: Any + Send + Sync>(&self, build: impl FnOnce() -> T) -> Arc<T> {
+        let mut memo = self.derived.0.lock();
+        let entry = memo
+            .entry(TypeId::of::<T>())
+            .or_insert_with(|| Arc::new(build()) as Arc<dyn Any + Send + Sync>);
+        Arc::clone(entry)
+            .downcast::<T>()
+            .expect("memo entries are keyed by their own type")
+    }
+
+    /// Forget everything derived from the previous version.
+    fn changed(&mut self) {
+        self.derived.0.get_mut().clear();
     }
 
     /// The schema of this instance.
@@ -253,10 +315,15 @@ impl Instance {
         for (v, t) in row.iter().zip(&rel_schema.column_types) {
             assert!(v.has_type(t), "value {v} not of type {t} in {name}");
         }
-        self.relations
+        let fresh = self
+            .relations
             .get_mut(name)
             .expect("validated above")
-            .insert(row)
+            .insert(row);
+        if fresh {
+            self.changed();
+        }
+        fresh
     }
 
     /// Delete a row; returns whether it was present. The inverse of
@@ -265,10 +332,15 @@ impl Instance {
     /// # Panics
     /// Panics on an unknown relation name, like every schema mismatch.
     pub fn delete(&mut self, name: &str, row: &[Value]) -> bool {
-        self.relations
+        let removed = self
+            .relations
             .get_mut(name)
             .unwrap_or_else(|| panic!("relation {name:?} not in schema"))
-            .remove(row)
+            .remove(row);
+        if removed {
+            self.changed();
+        }
+        removed
     }
 
     /// Replace the extension of a relation wholesale (rows must already be
@@ -279,6 +351,7 @@ impl Instance {
             "relation {name:?} not in schema"
         );
         self.relations.insert(name.to_string(), rel);
+        self.changed();
     }
 
     /// `atom(I)`: the set of atomic constants occurring in the instance.
@@ -444,5 +517,39 @@ mod tests {
         let s2 = i.clone().to_string();
         assert_eq!(s1, s2);
         assert!(s1.starts_with("G[2 rows]"));
+    }
+
+    #[test]
+    fn derived_values_live_until_the_next_write() {
+        let mut u = Universe::new();
+        let (a, b) = (u.intern("a"), u.intern("b"));
+        let ab = vec![Value::Atom(a), Value::Atom(b)];
+        let ba = vec![Value::Atom(b), Value::Atom(a)];
+        let mut i = Instance::empty(graph_schema());
+        i.insert("G", ab.clone());
+        let first = i.derived(|| 1u32);
+        let clone = i.clone();
+        assert!(Arc::ptr_eq(&first, &i.derived::<u32>(|| unreachable!())));
+        assert!(Arc::ptr_eq(
+            &first,
+            &clone.derived::<u32>(|| unreachable!())
+        ));
+        let mut fresh = Instance::empty(graph_schema());
+        fresh.insert("G", ab.clone());
+        assert_eq!(i, fresh, "equality ignores what was derived");
+
+        // a write that changes nothing keeps the version
+        assert!(!i.insert("G", ab.clone()));
+        assert!(!i.delete("G", &ba));
+        assert_eq!(*i.derived::<u32>(|| unreachable!()), 1);
+        // every write that changes the instance starts a new one
+        i.insert("G", ba);
+        assert_eq!(*i.derived(|| 2u32), 2);
+        i.delete("G", &ab);
+        assert_eq!(*i.derived(|| 3u32), 3);
+        i.set_relation("G", Relation::new());
+        assert_eq!(*i.derived(|| 4u32), 4);
+        // the clone still holds the version it was taken from
+        assert_eq!(*clone.derived::<u32>(|| unreachable!()), 1);
     }
 }

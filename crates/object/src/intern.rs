@@ -256,6 +256,11 @@ impl Shard {
     fn len(&self) -> u32 {
         self.len.load(AtomicOrdering::Acquire)
     }
+
+    /// The slot `node` was admitted at, if it was; admits nothing.
+    fn get(&self, node: &Node) -> Option<u32> {
+        self.writer.lock().ids.get(node).copied()
+    }
 }
 
 impl Drop for Shard {
@@ -481,6 +486,25 @@ impl Interner {
             governor.charge_mem(site, grown)?;
         }
         Ok(id)
+    }
+
+    /// The id `v` already has in this arena, admitting nothing: `None`
+    /// means no interned value equals `v`, so no row of ids over this
+    /// arena holds it. A long-lived arena uses this for values a request
+    /// only compares against.
+    pub fn lookup(&self, v: &Value) -> Option<ValueId> {
+        let node = match v {
+            Value::Atom(a) => Node::Atom(*a),
+            Value::Tuple(vs) => {
+                Node::Tuple(vs.iter().map(|c| self.lookup(c)).collect::<Option<_>>()?)
+            }
+            // canonical element order is id order, as in `intern_with_growth`
+            Value::Set(s) => Node::Set(s.iter().map(|c| self.lookup(c)).collect::<Option<_>>()?),
+        };
+        let shard = shard_of(&node);
+        self.arena.shards[shard]
+            .get(&node)
+            .map(|slot| ValueId::pack(shard, slot))
     }
 
     /// Reconstruct the value tree behind an id.
@@ -1014,5 +1038,19 @@ mod tests {
         let id = other.intern(&a(7));
         assert_eq!(int.resolve(id), a(7));
         assert_eq!(int.len(), other.len());
+    }
+
+    #[test]
+    fn lookup_finds_interned_values_and_admits_nothing() {
+        let int = Interner::new();
+        let v = Value::tuple([a(1), Value::set([a(2), a(3)])]);
+        let id = int.intern(&v);
+        let arena = (int.len(), int.bytes());
+        assert_eq!(int.lookup(&v), Some(id));
+        assert!(int.lookup(&a(2)).is_some());
+        for absent in [a(9), Value::set([a(2)]), Value::tuple([a(1), a(2)])] {
+            assert_eq!(int.lookup(&absent), None, "{absent}");
+        }
+        assert_eq!((int.len(), int.bytes()), arena);
     }
 }

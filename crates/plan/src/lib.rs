@@ -16,7 +16,8 @@
 //! - [`ir`] — the flat-arena logical plan (operators named after the
 //!   paper's constructs, down to Definition 5.2/5.3 range rules);
 //! - [`lower`] — CALC / algebra / Datalog¬ lowering;
-//! - [`stats`] — O(schema) instance statistics and schema fingerprints;
+//! - [`stats`] — instance statistics (one data pass per instance version)
+//!   and schema fingerprints;
 //! - [`passes`] — pushdown, quantifier reordering, CSE, the semi-naive
 //!   delta rewrite, and governor-aware early-trip annotation;
 //! - [`joins`] — the join-algorithms pass: flat conjunctive CALC and flat
@@ -90,11 +91,11 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Collect statistics from an instance directly — the detailed tier,
+    /// Use the instance's statistics (collected once per version),
     /// including exact per-column distinct counts, which the
     /// join-algorithms pass uses to pick per-join algorithms.
     pub fn with_instance(self, instance: &Instance) -> Self {
-        self.with_stats(Stats::of_detailed(instance))
+        self.with_stats(Stats::of(instance))
     }
 
     /// Use governor limits (enables early-trip warnings in the plan).

@@ -1,14 +1,14 @@
 //! Instance statistics and schema fingerprints.
 //!
-//! Two collection tiers. [`Stats::of`] never scans data: everything it
-//! knows comes from the relation cardinalities an [`Instance`] already
-//! maintains plus the atom count (the active-domain size), keeping
-//! planning O(schema). [`Stats::of_detailed`] additionally makes one
-//! O(data) pass to count **exact** distinct values per column — the
-//! signal the join-algorithm pass uses to spot duplicate-heavy keys.
-//! Sessions collect detailed stats once per planner build and the plan
-//! cache amortizes the scan; staleness can only affect algorithm
-//! *choice*, never correctness (every algorithm computes the same join).
+//! [`Stats::of`] makes one pass over the data for each relation's
+//! cardinality, its exact distinct values per column — the signal the
+//! join-algorithm pass uses to spot duplicate-heavy keys — and the atom
+//! count (the active-domain size). The pass runs once per version of the
+//! instance: its result lives in the instance's derived memo
+//! ([`Instance::derived`]) until the next write, so a plan-cache miss
+//! between writes reads no data. Staleness can only affect algorithm
+//! *choice*, never correctness: a cached plan keeps the statistics it was
+//! compiled with, and every algorithm computes the same join.
 
 use no_core::ast::{Formula, Term};
 use no_object::{Instance, Schema, Type, Value};
@@ -16,53 +16,48 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
-/// Relation cardinalities, the active-domain size, and (when collected
-/// via [`Stats::of_detailed`]) exact per-column distinct counts.
+/// Relation cardinalities, exact per-column distinct counts, and the
+/// active-domain size.
 #[derive(Clone, Debug, Default)]
 pub struct Stats {
     /// Rows per relation.
     pub rel_rows: BTreeMap<String, u64>,
     /// Number of distinct atoms in the instance (active-domain size).
     pub atoms: u64,
-    /// Exact distinct values per column of each relation (empty unless
-    /// collected by [`Stats::of_detailed`]).
+    /// Exact distinct values per column of each relation.
     pub rel_distinct: BTreeMap<String, Vec<u64>>,
 }
 
 impl Stats {
-    /// Collect stats from an instance (O(#relations), no data scan beyond
-    /// the cardinality counters the instance already keeps).
+    /// The statistics of `instance`'s current version: collected on the
+    /// first call after a write, shared until the next one.
     pub fn of(instance: &Instance) -> Stats {
-        let rel_rows = instance
-            .schema()
-            .relations()
-            .map(|r| (r.name.clone(), instance.relation(&r.name).len() as u64))
-            .collect();
-        Stats {
-            rel_rows,
-            atoms: instance.atoms().len() as u64,
-            rel_distinct: BTreeMap::new(),
-        }
+        Stats::clone(&instance.derived(|| Stats::collect(instance)))
     }
 
-    /// Collect stats including exact per-column distinct counts: one
-    /// O(‖I‖ log ‖I‖) pass per relation.
-    pub fn of_detailed(instance: &Instance) -> Stats {
-        let mut stats = Stats::of(instance);
+    /// One O(‖I‖ log ‖I‖) pass: rows, distinct values per column, and the
+    /// atoms those values contain.
+    fn collect(instance: &Instance) -> Stats {
+        let mut stats = Stats::default();
+        let mut atoms = BTreeSet::new();
         for r in instance.schema().relations() {
             let rel = instance.relation(&r.name);
-            let arity = r.arity();
-            let mut sets: Vec<BTreeSet<&Value>> = vec![BTreeSet::new(); arity];
+            let mut sets: Vec<BTreeSet<&Value>> = vec![BTreeSet::new(); r.arity()];
             for row in rel.iter() {
                 for (c, v) in row.iter().enumerate() {
-                    sets[c].insert(v);
+                    // a value already counted in this column adds no atom
+                    if sets[c].insert(v) {
+                        v.collect_atoms(&mut atoms);
+                    }
                 }
             }
+            stats.rel_rows.insert(r.name.clone(), rel.len() as u64);
             stats.rel_distinct.insert(
                 r.name.clone(),
                 sets.iter().map(|s| s.len() as u64).collect(),
             );
         }
+        stats.atoms = atoms.len() as u64;
         stats
     }
 
@@ -194,13 +189,24 @@ mod tests {
         assert_eq!(s.atoms, 3);
         assert_eq!(s.estimate_domain(&Type::Atom), 3);
         assert_eq!(s.estimate_domain(&Type::set(Type::Atom)), 8);
-        assert_eq!(s.distinct("G", 0), None, "cheap stats carry no distincts");
+    }
+
+    #[test]
+    fn stats_are_collected_once_per_version() {
+        let mut i = tiny();
+        let first = Stats::of(&i);
+        let memo = i.derived::<Stats>(|| unreachable!("collected twice for one version"));
+        assert_eq!(memo.rel_rows, first.rel_rows);
+        i.insert("E", vec![Value::Atom(Atom(1))]);
+        let after = Stats::of(&i);
+        assert_eq!(after.rows("E"), Some(2));
+        assert_eq!(after.distinct("E", 0), Some(2));
     }
 
     #[test]
     fn detailed_stats_count_distincts_exactly() {
         let i = tiny();
-        let s = Stats::of_detailed(&i);
+        let s = Stats::of(&i);
         // G = {(a,b),(b,c),(c,a)}: both columns hold 3 distinct atoms.
         assert_eq!(s.distinct("G", 0), Some(3));
         assert_eq!(s.distinct("G", 1), Some(3));

@@ -16,11 +16,17 @@
 //!   has never seen interns it permanently and store-wide, pays for it out
 //!   of its own memory budget, and survives a hammer of racing readers and
 //!   a writer with the universe still a bijection that round-trips through
-//!   a checkpoint.
+//!   a checkpoint;
+//! * **reads after writes** — what reads derive from the store (planner
+//!   statistics, interned scan tables) is kept per version of the
+//!   instance: every kind of write is seen by the next read, a cold and a
+//!   warm execution spend alike, and a read never grows the resident
+//!   arena for free.
 
 mod common;
 
 use common::ScratchDir;
+use nestdb::exec::Resident;
 use nestdb::object::text::parse_database;
 use nestdb::object::Universe;
 use nestdb::proto::{Lang, LimitsSpec, Mode, Op, Request, Response, Strategy};
@@ -507,4 +513,160 @@ fn racing_new_atom_reads_and_a_writer_keep_the_universe_a_bijection() {
         .collect();
     assert_eq!(reopened, names);
     assert_eq!(db.instance().relation("E").len(), ROUNDS);
+}
+
+// ---------------------------------------------------------------------------
+// reads after writes
+// ---------------------------------------------------------------------------
+
+fn write(session: &Session, op: Op, text: &str) {
+    let resp = session.run(&Request {
+        op,
+        text: text.to_string(),
+        ..Request::default()
+    });
+    assert!(resp.ok, "{text}: {:?}", resp.error);
+}
+
+/// The rows a served eval of `text` answers, sorted, after checking that
+/// the `planned: false` oracle answers the same.
+fn served_rows(session: &Session, text: &str) -> Vec<String> {
+    let rows = |planned| {
+        let resp = session.run(&calc(text, Mode::Fast, planned));
+        assert!(resp.ok, "{text}: {:?}", resp.error);
+        let mut rows = resp.relations[0].rows.clone();
+        rows.sort();
+        rows
+    };
+    let served = rows(true);
+    assert_eq!(served, rows(false), "served and oracle disagree on {text}");
+    served
+}
+
+/// Warm everything reads derive from the store, then change it every way
+/// it can change. After each write, a served eval of a text compiled
+/// before the write and of a text never seen equal the oracle and show
+/// the write, and `explain` of a new text estimates the new row count.
+fn reads_follow_writes(session: &Session) {
+    let point = "{[y:U] | G('n3', y)}";
+    let mut seen = 0;
+    let mut new_text = |rel: &str| {
+        seen += 1;
+        format!("{{[a{seen}:U, b{seen}:U] | {rel}(a{seen}, b{seen})}}")
+    };
+    let edges = served_rows(session, &new_text("G")).len();
+    assert_eq!(served_rows(session, point), ["('n4')", "('n7')"]);
+
+    write(session, Op::Insert, "G('n3', 'n8').");
+    assert_eq!(served_rows(session, point), ["('n4')", "('n7')", "('n8')"]);
+    assert_eq!(served_rows(session, &new_text("G")).len(), edges + 1);
+    let explained = session.run(&with_op(
+        Op::Explain,
+        calc(&new_text("G"), Mode::Fast, true),
+    ));
+    let plan = explained.explain.expect("explain renders the plan").text;
+    assert!(
+        plan.contains(&format!("scan G [est {}]", edges + 1)),
+        "{plan}"
+    );
+
+    write(session, Op::Update, "delete G('n3', 'n4').\nG('n3', 'n9').");
+    assert_eq!(served_rows(session, point), ["('n7')", "('n8')", "('n9')"]);
+    assert_eq!(served_rows(session, &new_text("G")).len(), edges + 1);
+
+    write(session, Op::Insert, "schema E(U, U).");
+    assert_eq!(served_rows(session, point), ["('n7')", "('n8')", "('n9')"]);
+    assert!(served_rows(session, &new_text("E")).is_empty());
+    write(session, Op::Insert, "E('n3', 'n5').");
+    assert_eq!(served_rows(session, "{[y:U] | E('n3', y)}"), ["('n5')"]);
+    assert_eq!(served_rows(session, &new_text("E")).len(), 1);
+}
+
+#[test]
+fn a_read_after_a_write_sees_the_write() {
+    reads_follow_writes(&session(1));
+
+    // the same on a durable store, whose writes go through the log, and
+    // once more after reopening it
+    let scratch = ScratchDir::new("read_after_write");
+    let dir = scratch.path().display().to_string();
+    let durable = Session::default();
+    write(&durable, Op::Open, &dir);
+    for clause in database_text().lines() {
+        write(&durable, Op::Insert, clause);
+    }
+    reads_follow_writes(&durable);
+    let everything = |session: &Session| -> Vec<Vec<String>> {
+        ["G", "E"]
+            .iter()
+            .map(|rel| served_rows(session, &format!("{{[x:U, y:U] | {rel}(x, y)}}")))
+            .collect()
+    };
+    let before = everything(&durable);
+    drop(durable);
+    let reopened = Session::default();
+    write(&reopened, Op::Open, &dir);
+    assert_eq!(everything(&reopened), before);
+}
+
+/// nestbench's `point-read` and `join-scan` texts, over this file's store.
+fn exec_texts() -> Vec<Request> {
+    vec![
+        calc("{[y:U] | G('n3', y)}", Mode::Fast, true),
+        calc(
+            "{[z:U] | exists y:U (G('n3', y) /\\ G(y, z))}",
+            Mode::Fast,
+            true,
+        ),
+        calc("{[s:{U}] | Team('t1', s)}", Mode::Safe, true),
+        algebra("select[eqc(1,'n3')](G)", true),
+        calc("{[x:U, y:U] | G(x, y)}", Mode::Fast, true),
+        calc(
+            "{[x:U, z:U] | exists y:U (G(x, y) /\\ G(y, z))}",
+            Mode::Fast,
+            true,
+        ),
+        algebra("select[eq(2,3)]((G x G))", true),
+        algebra("nest[2](G)", true),
+        algebra("unnest[2](Team)", true),
+        algebra("nest[1](unnest[2](Team))", true),
+        algebra("project[1,3](select[sub(2,4)]((Team x Team)))", true),
+    ]
+}
+
+/// A cold execution (the first against a version of the store) and a warm
+/// one (after other texts filled that version's arena in another order)
+/// reply, and spend, identically.
+#[test]
+fn cold_and_warm_executions_reply_and_spend_identically() {
+    let texts = exec_texts();
+    let cold: Vec<String> = texts.iter().map(|req| reply(&session(1), req)).collect();
+    let warm = session(1);
+    for req in texts.iter().rev() {
+        reply(&warm, req);
+    }
+    for (req, want) in texts.iter().zip(&cold) {
+        assert_eq!(&reply(&warm, req), want, "{}", req.text);
+    }
+}
+
+/// The resident arena outlives the request, so a read may not grow it for
+/// free: a served lookup of an atom no relation holds answers no rows and
+/// admits nothing.
+#[test]
+fn a_served_lookup_of_an_unseen_atom_admits_nothing_to_the_arena() {
+    let session = session(1);
+    let arena = || {
+        let store = session.store();
+        let store = store.read().unwrap();
+        let resident = Resident::of(store.instance());
+        (resident.interner().len(), resident.interner().bytes())
+    };
+    served_rows(&session, "{[y:U] | G('n3', y)}");
+    let before = arena();
+    assert!(before.0 > 0, "the warm-up scanned G");
+    let resp = session.run(&calc("{[y:U] | G('never_seen', y)}", Mode::Fast, true));
+    assert!(resp.ok, "{:?}", resp.error);
+    assert!(resp.relations[0].rows.is_empty());
+    assert_eq!(arena(), before);
 }
