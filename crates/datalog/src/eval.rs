@@ -15,29 +15,29 @@
 //! `datalog_seminaive` measures the speedup (a design-choice ablation from
 //! DESIGN.md §6).
 //!
-//! The join loops run over hash-consed rows: the relations the program
-//! reads are interned once per evaluation (the rest of the instance is
-//! never touched), the IDB and deltas are [`IdRelation`]s, and unification
-//! binds [`ValueId`]s — so fact dedup and (not-)membership tests cost
-//! O(arity) id compares regardless of value nesting. Results resolve back
-//! to [`Relation`]s at the boundary.
+//! Rules fire through the one rule matcher ([`crate::fire`]) over
+//! hash-consed rows: the relations the program reads are interned once
+//! per evaluation (the rest of the instance is never touched), the IDB
+//! and deltas are [`IdRelation`]s, and cells are [`ValueId`]s — so fact
+//! dedup and (not-)membership tests cost O(arity) id compares regardless
+//! of value nesting. Results resolve back to [`Relation`]s at the
+//! boundary.
 //!
-//! Positive body literals are *index-probed*: per rule evaluation, the
-//! first literal argument whose value is already known when the literal
-//! is reached (a constant, or a variable bound by an earlier literal)
-//! keys a lazily-built hash index over the literal's relation, and only
-//! the matching group is unified. Under semi-naive evaluation this is the
-//! `HashJoin(probe=Δ)` shape `:explain` reports: each delta row's
-//! bindings probe the indexes of the later body literals. Probing is an
-//! iteration-order optimization only — the rows it skips would have
-//! failed the same id compare inside the unification loop *without
-//! consuming fuel* — so derived facts, [`EvalStats::joins`], and step
-//! accounting are bit-for-bit identical to the full-scan engine.
+//! A round's rules share one probe cache (one per task when the round
+//! fans out over a pool): the IDB does not change until the round
+//! barrier, so an index built for one rule's probe serves every later
+//! probe of that shape in the round, and at parallelism 1 an index over
+//! an EDB relation serves every round. Under semi-naive evaluation this
+//! is the `HashJoin(probe=Δ)` shape `:explain` reports: each delta row's
+//! bindings probe the indexes of the other body literals. Steps are the
+//! matcher's, charged at `datalog.search`: index builds included, and
+//! independent of hash order at parallelism 1.
 
-use crate::program::{DTerm, Literal, Program, ProgramError, Rule};
+use crate::fire::{self, IndexCache, Key, Meter, Phase, State};
+use crate::program::{Literal, Program, ProgramError, Rule};
 use minipool::ThreadPool;
 use no_object::intern::{IdRelation, Interner, ValueId};
-use no_object::{Governor, Instance, Relation};
+use no_object::{Governor, Instance, Relation, ResourceError};
 use std::collections::{BTreeMap, HashMap};
 
 /// The computed IDB: relation name → facts.
@@ -53,8 +53,6 @@ pub struct EvalStats {
     pub rounds: usize,
     /// Total facts derived.
     pub facts: usize,
-    /// Rule-body join attempts (work measure).
-    pub joins: u64,
 }
 
 /// Evaluation strategy.
@@ -77,9 +75,10 @@ pub fn eval(
 }
 
 /// Evaluate `program` on `instance` with inflationary semantics under an
-/// existing [`Governor`]: every rule-body join attempt costs one unit of
-/// step fuel, every derived fact is charged against the memory budget, and
-/// each fixpoint round is checked against the iteration cap.
+/// existing [`Governor`]: rule firing costs step fuel as the matcher
+/// meters it ([`crate::fire`]), every derived fact is charged against the
+/// memory budget, and each fixpoint round is checked against the
+/// iteration cap.
 pub fn eval_governed(
     program: &Program,
     instance: &Instance,
@@ -130,9 +129,8 @@ fn partition_rows(rel: &IdRelation, parts: usize) -> Vec<IdRelation> {
 /// (rule, delta-position, delta-chunk) — become independent tasks fanned
 /// out over the pool, with worker-local outputs merged at the round
 /// barrier. Derived relations are identical at every parallelism level;
-/// [`EvalStats::joins`] and the exact step-fuel trip point may differ when
-/// `threads > 1` because chunked tasks re-scan the body prefix before the
-/// pinned literal.
+/// steps and the exact step-fuel trip point may differ when `threads > 1`
+/// because each task builds its own probe indexes.
 pub fn eval_pooled(
     program: &Program,
     instance: &Instance,
@@ -177,6 +175,9 @@ pub(crate) fn eval_rounds(
         .collect();
     let mut delta: IdbI = idb.clone();
     let mut stats = EvalStats::default();
+    // at parallelism 1 the EDB is indexed once for every round; pooled
+    // tasks each index what they probe
+    let edb_cache = IndexCache::new();
     loop {
         stats.rounds += 1;
         governor.check_iters("datalog.round", stats.rounds as u64)?;
@@ -219,21 +220,12 @@ pub(crate) fn eval_rounds(
                     .keys()
                     .map(|k| (k.clone(), IdRelation::new()))
                     .collect();
-                let mut local_stats = EvalStats::default();
-                derive(
-                    rule,
-                    &edb,
-                    &idb,
-                    pin.get(),
-                    &mut local,
-                    &mut local_stats,
-                    governor,
-                    &interner,
-                )?;
-                Ok::<(IdbI, u64), ProgramError>((local, local_stats.joins))
+                let task_cache = IndexCache::new();
+                let st = RoundState::new(&edb, &idb, &task_cache);
+                derive(rule, &st, pin.get(), &mut local, governor, &interner)?;
+                Ok::<IdbI, ProgramError>(local)
             })?;
-            for (local, joins) in results {
-                stats.joins += joins;
+            for local in results {
                 for (name, rel) in local {
                     if !rel.is_empty() {
                         new_delta.get_mut(&name).expect("declared IDB").absorb(&rel);
@@ -241,17 +233,9 @@ pub(crate) fn eval_rounds(
                 }
             }
         } else {
+            let st = RoundState::new(&edb, &idb, &edb_cache);
             for (rule, pin) in &tasks {
-                derive(
-                    rule,
-                    &edb,
-                    &idb,
-                    pin.get(),
-                    &mut new_delta,
-                    &mut stats,
-                    governor,
-                    &interner,
-                )?;
+                derive(rule, &st, pin.get(), &mut new_delta, governor, &interner)?;
             }
         }
         for (name, facts) in &new_delta {
@@ -280,432 +264,100 @@ pub(crate) fn eval_rounds(
     Ok((resolved, stats))
 }
 
-/// A positive literal's lazily-built probe index. Which argument position
-/// keys the index depends only on the body *prefix* (the set of variables
-/// bound before a given depth is the same for every visit), so one slot
-/// per body literal suffices for a whole rule evaluation.
-enum Probe {
-    /// Not yet decided for this rule evaluation.
-    Unbuilt,
-    /// No argument is known when the literal is reached: scan.
-    Scan,
-    /// Rows grouped by the value at `col`; probes clone only the matching
-    /// group (O(matches), each of which is recursed into anyway).
-    Index {
-        /// The probed argument position.
-        col: usize,
-        /// Rows grouped by their value at `col`.
-        groups: HashMap<ValueId, Vec<Box<[ValueId]>>>,
-    },
-}
-
-/// Evaluate one rule body by backtracking over literals left to right,
-/// inserting derived head facts into `out`.
-#[allow(clippy::too_many_arguments)]
-fn derive(
-    rule: &Rule,
-    edb: &HashMap<String, IdRelation>,
-    idb: &IdbI,
-    pinned: Option<(usize, &IdRelation)>,
-    out: &mut IdbI,
-    stats: &mut EvalStats,
-    governor: &Governor,
-    int: &Interner,
-) -> Result<(), ProgramError> {
-    let mut env: HashMap<String, ValueId> = HashMap::new();
-    let mut probes: Vec<Probe> = rule.body.iter().map(|_| Probe::Unbuilt).collect();
-    search(
-        rule,
-        edb,
-        idb,
-        pinned,
-        0,
-        &mut env,
-        &mut probes,
-        out,
-        stats,
-        governor,
-        int,
-    )
-}
-
-fn lookup_rel<'a>(
-    name: &str,
+/// One round's view of the relations: the IDB as of the round's start
+/// and the EDB (lower strata included). Neither changes until the round
+/// barrier, so one probe cache serves every rule the state is shared by;
+/// the EDB never changes at all, so its indexes come from a cache that
+/// can outlive the round.
+struct RoundState<'a> {
     edb: &'a HashMap<String, IdRelation>,
     idb: &'a IdbI,
-) -> Option<&'a IdRelation> {
-    idb.get(name).or_else(|| edb.get(name))
+    empty: IdRelation,
+    edb_cache: &'a IndexCache<ValueId>,
+    cache: IndexCache<ValueId>,
 }
 
-fn eval_term(t: &DTerm, env: &HashMap<String, ValueId>, int: &Interner) -> Option<ValueId> {
-    match t {
-        // hash-consed: repeated constant evaluation is a map lookup
-        DTerm::Const(c) => Some(int.intern(c)),
-        DTerm::Var(v) => env.get(v).copied(),
-    }
-}
-
-/// Unify a row against a literal's arguments under `env`. Returns whether
-/// the row matched and which variables this row newly bound (for the
-/// caller to undo); on mismatch, bindings made before the failing column
-/// are already recorded in the returned list.
-fn unify<'a>(
-    args: &'a [DTerm],
-    consts: &[Option<ValueId>],
-    row: &[ValueId],
-    env: &mut HashMap<String, ValueId>,
-) -> (bool, Vec<&'a str>) {
-    let mut bound_here: Vec<&str> = Vec::new();
-    for ((arg, cid), &val) in args.iter().zip(consts).zip(row.iter()) {
-        match arg {
-            DTerm::Const(_) => {
-                if *cid != Some(val) {
-                    return (false, bound_here);
-                }
-            }
-            DTerm::Var(v) => match env.get(v) {
-                Some(&existing) => {
-                    if existing != val {
-                        return (false, bound_here);
-                    }
-                }
-                None => {
-                    env.insert(v.clone(), val);
-                    bound_here.push(v);
-                }
-            },
+impl<'a> RoundState<'a> {
+    fn new(
+        edb: &'a HashMap<String, IdRelation>,
+        idb: &'a IdbI,
+        edb_cache: &'a IndexCache<ValueId>,
+    ) -> Self {
+        RoundState {
+            edb,
+            idb,
+            empty: IdRelation::new(),
+            edb_cache,
+            cache: IndexCache::new(),
         }
     }
-    (true, bound_here)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search(
+impl State<ValueId> for RoundState<'_> {
+    type Table = IdRelation;
+
+    fn rel(&self, name: &str, _phase: Phase) -> &IdRelation {
+        self.idb
+            .get(name)
+            .or_else(|| self.edb.get(name))
+            .unwrap_or(&self.empty)
+    }
+
+    fn cache(&self) -> &IndexCache<ValueId> {
+        &self.cache
+    }
+
+    fn probe(
+        &self,
+        rel: &IdRelation,
+        name: &str,
+        phase: Phase,
+        key: &Key<'_, ValueId>,
+        meter: &Meter<'_>,
+        each: &mut dyn FnMut(&[ValueId]) -> Result<bool, ResourceError>,
+    ) -> Result<(), ResourceError> {
+        let cache = if self.idb.contains_key(name) {
+            &self.cache
+        } else {
+            self.edb_cache
+        };
+        cache.probe(rel, name, phase, key, meter, each)
+    }
+}
+
+/// Fire one rule against `st` (with `pinned` enumerating last round's
+/// delta), inserting the derived head facts into `out`.
+fn derive(
     rule: &Rule,
-    edb: &HashMap<String, IdRelation>,
-    idb: &IdbI,
+    st: &RoundState<'_>,
     pinned: Option<(usize, &IdRelation)>,
-    depth: usize,
-    env: &mut HashMap<String, ValueId>,
-    probes: &mut Vec<Probe>,
     out: &mut IdbI,
-    stats: &mut EvalStats,
     governor: &Governor,
     int: &Interner,
 ) -> Result<(), ProgramError> {
-    stats.joins += 1;
-    governor.tick("datalog.search")?;
-    if depth == rule.body.len() {
-        // all literals satisfied: emit the head fact
-        let row: Option<Vec<ValueId>> = rule
-            .head_args
-            .iter()
-            .map(|t| eval_term(t, env, int))
-            .collect();
-        if let Some(row) = row {
+    let out = out.get_mut(&rule.head).expect("declared IDB");
+    fire::for_each_firing(
+        int,
+        rule,
+        pinned.map(|(lit, rows)| fire::Pin { lit, rows }),
+        &|_| Phase::Old,
+        st,
+        Meter::new(governor, "datalog.search", "datalog.search"),
+        &mut |row| {
             // one id per column; the values behind the ids were admitted
             // to the arena (and charged, where applicable) once
             governor.charge_mem("datalog.derive", 8 * row.len() as u64)?;
-            out.get_mut(&rule.head)
-                .expect("declared IDB")
-                .insert(row.into_boxed_slice());
-        }
-        return Ok(());
-    }
-    let lit = &rule.body[depth];
-    match lit {
-        Literal::Pos(name, args) => {
-            let rel = match pinned {
-                Some((pos, drel)) if pos == depth => drel,
-                _ => match lookup_rel(name, edb, idb) {
-                    Some(r) => r,
-                    None => return Ok(()),
-                },
-            };
-            // Pre-intern constant args so unification inside the scan is
-            // pure id compares.
-            let consts: Vec<Option<ValueId>> = args
-                .iter()
-                .map(|a| match a {
-                    DTerm::Const(c) => Some(int.intern(c)),
-                    DTerm::Var(_) => None,
-                })
-                .collect();
-            // Decide (once per rule evaluation) whether this literal can
-            // probe: the first argument whose value is known here keys a
-            // hash index over the relation. Scratch only — never charged,
-            // like the scans it replaces.
-            if matches!(probes[depth], Probe::Unbuilt) {
-                let col = args.iter().position(|a| match a {
-                    DTerm::Const(_) => true,
-                    DTerm::Var(v) => env.contains_key(v),
-                });
-                probes[depth] = match col {
-                    None => Probe::Scan,
-                    Some(col) => {
-                        let mut groups: HashMap<ValueId, Vec<Box<[ValueId]>>> = HashMap::new();
-                        for row in rel.iter() {
-                            groups
-                                .entry(row[col])
-                                .or_default()
-                                .push(row.to_vec().into_boxed_slice());
-                        }
-                        Probe::Index { col, groups }
-                    }
-                };
-            }
-            let probed: Option<Vec<Box<[ValueId]>>> = match &probes[depth] {
-                Probe::Scan => None,
-                Probe::Index { col, groups } => {
-                    let key = match &args[*col] {
-                        DTerm::Const(_) => consts[*col].expect("interned above"),
-                        DTerm::Var(v) => env[v.as_str()],
-                    };
-                    Some(groups.get(&key).cloned().unwrap_or_default())
-                }
-                Probe::Unbuilt => unreachable!("decided above"),
-            };
-            match probed {
-                Some(rows) => {
-                    for row in &rows {
-                        let (ok, bound_here) = unify(args, &consts, row, env);
-                        let deeper = if ok {
-                            search(
-                                rule,
-                                edb,
-                                idb,
-                                pinned,
-                                depth + 1,
-                                env,
-                                probes,
-                                out,
-                                stats,
-                                governor,
-                                int,
-                            )
-                        } else {
-                            Ok(())
-                        };
-                        for v in bound_here {
-                            env.remove(v);
-                        }
-                        deeper?;
-                    }
-                }
-                None => {
-                    for row in rel.iter() {
-                        let (ok, bound_here) = unify(args, &consts, row, env);
-                        let deeper = if ok {
-                            search(
-                                rule,
-                                edb,
-                                idb,
-                                pinned,
-                                depth + 1,
-                                env,
-                                probes,
-                                out,
-                                stats,
-                                governor,
-                                int,
-                            )
-                        } else {
-                            Ok(())
-                        };
-                        for v in bound_here {
-                            env.remove(v);
-                        }
-                        deeper?;
-                    }
-                }
-            }
-            Ok(())
-        }
-        Literal::Neg(name, args) => {
-            let row: Option<Vec<ValueId>> = args.iter().map(|t| eval_term(t, env, int)).collect();
-            let Some(row) = row else { return Ok(()) };
-            let holds = lookup_rel(name, edb, idb)
-                .map(|r| r.contains(&row))
-                .unwrap_or(false);
-            if !holds {
-                search(
-                    rule,
-                    edb,
-                    idb,
-                    pinned,
-                    depth + 1,
-                    env,
-                    probes,
-                    out,
-                    stats,
-                    governor,
-                    int,
-                )?;
-            }
-            Ok(())
-        }
-        Literal::Eq(a, b) => match (eval_term(a, env, int), eval_term(b, env, int)) {
-            (Some(x), Some(y)) => {
-                if x == y {
-                    search(
-                        rule,
-                        edb,
-                        idb,
-                        pinned,
-                        depth + 1,
-                        env,
-                        probes,
-                        out,
-                        stats,
-                        governor,
-                        int,
-                    )?;
-                }
-                Ok(())
-            }
-            (Some(x), None) => bind_and_continue(
-                rule, edb, idb, pinned, depth, env, probes, out, stats, governor, int, b, x,
-            ),
-            (None, Some(y)) => bind_and_continue(
-                rule, edb, idb, pinned, depth, env, probes, out, stats, governor, int, a, y,
-            ),
-            (None, None) => Ok(()),
+            out.insert(row.into_boxed_slice());
+            Ok(true)
         },
-        Literal::Neq(a, b) => {
-            if let (Some(x), Some(y)) = (eval_term(a, env, int), eval_term(b, env, int)) {
-                if x != y {
-                    search(
-                        rule,
-                        edb,
-                        idb,
-                        pinned,
-                        depth + 1,
-                        env,
-                        probes,
-                        out,
-                        stats,
-                        governor,
-                        int,
-                    )?;
-                }
-            }
-            Ok(())
-        }
-        Literal::In(a, b) => {
-            let Some(set) = eval_term(b, env, int) else {
-                return Ok(());
-            };
-            let Some(elems) = int.set_elems(set).map(<[ValueId]>::to_vec) else {
-                return Ok(());
-            };
-            match eval_term(a, env, int) {
-                Some(x) => {
-                    if int.set_contains(&elems, x) {
-                        search(
-                            rule,
-                            edb,
-                            idb,
-                            pinned,
-                            depth + 1,
-                            env,
-                            probes,
-                            out,
-                            stats,
-                            governor,
-                            int,
-                        )?;
-                    }
-                    Ok(())
-                }
-                None => {
-                    let DTerm::Var(v) = a else { return Ok(()) };
-                    let mut result = Ok(());
-                    for elem in elems {
-                        env.insert(v.clone(), elem);
-                        result = search(
-                            rule,
-                            edb,
-                            idb,
-                            pinned,
-                            depth + 1,
-                            env,
-                            probes,
-                            out,
-                            stats,
-                            governor,
-                            int,
-                        );
-                        if result.is_err() {
-                            break;
-                        }
-                    }
-                    env.remove(v);
-                    result
-                }
-            }
-        }
-        Literal::NotIn(a, b) => {
-            if let (Some(x), Some(set)) = (eval_term(a, env, int), eval_term(b, env, int)) {
-                if let Some(elems) = int.set_elems(set) {
-                    if !int.set_contains(elems, x) {
-                        search(
-                            rule,
-                            edb,
-                            idb,
-                            pinned,
-                            depth + 1,
-                            env,
-                            probes,
-                            out,
-                            stats,
-                            governor,
-                            int,
-                        )?;
-                    }
-                }
-            }
-            Ok(())
-        }
-    }
+    )?;
+    Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
-fn bind_and_continue(
-    rule: &Rule,
-    edb: &HashMap<String, IdRelation>,
-    idb: &IdbI,
-    pinned: Option<(usize, &IdRelation)>,
-    depth: usize,
-    env: &mut HashMap<String, ValueId>,
-    probes: &mut Vec<Probe>,
-    out: &mut IdbI,
-    stats: &mut EvalStats,
-    governor: &Governor,
-    int: &Interner,
-    target: &DTerm,
-    value: ValueId,
-) -> Result<(), ProgramError> {
-    let DTerm::Var(v) = target else { return Ok(()) };
-    env.insert(v.clone(), value);
-    let result = search(
-        rule,
-        edb,
-        idb,
-        pinned,
-        depth + 1,
-        env,
-        probes,
-        out,
-        stats,
-        governor,
-        int,
-    );
-    env.remove(v);
-    result
-}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::DTerm;
     use no_object::{RelationSchema, Schema, Type, Universe, Value};
 
     fn graph(edges: &[(&str, &str)]) -> (Universe, Instance) {
@@ -775,14 +427,13 @@ mod tests {
             .map(|(a, b)| (a.as_str(), b.as_str()))
             .collect();
         let (_u, i) = graph(&edge_refs);
-        let (_, naive) = eval(&tc_program(), &i, Strategy::Naive).unwrap();
-        let (_, semi) = eval(&tc_program(), &i, Strategy::SemiNaive).unwrap();
-        assert!(
-            semi.joins * 2 < naive.joins,
-            "semi {} vs naive {}",
-            semi.joins,
-            naive.joins
-        );
+        let steps = |strategy| {
+            let g = Governor::unlimited();
+            eval_governed(&tc_program(), &i, strategy, &g).unwrap();
+            g.steps_spent()
+        };
+        let (naive, semi) = (steps(Strategy::Naive), steps(Strategy::SemiNaive));
+        assert!(semi * 2 < naive, "semi {semi} vs naive {naive}");
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! The deductive side of the paper's Section 3 correspondence: rules with
 //! negation and membership over complex-object terms ([`program`]),
-//! inflationary naive/semi-naive evaluation ([`mod@eval`]), and translation
-//! into `CALC + IFP` fixpoints ([`translate`]).
+//! inflationary naive/semi-naive evaluation ([`mod@eval`]), the one rule
+//! matcher that evaluation and view maintenance fire rules through
+//! ([`fire`]), and translation into `CALC + IFP` fixpoints
+//! ([`translate`]).
 //!
 //! # Example
 //!
@@ -36,6 +38,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod eval;
+pub mod fire;
 pub mod parser;
 pub mod program;
 pub mod simultaneous;

@@ -2,16 +2,15 @@
 //!
 //! Every kernel consumes and produces *canonical* [`ColumnTable`]s (see
 //! [`crate::table`]), so for one interner the output of an operator is a
-//! unique bit pattern: hash-join, merge-join, and nested-loop produce the
-//! **identical** table for the same inputs, regardless of thread count or
-//! hash-map iteration order — the property the differential fuzzer
-//! asserts with `==`.
+//! unique bit pattern: hash join and nested loop produce the **identical**
+//! table for the same inputs, regardless of thread count or hash-map
+//! iteration order — the property the differential fuzzer asserts with
+//! `==`.
 //!
-//! The join kernels all reduce to the same two steps: enumerate the set of
-//! matching `(left row, right row)` index pairs — by exhaustive pairing
-//! (nested loop), by probing a key index built on one side (hash), or by
-//! merging both sides' sorted permutations (merge) — then sort the pairs
-//! and materialize them column-wise. Since each input is sorted and
+//! The join kernels both reduce to the same two steps: enumerate the set
+//! of matching `(left row, right row)` index pairs — by exhaustive pairing
+//! (nested loop) or by probing a key index built on one side (hash) —
+//! then sort the pairs and materialize them column-wise. Since each input is sorted and
 //! duplicate-free, pair order `(i, j)` *is* raw-id lexicographic row
 //! order, so the materialized table is canonical by construction.
 //!
@@ -40,9 +39,6 @@ pub enum JoinAlgo {
         /// Build on the left input (probe with the right) when true.
         build_left: bool,
     },
-    /// Sort both sides by key and merge aligned groups; right for
-    /// duplicate-heavy keys where hash buckets degenerate.
-    Merge,
 }
 
 impl JoinAlgo {
@@ -54,7 +50,6 @@ impl JoinAlgo {
                 "HashJoin(build={})",
                 if *build_left { "left" } else { "right" }
             ),
-            JoinAlgo::Merge => "MergeJoin".to_string(),
         }
     }
 }
@@ -244,7 +239,6 @@ pub fn join(
     let mut pairs = match algo {
         JoinAlgo::NestedLoop => nested_loop_pairs(l, r, keys, gov)?,
         JoinAlgo::Hash { build_left } => hash_pairs(l, r, keys, build_left, gov, pool)?,
-        JoinAlgo::Merge => merge_pairs(l, r, keys, gov)?,
     };
     pairs.sort_unstable();
     materialize_pairs(l, r, &pairs, gov)
@@ -329,67 +323,6 @@ fn hash_pairs(
         vec![probe_chunk(0..probe.len())?]
     };
     Ok(chunked.concat())
-}
-
-fn merge_pairs(
-    l: &ColumnTable,
-    r: &ColumnTable,
-    keys: &[(usize, usize)],
-    gov: &Governor,
-) -> Result<Vec<(u32, u32)>, ResourceError> {
-    let lkeys: Vec<usize> = keys.iter().map(|&(lc, _)| lc).collect();
-    let rkeys: Vec<usize> = keys.iter().map(|&(_, rc)| rc).collect();
-    let mut m = BlockMeter::new(gov, "exec.join");
-    // Sorting both sides by key is the merge join's index build.
-    m.work(l.len() as u64 + r.len() as u64)?;
-    let lp = l.sort_perm(&lkeys);
-    let rp = r.sort_perm(&rkeys);
-
-    let cmp_cross = |li: u32, rj: u32| -> Ordering {
-        for &(lc, rc) in keys {
-            let ord = l.col(lc)[li as usize]
-                .index()
-                .cmp(&r.col(rc)[rj as usize].index());
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
-    };
-
-    let mut pairs = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lp.len() && j < rp.len() {
-        m.work(1)?;
-        match cmp_cross(lp[i], rp[j]) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                // Aligned key groups: cross every l row of the group with
-                // every r row of the group.
-                let i_end = (i..lp.len())
-                    .take_while(|&x| l.cmp_keys(&lkeys, lp[i] as usize, lp[x] as usize).is_eq())
-                    .last()
-                    .unwrap()
-                    + 1;
-                let j_end = (j..rp.len())
-                    .take_while(|&x| r.cmp_keys(&rkeys, rp[j] as usize, rp[x] as usize).is_eq())
-                    .last()
-                    .unwrap()
-                    + 1;
-                for &li in &lp[i..i_end] {
-                    for &rj in &rp[j..j_end] {
-                        m.work(1)?;
-                        pairs.push((li, rj));
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    m.finish()?;
-    Ok(pairs)
 }
 
 /// Materialize sorted `(left, right)` index pairs column-wise. Because

@@ -3,14 +3,14 @@
 //! The physical execution layer the planner (`crates/plan`) lowers to
 //! when a query falls in the *flat conjunctive* fragment: column-major
 //! relation storage over interned ids ([`ColumnTable`]), secondary hash
-//! and sorted indexes, and real join algorithms — hash join, merge join,
-//! nested loop — chosen per join from collected statistics instead of
-//! always binding to the tree-walk kernels.
+//! indexes, and real join algorithms — hash join and nested loop — chosen
+//! per join from collected statistics instead of always binding to the
+//! tree-walk kernels.
 //!
 //! Design invariants (see DESIGN.md §14):
 //!
 //! * **Canonical tables.** Every kernel consumes and produces tables in
-//!   raw-id-sorted duplicate-free row order, so all three join
+//!   raw-id-sorted duplicate-free row order, so both join
 //!   algorithms produce bit-identical outputs and results are
 //!   independent of thread count — the property `tests/exec_differential.rs`
 //!   fuzzes.
@@ -25,10 +25,6 @@
 //!   flush per [`meter::BLOCK`] steps ([`meter::BlockMeter`]): same
 //!   totals as per-row charging, trip granularity coarsened by at most
 //!   one block.
-//!
-//! The Datalog engine uses the row-major sibling [`IndexedRel`] for
-//! semi-naive delta joins: the delta side probes per-column hash indexes
-//! on bound positions instead of scanning.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -44,4 +40,4 @@ pub use kernels::JoinAlgo;
 pub use plan::{execute, ExecId, ExecOp, ExecPlan};
 pub use pred::RowPred;
 pub use resident::Resident;
-pub use table::{ColumnTable, IndexedRel};
+pub use table::ColumnTable;

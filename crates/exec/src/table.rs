@@ -8,7 +8,7 @@
 //! tables over the same interner are bit-for-bit equal iff they denote the
 //! same relation. Every kernel in [`crate::kernels`] both consumes and
 //! produces canonical tables, which is what lets the differential fuzzer
-//! compare hash/merge/nested-loop outputs with plain `==` and makes
+//! compare hash and nested-loop outputs with plain `==` and makes
 //! results independent of thread count and hash-map iteration order.
 //!
 //! Note raw-id order is an *internal* device (admission order, not the
@@ -16,13 +16,9 @@
 //! into results, which are resolved back to value-level [`Relation`]s at
 //! the plan boundary.
 //!
-//! [`IndexedRel`] is the row-major sibling used by the Datalog engine: an
-//! append-only relation with per-column hash indexes so semi-naive delta
-//! joins probe bound positions instead of scanning.
-//!
 //! [`Relation`]: no_object::Relation
 
-use no_object::{IdRelation, ValueId};
+use no_object::ValueId;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -147,28 +143,6 @@ impl ColumnTable {
         t
     }
 
-    /// Build from an [`IdRelation`] (already duplicate-free; still sorted
-    /// here to reach the canonical order).
-    pub fn from_id_relation(arity: usize, rel: &IdRelation) -> Self {
-        ColumnTable::from_rows(arity, rel.iter())
-    }
-
-    /// Convert back to a set-of-rows relation.
-    pub fn to_id_relation(&self) -> IdRelation {
-        (0..self.len)
-            .map(|i| self.row(i).into_boxed_slice())
-            .collect()
-    }
-
-    /// Secondary hash index over one column: id → ascending row indices.
-    pub fn hash_index(&self, c: usize) -> HashMap<ValueId, Vec<u32>> {
-        let mut idx: HashMap<ValueId, Vec<u32>> = HashMap::new();
-        for (i, id) in self.cols[c].iter().enumerate() {
-            idx.entry(*id).or_default().push(i as u32);
-        }
-        idx
-    }
-
     /// Secondary hash index over a column combination: key ids → ascending
     /// row indices. This is the build side of a hash join.
     pub fn key_index(&self, key_cols: &[usize]) -> HashMap<Box<[ValueId]>, Vec<u32>> {
@@ -184,122 +158,6 @@ impl ColumnTable {
     /// The key of row `i` restricted to `key_cols`.
     pub fn key_at(&self, key_cols: &[usize], i: usize) -> Box<[ValueId]> {
         key_cols.iter().map(|&c| self.cols[c][i]).collect()
-    }
-
-    /// Sorted secondary index: row indices ordered by the raw ids of
-    /// `key_cols` (ties broken by row position, keeping the permutation
-    /// deterministic). This is one side of a merge join.
-    pub fn sort_perm(&self, key_cols: &[usize]) -> Vec<u32> {
-        let mut perm: Vec<u32> = (0..self.len as u32).collect();
-        perm.sort_unstable_by(|&a, &b| {
-            for &c in key_cols {
-                let ord = self.cols[c][a as usize]
-                    .index()
-                    .cmp(&self.cols[c][b as usize].index());
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(&b)
-        });
-        perm
-    }
-
-    /// Compare the `key_cols` of rows `i` and `j` by raw id.
-    pub fn cmp_keys(&self, key_cols: &[usize], i: usize, j: usize) -> Ordering {
-        for &c in key_cols {
-            match self.cols[c][i].index().cmp(&self.cols[c][j].index()) {
-                Ordering::Equal => continue,
-                non_eq => return non_eq,
-            }
-        }
-        Ordering::Equal
-    }
-
-    /// Number of distinct ids in column `c` (exact, O(n) expected).
-    pub fn distinct(&self, c: usize) -> usize {
-        let mut seen: std::collections::HashSet<ValueId> =
-            std::collections::HashSet::with_capacity(self.cols[c].len());
-        seen.extend(self.cols[c].iter().copied());
-        seen.len()
-    }
-}
-
-/// A row-major relation with per-column hash indexes, append-only: the
-/// Datalog engine's working representation. `insert_new` keeps the set,
-/// the row vector, and every column index in lockstep, so the semi-naive
-/// delta join can probe a bound position (`probe`) instead of scanning
-/// while `contains` stays O(arity).
-#[derive(Clone, Debug, Default)]
-pub struct IndexedRel {
-    rows: Vec<Box<[ValueId]>>,
-    set: std::collections::HashSet<Box<[ValueId]>>,
-    cols: Vec<HashMap<ValueId, Vec<u32>>>,
-}
-
-impl IndexedRel {
-    /// An empty relation of the given arity.
-    pub fn new(arity: usize) -> Self {
-        IndexedRel {
-            rows: Vec::new(),
-            set: std::collections::HashSet::new(),
-            cols: vec![HashMap::new(); arity],
-        }
-    }
-
-    /// Index every row of an [`IdRelation`].
-    pub fn from_id_relation(arity: usize, rel: &IdRelation) -> Self {
-        let mut r = IndexedRel::new(arity);
-        for row in rel.iter() {
-            r.insert_new(row.to_vec().into_boxed_slice());
-        }
-        r
-    }
-
-    /// Insert a row, updating all column indexes; returns whether it was
-    /// new.
-    pub fn insert_new(&mut self, row: Box<[ValueId]>) -> bool {
-        debug_assert_eq!(row.len(), self.cols.len());
-        if !self.set.insert(row.clone()) {
-            return false;
-        }
-        let i = self.rows.len() as u32;
-        for (c, id) in row.iter().enumerate() {
-            self.cols[c].entry(*id).or_default().push(i);
-        }
-        self.rows.push(row);
-        true
-    }
-
-    /// Row indices whose column `c` holds exactly `id` (ascending; empty
-    /// slice when absent).
-    pub fn probe(&self, c: usize, id: ValueId) -> &[u32] {
-        self.cols[c].get(&id).map_or(&[], Vec::as_slice)
-    }
-
-    /// All rows, in insertion order.
-    pub fn rows(&self) -> &[Box<[ValueId]>] {
-        &self.rows
-    }
-
-    /// Row `i`.
-    pub fn row(&self, i: u32) -> &[ValueId] {
-        &self.rows[i as usize]
-    }
-
-    /// Membership test: O(arity).
-    pub fn contains(&self, row: &[ValueId]) -> bool {
-        self.set.contains(row)
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True iff there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 
@@ -336,37 +194,6 @@ mod tests {
         rev.reverse();
         let t2 = ColumnTable::from_rows(2, rev.iter().map(Vec::as_slice));
         assert_eq!(t, t2);
-    }
-
-    #[test]
-    fn indexes_agree_with_scan() {
-        let int = Interner::new();
-        let v = ids(&int, &["a", "b", "c", "d"]);
-        let rows: Vec<Vec<ValueId>> = (0..4)
-            .flat_map(|i| (0..4).map(move |j| (i, j)))
-            .map(|(i, j)| vec![v[i], v[j]])
-            .collect();
-        let t = ColumnTable::from_rows(2, rows.iter().map(Vec::as_slice));
-        let idx = t.hash_index(0);
-        for (id, rows_with) in &idx {
-            for &i in rows_with {
-                assert_eq!(t.col(0)[i as usize], *id);
-            }
-        }
-        let total: usize = idx.values().map(Vec::len).sum();
-        assert_eq!(total, t.len());
-        assert_eq!(t.distinct(0), 4);
-        assert_eq!(t.distinct(1), 4);
-
-        let mut ir = IndexedRel::new(2);
-        for r in &rows {
-            ir.insert_new(r.clone().into_boxed_slice());
-        }
-        assert_eq!(ir.len(), 16);
-        for r in &rows {
-            assert!(ir.contains(r));
-            assert!(ir.probe(0, r[0]).iter().any(|&i| ir.row(i) == &r[..]));
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::delta::{BaseDelta, ViewDelta};
 use crate::error::IvmError;
-use crate::fire::{derives, for_each_firing, IndexCache, Phase, Pin, StateFetch};
+use no_datalog::fire::{self, IndexCache, Key, Meter, Phase, Pin, State, Table, Values};
 use no_datalog::{parse_program, Literal, Program, Rule};
 use no_object::{Governor, Instance, Relation, ResourceError, Universe, Value};
 use no_plan::{plan_maintenance, MaintenancePlan, MaintenanceStrategy, StratumPlan};
@@ -131,7 +131,7 @@ struct MaintCtx<'a> {
     /// Same-stratum working state as a diff against `view_old`:
     /// `name → (removed, added)`, both disjoint from each other.
     overlay: BTreeMap<String, (Relation, Relation)>,
-    cache: IndexCache,
+    cache: IndexCache<Value>,
 }
 
 impl MaintCtx<'_> {
@@ -169,7 +169,9 @@ impl MaintCtx<'_> {
     }
 }
 
-impl StateFetch for MaintCtx<'_> {
+impl State<Value> for MaintCtx<'_> {
+    type Table = Relation;
+
     fn rel(&self, name: &str, phase: Phase) -> &Relation {
         if self.stratum_rels.contains(name) {
             // the frozen snapshot; working-state reads go through
@@ -199,38 +201,32 @@ impl StateFetch for MaintCtx<'_> {
         }
     }
 
+    fn cache(&self) -> &IndexCache<Value> {
+        &self.cache
+    }
+
     fn probe(
         &self,
+        rel: &Relation,
         name: &str,
         phase: Phase,
-        positions: &[usize],
-        key: &[Value],
-        gov: &Governor,
-        each: &mut dyn FnMut(&Vec<Value>) -> Result<bool, ResourceError>,
+        key: &Key<'_, Value>,
+        meter: &Meter<'_>,
+        each: &mut dyn FnMut(&[Value]) -> Result<bool, ResourceError>,
     ) -> Result<(), ResourceError> {
         if !self.stratum_rels.contains(name) {
-            return self.cache.probe(
-                self.rel(name, phase),
-                name,
-                phase,
-                positions,
-                key,
-                gov,
-                each,
-            );
+            return self.cache.probe(rel, name, phase, key, meter, each);
         }
         // same-stratum: probe the frozen snapshot (indexable once for
         // the whole call, any phase) and layer the overlay on top —
         // skip removed rows, then walk the small added set
         let old = &self.view_old[name];
         let Some((removed, added)) = self.overlay.get(name) else {
-            return self
-                .cache
-                .probe(old, name, Phase::Old, positions, key, gov, each);
+            return self.cache.probe(old, name, Phase::Old, key, meter, each);
         };
         let mut stopped = false;
         self.cache
-            .probe(old, name, Phase::Old, positions, key, gov, &mut |row| {
+            .probe(old, name, Phase::Old, key, meter, &mut |row| {
                 if removed.contains(row) {
                     return Ok(true);
                 }
@@ -241,9 +237,9 @@ impl StateFetch for MaintCtx<'_> {
                 Ok(keep)
             })?;
         if !stopped {
-            for row in added.iter() {
-                if positions.iter().zip(key).all(|(&p, v)| &row[p] == v) {
-                    gov.tick("ivm.fire")?;
+            for row in added.rows() {
+                if key.matches(row) {
+                    meter.fire()?;
                     if !each(row)? {
                         break;
                     }
@@ -261,35 +257,39 @@ impl StateFetch for MaintCtx<'_> {
 struct InitCtx<'a> {
     instance: &'a Instance,
     state: &'a BTreeMap<String, Relation>,
-    cache: IndexCache,
+    cache: IndexCache<Value>,
 }
 
-impl StateFetch for InitCtx<'_> {
+impl State<Value> for InitCtx<'_> {
+    type Table = Relation;
+
     fn rel(&self, name: &str, _phase: Phase) -> &Relation {
         self.state
             .get(name)
             .unwrap_or_else(|| self.instance.relation(name))
     }
 
-    fn probe(
-        &self,
-        name: &str,
-        phase: Phase,
-        positions: &[usize],
-        key: &[Value],
-        gov: &Governor,
-        each: &mut dyn FnMut(&Vec<Value>) -> Result<bool, ResourceError>,
-    ) -> Result<(), ResourceError> {
-        self.cache.probe(
-            self.rel(name, phase),
-            name,
-            Phase::Old,
-            positions,
-            key,
-            gov,
-            each,
-        )
+    fn cache(&self) -> &IndexCache<Value> {
+        &self.cache
     }
+}
+
+/// Maintenance's sites: enumeration at `ivm.fire`, index builds at
+/// `ivm.index`.
+fn meter(gov: &Governor) -> Meter<'_> {
+    Meter::new(gov, "ivm.fire", "ivm.index")
+}
+
+/// [`fire::for_each_firing`] over value cells at maintenance's sites.
+fn for_each_firing<S: State<Value, Table = Relation>>(
+    rule: &Rule,
+    pin: Option<Pin<'_, Relation>>,
+    phase_of: &dyn Fn(usize) -> Phase,
+    st: &S,
+    gov: &Governor,
+    sink: &mut dyn FnMut(Vec<Value>) -> Result<bool, ResourceError>,
+) -> Result<(), ResourceError> {
+    fire::for_each_firing(&Values, rule, pin, phase_of, st, meter(gov), sink)
 }
 
 /// External (non-same-stratum) add/del rows visible to a stratum.
@@ -612,7 +612,7 @@ fn full_eval(
                                 let entry = next.entry(head.clone()).or_default();
                                 for_each_firing(
                                     rule,
-                                    Some(&pin),
+                                    Some(pin),
                                     &|_| Phase::Old,
                                     &ctx,
                                     gov,
@@ -827,7 +827,7 @@ fn counting_changes(
                 }
                 let pin = Pin { lit: idx, rows };
                 let entry = signed.entry(rule.head.clone()).or_default();
-                for_each_firing(rule, Some(&pin), &phase_of, ctx, gov, &mut |row| {
+                for_each_firing(rule, Some(pin), &phase_of, ctx, gov, &mut |row| {
                     *entry.entry(row).or_insert(0) += sign;
                     Ok(true)
                 })?;
@@ -881,7 +881,7 @@ fn maintain_dred(
             let head = rule.head.clone();
             let alive = &view_old[&head];
             let entry = frontier.get_mut(&head).expect("stratum head");
-            for_each_firing(rule, Some(&pin), &|_| Phase::Old, ctx, gov, &mut |row| {
+            for_each_firing(rule, Some(pin), &|_| Phase::Old, ctx, gov, &mut |row| {
                 if alive.contains(&row) {
                     entry.insert(row);
                 }
@@ -927,7 +927,7 @@ fn maintain_dred(
                 let alive = &view_old[&head];
                 let already = &overdeleted[&head];
                 let entry = next.entry(head.clone()).or_default();
-                for_each_firing(rule, Some(&pin), &|_| Phase::Old, ctx, gov, &mut |row| {
+                for_each_firing(rule, Some(pin), &|_| Phase::Old, ctx, gov, &mut |row| {
                     if alive.contains(&row) && !already.contains(&row) {
                         entry.insert(row);
                     }
@@ -965,7 +965,7 @@ fn maintain_dred(
                     continue;
                 }
                 for rule in rules.iter().filter(|r| &r.head == name) {
-                    if derives(rule, fact, &|_| Phase::Mid, ctx, gov)? {
+                    if fire::derives(&Values, rule, fact, &|_| Phase::Mid, ctx, meter(gov))? {
                         found.push((name.clone(), fact.clone()));
                         break;
                     }
@@ -1010,20 +1010,13 @@ fn maintain_dred(
             let arity = rule.head_args.len() as u64;
             let ctx_ref: &MaintCtx<'_> = ctx;
             let entry = frontier.entry(head.clone()).or_default();
-            for_each_firing(
-                rule,
-                Some(&pin),
-                &|_| Phase::New,
-                ctx_ref,
-                gov,
-                &mut |row| {
-                    if !ctx_ref.stratum_contains(&head, &row) {
-                        gov.charge_mem("ivm.derive", 8 * arity)?;
-                        entry.insert(row);
-                    }
-                    Ok(true)
-                },
-            )?;
+            for_each_firing(rule, Some(pin), &|_| Phase::New, ctx_ref, gov, &mut |row| {
+                if !ctx_ref.stratum_contains(&head, &row) {
+                    gov.charge_mem("ivm.derive", 8 * arity)?;
+                    entry.insert(row);
+                }
+                Ok(true)
+            })?;
         }
     }
     let mut round: u64 = 0;
@@ -1069,20 +1062,13 @@ fn maintain_dred(
                 let arity = rule.head_args.len() as u64;
                 let ctx_ref: &MaintCtx<'_> = ctx;
                 let entry = next.entry(head.clone()).or_default();
-                for_each_firing(
-                    rule,
-                    Some(&pin),
-                    &|_| Phase::New,
-                    ctx_ref,
-                    gov,
-                    &mut |row| {
-                        if !ctx_ref.stratum_contains(&head, &row) {
-                            gov.charge_mem("ivm.derive", 8 * arity)?;
-                            entry.insert(row);
-                        }
-                        Ok(true)
-                    },
-                )?;
+                for_each_firing(rule, Some(pin), &|_| Phase::New, ctx_ref, gov, &mut |row| {
+                    if !ctx_ref.stratum_contains(&head, &row) {
+                        gov.charge_mem("ivm.derive", 8 * arity)?;
+                        entry.insert(row);
+                    }
+                    Ok(true)
+                })?;
             }
         }
         frontier = next;

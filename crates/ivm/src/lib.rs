@@ -24,7 +24,10 @@
 //!   the storage layer's views envelope and replays from the WAL tail
 //!   on open.
 //!
-//! Maintenance is governor-metered at `"ivm.fire"` (per candidate row),
+//! Rules fire through the one rule matcher, `no_datalog::fire`, over
+//! value cells — the same code the round engine fires rules through over
+//! interned ids. Maintenance is governor-metered at `"ivm.fire"` (the
+//! matcher's enumeration steps), `"ivm.index"` (its probe-index builds),
 //! `"ivm.round"` (per fixpoint round) and `"ivm.derive"` (memory per
 //! stored fact), with per-view step accounting in [`ViewStats`].
 
@@ -35,7 +38,6 @@ pub mod checkpoint;
 pub mod delta;
 pub mod engine;
 pub mod error;
-pub mod fire;
 
 pub use checkpoint::{decode_registry, encode_registry};
 pub use delta::{BaseDelta, ViewDelta};

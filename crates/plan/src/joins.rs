@@ -32,11 +32,6 @@ use no_object::{Schema, Type};
 /// index build cost would dominate.
 const SMALL_INPUT: u64 = 16;
 
-/// Build sides whose key distinct/row ratio is below this are
-/// duplicate-heavy: hash buckets degenerate toward O(n·m) chains, so a
-/// merge join (sorted runs handle duplicate groups natively) is chosen.
-const DUP_RATIO: f64 = 0.125;
-
 /// Result of lowering to the columnar kernels: the executable arena, the
 /// matching logical plan for `:explain`, and header notes.
 pub struct ExecLowering {
@@ -54,44 +49,29 @@ struct Side {
     nid: NodeId,
     /// Canonical variable → 0-based output column (first occurrence).
     vars: Vec<(String, usize)>,
-    /// Per column: the base `(relation, column)` it descends from, when
-    /// it does so unchanged (for distinct-count lookups).
-    meta: Vec<Option<(String, usize)>>,
     arity: usize,
     est: Option<u64>,
 }
 
-/// Pick the physical join algorithm from estimated input sizes and
-/// build-side key duplication. The decision table (DESIGN.md §14):
+/// Pick the physical join algorithm from estimated input sizes. The
+/// decision table (DESIGN.md §14):
 ///
 /// 1. unknown estimates → hash join, build left (safe default);
 /// 2. either input ≤ [`SMALL_INPUT`] rows → nested loop;
-/// 3. build side (the smaller input) duplicate-heavy on its key
-///    (distinct/rows < [`DUP_RATIO`]) → merge join;
-/// 4. otherwise → hash join, building the smaller side.
+/// 3. otherwise → hash join, building the smaller side.
 ///
 /// Pure in its inputs: for a fixed stats snapshot the choice is
 /// deterministic (property-tested in `tests/exec_differential.rs`).
-pub fn choose_join(
-    l_est: Option<u64>,
-    r_est: Option<u64>,
-    l_key: Option<(u64, u64)>,
-    r_key: Option<(u64, u64)>,
-) -> JoinAlgo {
+pub fn choose_join(l_est: Option<u64>, r_est: Option<u64>) -> JoinAlgo {
     let (Some(le), Some(re)) = (l_est, r_est) else {
         return JoinAlgo::Hash { build_left: true };
     };
     if le.min(re) <= SMALL_INPUT {
         return JoinAlgo::NestedLoop;
     }
-    let build_left = le <= re;
-    let build_key = if build_left { l_key } else { r_key };
-    if let Some((rows, distinct)) = build_key {
-        if rows > 0 && (distinct as f64) / (rows as f64) < DUP_RATIO {
-            return JoinAlgo::Merge;
-        }
+    JoinAlgo::Hash {
+        build_left: le <= re,
     }
-    JoinAlgo::Hash { build_left }
 }
 
 /// Render a join's key list for plan annotations, 1-based.
@@ -100,20 +80,6 @@ fn keys_desc(keys: &[(usize, usize)]) -> String {
         .map(|&(l, r)| format!("l#{}=r#{}", l + 1, r + 1))
         .collect::<Vec<_>>()
         .join(", ")
-}
-
-/// `(base rows, max key-column distinct)` of a side's key columns, when
-/// every key column descends from a base relation with detailed stats.
-fn key_info(side: &Side, key_cols: &[usize], stats: Option<&Stats>) -> Option<(u64, u64)> {
-    let stats = stats?;
-    let mut rows = 0u64;
-    let mut distinct = 0u64;
-    for &c in key_cols {
-        let (rel, base_col) = side.meta[c].as_ref()?;
-        rows = rows.max(stats.rows(rel)?);
-        distinct = distinct.max(stats.distinct(rel, *base_col)?);
-    }
-    Some((rows, distinct))
 }
 
 /// Divide an estimate by a selectivity divisor, staying ≥ 1.
@@ -302,14 +268,7 @@ fn lower_conjunctive_into(
             notes.push(format!("join {join_no}: cartesian product"));
             combine_sides(cur, nxt, eid, nid, est)
         } else {
-            let lk: Vec<usize> = keys.iter().map(|&(l, _)| l).collect();
-            let rk: Vec<usize> = keys.iter().map(|&(_, r)| r).collect();
-            let algo = choose_join(
-                cur.est,
-                nxt.est,
-                key_info(&cur, &lk, stats),
-                key_info(&nxt, &rk, stats),
-            );
+            let algo = choose_join(cur.est, nxt.est);
             let eid = exec.push(ExecOp::Join {
                 left: cur.eid,
                 right: nxt.eid,
@@ -371,13 +330,10 @@ fn combine_sides(cur: Side, nxt: Side, eid: ExecId, nid: NodeId, est: Option<u64
             vars.push((v, cur.arity + c));
         }
     }
-    let mut meta = cur.meta;
-    meta.extend(nxt.meta);
     Side {
         eid,
         nid,
         vars,
-        meta,
         arity: cur.arity + nxt.arity,
         est,
     }
@@ -447,9 +403,6 @@ fn prepare_atom(
         eid,
         nid,
         vars,
-        meta: (0..args.len())
-            .map(|c| Some((rel.to_string(), c)))
-            .collect(),
         arity: args.len(),
         est,
     }
@@ -494,7 +447,6 @@ fn go(
                 eid,
                 nid,
                 vars: Vec::new(),
-                meta: (0..arity).map(|c| Some((name.clone(), c))).collect(),
                 arity,
                 est,
             })
@@ -516,7 +468,6 @@ fn go(
                 eid,
                 nid,
                 vars: Vec::new(),
-                meta: vec![None; types.len()],
                 arity: types.len(),
                 est: Some(rows.len() as u64),
             })
@@ -553,7 +504,6 @@ fn go(
                 eid,
                 nid,
                 vars: Vec::new(),
-                meta: cols0.iter().map(|&c| side.meta[c].clone()).collect(),
                 arity: cols0.len(),
                 est: side.est,
             })
@@ -604,12 +554,6 @@ fn go(
                 eid,
                 nid,
                 vars: Vec::new(),
-                meta: l
-                    .meta
-                    .iter()
-                    .zip(&r.meta)
-                    .map(|(a, b)| if a == b { a.clone() } else { None })
-                    .collect(),
                 arity: l.arity,
                 est,
             })
@@ -688,14 +632,7 @@ fn lower_join_pattern(
         });
     }
 
-    let lk: Vec<usize> = keys.iter().map(|&(x, _)| x).collect();
-    let rk: Vec<usize> = keys.iter().map(|&(_, y)| y).collect();
-    let algo = choose_join(
-        l.est,
-        r.est,
-        key_info(&l, &lk, stats),
-        key_info(&r, &rk, stats),
-    );
+    let algo = choose_join(l.est, r.est);
     let eid = exec.push(ExecOp::Join {
         left: l.eid,
         right: r.eid,
@@ -745,26 +682,18 @@ mod tests {
     fn decision_table_is_deterministic_and_tiered() {
         // unknown stats → hash, build left
         assert_eq!(
-            choose_join(None, Some(100), None, None),
+            choose_join(None, Some(100)),
             JoinAlgo::Hash { build_left: true }
         );
         // tiny side → nested loop
-        assert_eq!(
-            choose_join(Some(3), Some(1000), None, None),
-            JoinAlgo::NestedLoop
-        );
-        // duplicate-heavy build side → merge
-        assert_eq!(
-            choose_join(Some(100), Some(1000), Some((100, 2)), None),
-            JoinAlgo::Merge
-        );
+        assert_eq!(choose_join(Some(3), Some(1000)), JoinAlgo::NestedLoop);
         // otherwise hash, building the smaller side
         assert_eq!(
-            choose_join(Some(100), Some(1000), Some((100, 90)), Some((1000, 900))),
+            choose_join(Some(100), Some(1000)),
             JoinAlgo::Hash { build_left: true }
         );
         assert_eq!(
-            choose_join(Some(1000), Some(100), Some((1000, 900)), Some((100, 90))),
+            choose_join(Some(1000), Some(100)),
             JoinAlgo::Hash { build_left: false }
         );
     }

@@ -9,7 +9,7 @@
 //! - [`tm`]: Turing machines and the relational simulation of Theorem 4.1
 //! - [`datalog`]: inflationary Datalog over complex objects
 //! - [`density`]: instance families and density/sparsity analysis
-//! - [`exec`]: columnar execution kernels — hash/merge/nested-loop joins
+//! - [`exec`]: columnar execution kernels — hash and nested-loop joins
 //!   over per-column id vectors, picked per join by the planner
 //! - [`analysis`]: static analyzer — diagnostics and complexity certificates
 //! - [`plan`]: the logical/physical query-plan IR, optimizer passes, plan

@@ -37,11 +37,10 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 
 /// Every physical join algorithm under test.
-const ALGOS: [JoinAlgo; 4] = [
+const ALGOS: [JoinAlgo; 3] = [
     JoinAlgo::NestedLoop,
     JoinAlgo::Hash { build_left: true },
     JoinAlgo::Hash { build_left: false },
-    JoinAlgo::Merge,
 ];
 
 /// Parallelism levels the equivalence must hold at.
@@ -417,7 +416,7 @@ fn cancellation_stops_execution_immediately() {
 }
 
 /// The planner's per-join algorithm choice lands in `:explain` output —
-/// a big skewed build side yields a merge join, a tiny input a nested
+/// a big skewed build side yields a hash join, a tiny input a nested
 /// loop — and disabling the pass removes the columnar lowering entirely.
 #[test]
 fn explain_records_algorithm_choices() {
@@ -454,10 +453,11 @@ fn explain_records_algorithm_choices() {
         legacy.render_text()
     );
 
-    // A duplicate-heavy build-side key (10 distinct values over 120 rows,
-    // well under the 1/8 ratio) steers the planner to a merge join. The
-    // build side is the left atom G(x, z), whose key is column 2 — so the
-    // duplicates go in the edges' second component.
+    // A duplicate-heavy build-side key (10 distinct values over 120 rows)
+    // still takes a hash join: a hash bucket is a row list, so it
+    // enumerates the same matching pairs a merge would, without two
+    // sorts. The build side is the left atom G(x, z), whose key is
+    // column 2 — so the duplicates go in the edges' second component.
     let edges: Vec<(usize, usize)> = (0..120).map(|i| (i, i % 10)).collect();
     let (_u, _o, skewed) = graph_instance(120, &edges);
     let planned = Planner::new(skewed.schema())
@@ -465,5 +465,5 @@ fn explain_records_algorithm_choices() {
         .plan_calc(&q, CalcMode::Safe)
         .unwrap();
     let text = planned.render_text();
-    assert!(text.contains("MergeJoin"), "{text}");
+    assert!(text.contains("HashJoin"), "{text}");
 }

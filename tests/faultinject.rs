@@ -290,7 +290,6 @@ fn exec_kernels_degrade_gracefully() {
         JoinAlgo::NestedLoop,
         JoinAlgo::Hash { build_left: true },
         JoinAlgo::Hash { build_left: false },
-        JoinAlgo::Merge,
     ] {
         let mut p = ExecPlan::new();
         let l = p.push(ExecOp::Scan { rel: "G".into() });

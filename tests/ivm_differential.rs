@@ -308,6 +308,98 @@ fn one_edge_maintenance_stays_local() {
     assert_view_matches(&reg, "tc", &oracle, "after delete + re-insert");
 }
 
+/// Steps do not depend on hash order: ten `materialize` calls of the
+/// locality fixture, each on an instance (and so on hash sets) built
+/// anew, spend one step count.
+#[test]
+fn materialize_steps_do_not_depend_on_hash_order() {
+    const CHAINS: usize = 60;
+    const CHAIN_LEN: usize = 30;
+    let names: Vec<String> = (0..CHAINS * CHAIN_LEN).map(|i| format!("n{i}")).collect();
+    let u = Universe::with_names(names.iter().map(String::as_str));
+    let at = |k: usize| Value::Atom(u.get(&format!("n{k}")).unwrap());
+    let steps: Vec<u64> = (0..10)
+        .map(|_| {
+            let mut universe = u.clone();
+            let mut instance = Instance::empty(graph_schema());
+            for c in 0..CHAINS {
+                for k in 0..CHAIN_LEN - 1 {
+                    let n = c * CHAIN_LEN + k;
+                    instance.insert("G", vec![at(n), at(n + 1)]);
+                }
+            }
+            let mut reg = ViewRegistry::new();
+            reg.materialize(
+                "tc",
+                TC_SRC,
+                &mut universe,
+                &instance,
+                &Governor::unlimited(),
+            )
+            .expect("materialize");
+            reg.get("tc").unwrap().stats().steps_last
+        })
+        .collect();
+    assert!(steps.iter().all(|&s| s == steps[0]), "{steps:?}");
+}
+
+/// `eval` and `materialize` fire rules through one matcher, so they agree
+/// on membership over a non-set: `x in t` and `x notin t` hold only when
+/// `t` is a set. On a store holding only `G('a', 'b')`, each program
+/// derives the same rows — none — under every inflationary and
+/// stratified strategy and when materialized.
+///
+/// `strategy: simultaneous` is left out on purpose: it translates the
+/// program to one CALC fixpoint and answers with the CALC oracle's typed
+/// reading, the shape error "∈ right-hand side evaluated to non-set".
+#[test]
+fn eval_and_materialize_agree_on_membership_over_a_non_set() {
+    use nestdb::proto::{Lang, Strategy as Wire};
+    let session = Session::default();
+    for text in ["schema G(U, U).", "G('a', 'b')."] {
+        let r = session.run(&Request {
+            op: Op::Insert,
+            text: text.into(),
+            ..Request::default()
+        });
+        assert!(r.ok, "{:?}", r.error);
+    }
+    for op in ["in", "notin"] {
+        let text = format!("rel p(U).\np(x) :- G(x, y), x {op} y.");
+        let p_rows = |req: Request| {
+            let r = session.run(&req);
+            assert!(r.ok, "{op}: {:?}", r.error);
+            let p = r.relations.iter().find(|rel| rel.name == "p").expect("p");
+            p.rows.clone()
+        };
+        let mut answers = Vec::new();
+        for strategy in [Wire::Naive, Wire::SemiNaive, Wire::Stratified] {
+            let req = Request {
+                strategy,
+                ..Request::eval(Lang::Datalog, text.clone())
+            };
+            answers.push((format!("eval {strategy:?}"), p_rows(req)));
+        }
+        let req = Request {
+            op: Op::Materialize,
+            view: format!("p_{op}"),
+            text: text.clone(),
+            ..Request::default()
+        };
+        answers.push(("materialize".to_string(), p_rows(req)));
+        for (who, rows) in &answers {
+            assert!(rows.is_empty(), "{op}: {who} derived {rows:?}");
+        }
+
+        let sim = session.run(&Request {
+            strategy: Wire::Simultaneous,
+            ..Request::eval(Lang::Datalog, text.clone())
+        });
+        let err = sim.error.expect("the typed reading refuses a non-set");
+        assert!(err.message.contains("non-set"), "{}", err.message);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
