@@ -13,8 +13,10 @@
 //! Internally every operator works on hash-consed [`IdRelation`]s: rows
 //! are slices of [`no_object::ValueId`], so product/difference dedup,
 //! nest grouping, and powerset masks compare `u32` ids instead of value
-//! trees. The input instance is interned once per evaluation and the
-//! result resolved back to a [`Relation`] at the boundary.
+//! trees. The input instance is interned once per evaluation.
+//! [`eval_interned`] answers in those ids, with the arena they live in,
+//! for the planner to hand on unresolved; the `eval*` entry points
+//! resolve to a [`Relation`] at their own boundary.
 
 use crate::expr::{AlgebraError, Expr, Pred};
 use minipool::ThreadPool;
@@ -118,11 +120,23 @@ pub fn eval_pooled(
     governor: &Governor,
     pool: &ThreadPool,
 ) -> Result<Relation, AlgebraError> {
+    let (out, interner) = eval_interned(expr, instance, governor, pool)?;
+    Ok(out.to_relation(&interner))
+}
+
+/// [`eval_pooled`] without the resolve: the result comes back as the id
+/// rows the operators built, with the arena their ids live in.
+pub fn eval_interned(
+    expr: &Expr,
+    instance: &Instance,
+    governor: &Governor,
+    pool: &ThreadPool,
+) -> Result<(IdRelation, Interner), AlgebraError> {
     // typecheck up front so evaluation can assume well-formedness
     expr.output_types(instance.schema())?;
     let interner = Interner::new();
     let out = eval_i(expr, instance, governor, &interner, pool)?;
-    Ok(out.to_relation(&interner))
+    Ok((out, interner))
 }
 
 /// Check an (intermediate) result against the row cap.

@@ -20,8 +20,10 @@
 //! per evaluation (the rest of the instance is never touched), the IDB
 //! and deltas are [`IdRelation`]s, and cells are [`ValueId`]s — so fact
 //! dedup and (not-)membership tests cost O(arity) id compares regardless
-//! of value nesting. Results resolve back to [`Relation`]s at the
-//! boundary.
+//! of value nesting. [`eval_interned`] answers in those ids, with the
+//! arena they live in ([`InternedIdb`]), for the planner to hand on
+//! unresolved; the `eval*` entry points resolve to [`Relation`]s at
+//! their own boundary.
 //!
 //! A round's rules share one probe cache (one per task when the round
 //! fans out over a pool): the IDB does not change until the round
@@ -44,7 +46,42 @@ use std::collections::{BTreeMap, HashMap};
 pub type Idb = BTreeMap<String, Relation>;
 
 /// The interned IDB used internally during evaluation.
-type IdbI = BTreeMap<String, IdRelation>;
+pub(crate) type IdbI = BTreeMap<String, IdRelation>;
+
+/// The computed IDB as the round engine derived it: interned rows, and
+/// the arena their ids live in.
+#[derive(Debug, Clone, Default)]
+pub struct InternedIdb {
+    relations: BTreeMap<String, IdRelation>,
+    interner: Interner,
+}
+
+impl InternedIdb {
+    /// Relation name → facts.
+    pub fn relations(&self) -> &BTreeMap<String, IdRelation> {
+        &self.relations
+    }
+
+    /// The arena every row's ids were issued by.
+    pub fn interner(&self) -> &Interner {
+        &self.interner
+    }
+
+    pub(crate) fn new(relations: IdbI, interner: Interner) -> InternedIdb {
+        InternedIdb {
+            relations,
+            interner,
+        }
+    }
+
+    /// Resolve every relation back to values.
+    pub fn resolve(&self) -> Idb {
+        self.relations
+            .iter()
+            .map(|(name, rel)| (name.clone(), rel.to_relation(&self.interner)))
+            .collect()
+    }
+}
 
 /// Evaluation statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -138,23 +175,47 @@ pub fn eval_pooled(
     governor: &Governor,
     pool: &ThreadPool,
 ) -> Result<(Idb, EvalStats), ProgramError> {
-    program.validate(instance.schema())?;
-    eval_rounds(program, instance, &Idb::new(), strategy, governor, pool)
+    let (idb, stats) = eval_interned(program, instance, strategy, governor, pool)?;
+    Ok((idb.resolve(), stats))
 }
 
-/// The round loop behind [`eval_pooled`], for a program already validated.
-/// `frozen` holds relations computed earlier — the lower strata of
-/// stratified evaluation — which the program reads like EDB relations
-/// (and which win over an instance relation of the same name).
-pub(crate) fn eval_rounds(
+/// [`eval_pooled`] without the resolve: the IDB comes back as the ids the
+/// rounds derived, over the arena they were interned in.
+pub fn eval_interned(
     program: &Program,
     instance: &Instance,
-    frozen: &Idb,
     strategy: Strategy,
     governor: &Governor,
     pool: &ThreadPool,
-) -> Result<(Idb, EvalStats), ProgramError> {
+) -> Result<(InternedIdb, EvalStats), ProgramError> {
+    program.validate(instance.schema())?;
     let interner = Interner::new();
+    let (relations, stats) = eval_rounds(
+        program,
+        instance,
+        &IdbI::new(),
+        &interner,
+        strategy,
+        governor,
+        pool,
+    )?;
+    Ok((InternedIdb::new(relations, interner), stats))
+}
+
+/// The round loop behind [`eval_interned`], for a program already
+/// validated. `frozen` holds relations computed earlier over `interner` —
+/// the lower strata of stratified evaluation — which the program reads
+/// like EDB relations (and which win over an instance relation of the
+/// same name).
+pub(crate) fn eval_rounds(
+    program: &Program,
+    instance: &Instance,
+    frozen: &IdbI,
+    interner: &Interner,
+    strategy: Strategy,
+    governor: &Governor,
+    pool: &ThreadPool,
+) -> Result<(IdbI, EvalStats), ProgramError> {
     // Intern the relations the program reads once, as input data
     // (uncharged); the rest of the instance is never touched.
     let mut edb: HashMap<String, IdRelation> = HashMap::new();
@@ -165,8 +226,11 @@ pub(crate) fn eval_rounds(
         if program.idb.contains_key(name) || edb.contains_key(name) {
             continue;
         }
-        let rel = frozen.get(name).unwrap_or_else(|| instance.relation(name));
-        edb.insert(name.clone(), IdRelation::from_relation(&interner, rel));
+        let rel = match frozen.get(name) {
+            Some(rel) => rel.clone(),
+            None => IdRelation::from_relation(interner, instance.relation(name)),
+        };
+        edb.insert(name.clone(), rel);
     }
     let mut idb: IdbI = program
         .idb
@@ -222,7 +286,7 @@ pub(crate) fn eval_rounds(
                     .collect();
                 let task_cache = IndexCache::new();
                 let st = RoundState::new(&edb, &idb, &task_cache);
-                derive(rule, &st, pin.get(), &mut local, governor, &interner)?;
+                derive(rule, &st, pin.get(), &mut local, governor, interner)?;
                 Ok::<IdbI, ProgramError>(local)
             })?;
             for local in results {
@@ -235,7 +299,7 @@ pub(crate) fn eval_rounds(
         } else {
             let st = RoundState::new(&edb, &idb, &edb_cache);
             for (rule, pin) in &tasks {
-                derive(rule, &st, pin.get(), &mut new_delta, governor, &interner)?;
+                derive(rule, &st, pin.get(), &mut new_delta, governor, interner)?;
             }
         }
         for (name, facts) in &new_delta {
@@ -257,11 +321,7 @@ pub(crate) fn eval_rounds(
         }
     }
     stats.facts = idb.values().map(IdRelation::len).sum();
-    let resolved: Idb = idb
-        .into_iter()
-        .map(|(name, rel)| (name, rel.to_relation(&interner)))
-        .collect();
-    Ok((resolved, stats))
+    Ok((idb, stats))
 }
 
 /// One round's view of the relations: the IDB as of the round's start

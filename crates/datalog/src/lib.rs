@@ -45,13 +45,16 @@ pub mod simultaneous;
 pub mod stratified;
 pub mod translate;
 
-pub use eval::{eval, eval_governed, eval_pooled, EvalStats, Idb, Strategy};
+pub use eval::{
+    eval, eval_governed, eval_interned, eval_pooled, EvalStats, Idb, InternedIdb, Strategy,
+};
 pub use parser::{parse_program, parse_program_spanned};
 pub use program::{DTerm, Literal, Program, ProgramError, Rule};
 pub use simultaneous::{
     eval_simultaneous, eval_simultaneous_pooled, to_simultaneous_ifp, SimEvalError, Simultaneous,
 };
 pub use stratified::{
-    eval_stratified, eval_stratified_governed, eval_stratified_pooled, stratify, StratifyError,
+    eval_stratified, eval_stratified_governed, eval_stratified_interned, eval_stratified_pooled,
+    stratify, StratifyError,
 };
 pub use translate::{to_ifp, TranslateError};

@@ -11,9 +11,9 @@
 //! example), which is exactly why the paper is explicit about using the
 //! inflationary one for its `CALC+IFP` correspondence.
 
-use crate::eval::{Idb, Strategy};
+use crate::eval::{Idb, IdbI, InternedIdb, Strategy};
 use crate::program::{Literal, Program, ProgramError};
-use no_object::{Governor, Instance};
+use no_object::{Governor, Instance, Interner};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -140,14 +140,27 @@ pub fn eval_stratified_pooled(
     governor: &Governor,
     pool: &minipool::ThreadPool,
 ) -> Result<Idb, StratifyError> {
+    Ok(eval_stratified_interned(program, instance, governor, pool)?.resolve())
+}
+
+/// [`eval_stratified_pooled`] without the resolve: every stratum derives
+/// into one arena, lower strata are read as the ids they were derived
+/// as, and the IDB comes back over that arena.
+pub fn eval_stratified_interned(
+    program: &Program,
+    instance: &Instance,
+    governor: &Governor,
+    pool: &minipool::ThreadPool,
+) -> Result<InternedIdb, StratifyError> {
     program.validate(instance.schema())?;
     let strata = stratify(program)?;
+    let interner = Interner::new();
     // Evaluate one stratum at a time. Lower strata are *frozen*: the
     // round loop reads their computed relations like EDB relations, so
     // the current stratum's negation only ever consults finished
     // relations — the perfect-model guarantee. Each stratum's rules were
     // validated above as part of the whole program.
-    let mut computed: Idb = Idb::new();
+    let mut computed = IdbI::new();
     for layer in &strata {
         let mut sub = Program::new();
         for name in layer {
@@ -165,6 +178,7 @@ pub fn eval_stratified_pooled(
             &sub,
             instance,
             &computed,
+            &interner,
             Strategy::SemiNaive,
             governor,
             pool,
@@ -176,7 +190,7 @@ pub fn eval_stratified_pooled(
     for name in program.idb.keys() {
         computed.entry(name.clone()).or_default();
     }
-    Ok(computed)
+    Ok(InternedIdb::new(computed, interner))
 }
 
 #[cfg(test)]

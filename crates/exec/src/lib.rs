@@ -19,8 +19,9 @@
 //!   one version of the instance and dropped by the next write. Ids are
 //!   admission order within that version (which relation was scanned
 //!   first, which constants were admitted); workers only read them.
-//!   Raw-id order never escapes into results: the root is resolved to
-//!   values, and replies render rows in value order.
+//!   Raw-id order never escapes into results: the root is returned as
+//!   ids over the resident arena ([`Answer`]), and replies rank and
+//!   render its rows in value order.
 //! * **Block-batched metering.** Governor charges accumulate locally and
 //!   flush per [`meter::BLOCK`] steps ([`meter::BlockMeter`]): same
 //!   totals as per-row charging, trip granularity coarsened by at most
@@ -29,6 +30,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod answer;
 pub mod kernels;
 pub mod meter;
 pub mod plan;
@@ -36,6 +38,7 @@ pub mod pred;
 pub mod resident;
 pub mod table;
 
+pub use answer::Answer;
 pub use kernels::JoinAlgo;
 pub use plan::{execute, ExecId, ExecOp, ExecPlan};
 pub use pred::RowPred;

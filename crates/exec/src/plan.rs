@@ -6,13 +6,14 @@
 //! base relations from the instance version's [`Resident`] tables
 //! (interned once per version, on the first scan after a write), interns
 //! plan constants into the same arena, evaluates the arena bottom-up with
-//! the kernels of [`crate::kernels`], and resolves the root back to a
-//! value-level [`Relation`].
+//! the kernels of [`crate::kernels`], and answers with the root table
+//! and the arena its ids live in ([`Answer`]) — ids, not values.
 //!
 //! Join algorithm choice lives in the *plan* (picked by the planner from
 //! collected statistics, recorded in `:explain`); this module only runs
 //! what it is told.
 
+use crate::answer::Answer;
 use crate::kernels;
 pub use crate::kernels::JoinAlgo;
 use crate::meter::BlockMeter;
@@ -20,7 +21,7 @@ use crate::pred::RowPred;
 use crate::resident::Resident;
 use crate::table::ColumnTable;
 use minipool::ThreadPool;
-use no_object::{Governor, Instance, Relation, ResourceError, Value};
+use no_object::{Governor, Instance, ResourceError, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -148,8 +149,9 @@ impl ExecPlan {
 }
 
 /// Run a plan against an instance: scans read the instance version's
-/// resident tables, the arena is evaluated bottom-up, and the root is
-/// resolved to a value-level relation.
+/// resident tables, the arena is evaluated bottom-up, and the root table
+/// is the answer, over the resident arena (nothing is resolved to
+/// values; replies render from the ids).
 ///
 /// The first governor touch is a checkpoint at `"exec.start"`, so
 /// injected faults and cancellations fire before any work. Each
@@ -164,7 +166,7 @@ pub fn execute(
     instance: &Instance,
     governor: &Governor,
     pool: &ThreadPool,
-) -> Result<Relation, ResourceError> {
+) -> Result<Answer, ResourceError> {
     governor.checkpoint("exec.start")?;
     let resident = Resident::of(instance);
     let int = resident.interner();
@@ -222,11 +224,9 @@ pub fn execute(
         slots.push(Arc::new(table));
     }
 
-    let out = &slots[plan.root()];
+    let out = slots.swap_remove(plan.root());
     let mut m = BlockMeter::new(governor, "exec.out");
     m.work(out.len() as u64)?;
     m.finish()?;
-    Ok(Relation::from_rows(
-        (0..out.len()).map(|i| int.resolve_row(&out.row(i))),
-    ))
+    Ok(Answer::new(out, int.clone()))
 }

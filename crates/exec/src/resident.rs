@@ -7,9 +7,10 @@
 //! after it interns the relation afresh.
 //!
 //! Ids are therefore admission order *within one version*: which relation
-//! was scanned first, and which constants executions admitted. Raw ids
-//! still never escape, because results are resolved to values and
-//! replies render rows in value order.
+//! was scanned first, and which constants executions admitted. Answers
+//! leave as ids over this arena (an [`crate::Answer`] keeps a handle on
+//! it, so a write cannot free ids a reply still renders), but raw id
+//! order never escapes: replies rank and render rows in value order.
 
 use crate::table::ColumnTable;
 use conc::Mutex;
@@ -93,7 +94,7 @@ mod tests {
     fn run(plan: &ExecPlan, i: &Instance) -> (Relation, u64) {
         let gov = Governor::unlimited();
         let rel = execute(plan, i, &gov, &ThreadPool::new(1)).expect("unlimited");
-        (rel, gov.steps_spent())
+        (rel.to_relation(), gov.steps_spent())
     }
 
     #[test]

@@ -13,10 +13,7 @@
 //!
 //! Note raw-id order is an *internal* device (admission order, not the
 //! structural order on values — see `no_object::intern`); it never escapes
-//! into results, which are resolved back to value-level [`Relation`]s at
-//! the plan boundary.
-//!
-//! [`Relation`]: no_object::Relation
+//! into results: replies rank rows by value before they render them.
 
 use no_object::ValueId;
 use std::cmp::Ordering;

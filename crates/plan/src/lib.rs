@@ -54,7 +54,7 @@ pub use joins::{choose_join, ExecLowering};
 pub use lower::{lower_algebra, lower_calc, lower_datalog, to_expr, CalcLowering};
 pub use maintenance::{plan_maintenance, MaintenancePlan, MaintenanceStrategy, StratumPlan};
 pub use passes::{delta_rewrite, Pass, PassSet};
-pub use physical::{CalcMode, DatalogMode, ExecOrigin, Output, Physical, PlanError};
+pub use physical::{Answers, CalcMode, DatalogMode, ExecOrigin, Output, Physical, PlanError};
 pub use stats::{schema_fingerprint, Stats};
 
 use no_algebra::Expr;

@@ -17,10 +17,11 @@ use no_core::eval::{active_order, Evaluator};
 use no_core::ranges::compute_ranges_governed;
 use no_core::Query;
 use no_datalog::{
-    eval_pooled, eval_simultaneous_pooled, eval_stratified_pooled, EvalStats, Idb, Program,
-    ProgramError, SimEvalError, Strategy, StratifyError,
+    eval_interned, eval_simultaneous_pooled, eval_stratified_interned, EvalStats, Idb, InternedIdb,
+    Program, ProgramError, SimEvalError, Strategy, StratifyError,
 };
-use no_object::{AtomOrder, Governor, Instance, Relation, ResourceError, Type, Value};
+use no_exec::Answer;
+use no_object::{AtomOrder, Governor, Instance, Interner, Relation, ResourceError, Type, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -113,38 +114,61 @@ pub enum ExecOrigin {
     Algebra,
 }
 
-/// What a plan execution produced.
+/// Every IDB relation of a Datalog answer, by name.
+pub type Answers = BTreeMap<String, Answer>;
+
+/// What a plan execution produced: answers as ids over the arena they
+/// live in. The columnar executor, the algebra evaluator and the round
+/// engine answer in the ids they computed; the value-level engines (the
+/// tree-walk CALC evaluator, the simultaneous-IFP translation) have their
+/// answer interned into an arena of its own, uncharged.
 #[derive(Debug)]
 pub enum Output {
     /// A single relation (CALC and algebra plans).
-    Relation(Relation),
+    Relation(Answer),
     /// All IDB relations (Datalog plans), with engine stats when the
     /// strategy reports them.
-    Idb(Idb, Option<EvalStats>),
+    Idb(Answers, Option<EvalStats>),
 }
 
 impl Output {
-    /// The relation of a CALC/algebra plan.
+    /// The relation of a CALC/algebra plan, resolved to values.
     ///
     /// # Panics
     /// Panics on Datalog output — caller mismatch is a bug.
     pub fn into_relation(self) -> Relation {
         match self {
-            Output::Relation(r) => r,
+            Output::Relation(r) => r.to_relation(),
             Output::Idb(..) => panic!("expected a relation, got an IDB"),
         }
     }
 
-    /// The IDB of a Datalog plan.
+    /// The IDB of a Datalog plan, resolved to values.
     ///
     /// # Panics
     /// Panics on relation output — caller mismatch is a bug.
     pub fn into_idb(self) -> Idb {
         match self {
-            Output::Idb(idb, _) => idb,
+            Output::Idb(idb, _) => idb
+                .into_iter()
+                .map(|(name, rel)| (name, rel.to_relation()))
+                .collect(),
             Output::Relation(_) => panic!("expected an IDB, got a relation"),
         }
     }
+}
+
+/// IDB relation `name` of the round engine's answer, over its arena.
+fn answer(program: &Program, idb: &InternedIdb, name: &str) -> Answer {
+    let arity = program.idb.get(name).map_or(0, Vec::len);
+    Answer::from_ids(&idb.relations()[name], arity, idb.interner().clone())
+}
+
+/// Every IDB relation of the round engine's answer.
+fn answers(program: &Program, idb: &InternedIdb) -> Answers {
+    (idb.relations().keys())
+        .map(|name| (name.clone(), answer(program, idb, name)))
+        .collect()
 }
 
 /// Errors from planning or executing a plan, wrapping each engine's
@@ -269,14 +293,16 @@ impl Physical {
                     }
                 }
                 let rel = ev.query(query)?;
-                Ok(Output::Relation(match restore {
+                let rel = match restore {
                     Some(perm) => restore_columns(rel, perm),
                     None => rel,
-                }))
+                };
+                Ok(Output::Relation(Answer::intern(&rel, &Interner::new())))
             }
             Physical::Algebra { expr } => {
-                let rel = no_algebra::eval_pooled(expr, instance, governor, pool)?;
-                Ok(Output::Relation(rel))
+                let (rel, arena) = no_algebra::eval_interned(expr, instance, governor, pool)?;
+                let arity = expr.output_types(instance.schema())?.len();
+                Ok(Output::Relation(Answer::from_ids(&rel, arity, arena)))
             }
             Physical::Datalog { program, mode } => match mode {
                 DatalogMode::Naive | DatalogMode::SemiNaive => {
@@ -285,14 +311,14 @@ impl Physical {
                     } else {
                         Strategy::Naive
                     };
-                    let (idb, stats) = eval_pooled(program, instance, strategy, governor, pool)
+                    let (idb, stats) = eval_interned(program, instance, strategy, governor, pool)
                         .map_err(PlanError::Datalog)?;
-                    Ok(Output::Idb(idb, Some(stats)))
+                    Ok(Output::Idb(answers(program, &idb), Some(stats)))
                 }
                 DatalogMode::Stratified => {
-                    let idb = eval_stratified_pooled(program, instance, governor, pool)
+                    let idb = eval_stratified_interned(program, instance, governor, pool)
                         .map_err(PlanError::Stratify)?;
-                    Ok(Output::Idb(idb, None))
+                    Ok(Output::Idb(answers(program, &idb), None))
                 }
                 DatalogMode::Simultaneous(body_var_types) => {
                     let typed: Vec<(&str, Type)> = body_var_types
@@ -303,28 +329,32 @@ impl Physical {
                     let idb =
                         eval_simultaneous_pooled(program, &typed, instance, order, governor, pool)
                             .map_err(PlanError::Simultaneous)?;
+                    let arena = Interner::new();
+                    let idb = idb
+                        .iter()
+                        .map(|(name, rel)| (name.clone(), Answer::intern(rel, &arena)))
+                        .collect();
                     Ok(Output::Idb(idb, None))
                 }
             },
             Physical::Ifp { program, result } => {
                 // A trip is a CALC trip: the caller asked a CALC question.
-                let (mut idb, _) =
-                    eval_pooled(program, instance, Strategy::SemiNaive, governor, pool).map_err(
+                let (idb, _) =
+                    eval_interned(program, instance, Strategy::SemiNaive, governor, pool).map_err(
                         |e| match e {
                             ProgramError::Resource(r) => PlanError::Calc(EvalError::Resource(r)),
                             other => PlanError::Datalog(other),
                         },
                     )?;
-                let rel = idb.remove(result).expect("the result is a declared IDB");
-                Ok(Output::Relation(rel))
+                Ok(Output::Relation(answer(program, &idb, result)))
             }
             Physical::Exec { plan, origin } => {
-                let rel =
+                let answer =
                     no_exec::execute(plan, instance, governor, pool).map_err(|r| match origin {
                         ExecOrigin::Calc => PlanError::Calc(EvalError::Resource(r)),
                         ExecOrigin::Algebra => PlanError::Algebra(AlgebraError::Resource(r)),
                     })?;
-                Ok(Output::Relation(rel))
+                Ok(Output::Relation(answer))
             }
         }
     }

@@ -23,8 +23,12 @@
 //! `no-server` crate is the TCP front.
 
 pub mod json;
+pub mod rows;
 
-pub use json::{escape, parse as parse_json, Json, JsonError};
+pub use json::{escape, escape_into, parse as parse_json, Json, JsonError};
+pub use rows::{CellJson, CellWriter, RowsJson, RowsWriter};
+
+use std::fmt::Write as _;
 
 /// Which query language [`Request::text`] is written in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -382,8 +386,9 @@ pub struct RelationOut {
     /// Rows rendered in the text format, in canonical sorted order.
     pub rows: Vec<String>,
     /// The same rows as one canonical JSON array (atoms as strings,
-    /// tuples as arrays, sets as sorted arrays).
-    pub rows_json: String,
+    /// tuples as arrays, sets as sorted arrays), spliced into the reply
+    /// line verbatim.
+    pub rows_json: RowsJson,
 }
 
 /// Static-analysis output.
@@ -573,139 +578,80 @@ impl Response {
         }
     }
 
-    /// Canonical single-line JSON (same contract as [`Request::to_json`]).
+    /// Canonical single-line JSON (same contract as [`Request::to_json`]),
+    /// written straight into one buffer: each relation's `rows_json` is
+    /// spliced verbatim and every string is escaped in place.
     pub fn to_json(&self) -> String {
-        let opt_u64 = |v: Option<u64>| v.map(Json::u64).unwrap_or(Json::Null);
-        let relations = Json::Arr(self.relations.iter().map(relation_json).collect());
-        let deltas = Json::Arr(
-            self.deltas
-                .iter()
-                .map(|d| {
-                    Json::Obj(vec![
-                        ("view".into(), Json::Str(d.view.clone())),
-                        (
-                            "added".into(),
-                            Json::Arr(d.added.iter().map(relation_json).collect()),
-                        ),
-                        (
-                            "removed".into(),
-                            Json::Arr(d.removed.iter().map(relation_json).collect()),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let error = match &self.error {
-            None => Json::Null,
-            Some(e) => Json::Obj(vec![
-                ("kind".into(), Json::Str(e.kind.clone())),
-                ("message".into(), Json::Str(e.message.clone())),
-                ("resource_trip".into(), Json::Bool(e.resource_trip)),
-                ("retry_after_ms".into(), opt_u64(e.retry_after_ms)),
-            ]),
-        };
-        let analysis = match &self.analysis {
-            None => Json::Null,
-            Some(a) => Json::Obj(vec![
-                ("text".into(), Json::Str(a.text.clone())),
-                ("json".into(), Json::Str(a.json.clone())),
-                ("errors".into(), Json::u64(a.errors)),
-                ("warnings".into(), Json::u64(a.warnings)),
-                ("certified".into(), Json::Bool(a.certified)),
-            ]),
-        };
-        let explain = match &self.explain {
-            None => Json::Null,
-            Some(e) => Json::Obj(vec![
-                ("text".into(), Json::Str(e.text.clone())),
-                ("json".into(), Json::Str(e.json.clone())),
-            ]),
-        };
-        let spend = match &self.spend {
-            None => Json::Null,
-            Some(s) => Json::Obj(vec![
-                ("steps".into(), Json::u64(s.steps)),
-                ("mem_bytes".into(), Json::u64(s.mem_bytes)),
-                ("elapsed_us".into(), Json::u64(s.elapsed_us)),
-            ]),
-        };
-        let stats = match &self.stats {
-            None => Json::Null,
-            Some(s) => Json::Obj(vec![
-                ("requests".into(), Json::u64(s.requests)),
-                ("rejected".into(), Json::u64(s.rejected)),
-                ("trips".into(), Json::u64(s.trips)),
-                ("cache_hits".into(), Json::u64(s.cache_hits)),
-                ("cache_misses".into(), Json::u64(s.cache_misses)),
-                ("p50_us".into(), Json::u64(s.p50_us)),
-                ("p99_us".into(), Json::u64(s.p99_us)),
-                ("connections".into(), Json::u64(s.connections)),
-                (
-                    "store_exclusive_reads".into(),
-                    Json::u64(s.store_exclusive_reads),
-                ),
-                (
-                    "tenants".into(),
-                    Json::Arr(
-                        s.tenants
-                            .iter()
-                            .map(|t| {
-                                Json::Obj(vec![
-                                    ("tenant".into(), Json::Str(t.tenant.clone())),
-                                    ("requests".into(), Json::u64(t.requests)),
-                                    ("rejected".into(), Json::u64(t.rejected)),
-                                    ("trips".into(), Json::u64(t.trips)),
-                                    ("spent_steps".into(), Json::u64(t.spent_steps)),
-                                    ("balance_steps".into(), Json::u64(t.balance_steps)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "views".into(),
-                    Json::Arr(
-                        s.views
-                            .iter()
-                            .map(|v| {
-                                Json::Obj(vec![
-                                    ("view".into(), Json::Str(v.view.clone())),
-                                    ("maintain_calls".into(), Json::u64(v.maintain_calls)),
-                                    ("steps_total".into(), Json::u64(v.steps_total)),
-                                    ("steps_last".into(), Json::u64(v.steps_last)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        };
-        Json::Obj(vec![
-            ("ok".into(), Json::Bool(self.ok)),
-            ("error".into(), error),
-            ("relations".into(), relations),
-            ("analysis".into(), analysis),
-            ("explain".into(), explain),
-            ("spend".into(), spend),
-            ("stats".into(), stats),
-            (
-                "message".into(),
-                match &self.message {
-                    Some(m) => Json::Str(m.clone()),
-                    None => Json::Null,
-                },
-            ),
-            ("rounds".into(), opt_u64(self.rounds)),
-            ("deltas".into(), deltas),
-            (
-                "event".into(),
-                match &self.event {
-                    Some(e) => Json::Str(e.clone()),
-                    None => Json::Null,
-                },
-            ),
-        ])
-        .render()
+        let rows_bytes: usize = (self.relations.iter())
+            .chain(
+                self.deltas
+                    .iter()
+                    .flat_map(|d| d.added.iter().chain(&d.removed)),
+            )
+            .map(|r| r.rows_json.as_str().len() + r.rows.iter().map(|s| s.len() + 3).sum::<usize>())
+            .sum();
+        let mut out = String::with_capacity(256 + rows_bytes);
+        let mut o = Obj::open(&mut out);
+        o.bool("ok", self.ok);
+        match &self.error {
+            None => o.null("error"),
+            Some(e) => {
+                let mut e_obj = Obj::open(o.key("error"));
+                e_obj.str("kind", &e.kind);
+                e_obj.str("message", &e.message);
+                e_obj.bool("resource_trip", e.resource_trip);
+                e_obj.opt_u64("retry_after_ms", e.retry_after_ms);
+                e_obj.close();
+            }
+        }
+        list(o.key("relations"), &self.relations, relation_json);
+        match &self.analysis {
+            None => o.null("analysis"),
+            Some(a) => {
+                let mut a_obj = Obj::open(o.key("analysis"));
+                a_obj.str("text", &a.text);
+                a_obj.str("json", &a.json);
+                a_obj.u64("errors", a.errors);
+                a_obj.u64("warnings", a.warnings);
+                a_obj.bool("certified", a.certified);
+                a_obj.close();
+            }
+        }
+        match &self.explain {
+            None => o.null("explain"),
+            Some(e) => {
+                let mut e_obj = Obj::open(o.key("explain"));
+                e_obj.str("text", &e.text);
+                e_obj.str("json", &e.json);
+                e_obj.close();
+            }
+        }
+        match &self.spend {
+            None => o.null("spend"),
+            Some(s) => {
+                let mut s_obj = Obj::open(o.key("spend"));
+                s_obj.u64("steps", s.steps);
+                s_obj.u64("mem_bytes", s.mem_bytes);
+                s_obj.u64("elapsed_us", s.elapsed_us);
+                s_obj.close();
+            }
+        }
+        match &self.stats {
+            None => o.null("stats"),
+            Some(s) => stats_json(o.key("stats"), s),
+        }
+        o.opt_str("message", self.message.as_deref());
+        o.opt_u64("rounds", self.rounds);
+        list(o.key("deltas"), &self.deltas, |out, d| {
+            let mut d_obj = Obj::open(out);
+            d_obj.str("view", &d.view);
+            list(d_obj.key("added"), &d.added, relation_json);
+            list(d_obj.key("removed"), &d.removed, relation_json);
+            d_obj.close();
+        });
+        o.opt_str("event", self.event.as_deref());
+        o.close();
+        out
     }
 
     /// Parse a response line (the client half of the protocol).
@@ -739,20 +685,23 @@ impl Response {
             });
         }
         if let Some(Json::Arr(rels)) = v.get("relations") {
-            resp.relations = rels.iter().map(relation_from_json).collect();
+            resp.relations = rels
+                .iter()
+                .map(relation_from_json)
+                .collect::<Result<_, _>>()?;
         }
         if let Some(Json::Arr(items)) = v.get("deltas") {
             for d in items {
-                let rel_list = |key: &str| -> Vec<RelationOut> {
+                let rel_list = |key: &str| -> Result<Vec<RelationOut>, String> {
                     match d.get(key) {
                         Some(Json::Arr(rs)) => rs.iter().map(relation_from_json).collect(),
-                        _ => Vec::new(),
+                        _ => Ok(Vec::new()),
                     }
                 };
                 resp.deltas.push(DeltaOut {
                     view: opt_str(d.get("view")).unwrap_or_default(),
-                    added: rel_list("added"),
-                    removed: rel_list("removed"),
+                    added: rel_list("added")?,
+                    removed: rel_list("removed")?,
                 });
             }
         }
@@ -824,23 +773,119 @@ impl Response {
     }
 }
 
-fn relation_json(r: &RelationOut) -> Json {
-    // rows_json is canonical JSON produced by this crate's writer;
-    // parse-and-splice keeps the response line valid even if a caller
-    // hand-built it.
-    let rows_json = json::parse(&r.rows_json).unwrap_or(Json::Arr(vec![]));
-    Json::Obj(vec![
-        ("name".into(), Json::Str(r.name.clone())),
-        (
-            "rows".into(),
-            Json::Arr(r.rows.iter().map(|s| Json::Str(s.clone())).collect()),
-        ),
-        ("rows_json".into(), rows_json),
-    ])
+/// One JSON object's members, written in call order into a reply
+/// buffer.
+struct Obj<'a> {
+    out: &'a mut String,
+    first: bool,
 }
 
-fn relation_from_json(r: &Json) -> RelationOut {
-    RelationOut {
+impl<'a> Obj<'a> {
+    fn open(out: &'a mut String) -> Obj<'a> {
+        out.push('{');
+        Obj { out, first: true }
+    }
+
+    /// Start member `key`; its value is written to the returned buffer.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        escape_into(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    fn null(&mut self, key: &str) {
+        self.key(key).push_str("null");
+    }
+
+    fn bool(&mut self, key: &str, v: bool) {
+        self.key(key).push_str(if v { "true" } else { "false" });
+    }
+
+    fn u64(&mut self, key: &str, v: u64) {
+        let _ = write!(self.key(key), "{v}");
+    }
+
+    fn opt_u64(&mut self, key: &str, v: Option<u64>) {
+        match v {
+            Some(v) => self.u64(key, v),
+            None => self.null(key),
+        }
+    }
+
+    fn str(&mut self, key: &str, v: &str) {
+        escape_into(self.key(key), v);
+    }
+
+    fn opt_str(&mut self, key: &str, v: Option<&str>) {
+        match v {
+            Some(v) => self.str(key, v),
+            None => self.null(key),
+        }
+    }
+
+    fn close(self) {
+        self.out.push('}');
+    }
+}
+
+/// A JSON array of `items`, each written by `item`.
+fn list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+fn relation_json(out: &mut String, r: &RelationOut) {
+    let mut o = Obj::open(out);
+    o.str("name", &r.name);
+    list(o.key("rows"), &r.rows, |out, row| escape_into(out, row));
+    o.key("rows_json").push_str(r.rows_json.as_str());
+    o.close();
+}
+
+fn stats_json(out: &mut String, s: &StatsOut) {
+    let mut o = Obj::open(out);
+    o.u64("requests", s.requests);
+    o.u64("rejected", s.rejected);
+    o.u64("trips", s.trips);
+    o.u64("cache_hits", s.cache_hits);
+    o.u64("cache_misses", s.cache_misses);
+    o.u64("p50_us", s.p50_us);
+    o.u64("p99_us", s.p99_us);
+    o.u64("connections", s.connections);
+    o.u64("store_exclusive_reads", s.store_exclusive_reads);
+    list(o.key("tenants"), &s.tenants, |out, t| {
+        let mut t_obj = Obj::open(out);
+        t_obj.str("tenant", &t.tenant);
+        t_obj.u64("requests", t.requests);
+        t_obj.u64("rejected", t.rejected);
+        t_obj.u64("trips", t.trips);
+        t_obj.u64("spent_steps", t.spent_steps);
+        t_obj.u64("balance_steps", t.balance_steps);
+        t_obj.close();
+    });
+    list(o.key("views"), &s.views, |out, v| {
+        let mut v_obj = Obj::open(out);
+        v_obj.str("view", &v.view);
+        v_obj.u64("maintain_calls", v.maintain_calls);
+        v_obj.u64("steps_total", v.steps_total);
+        v_obj.u64("steps_last", v.steps_last);
+        v_obj.close();
+    });
+    o.close();
+}
+
+fn relation_from_json(r: &Json) -> Result<RelationOut, String> {
+    Ok(RelationOut {
         name: r
             .get("name")
             .and_then(Json::as_str)
@@ -856,11 +901,11 @@ fn relation_from_json(r: &Json) -> RelationOut {
                     .collect()
             })
             .unwrap_or_default(),
-        rows_json: r
-            .get("rows_json")
-            .map(Json::render)
-            .unwrap_or_else(|| "[]".to_string()),
-    }
+        rows_json: match r.get("rows_json") {
+            None => RowsJson::default(),
+            Some(v) => RowsJson::from_value(v).map_err(|e| e.message)?,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -938,7 +983,7 @@ mod tests {
             relations: vec![RelationOut {
                 name: "result".into(),
                 rows: vec!["('a', 'b')".into()],
-                rows_json: r#"[["a","b"]]"#.into(),
+                rows_json: RowsJson::parse(r#"[["a","b"]]"#).unwrap(),
             }],
             spend: Some(Spend {
                 steps: 42,
@@ -999,7 +1044,7 @@ mod tests {
                 added: vec![RelationOut {
                     name: "tc".into(),
                     rows: vec!["('a', 'c')".into()],
-                    rows_json: r#"[["a","c"]]"#.into(),
+                    rows_json: RowsJson::parse(r#"[["a","c"]]"#).unwrap(),
                 }],
                 removed: vec![],
             }],
@@ -1012,6 +1057,77 @@ mod tests {
         assert_eq!(back.to_json(), j);
         // replies leave the marker unset, so clients can branch on it
         assert_eq!(Response::message("ok").event, None);
+    }
+
+    /// A reply line is one valid JSON value on one line, whatever rows
+    /// it carries.
+    fn assert_one_valid_line(r: &Response) {
+        let j = r.to_json();
+        assert!(!j.contains('\n') && !j.contains('\r'), "{j}");
+        assert!(json::parse(&j).is_ok(), "{j}");
+        assert_eq!(Response::from_json(&j).unwrap().to_json(), j);
+    }
+
+    fn reply_with(rows: Vec<String>, rows_json: RowsJson) -> Response {
+        Response {
+            ok: true,
+            relations: vec![RelationOut {
+                name: "result".into(),
+                rows,
+                rows_json,
+            }],
+            ..Response::default()
+        }
+    }
+
+    #[test]
+    fn empty_rows_json_is_refused_and_no_rows_is_an_empty_array() {
+        assert!(RowsJson::parse("").is_err());
+        assert!(RowsJson::parse("  ").is_err());
+        let none = reply_with(vec![], RowsJson::default());
+        assert!(none.to_json().contains(r#""rows":[],"rows_json":[]"#));
+        assert_one_valid_line(&none);
+    }
+
+    #[test]
+    fn newlines_in_rows_json_never_reach_the_line() {
+        // insignificant whitespace is dropped, escaped newlines stay escaped
+        let rows_json = RowsJson::parse("[\n [\"a\\nb\"],\r\n [\"c\"]\n]").unwrap();
+        assert_eq!(rows_json, r#"[["a\nb"],["c"]]"#);
+        let r = reply_with(vec!["('a\nb')".into(), "('c')".into()], rows_json);
+        assert_one_valid_line(&r);
+        // and the same through the structural writer
+        let atom = |name: &str| {
+            let mut c = CellWriter::default();
+            c.atom(name);
+            c.finish()
+        };
+        let mut w = RowsWriter::with_capacity(0);
+        w.row([&atom("a\nb")]);
+        w.row([&atom("c")]);
+        assert_eq!(w.finish(), r.relations[0].rows_json);
+    }
+
+    #[test]
+    fn malformed_rows_json_is_refused_loudly() {
+        for bad in [
+            "[[\"a\"]",
+            "[\"a\",]",
+            "nope",
+            "{\"rows\":[]}",
+            "\"[]\"",
+            "[] []",
+        ] {
+            assert!(RowsJson::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+        // a client reading a reply whose rows_json is not an array gets
+        // an error, not zero rows
+        let line =
+            r#"{"ok":true,"relations":[{"name":"r","rows":["('a')"],"rows_json":"[[\"a\"]]"}]}"#;
+        let e = Response::from_json(line).unwrap_err();
+        assert!(e.contains("rows_json"), "{e}");
+        let push = r#"{"ok":true,"deltas":[{"view":"v","added":[{"name":"r","rows_json":{}}]}]}"#;
+        assert!(Response::from_json(push).is_err());
     }
 
     #[test]

@@ -918,7 +918,11 @@ mod tests {
                         added: vec![no_proto::RelationOut {
                             name: "tc".to_string(),
                             rows: vec![format!("('a', {})", req.text)],
-                            rows_json: String::new(),
+                            rows_json: no_proto::RowsJson::parse(&format!(
+                                "[[\"a\",{}]]",
+                                no_proto::escape(&req.text)
+                            ))
+                            .expect("one row, escaped"),
                         }],
                         removed: Vec::new(),
                     }];

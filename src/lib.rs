@@ -33,6 +33,7 @@ pub use no_tm as tm;
 
 pub mod check;
 pub mod error;
+pub mod reply;
 pub mod service;
 pub mod session;
 pub mod shell;

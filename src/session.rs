@@ -43,18 +43,18 @@
 //! `Physical::execute`.
 
 use crate::error::Error;
+use crate::reply;
 use minipool::ThreadPool;
 use no_algebra::Expr;
-use no_core::print::Printer;
 use no_core::Query;
 use no_datalog::Program;
 use no_ivm::{decode_registry, encode_registry, BaseDelta, IvmError, ViewDelta, ViewRegistry};
 use no_object::text::{parse_clause, render_database, Clause};
-use no_object::{Governor, Instance, Limits, Relation, Schema, Type, Universe, Value};
+use no_object::{Governor, Instance, Limits, Schema, Type, Universe, Value};
 use no_plan::{CacheKey, CalcMode, DatalogMode, Output, PassSet, PlanCache, Planned, Planner};
 use no_proto::{
-    AnalysisOut, DeltaOut, ExplainOut, Json, Lang, LimitsSpec, Mode, Op, RelationOut, Request,
-    Response, Spend, StatsOut, ViewStatsOut,
+    AnalysisOut, ExplainOut, Lang, LimitsSpec, Mode, Op, Request, Response, Spend, StatsOut,
+    ViewStatsOut,
 };
 use no_storage::{Db, DbOptions, SyncPolicy};
 use std::collections::{BTreeMap, BTreeSet};
@@ -781,7 +781,7 @@ impl Session {
         match store.apply_clause(clause) {
             Ok(msg) => {
                 let mut resp = Response::message(msg);
-                resp.deltas = delta_outs(store.universe(), &view_deltas);
+                resp.deltas = reply::delta_outs(store.universe(), &view_deltas);
                 resp
             }
             Err(msg) => {
@@ -811,10 +811,7 @@ impl Session {
             return ivm_error_response(&e);
         }
         let view = store.views().get(name).expect("just materialized");
-        let relations = view
-            .relations()
-            .map(|(rel, rows)| relation_out(store.universe(), rel, rows))
-            .collect();
+        let relations = reply::relations_out(store.universe(), view.relations());
         let notes = view.strategy_notes().join("; ");
         Response {
             ok: true,
@@ -891,7 +888,7 @@ impl Session {
             "applied {applied} mutations; {} views maintained",
             store.views().len()
         ));
-        resp.deltas = delta_outs(store.universe(), &view_deltas);
+        resp.deltas = reply::delta_outs(store.universe(), &view_deltas);
         resp
     }
 
@@ -1332,10 +1329,10 @@ fn parse_source(
 /// round count when the strategy reports one.
 fn render(universe: &Universe, output: Output) -> Response {
     let (relations, rounds) = match output {
-        Output::Relation(rel) => (vec![relation_out(universe, "result", &rel)], None),
+        Output::Relation(answer) => (vec![reply::relation_out(universe, "result", &answer)], None),
         Output::Idb(idb, stats) => (
             idb.iter()
-                .map(|(name, rel)| relation_out(universe, name, rel))
+                .map(|(name, answer)| reply::relation_out(universe, name, answer))
                 .collect(),
             stats.map(|s| s.rounds as u64),
         ),
@@ -1370,30 +1367,6 @@ fn validate_mutation(instance: &Instance, name: &str, row: &[Value]) -> Result<(
     Ok(())
 }
 
-/// Render per-view maintenance deltas for the wire, skipping views the
-/// mutation did not touch.
-fn delta_outs(universe: &Universe, deltas: &BTreeMap<String, ViewDelta>) -> Vec<DeltaOut> {
-    deltas
-        .iter()
-        .filter(|(_, d)| !d.is_empty())
-        .map(|(view, d)| DeltaOut {
-            view: view.clone(),
-            added: d
-                .add
-                .iter()
-                .filter(|(_, rows)| !rows.is_empty())
-                .map(|(rel, rows)| relation_out(universe, rel, rows))
-                .collect(),
-            removed: d
-                .del
-                .iter()
-                .filter(|(_, rows)| !rows.is_empty())
-                .map(|(rel, rows)| relation_out(universe, rel, rows))
-                .collect(),
-        })
-        .collect()
-}
-
 fn analysis_out(analysis: &no_analysis::Analysis, src: &str) -> AnalysisOut {
     let errors = analysis
         .diagnostics
@@ -1406,39 +1379,6 @@ fn analysis_out(analysis: &no_analysis::Analysis, src: &str) -> AnalysisOut {
         errors,
         warnings: analysis.diagnostics.len() as u64 - errors,
         certified: analysis.certificate.is_some(),
-    }
-}
-
-fn value_json(universe: &Universe, v: &Value) -> Json {
-    match v {
-        Value::Atom(a) => Json::Str(universe.name(*a).to_string()),
-        Value::Tuple(vs) => Json::Arr(vs.iter().map(|v| value_json(universe, v)).collect()),
-        // Canonical set order is the element order SetValue maintains.
-        Value::Set(s) => Json::Arr(s.iter().map(|v| value_json(universe, v)).collect()),
-    }
-}
-
-fn relation_out(universe: &Universe, name: &str, rel: &Relation) -> RelationOut {
-    let printer = Printer::with_universe(universe);
-    let sorted = rel.sorted_rows();
-    let rows: Vec<String> = sorted
-        .iter()
-        .map(|row| {
-            let cells: Vec<String> = row.iter().map(|v| printer.value(v)).collect();
-            format!("({})", cells.join(", "))
-        })
-        .collect();
-    let rows_json = Json::Arr(
-        sorted
-            .iter()
-            .map(|row| Json::Arr(row.iter().map(|v| value_json(universe, v)).collect()))
-            .collect(),
-    )
-    .render();
-    RelationOut {
-        name: name.to_string(),
-        rows,
-        rows_json,
     }
 }
 

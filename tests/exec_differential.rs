@@ -124,7 +124,8 @@ proptest! {
             for threads in THREADS {
                 let pool = ThreadPool::new(threads);
                 let rel = execute(&plan, &i, &Governor::unlimited(), &pool)
-                    .expect("unlimited execution succeeds");
+                    .expect("unlimited execution succeeds")
+                    .to_relation();
                 prop_assert_eq!(
                     rel_atoms(&rel),
                     expected.clone(),
@@ -157,7 +158,7 @@ proptest! {
         let rs: HashSet<(u32, u32)> = r.iter().copied().collect();
         let pool = ThreadPool::new(2);
         let gov = Governor::unlimited();
-        let run = |p: &ExecPlan| rel_atoms(&execute(p, &i, &gov, &pool).unwrap());
+        let run = |p: &ExecPlan| rel_atoms(&execute(p, &i, &gov, &pool).unwrap().to_relation());
         let scan = |rel: &str| {
             let mut p = ExecPlan::new();
             p.push(ExecOp::Scan { rel: rel.into() });
@@ -342,7 +343,9 @@ fn large_join_exercises_parallel_probe() {
         let plan = join_plan(algo);
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
-            let rel = execute(&plan, &i, &Governor::unlimited(), &pool).unwrap();
+            let rel = execute(&plan, &i, &Governor::unlimited(), &pool)
+                .unwrap()
+                .to_relation();
             assert_eq!(rel.len(), 5000 * 4, "{} at {threads} threads", algo.label());
             match &first {
                 None => first = Some(rel),

@@ -104,12 +104,10 @@ fn recompute_all_engines(
     let planned = Planner::new(instance.schema())
         .plan_datalog(program, DatalogMode::Stratified)
         .expect("plannable");
-    let out = planned
+    let planned_idb = planned
         .execute(instance, &Governor::unlimited(), pool)
-        .expect("planned stratified oracle");
-    let nestdb::plan::Output::Idb(planned_idb, _) = out else {
-        panic!("datalog plan returned a relation");
-    };
+        .expect("planned stratified oracle")
+        .into_idb();
     for (name, rel) in &strat {
         assert_eq!(
             Some(rel),
@@ -133,12 +131,10 @@ fn recompute_all_engines(
         let planned = Planner::new(instance.schema())
             .plan_datalog(program, DatalogMode::SemiNaive)
             .expect("plannable");
-        let out = planned
+        let idb = planned
             .execute(instance, &Governor::unlimited(), pool)
-            .expect("planned semi-naive oracle");
-        let nestdb::plan::Output::Idb(idb, _) = out else {
-            panic!("datalog plan returned a relation");
-        };
+            .expect("planned semi-naive oracle")
+            .into_idb();
         for (name, rel) in &strat {
             assert_eq!(
                 Some(rel),
