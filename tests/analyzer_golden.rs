@@ -74,13 +74,15 @@ fn analyzer_json_report_over_data_corpus() {
     check_golden("analyze.json.golden", &json);
 }
 
-/// The certificates must also be *sound*: every corpus query the analyzer
-/// marks range restricted evaluates on the actual corpus database without
-/// a range-restriction failure. (The property test in `differential.rs`
-/// covers random instances; this pins the shipped corpus itself.)
+/// The certificates must also be *sound* (Theorem 5.1): every corpus
+/// query the analyzer marks range restricted evaluates on the actual
+/// corpus database without a range-restriction failure, to exactly its
+/// active-domain answer. (The property test in `differential.rs` covers
+/// random instances; this pins the shipped corpus itself.)
 #[test]
 fn corpus_certificates_hold_on_the_corpus_database() {
     use nestdb::core::error::EvalConfig;
+    use nestdb::core::eval::eval_query_with;
     use nestdb::core::parse_query;
     use nestdb::core::ranges::safe_eval;
 
@@ -98,7 +100,12 @@ fn corpus_certificates_hold_on_the_corpus_database() {
         let analysis = nestdb::analysis::analyze_calc(&schema, qsrc, &mut universe);
         assert!(analysis.is_rr_safe(), "{qsrc}: {:?}", analysis.diagnostics);
         let q = parse_query(qsrc, &mut universe).unwrap();
-        safe_eval(&instance, &q, EvalConfig::default())
+        let safe = safe_eval(&instance, &q, EvalConfig::default())
             .unwrap_or_else(|e| panic!("certified query failed to evaluate: {qsrc}: {e}"));
+        let active = eval_query_with(&instance, &q, EvalConfig::default()).unwrap();
+        assert_eq!(
+            safe, active,
+            "safe and active-domain answers differ: {qsrc}"
+        );
     }
 }
