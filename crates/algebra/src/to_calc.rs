@@ -255,6 +255,26 @@ mod tests {
     }
 
     #[test]
+    fn nest_over_a_projection_is_range_restricted() {
+        // the projected-away columns become ∃s inside the grouping's ⇔
+        let (_u, i) = dept_db();
+        let nested = Expr::rel("W")
+            .product(Expr::rel("W"))
+            .project([1, 4])
+            .nest(1);
+        check_equiv(&nested, &i);
+        let q = to_query(&nested, i.schema()).unwrap();
+        let types = no_core::typeck::check(i.schema(), &q.head, &q.body)
+            .unwrap()
+            .var_types;
+        assert!(no_core::rr::is_range_restricted(
+            i.schema(),
+            &types,
+            &q.body
+        ));
+    }
+
+    #[test]
     fn unnest_compiles() {
         let (_u, i) = dept_db();
         check_equiv(&Expr::rel("W").nest(1).unnest(1), &i);

@@ -78,6 +78,21 @@ fn rr_query_pool() -> Vec<(&'static str, Query)> {
     ));
     // fixpoint
     out.push(("transitive closure", tc_query()));
+    // quantifiers nested under a ∀ (rule 7) and under a grouping (rule 9):
+    // w is bound inside the body, so its grant carries over
+    let mut u = Universe::new();
+    for (name, src) in [
+        (
+            "successors with successors",
+            "{[x:U] | G(x, x) /\\ forall y:U (G(x, y) -> exists w:U G(y, w))}",
+        ),
+        (
+            "2-hop successor sets",
+            "{[x:U, s:{U}] | exists z:U G(x, z) /\\ forall y:U ((exists w:U (G(x, w) /\\ G(w, y))) <-> y in s)}",
+        ),
+    ] {
+        out.push((name, nestdb::core::parse_query(src, &mut u).unwrap()));
+    }
     out
 }
 
