@@ -2,29 +2,35 @@
 //!
 //! Every kernel consumes and produces *canonical* [`ColumnTable`]s (see
 //! [`crate::table`]), so for one interner the output of an operator is a
-//! unique bit pattern: hash join and nested loop produce the **identical**
+//! unique bit pattern: every join algorithm produces the **identical**
 //! table for the same inputs, regardless of thread count or hash-map
 //! iteration order — the property the differential fuzzer asserts with
 //! `==`.
 //!
-//! The join kernels both reduce to the same two steps: enumerate the set
-//! of matching `(left row, right row)` index pairs — by exhaustive pairing
-//! (nested loop) or by probing a key index built on one side (hash) —
-//! then sort the pairs and materialize them column-wise. Since each input is sorted and
-//! duplicate-free, pair order `(i, j)` *is* raw-id lexicographic row
-//! order, so the materialized table is canonical by construction.
+//! The join kernels all reduce to the same two steps: enumerate the set
+//! of `(left row, right row)` index pairs that satisfy the join's keys
+//! and filter — by exhaustive pairing (nested loop), by probing a key
+//! index built on one side (hash), or by probing an index of one side's
+//! set members (element index) — then sort the pairs and materialize
+//! them column-wise. A selection over a product is such a join: its
+//! predicate is tested on each candidate pair, and only passing pairs
+//! are built. Since each input is sorted and duplicate-free, pair order
+//! `(i, j)` *is* raw-id lexicographic row order, so the materialized
+//! table is canonical by construction.
 //!
 //! Governor accounting is block-batched through [`BlockMeter`]: one step
-//! per row scanned, probed, or pair considered, and the engines' standard
+//! per row scanned, indexed, or probed, per set member indexed, and per
+//! pair considered or index candidate, and the engines' standard
 //! `8 × arity` bytes per materialized row, flushed per
 //! [`crate::meter::BLOCK`].
 
 use crate::meter::BlockMeter;
-use crate::pred::RowPred;
+use crate::pred::{CompiledPred, RowPred};
 use crate::table::ColumnTable;
 use minipool::{split, ThreadPool};
 use no_object::{Governor, Interner, ResourceError, ValueId};
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Probe sides at or above this row count fan out across the pool.
 const PARALLEL_PROBE_MIN: usize = 4096;
@@ -39,6 +45,31 @@ pub enum JoinAlgo {
         /// Build on the left input (probe with the right) when true.
         build_left: bool,
     },
+    /// Index the members of one side's set column, probe with the
+    /// other side's element (`∈`) or set (`⊆`) column. Enumerates only
+    /// the pairs satisfying the conjunct, so it is correct exactly when
+    /// the conjunct is a top-level conjunct of the join's filter.
+    ElementIndex(SetConjunct),
+}
+
+/// A cross-side `∈`/`⊆` conjunct of a join filter, over the joined
+/// row's 0-based columns. The side holding `set` is the indexed one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SetConjunct {
+    /// `elem ∈ set`.
+    In {
+        /// The element column.
+        elem: usize,
+        /// The set column.
+        set: usize,
+    },
+    /// `sub ⊆ set`.
+    Subset {
+        /// The subset column.
+        sub: usize,
+        /// The superset column.
+        set: usize,
+    },
 }
 
 impl JoinAlgo {
@@ -50,6 +81,12 @@ impl JoinAlgo {
                 "HashJoin(build={})",
                 if *build_left { "left" } else { "right" }
             ),
+            JoinAlgo::ElementIndex(SetConjunct::In { elem, set }) => {
+                format!("ElementIndexJoin(#{} ∈ #{})", elem + 1, set + 1)
+            }
+            JoinAlgo::ElementIndex(SetConjunct::Subset { sub, set }) => {
+                format!("ElementIndexJoin(#{} ⊆ #{})", sub + 1, set + 1)
+            }
         }
     }
 }
@@ -66,7 +103,7 @@ pub fn select(
     let mut keep: Vec<u32> = Vec::new();
     for i in 0..t.len() {
         m.work(1)?;
-        if compiled.eval(t, i, int) {
+        if compiled.eval_by(&|c| t.col(c)[i], int) {
             keep.push(i as u32);
         }
     }
@@ -196,77 +233,104 @@ fn merge_setop(
     Ok(out)
 }
 
-/// × — Cartesian product, columns of `b` appended to `a`. The cell count
-/// is pre-checked against the range budget (a product is a quantifier
-/// range in disguise), then rows are materialized in `(i, j)` order —
-/// canonical because both inputs are.
-pub fn product(
-    a: &ColumnTable,
-    b: &ColumnTable,
-    gov: &Governor,
-) -> Result<ColumnTable, ResourceError> {
-    let cells = a.len() as u64 * b.len() as u64;
-    gov.check_range("exec.product", cells)?;
-    let arity = a.arity() + b.arity();
-    let mut m = BlockMeter::new(gov, "exec.product");
-    let mut out = ColumnTable::empty(arity);
-    let mut row: Vec<ValueId> = Vec::with_capacity(arity);
-    for i in 0..a.len() {
-        for j in 0..b.len() {
-            m.rows(1, arity)?;
-            row.clear();
-            row.extend(a.row(i));
-            row.extend(b.row(j));
-            out.push_row(&row);
-        }
-    }
-    m.finish()?;
-    Ok(out)
-}
-
-/// ⋈ — equi-join on `keys` (pairs of 0-based columns, left then right),
-/// with the algorithm picked by the planner. Output columns are the
-/// left's followed by the right's, duplicates of key columns included
-/// (projection is a separate operator).
+/// ⋈ — every pair `(i, j)` of `l` and `r` rows whose `keys` columns
+/// agree and which satisfies `filter` (over the joined row: `l`'s
+/// columns, then `r`'s), enumerated by the planner's `algo`. Output
+/// columns are the left's followed by the right's, duplicates of key
+/// columns included (projection is a separate operator).
+///
+/// A keyless join is a quantifier range in disguise: its pair count is
+/// checked against the range budget at `exec.product` before anything
+/// runs, whatever the filter. Without a filter it is the Cartesian
+/// product, charged one output row per pair at `exec.product` and
+/// nothing else.
+#[allow(clippy::too_many_arguments)]
 pub fn join(
     l: &ColumnTable,
     r: &ColumnTable,
     keys: &[(usize, usize)],
+    filter: Option<&RowPred>,
     algo: JoinAlgo,
+    int: &Interner,
     gov: &Governor,
     pool: &ThreadPool,
 ) -> Result<ColumnTable, ResourceError> {
+    if keys.is_empty() {
+        gov.check_range("exec.product", l.len() as u64 * r.len() as u64)?;
+        if filter.is_none() {
+            let (n, m) = (l.len() as u32, r.len() as u32);
+            let pairs = (0..n).flat_map(move |i| (0..m).map(move |j| (i, j)));
+            return materialize_pairs(l, r, pairs, "exec.product", gov);
+        }
+    }
+    let filter = filter.map(|p| p.compile(int));
+    let test = PairTest {
+        l,
+        r,
+        keys,
+        filter: filter.as_ref(),
+        int,
+    };
     let mut pairs = match algo {
-        JoinAlgo::NestedLoop => nested_loop_pairs(l, r, keys, gov)?,
-        JoinAlgo::Hash { build_left } => hash_pairs(l, r, keys, build_left, gov, pool)?,
+        JoinAlgo::NestedLoop => nested_loop_pairs(&test, gov)?,
+        JoinAlgo::Hash { build_left } => hash_pairs(&test, build_left, gov, pool)?,
+        JoinAlgo::ElementIndex(conj) => element_index_pairs(&test, conj, gov, pool)?,
     };
     pairs.sort_unstable();
-    materialize_pairs(l, r, &pairs, gov)
+    materialize_pairs(l, r, pairs.iter().copied(), "exec.join", gov)
 }
 
-fn keys_match(
-    l: &ColumnTable,
-    i: usize,
-    r: &ColumnTable,
-    j: usize,
-    keys: &[(usize, usize)],
-) -> bool {
-    keys.iter().all(|&(lc, rc)| l.col(lc)[i] == r.col(rc)[j])
+/// The join condition on one candidate pair: equal keys and the filter,
+/// read across both sides without building the joined row.
+#[derive(Clone, Copy)]
+struct PairTest<'a> {
+    l: &'a ColumnTable,
+    r: &'a ColumnTable,
+    keys: &'a [(usize, usize)],
+    filter: Option<&'a CompiledPred>,
+    int: &'a Interner,
+}
+
+impl PairTest<'_> {
+    /// Do rows `i` of `l` and `j` of `r` join?
+    #[inline]
+    fn holds(&self, i: u32, j: u32) -> bool {
+        let (i, j) = (i as usize, j as usize);
+        let (l, r) = (self.l, self.r);
+        self.keys
+            .iter()
+            .all(|&(lc, rc)| l.col(lc)[i] == r.col(rc)[j])
+            && self.filter.is_none_or(|f| self.passes(f, i, j))
+    }
+
+    /// Does the joined row of `i` and `j` satisfy `filter`? Kept out of
+    /// line so the key loops around [`PairTest::holds`] stay tight.
+    #[inline(never)]
+    fn passes(&self, filter: &CompiledPred, i: usize, j: usize) -> bool {
+        let (l, r) = (self.l, self.r);
+        let la = l.arity();
+        let cell = |c: usize| {
+            if c < la {
+                l.col(c)[i]
+            } else {
+                r.col(c - la)[j]
+            }
+        };
+        filter.eval_by(&cell, self.int)
+    }
 }
 
 fn nested_loop_pairs(
-    l: &ColumnTable,
-    r: &ColumnTable,
-    keys: &[(usize, usize)],
+    test: &PairTest<'_>,
     gov: &Governor,
 ) -> Result<Vec<(u32, u32)>, ResourceError> {
     let mut m = BlockMeter::new(gov, "exec.join");
     let mut pairs = Vec::new();
-    for i in 0..l.len() {
-        for j in 0..r.len() {
+    for i in 0..test.l.len() as u32 {
+        for j in 0..test.r.len() as u32 {
             m.work(1)?;
-            if keys_match(l, i, r, j, keys) {
-                pairs.push((i as u32, j as u32));
+            if test.holds(i, j) {
+                pairs.push((i, j));
             }
         }
     }
@@ -275,19 +339,17 @@ fn nested_loop_pairs(
 }
 
 fn hash_pairs(
-    l: &ColumnTable,
-    r: &ColumnTable,
-    keys: &[(usize, usize)],
+    test: &PairTest<'_>,
     build_left: bool,
     gov: &Governor,
     pool: &ThreadPool,
 ) -> Result<Vec<(u32, u32)>, ResourceError> {
-    let lkeys: Vec<usize> = keys.iter().map(|&(lc, _)| lc).collect();
-    let rkeys: Vec<usize> = keys.iter().map(|&(_, rc)| rc).collect();
+    let lkeys: Vec<usize> = test.keys.iter().map(|&(lc, _)| lc).collect();
+    let rkeys: Vec<usize> = test.keys.iter().map(|&(_, rc)| rc).collect();
     let (build, bkeys, probe, pkeys) = if build_left {
-        (l, &lkeys, r, &rkeys)
+        (test.l, &lkeys, test.r, &rkeys)
     } else {
-        (r, &rkeys, l, &lkeys)
+        (test.r, &rkeys, test.l, &lkeys)
     };
     {
         let mut m = BlockMeter::new(gov, "exec.join.build");
@@ -295,20 +357,109 @@ fn hash_pairs(
         m.finish()?;
     }
     let index = build.key_index(bkeys);
+    // The index matches the keys; candidates are left to the filter.
+    let test = PairTest { keys: &[], ..*test };
+    let hits = |p: usize| {
+        index
+            .get(&probe.key_at(pkeys, p))
+            .map_or(&[][..], Vec::as_slice)
+    };
+    probe_pairs(&test, build_left, hits, gov, pool)
+}
 
+/// Index the members of the set column on the side holding `conj`'s
+/// set, then probe with the other side: an element (`∈`) looks up its
+/// posting list; a set (`⊆`) takes the shortest posting list among its
+/// members — any superset holds that member — and the empty set takes
+/// every set-valued row. The candidates are exactly the pairs satisfying
+/// `conj`, each then checked against the keys and the whole filter.
+fn element_index_pairs(
+    test: &PairTest<'_>,
+    conj: SetConjunct,
+    gov: &Governor,
+    pool: &ThreadPool,
+) -> Result<Vec<(u32, u32)>, ResourceError> {
+    let la = test.l.arity();
+    let (probe_col, set_col) = match conj {
+        SetConjunct::In { elem, set } => (elem, set),
+        SetConjunct::Subset { sub, set } => (sub, set),
+    };
+    let build_left = set_col < la;
+    let (build, probe) = if build_left {
+        (test.l, test.r)
+    } else {
+        (test.r, test.l)
+    };
+    let local = |c: usize| if c < la { c } else { c - la };
+    let (set_col, probe_col) = (local(set_col), local(probe_col));
+
+    let int = test.int;
+    let mut postings: HashMap<ValueId, Vec<u32>> = HashMap::new();
+    let mut set_rows: Vec<u32> = Vec::new();
+    {
+        let mut m = BlockMeter::new(gov, "exec.join.build");
+        for (b, &id) in build.col(set_col).iter().enumerate() {
+            m.work(1)?;
+            if let Some(elems) = int.set_elems(id) {
+                m.work(elems.len() as u64)?;
+                set_rows.push(b as u32);
+                for &e in elems {
+                    postings.entry(e).or_default().push(b as u32);
+                }
+            }
+        }
+        m.finish()?;
+    }
+    let posting = |e: &ValueId| postings.get(e).map_or(&[][..], Vec::as_slice);
+    let hits = |p: usize| {
+        let v = probe.col(probe_col)[p];
+        match conj {
+            SetConjunct::In { .. } => posting(&v),
+            SetConjunct::Subset { .. } => match int.set_elems(v) {
+                None => &[][..],
+                Some([]) => set_rows.as_slice(),
+                Some(elems) => elems
+                    .iter()
+                    .map(posting)
+                    .min_by_key(|hits| hits.len())
+                    .expect("a non-empty set"),
+            },
+        }
+    };
+    probe_pairs(test, build_left, hits, gov, pool)
+}
+
+/// Probe every row of the non-build side against an index: `hits(p)` is
+/// the build rows probe row `p` may pair with, each kept when `test`
+/// holds. One step per probe row and per candidate at
+/// `exec.join.probe`; probe sides of at least [`PARALLEL_PROBE_MIN`]
+/// rows split across the pool (each chunk meters what it did, so totals
+/// do not depend on the thread count).
+fn probe_pairs<'a>(
+    test: &PairTest<'_>,
+    build_left: bool,
+    hits: impl Fn(usize) -> &'a [u32] + Sync,
+    gov: &Governor,
+    pool: &ThreadPool,
+) -> Result<Vec<(u32, u32)>, ResourceError> {
+    let probe_len = if build_left {
+        test.r.len()
+    } else {
+        test.l.len()
+    };
     let probe_chunk = |range: std::ops::Range<usize>| -> Result<Vec<(u32, u32)>, ResourceError> {
         let mut m = BlockMeter::new(gov, "exec.join.probe");
         let mut out = Vec::new();
         for p in range {
-            m.work(1)?;
-            if let Some(hits) = index.get(&probe.key_at(pkeys, p)) {
-                m.work(hits.len() as u64)?;
-                for &b in hits {
-                    let (i, j) = if build_left {
-                        (b, p as u32)
-                    } else {
-                        (p as u32, b)
-                    };
+            let hits = hits(p);
+            m.work(1 + hits.len() as u64)?;
+            for &b in hits {
+                let (i, j) = if build_left {
+                    (b, p as u32)
+                } else {
+                    (p as u32, b)
+                };
+                if test.holds(i, j) {
                     out.push((i, j));
                 }
             }
@@ -317,34 +468,27 @@ fn hash_pairs(
         Ok(out)
     };
 
-    let chunked: Vec<Vec<(u32, u32)>> = if pool.threads() > 1 && probe.len() >= PARALLEL_PROBE_MIN {
-        pool.try_map(split(probe.len(), pool.threads()), probe_chunk)?
+    let chunked: Vec<Vec<(u32, u32)>> = if pool.threads() > 1 && probe_len >= PARALLEL_PROBE_MIN {
+        pool.try_map(split(probe_len, pool.threads()), probe_chunk)?
     } else {
-        vec![probe_chunk(0..probe.len())?]
+        vec![probe_chunk(0..probe_len)?]
     };
     Ok(chunked.concat())
 }
 
-/// Materialize sorted `(left, right)` index pairs column-wise. Because
-/// both inputs are canonical and the pairs are strictly increasing, the
-/// output is canonical without a sort.
+/// Materialize sorted `(left, right)` index pairs, charging one output
+/// row each at `site` before anything is built. Because both inputs are
+/// canonical and the pairs are strictly increasing, the output is
+/// canonical without a sort.
 fn materialize_pairs(
     l: &ColumnTable,
     r: &ColumnTable,
-    pairs: &[(u32, u32)],
+    pairs: impl Iterator<Item = (u32, u32)> + Clone,
+    site: &'static str,
     gov: &Governor,
 ) -> Result<ColumnTable, ResourceError> {
-    let arity = l.arity() + r.arity();
-    let mut m = BlockMeter::new(gov, "exec.join");
-    m.rows(pairs.len() as u64, arity)?;
+    let mut m = BlockMeter::new(gov, site);
+    m.rows(pairs.clone().count() as u64, l.arity() + r.arity())?;
     m.finish()?;
-    let mut out = ColumnTable::empty(arity);
-    let mut row: Vec<ValueId> = Vec::with_capacity(arity);
-    for &(i, j) in pairs {
-        row.clear();
-        row.extend(l.row(i as usize));
-        row.extend(r.row(j as usize));
-        out.push_row(&row);
-    }
-    Ok(out)
+    Ok(ColumnTable::paired(l, r, pairs))
 }

@@ -3,15 +3,17 @@
 //! The physical execution layer the planner (`crates/plan`) lowers to
 //! when a query falls in the *flat conjunctive* fragment: column-major
 //! relation storage over interned ids ([`ColumnTable`]), secondary hash
-//! indexes, and real join algorithms — hash join and nested loop — chosen
-//! per join from collected statistics instead of always binding to the
-//! tree-walk kernels.
+//! indexes, and real join algorithms — hash join, nested loop, and an
+//! element index for cross-side `∈`/`⊆` — chosen per join from collected
+//! statistics instead of always binding to the tree-walk kernels. A
+//! selection over a product runs inside the join: its predicate is the
+//! join's filter, tested on each candidate pair.
 //!
 //! Design invariants (see DESIGN.md §14):
 //!
 //! * **Canonical tables.** Every kernel consumes and produces tables in
-//!   raw-id-sorted duplicate-free row order, so both join
-//!   algorithms produce bit-identical outputs and results are
+//!   raw-id-sorted duplicate-free row order, so every join
+//!   algorithm produces bit-identical outputs and results are
 //!   independent of thread count — the property `tests/exec_differential.rs`
 //!   fuzzes.
 //! * **Per-version interning.** Scans read one arena and one canonical
@@ -39,7 +41,7 @@ pub mod resident;
 pub mod table;
 
 pub use answer::Answer;
-pub use kernels::JoinAlgo;
+pub use kernels::{JoinAlgo, SetConjunct};
 pub use plan::{execute, ExecId, ExecOp, ExecPlan};
 pub use pred::RowPred;
 pub use resident::Resident;

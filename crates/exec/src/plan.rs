@@ -15,7 +15,7 @@
 
 use crate::answer::Answer;
 use crate::kernels;
-pub use crate::kernels::JoinAlgo;
+pub use crate::kernels::{JoinAlgo, SetConjunct};
 use crate::meter::BlockMeter;
 use crate::pred::RowPred;
 use crate::resident::Resident;
@@ -85,14 +85,10 @@ pub enum ExecOp {
         /// Right input.
         right: ExecId,
     },
-    /// × — Cartesian product (right columns appended).
-    Product {
-        /// Left input.
-        left: ExecId,
-        /// Right input.
-        right: ExecId,
-    },
-    /// ⋈ — equi-join with a planner-chosen algorithm.
+    /// ⋈ — the pairs of `left` and `right` rows with equal keys that
+    /// satisfy the filter, enumerated by a planner-chosen algorithm
+    /// (right columns appended). With no keys and no filter it is the
+    /// Cartesian product.
     Join {
         /// Left input.
         left: ExecId,
@@ -100,6 +96,9 @@ pub enum ExecOp {
         right: ExecId,
         /// Key column pairs (left column, right column), 0-based.
         keys: Vec<(usize, usize)>,
+        /// A predicate over the joined row (0-based columns), tested on
+        /// each candidate pair before it is materialized.
+        filter: Option<RowPred>,
         /// The algorithm to run.
         algo: JoinAlgo,
     },
@@ -127,7 +126,6 @@ impl ExecPlan {
             ExecOp::Union { left, right }
             | ExecOp::Difference { left, right }
             | ExecOp::Intersect { left, right }
-            | ExecOp::Product { left, right }
             | ExecOp::Join { left, right, .. } =>
                 *left < self.nodes.len() && *right < self.nodes.len(),
             ExecOp::Scan { .. } | ExecOp::Empty { .. } | ExecOp::Const { .. } => true,
@@ -211,15 +209,22 @@ pub fn execute(
             ExecOp::Intersect { left, right } => {
                 kernels::intersect(&slots[*left], &slots[*right], governor)?
             }
-            ExecOp::Product { left, right } => {
-                kernels::product(&slots[*left], &slots[*right], governor)?
-            }
             ExecOp::Join {
                 left,
                 right,
                 keys,
+                filter,
                 algo,
-            } => kernels::join(&slots[*left], &slots[*right], keys, *algo, governor, pool)?,
+            } => kernels::join(
+                &slots[*left],
+                &slots[*right],
+                keys,
+                filter.as_ref(),
+                *algo,
+                int,
+                governor,
+                pool,
+            )?,
         };
         slots.push(Arc::new(table));
     }

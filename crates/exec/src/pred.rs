@@ -1,4 +1,4 @@
-//! Row predicates for the columnar select kernel.
+//! Row predicates for the columnar select kernel and join filters.
 //!
 //! [`RowPred`] mirrors the algebra's `Pred` shape (equality between
 //! columns, equality with a constant, membership, subset, and the boolean
@@ -9,10 +9,10 @@
 //! lacks occurs in no row over it — after which evaluation is pure id
 //! work.
 
-use crate::table::ColumnTable;
 use no_object::{Interner, Value, ValueId};
 
-/// A predicate over one row of a [`ColumnTable`], columns 0-based.
+/// A predicate over one row of a [`crate::ColumnTable`] (or over a join's
+/// candidate pair, read as one row), columns 0-based.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RowPred {
     /// Column = column.
@@ -77,23 +77,25 @@ pub enum CompiledPred {
 }
 
 impl CompiledPred {
-    /// Evaluate against row `i` of `t`.
-    pub fn eval(&self, t: &ColumnTable, i: usize, int: &Interner) -> bool {
+    /// Evaluate against the row whose column `c` holds `cell(c)`: a row
+    /// of one table (the select kernel) or a candidate pair of a join,
+    /// read across both sides without materializing it.
+    pub fn eval_by<F: Fn(usize) -> ValueId>(&self, cell: &F, int: &Interner) -> bool {
         match self {
-            CompiledPred::EqCols(a, b) => t.col(*a)[i] == t.col(*b)[i],
-            CompiledPred::EqConst(c, id) => Some(t.col(*c)[i]) == *id,
+            CompiledPred::EqCols(a, b) => cell(*a) == cell(*b),
+            CompiledPred::EqConst(c, id) => Some(cell(*c)) == *id,
             CompiledPred::InCols(a, b) => int
-                .set_elems(t.col(*b)[i])
-                .is_some_and(|elems| int.set_contains(elems, t.col(*a)[i])),
+                .set_elems(cell(*b))
+                .is_some_and(|elems| int.set_contains(elems, cell(*a))),
             CompiledPred::SubsetCols(a, b) => {
-                match (int.set_elems(t.col(*a)[i]), int.set_elems(t.col(*b)[i])) {
+                match (int.set_elems(cell(*a)), int.set_elems(cell(*b))) {
                     (Some(xs), Some(ys)) => int.set_is_subset(xs, ys),
                     _ => false,
                 }
             }
-            CompiledPred::Not(p) => !p.eval(t, i, int),
-            CompiledPred::And(a, b) => a.eval(t, i, int) && b.eval(t, i, int),
-            CompiledPred::Or(a, b) => a.eval(t, i, int) || b.eval(t, i, int),
+            CompiledPred::Not(p) => !p.eval_by(cell, int),
+            CompiledPred::And(a, b) => a.eval_by(cell, int) && b.eval_by(cell, int),
+            CompiledPred::Or(a, b) => a.eval_by(cell, int) || b.eval_by(cell, int),
         }
     }
 }

@@ -117,6 +117,35 @@ impl ColumnTable {
         }
     }
 
+    /// The table of `(l row, r row)` index pairs, `r`'s columns appended
+    /// to `l`'s, built column by column (the pairs are walked once per
+    /// column). Strictly increasing pairs over two canonical tables give
+    /// a canonical result without a sort.
+    pub(crate) fn paired(
+        l: &ColumnTable,
+        r: &ColumnTable,
+        pairs: impl Iterator<Item = (u32, u32)> + Clone,
+    ) -> ColumnTable {
+        let len = pairs.clone().count();
+        let left = l.cols.iter().map(|col| {
+            pairs
+                .clone()
+                .map(|(i, _)| col[i as usize])
+                .collect::<Vec<_>>()
+        });
+        let right = r.cols.iter().map(|col| {
+            pairs
+                .clone()
+                .map(|(_, j)| col[j as usize])
+                .collect::<Vec<_>>()
+        });
+        ColumnTable {
+            arity: l.arity + r.arity,
+            len,
+            cols: left.chain(right).collect(),
+        }
+    }
+
     /// Raw-id lexicographic comparison of `self`'s row `i` with `other`'s
     /// row `j` (both tables must share one interner).
     pub fn cmp_row_cross(&self, i: usize, other: &ColumnTable, j: usize) -> Ordering {

@@ -12,20 +12,24 @@
 //!   for a fixed statistics snapshot).
 //! * **Flat algebra expressions** — everything except `Nest`/`Unnest`/
 //!   `Powerset`, which keep the tree-walk path. A `Select` directly over
-//!   a `Product` whose conjuncts equate columns across the two sides is
-//!   recognized as an equi-join (predicate pushdown deliberately leaves
-//!   such conjuncts on top of the product for exactly this pattern).
+//!   a `Product` runs inside the join (predicate pushdown deliberately
+//!   leaves cross-side conjuncts on top of the product for exactly this
+//!   pattern): conjuncts equating columns across the two sides become
+//!   equi-join keys and the rest becomes the join's filter, tested on
+//!   each candidate pair, so the product is never built.
 //!
-//! Per join the planner *picks an algorithm* from the statistics — the
-//! decision table lives in [`choose_join`] and is documented in
-//! DESIGN.md §14 — and records the choice as a node annotation, which is
-//! how `:explain` shows e.g. `HashJoin(build=right), keys: l#2=r#1`.
+//! Per join the planner *picks an algorithm* from the keys, the filter
+//! and the statistics — the decision table lives in [`choose_join`] and
+//! is documented in DESIGN.md §14 — and records the choice as a node
+//! annotation, which is how `:explain` shows e.g. `HashJoin(build=right),
+//! keys: l#2=r#1` or `ElementIndexJoin(#2 ⊆ #4), filter σ[#2 ⊆ #4]`.
 
+use crate::explain::pred_str;
 use crate::ir::{NodeId, Op, Plan};
 use crate::stats::Stats;
 use no_algebra::{Expr, Pred};
 use no_core::conjunctive::{CArg, ConjunctiveQuery};
-use no_exec::{ExecId, ExecOp, ExecPlan, JoinAlgo, RowPred};
+use no_exec::{ExecId, ExecOp, ExecPlan, JoinAlgo, RowPred, SetConjunct};
 use no_object::{Schema, Type};
 
 /// Inputs at or below this estimated cardinality take a nested loop —
@@ -53,16 +57,28 @@ struct Side {
     est: Option<u64>,
 }
 
-/// Pick the physical join algorithm from estimated input sizes. The
-/// decision table (DESIGN.md §14):
+/// Pick the physical join algorithm from whether the join has keys, its
+/// filter's first cross-side `∈`/`⊆` conjunct, and the estimated input
+/// sizes. The decision table (DESIGN.md §14):
 ///
-/// 1. unknown estimates → hash join, build left (safe default);
-/// 2. either input ≤ [`SMALL_INPUT`] rows → nested loop;
-/// 3. otherwise → hash join, building the smaller side.
+/// 1. no keys, a cross-side `∈`/`⊆` conjunct → element index on the
+///    side holding the set;
+/// 2. no keys otherwise → nested loop over all pairs;
+/// 3. unknown estimates → hash join, build left (safe default);
+/// 4. either input ≤ [`SMALL_INPUT`] rows → nested loop;
+/// 5. otherwise → hash join, building the smaller side.
 ///
 /// Pure in its inputs: for a fixed stats snapshot the choice is
 /// deterministic (property-tested in `tests/exec_differential.rs`).
-pub fn choose_join(l_est: Option<u64>, r_est: Option<u64>) -> JoinAlgo {
+pub fn choose_join(
+    keyed: bool,
+    set_conjunct: Option<SetConjunct>,
+    l_est: Option<u64>,
+    r_est: Option<u64>,
+) -> JoinAlgo {
+    if !keyed {
+        return set_conjunct.map_or(JoinAlgo::NestedLoop, JoinAlgo::ElementIndex);
+    }
     let (Some(le), Some(re)) = (l_est, r_est) else {
         return JoinAlgo::Hash { build_left: true };
     };
@@ -72,6 +88,24 @@ pub fn choose_join(l_est: Option<u64>, r_est: Option<u64>) -> JoinAlgo {
     JoinAlgo::Hash {
         build_left: le <= re,
     }
+}
+
+/// The first conjunct of `conjuncts` (1-based columns over the joined
+/// row) that tests `∈` or `⊆` between a left column and a right one.
+fn set_conjunct(conjuncts: &[&Pred], l_arity: usize) -> Option<SetConjunct> {
+    conjuncts.iter().find_map(|c| {
+        let (Pred::InCols(a, b) | Pred::SubsetCols(a, b)) = c else {
+            return None;
+        };
+        let (a, b) = (a - 1, b - 1);
+        if (a < l_arity) == (b < l_arity) {
+            return None;
+        }
+        Some(match c {
+            Pred::InCols(..) => SetConjunct::In { elem: a, set: b },
+            _ => SetConjunct::Subset { sub: a, set: b },
+        })
+    })
 }
 
 /// Render a join's key list for plan annotations, 1-based.
@@ -257,32 +291,9 @@ fn lower_conjunctive_into(
             })
             .collect();
 
-        cur = if keys.is_empty() {
-            let eid = exec.push(ExecOp::Product {
-                left: cur.eid,
-                right: nxt.eid,
-            });
-            let est = cur.est.zip(nxt.est).map(|(a, b)| a.saturating_mul(b));
-            let nid = plan.add_est(Op::Join, vec![cur.nid, nxt.nid], est);
-            plan.nodes[nid].note = Some("cartesian product (no shared variables)".to_string());
-            notes.push(format!("join {join_no}: cartesian product"));
-            combine_sides(cur, nxt, eid, nid, est)
-        } else {
-            let algo = choose_join(cur.est, nxt.est);
-            let eid = exec.push(ExecOp::Join {
-                left: cur.eid,
-                right: nxt.eid,
-                keys: keys.clone(),
-                algo,
-            });
-            // Joined estimate: the larger side caps it for key joins.
-            let est = cur.est.zip(nxt.est).map(|(a, b)| a.max(b));
-            let nid = plan.add_est(Op::Join, vec![cur.nid, nxt.nid], est);
-            let desc = format!("{}, keys: {}", algo.label(), keys_desc(&keys));
-            plan.nodes[nid].note = Some(desc.clone());
-            notes.push(format!("join {join_no}: {desc}"));
-            combine_sides(cur, nxt, eid, nid, est)
-        };
+        cur = push_join(cur, nxt, keys, None, exec, plan, |desc| {
+            notes.push(format!("join {join_no}: {desc}"))
+        });
     }
 
     // Project the head columns (possibly none: boolean queries).
@@ -473,8 +484,9 @@ fn go(
             })
         }
         Expr::Select(inner, pred) => {
-            // σ over a product with cross-side equality conjuncts is an
-            // equi-join: pushdown leaves exactly those conjuncts on top.
+            // σ over a product is a join filtered by the predicate, keyed
+            // on its cross-side equalities: pushdown leaves exactly the
+            // cross-side conjuncts on top.
             if let Expr::Product(a, b) = inner.as_ref() {
                 return lower_join_pattern(a, b, pred, schema, stats, exec, plan, notes);
             }
@@ -511,13 +523,9 @@ fn go(
         Expr::Product(a, b) => {
             let l = go(a, schema, stats, exec, plan, notes)?;
             let r = go(b, schema, stats, exec, plan, notes)?;
-            let eid = exec.push(ExecOp::Product {
-                left: l.eid,
-                right: r.eid,
-            });
-            let est = l.est.zip(r.est).map(|(x, y)| x.saturating_mul(y));
-            let nid = plan.add_est(Op::Join, vec![l.nid, r.nid], est);
-            Some(combine_sides(l, r, eid, nid, est))
+            Some(push_join(l, r, Vec::new(), None, exec, plan, |desc| {
+                notes.push(format!("join: {desc}"))
+            }))
         }
         Expr::Union(a, b) | Expr::Difference(a, b) | Expr::Intersect(a, b) => {
             let l = go(a, schema, stats, exec, plan, notes)?;
@@ -609,92 +617,186 @@ fn lower_join_pattern(
             other => residual.push(other),
         }
     }
-    if keys.is_empty() {
-        // No equi-join keys: plain σ(product).
-        let eid = exec.push(ExecOp::Product {
-            left: l.eid,
-            right: r.eid,
-        });
-        let est = l.est.zip(r.est).map(|(x, y)| x.saturating_mul(y));
-        let nid = plan.add_est(Op::Join, vec![l.nid, r.nid], est);
-        let side = combine_sides(l, r, eid, nid, est);
-        let eid = exec.push(ExecOp::Select {
-            input: side.eid,
-            pred: row_pred(pred),
-        });
-        let est = shrink(side.est, Some(2));
-        let nid = plan.add_est(Op::Select { pred: pred.clone() }, vec![side.nid], est);
-        return Some(Side {
-            eid,
-            nid,
-            est,
-            ..side
-        });
-    }
+    let filter = residual.into_iter().cloned().reduce(|acc, p| acc.and(p));
+    Some(push_join(l, r, keys, filter, exec, plan, |desc| {
+        notes.push(format!("join: {desc}"))
+    }))
+}
 
-    let algo = choose_join(l.est, r.est);
+/// Push the join of `l` and `r` on `keys`, filtered by `filter` (1-based
+/// columns over the joined row), with the algorithm [`choose_join`]
+/// picks. The logical `join` node carries the algorithm, keys and
+/// filter as its note, and `note` receives the same description for
+/// the plan header.
+fn push_join(
+    l: Side,
+    r: Side,
+    keys: Vec<(usize, usize)>,
+    filter: Option<Pred>,
+    exec: &mut ExecPlan,
+    plan: &mut Plan,
+    note: impl FnOnce(&str),
+) -> Side {
+    let filter_conjuncts = filter.as_ref().map(conjuncts).unwrap_or_default();
+    let algo = choose_join(
+        !keys.is_empty(),
+        set_conjunct(&filter_conjuncts, l.arity),
+        l.est,
+        r.est,
+    );
     let eid = exec.push(ExecOp::Join {
         left: l.eid,
         right: r.eid,
         keys: keys.clone(),
+        filter: filter.as_ref().map(row_pred),
         algo,
     });
-    let est = l.est.zip(r.est).map(|(x, y)| x.max(y));
+    // A keyless join is the product; a key join is capped by its larger
+    // side. A filter halves either.
+    let est = if keys.is_empty() {
+        l.est.zip(r.est).map(|(a, b)| a.saturating_mul(b))
+    } else {
+        l.est.zip(r.est).map(|(a, b)| a.max(b))
+    };
+    let est = if filter.is_some() {
+        shrink(est, Some(2))
+    } else {
+        est
+    };
     let nid = plan.add_est(Op::Join, vec![l.nid, r.nid], est);
-    let desc = format!("{}, keys: {}", algo.label(), keys_desc(&keys));
-    plan.nodes[nid].note = Some(desc.clone());
-    notes.push(format!("join: {desc}"));
-    let mut side = combine_sides(l, r, eid, nid, est);
-
-    if !residual.is_empty() {
-        let combined = residual
-            .into_iter()
-            .cloned()
-            .reduce(|acc, p| acc.and(p))
-            .expect("non-empty");
-        let eid = exec.push(ExecOp::Select {
-            input: side.eid,
-            pred: row_pred(&combined),
-        });
-        let est = shrink(side.est, Some(2));
-        let nid = plan.add_est(
-            Op::Select {
-                pred: combined.clone(),
-            },
-            vec![side.nid],
-            est,
-        );
-        side = Side {
-            eid,
-            nid,
-            est,
-            ..side
-        };
+    let mut desc = algo.label();
+    if !keys.is_empty() {
+        desc.push_str(&format!(", keys: {}", keys_desc(&keys)));
     }
-    Some(side)
+    match &filter {
+        Some(p) => desc.push_str(&format!(", filter σ[{}]", pred_str(p))),
+        None if keys.is_empty() => desc.push_str(", cartesian product"),
+        None => {}
+    }
+    note(&desc);
+    plan.nodes[nid].note = Some(desc);
+    combine_sides(l, r, eid, nid, est)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Physical, Planner};
+    use no_object::{Atom, Instance, RelationSchema, Value};
 
     #[test]
     fn decision_table_is_deterministic_and_tiered() {
-        // unknown stats → hash, build left
+        let sub = SetConjunct::Subset { sub: 1, set: 3 };
+        let member = SetConjunct::In { elem: 0, set: 3 };
+        // no keys: a cross-side ∈/⊆ conjunct → element index, at any size
+        for (l, r) in [(None, None), (Some(3), Some(1000)), (Some(500), Some(500))] {
+            assert_eq!(
+                choose_join(false, Some(sub), l, r),
+                JoinAlgo::ElementIndex(sub)
+            );
+            assert_eq!(
+                choose_join(false, Some(member), l, r),
+                JoinAlgo::ElementIndex(member)
+            );
+            // no keys and no set conjunct → nested loop over all pairs
+            assert_eq!(choose_join(false, None, l, r), JoinAlgo::NestedLoop);
+        }
+        // keys win over a set conjunct; unknown stats → hash, build left
         assert_eq!(
-            choose_join(None, Some(100)),
+            choose_join(true, Some(sub), None, Some(100)),
             JoinAlgo::Hash { build_left: true }
         );
         // tiny side → nested loop
-        assert_eq!(choose_join(Some(3), Some(1000)), JoinAlgo::NestedLoop);
+        assert_eq!(
+            choose_join(true, None, Some(3), Some(1000)),
+            JoinAlgo::NestedLoop
+        );
         // otherwise hash, building the smaller side
         assert_eq!(
-            choose_join(Some(100), Some(1000)),
+            choose_join(true, None, Some(100), Some(1000)),
             JoinAlgo::Hash { build_left: true }
         );
         assert_eq!(
-            choose_join(Some(1000), Some(100)),
+            choose_join(true, None, Some(1000), Some(100)),
             JoinAlgo::Hash { build_left: false }
         );
+    }
+
+    #[test]
+    fn set_conjuncts_are_found_only_across_sides() {
+        let within = Pred::SubsetCols(1, 2);
+        let across = Pred::SubsetCols(4, 2);
+        let member = Pred::InCols(3, 2);
+        assert_eq!(set_conjunct(&[&within], 2), None);
+        assert_eq!(
+            set_conjunct(&[&within, &across], 2),
+            Some(SetConjunct::Subset { sub: 3, set: 1 })
+        );
+        assert_eq!(
+            set_conjunct(&[&member], 2),
+            Some(SetConjunct::In { elem: 2, set: 1 })
+        );
+    }
+
+    /// nestbench's `team_sub` text lowers to one element-index join that
+    /// carries the whole selection as its filter: no product, no select.
+    #[test]
+    fn team_sub_lowers_to_one_filtered_element_index_join() {
+        let schema = Schema::from_relations([RelationSchema::new(
+            "Team",
+            vec![Type::Atom, Type::set(Type::Atom)],
+        )]);
+        let mut i = Instance::empty(schema.clone());
+        for t in 0..40u32 {
+            let members = [t % 7, t % 5 + 7].map(|m| Value::Atom(Atom(100 + m)));
+            i.insert("Team", vec![Value::Atom(Atom(t)), Value::set(members)]);
+        }
+        let team = || Box::new(Expr::Rel("Team".into()));
+        let expr = Expr::Project(
+            Box::new(Expr::Select(
+                Box::new(Expr::Product(team(), team())),
+                Pred::SubsetCols(2, 4),
+            )),
+            vec![1, 3],
+        );
+        let planned = Planner::new(&schema)
+            .with_instance(&i)
+            .plan_algebra(&expr)
+            .unwrap();
+        let Physical::Exec { plan, .. } = &planned.physical else {
+            panic!("team_sub must take the columnar path");
+        };
+        let joins: Vec<&ExecOp> = plan
+            .nodes()
+            .iter()
+            .filter(|op| matches!(op, ExecOp::Join { .. }))
+            .collect();
+        assert_eq!(joins.len(), 1, "{:?}", plan.nodes());
+        let ExecOp::Join {
+            keys, filter, algo, ..
+        } = joins[0]
+        else {
+            unreachable!()
+        };
+        assert!(keys.is_empty());
+        assert_eq!(filter, &Some(RowPred::SubsetCols(1, 3)));
+        assert_eq!(
+            *algo,
+            JoinAlgo::ElementIndex(SetConjunct::Subset { sub: 1, set: 3 })
+        );
+        assert!(
+            !plan
+                .nodes()
+                .iter()
+                .any(|op| matches!(op, ExecOp::Select { .. })),
+            "{:?}",
+            plan.nodes()
+        );
+        let text = planned.render_text();
+        assert!(
+            text.contains("ElementIndexJoin(#2 ⊆ #4), filter σ[#2 ⊆ #4]"),
+            "{text}"
+        );
+        assert!(!text.contains("select σ"), "{text}");
     }
 }

@@ -1,8 +1,8 @@
 //! Operator/join-order differential fuzzer for the columnar kernels.
 //!
 //! The headline property of the exec subsystem: every physical join
-//! algorithm — nested loop, hash (building either side), merge — computes
-//! the *bit-identical* relation, at every parallelism level, as each
+//! algorithm — nested loop, hash (building either side), element index —
+//! computes the *bit-identical* relation, at every parallelism level, as each
 //! other, as a naive reference join written in plain Rust, and as the
 //! legacy tree-walk engines. Canonical column tables (rows sorted by raw
 //! interner id, deduplicated) make "bit-identical" a plain `==`:
@@ -12,9 +12,14 @@
 //! Inputs are property-generated with deliberately nasty shapes — empty
 //! relations, duplicate-heavy small domains, skewed keys — plus a
 //! deterministic large fixture that crosses the parallel-probe threshold
-//! so multi-threaded hash probing really runs. Governor starvation is
-//! fuzzed too: under a given budget every algorithm must trip with the
-//! same [`BudgetKind`].
+//! so multi-threaded hash probing really runs. A selection over a product
+//! runs inside the join: random predicate trees (`=`, `=`-constant, `∈`,
+//! `⊆`, `¬`, `∧`, `∨`) over set-valued inputs are tested on candidate
+//! pairs, and every applicable algorithm must equal a plain-Rust
+//! `σ(L × R)` with steps independent of thread count, build side and
+//! arena id order. Governor starvation is fuzzed too: under a given
+//! budget every algorithm must trip with the same [`BudgetKind`], and a
+//! σ over a product keeps the range cap of the product it replaces.
 //!
 //! Satellite properties ride along: detailed statistics are *exact* on
 //! materialized relations, and planner algorithm choices are a pure
@@ -24,24 +29,76 @@ mod common;
 
 use common::*;
 use minipool::ThreadPool;
+use nestdb::algebra::{AlgebraError, Expr, Pred};
 use nestdb::core::ast::{Formula, Term};
 use nestdb::core::error::EvalConfig;
 use nestdb::core::eval::{eval_query_with, Query};
 use nestdb::core::ranges::safe_eval;
-use nestdb::exec::{execute, ExecOp, ExecPlan, JoinAlgo, RowPred};
+use nestdb::exec::{execute, ExecOp, ExecPlan, JoinAlgo, RowPred, SetConjunct};
 use nestdb::object::{
     Atom, BudgetKind, Governor, Instance, Limits, Relation, RelationSchema, Schema, Type, Value,
 };
-use nestdb::plan::{CalcMode, Pass, PassSet, Physical, Planner, Stats};
+use nestdb::plan::{CalcMode, Pass, PassSet, Physical, PlanError, Planner, Stats};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
+
+/// The cross-side `∈`/`⊆` conjuncts an element index can probe, over
+/// the joined row of two `(U, {U})` relations (0-based columns).
+const SET_CONJUNCTS: [SetConjunct; 4] = [
+    SetConjunct::Subset { sub: 1, set: 3 },
+    SetConjunct::Subset { sub: 3, set: 1 },
+    SetConjunct::In { elem: 0, set: 3 },
+    SetConjunct::In { elem: 2, set: 1 },
+];
 
 /// Every physical join algorithm under test.
-const ALGOS: [JoinAlgo; 3] = [
+const ALGOS: [JoinAlgo; 7] = [
     JoinAlgo::NestedLoop,
     JoinAlgo::Hash { build_left: true },
     JoinAlgo::Hash { build_left: false },
+    JoinAlgo::ElementIndex(SET_CONJUNCTS[0]),
+    JoinAlgo::ElementIndex(SET_CONJUNCTS[1]),
+    JoinAlgo::ElementIndex(SET_CONJUNCTS[2]),
+    JoinAlgo::ElementIndex(SET_CONJUNCTS[3]),
 ];
+
+/// The kernel row predicate a set conjunct tests.
+fn conjunct_pred(c: SetConjunct) -> RowPred {
+    match c {
+        SetConjunct::In { elem, set } => RowPred::InCols(elem, set),
+        SetConjunct::Subset { sub, set } => RowPred::SubsetCols(sub, set),
+    }
+}
+
+/// The top-level conjuncts of a filter.
+fn top_conjuncts(p: &RowPred) -> Vec<&RowPred> {
+    match p {
+        RowPred::And(a, b) => {
+            let mut out = top_conjuncts(a);
+            out.extend(top_conjuncts(b));
+            out
+        }
+        other => vec![other],
+    }
+}
+
+/// Whether `algo` computes the join of `keyed` keys and `filter` — the
+/// planner's conditions: a hash join needs keys, and an element index
+/// needs its conjunct among the filter's top-level conjuncts.
+fn applicable(algo: JoinAlgo, keyed: bool, filter: Option<&RowPred>) -> bool {
+    match algo {
+        JoinAlgo::NestedLoop => true,
+        JoinAlgo::Hash { .. } => keyed,
+        JoinAlgo::ElementIndex(c) => {
+            filter.is_some_and(|f| top_conjuncts(f).contains(&&conjunct_pred(c)))
+        }
+    }
+}
+
+/// The algorithms that compute an unfiltered key join.
+fn key_join_algos() -> impl Iterator<Item = JoinAlgo> {
+    ALGOS.into_iter().filter(|&a| applicable(a, true, None))
+}
 
 /// Parallelism levels the equivalence must hold at.
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -71,6 +128,7 @@ fn join_plan(algo: JoinAlgo) -> ExecPlan {
         left: l,
         right: r,
         keys: vec![(1, 0)],
+        filter: None,
         algo,
     });
     p
@@ -119,7 +177,7 @@ proptest! {
         let i = lr_instance(&l, &r);
         let expected = reference_join(&l, &r);
         let mut first: Option<Relation> = None;
-        for algo in ALGOS {
+        for algo in key_join_algos() {
             let plan = join_plan(algo);
             for threads in THREADS {
                 let pool = ThreadPool::new(threads);
@@ -188,8 +246,15 @@ proptest! {
             run(&binop(|a, b| ExecOp::Intersect { left: a, right: b })),
             ls.intersection(&rs).map(|&(a, b)| vec![a, b]).collect::<HashSet<_>>()
         );
+        // × is the keyless, unfiltered join.
         prop_assert_eq!(
-            run(&binop(|a, b| ExecOp::Product { left: a, right: b })),
+            run(&binop(|a, b| ExecOp::Join {
+                left: a,
+                right: b,
+                keys: vec![],
+                filter: None,
+                algo: JoinAlgo::NestedLoop,
+            })),
             ls.iter()
                 .flat_map(|&(a, b)| rs.iter().map(move |&(c, d)| vec![a, b, c, d]))
                 .collect::<HashSet<_>>()
@@ -339,7 +404,7 @@ fn large_join_exercises_parallel_probe() {
     let r: Vec<(u32, u32)> = (0..1000).map(|j| (j % 250, 10_000 + j)).collect();
     let i = lr_instance(&l, &r);
     let mut first: Option<Relation> = None;
-    for algo in ALGOS {
+    for algo in key_join_algos() {
         let plan = join_plan(algo);
         for threads in THREADS {
             let pool = ThreadPool::new(threads);
@@ -379,7 +444,7 @@ fn starvation_trips_with_matching_budget_kinds() {
             BudgetKind::Memory,
         ),
     ] {
-        for algo in ALGOS {
+        for algo in key_join_algos() {
             let plan = join_plan(algo);
             for threads in [1usize, 4] {
                 let pool = ThreadPool::new(threads);
@@ -469,4 +534,308 @@ fn explain_records_algorithm_choices() {
         .unwrap();
     let text = planned.render_text();
     assert!(text.contains("HashJoin"), "{text}");
+}
+
+// ---------------------------------------------------------------------------
+// fused σ(L × R): filters inside the join, element-index probes
+// ---------------------------------------------------------------------------
+
+/// Rows of a `(U, {U})` relation: an atom and a bit mask of set members
+/// (bit `k` is atom `k`, so members and first columns share atoms).
+type SetRows = Vec<(u32, u32)>;
+
+fn set_row((a, mask): (u32, u32)) -> Vec<Value> {
+    let members = (0..32)
+        .filter(|k| mask & (1 << k) != 0)
+        .map(|k| Value::Atom(Atom(k)));
+    vec![Value::Atom(Atom(a)), Value::set(members)]
+}
+
+/// An instance with two `(U, {U})` relations `L` and `R`.
+fn set_instance(l: &SetRows, r: &SetRows) -> Instance {
+    let ty = vec![Type::Atom, Type::set(Type::Atom)];
+    let schema = Schema::from_relations([
+        RelationSchema::new("L", ty.clone()),
+        RelationSchema::new("R", ty),
+    ]);
+    let mut i = Instance::empty(schema);
+    for &row in l {
+        i.insert("L", set_row(row));
+    }
+    for &row in r {
+        i.insert("R", set_row(row));
+    }
+    i
+}
+
+/// Predicate constants: atoms, an atom no relation holds, and sets.
+fn pred_consts() -> [Value; 5] {
+    [
+        Value::Atom(Atom(0)),
+        Value::Atom(Atom(2)),
+        Value::Atom(Atom(99)),
+        Value::empty_set(),
+        Value::set([Value::Atom(Atom(0)), Value::Atom(Atom(1))]),
+    ]
+}
+
+/// Decode a random predicate tree over the 4 joined columns from `codes`
+/// (read cyclically from `*at`): leaves `=`, `=`-constant, `∈`, `⊆` on
+/// any columns (within or across sides, set-valued or not), inner nodes
+/// `¬`, `∧`, `∨`.
+fn decode_pred(codes: &[u32], at: &mut usize, depth: u32) -> RowPred {
+    let mut next = || {
+        let c = codes[*at % codes.len()];
+        *at += 1;
+        c as usize
+    };
+    let kind = next() % if depth == 0 { 4 } else { 7 };
+    let (a, b) = (next() % 4, next() % 4);
+    match kind {
+        0 => RowPred::EqCols(a, b),
+        1 => RowPred::EqConst(a, pred_consts()[b + next() % 2].clone()),
+        2 => RowPred::InCols(a, b),
+        3 => RowPred::SubsetCols(a, b),
+        4 => RowPred::Not(Box::new(decode_pred(codes, at, depth - 1))),
+        5 => decode_pred(codes, at, depth - 1).and(decode_pred(codes, at, depth - 1)),
+        _ => RowPred::Or(
+            Box::new(decode_pred(codes, at, depth - 1)),
+            Box::new(decode_pred(codes, at, depth - 1)),
+        ),
+    }
+}
+
+/// The predicate on one joined row, by value — written against
+/// `Value`/`SetValue`, not the interner's id operations.
+fn reference_holds(p: &RowPred, row: &[Value]) -> bool {
+    match p {
+        RowPred::EqCols(a, b) => row[*a] == row[*b],
+        RowPred::EqConst(c, v) => &row[*c] == v,
+        RowPred::InCols(a, b) => matches!(&row[*b], Value::Set(s) if s.contains(&row[*a])),
+        RowPred::SubsetCols(a, b) => match (&row[*a], &row[*b]) {
+            (Value::Set(x), Value::Set(y)) => x.is_subset(y),
+            _ => false,
+        },
+        RowPred::Not(q) => !reference_holds(q, row),
+        RowPred::And(x, y) => reference_holds(x, row) && reference_holds(y, row),
+        RowPred::Or(x, y) => reference_holds(x, row) || reference_holds(y, row),
+    }
+}
+
+/// `σ[keys ∧ filter](L × R)` in plain Rust.
+fn reference_select_product(
+    l: &SetRows,
+    r: &SetRows,
+    keys: &[(usize, usize)],
+    filter: Option<&RowPred>,
+) -> BTreeSet<Vec<Value>> {
+    let mut out = BTreeSet::new();
+    for &lr in l {
+        for &rr in r {
+            let (lv, rv) = (set_row(lr), set_row(rr));
+            let keyed = keys.iter().all(|&(a, b)| lv[a] == rv[b]);
+            let row: Vec<Value> = lv.into_iter().chain(rv).collect();
+            if keyed && filter.is_none_or(|f| reference_holds(f, &row)) {
+                out.insert(row);
+            }
+        }
+    }
+    out
+}
+
+/// `L ⋈[keys, filter] R` with a fixed algorithm.
+fn fused_plan(keys: &[(usize, usize)], filter: Option<&RowPred>, algo: JoinAlgo) -> ExecPlan {
+    let mut p = ExecPlan::new();
+    let l = p.push(ExecOp::Scan { rel: "L".into() });
+    let r = p.push(ExecOp::Scan { rel: "R".into() });
+    p.push(ExecOp::Join {
+        left: l,
+        right: r,
+        keys: keys.to_vec(),
+        filter: filter.cloned(),
+        algo,
+    });
+    p
+}
+
+/// Run a plan unmetered-but-counted: its rows and the steps it spent.
+fn run_counted(plan: &ExecPlan, i: &Instance, threads: usize) -> (BTreeSet<Vec<Value>>, u64) {
+    let gov = Governor::unlimited();
+    let rel = execute(plan, i, &gov, &ThreadPool::new(threads))
+        .expect("unlimited execution succeeds")
+        .to_relation();
+    (rel.iter().cloned().collect(), gov.steps_spent())
+}
+
+/// Every applicable algorithm's fused join equals the reference `σ(L ×
+/// R)` at every parallelism level, with thread-count-independent steps
+/// that also do not depend on the hash join's build side or on the
+/// arena's id order (scanning `R` before `L` admits ids differently).
+fn check_fused_join(l: &SetRows, r: &SetRows, keys: &[(usize, usize)], filter: Option<&RowPred>) {
+    let i = set_instance(l, r);
+    let reordered = set_instance(l, r);
+    let mut scan_r = ExecPlan::new();
+    scan_r.push(ExecOp::Scan { rel: "R".into() });
+    run_counted(&scan_r, &reordered, 1);
+    let expected = reference_select_product(l, r, keys, filter);
+    let mut hash_steps = Vec::new();
+    for algo in ALGOS
+        .into_iter()
+        .filter(|&a| applicable(a, !keys.is_empty(), filter))
+    {
+        let plan = fused_plan(keys, filter, algo);
+        let (rows, steps) = run_counted(&plan, &i, 1);
+        assert_eq!(
+            rows,
+            expected,
+            "{} vs σ(L × R), filter {filter:?}",
+            algo.label()
+        );
+        for threads in THREADS {
+            assert_eq!(
+                run_counted(&plan, &i, threads),
+                (rows.clone(), steps),
+                "{} at {threads} threads",
+                algo.label()
+            );
+        }
+        assert_eq!(
+            run_counted(&plan, &reordered, 2),
+            (rows, steps),
+            "{} over a differently ordered arena",
+            algo.label()
+        );
+        if matches!(algo, JoinAlgo::Hash { .. }) {
+            hash_steps.push(steps);
+        }
+    }
+    assert!(
+        hash_steps.windows(2).all(|w| w[0] == w[1]),
+        "hash steps depend on the build side: {hash_steps:?}"
+    );
+}
+
+fn set_rows_strategy() -> impl Strategy<Value = SetRows> {
+    // Small atom and member domains: shared members, repeated sets, and
+    // (one row in six) the empty set.
+    prop::collection::vec((0u32..4, prop_oneof![1 => Just(0u32), 5 => 0u32..32]), 0..9)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// σ over a product, run inside the join: random `(U, {U})` inputs,
+    /// random predicate trees, with or without an equi-key, with or
+    /// without a cross-side `∈`/`⊆` conjunct an element index can probe.
+    #[test]
+    fn fused_select_product_matches_reference(
+        l in set_rows_strategy(),
+        r in set_rows_strategy(),
+        codes in prop::collection::vec(0u32..1000, 1..24),
+        anchor in 0usize..6,
+        keyed in any::<bool>(),
+        depth in 0u32..4,
+    ) {
+        let tree = decode_pred(&codes, &mut 0, depth);
+        // anchors 0..4 put a set conjunct on top; 4 leaves the tree alone;
+        // 5 adds no filter at all (the bare product or key join)
+        let filter = match anchor {
+            a if a < SET_CONJUNCTS.len() => Some(conjunct_pred(SET_CONJUNCTS[a]).and(tree)),
+            4 => Some(tree),
+            _ => None,
+        };
+        let keys: &[(usize, usize)] = if keyed { &[(0, 0)] } else { &[] };
+        check_fused_join(&l, &r, keys, filter.as_ref());
+    }
+}
+
+/// A probe side past the parallel-probe threshold, so element-index
+/// probes fan out across the pool: `⊆` and `∈` across sides, each with
+/// extra conjuncts, agree with the reference and with the nested loop
+/// at every parallelism level, with equal steps.
+#[test]
+fn large_element_index_join_exercises_parallel_probe() {
+    // 4200 left rows with sets of 0–3 members; 60 right rows with up to
+    // 12 members, all over 24 atoms.
+    let l: SetRows = (0..4200u32)
+        .map(|k| {
+            (
+                k % 24,
+                ((1 << (k % 24)) * (k % 3)) | ((1 << ((k / 7) % 24)) * (k % 2)),
+            )
+        })
+        .collect();
+    let r: SetRows = (0..60u32)
+        .map(|k| (k % 24, (0xFFF << (k % 13)) & 0xFF_FFFF & !(1 << (k % 5))))
+        .collect();
+    let sub = RowPred::SubsetCols(1, 3).and(RowPred::Not(Box::new(RowPred::EqCols(0, 2))));
+    let member = RowPred::InCols(0, 3).and(RowPred::Or(
+        Box::new(RowPred::SubsetCols(3, 1)),
+        Box::new(RowPred::EqConst(2, Value::Atom(Atom(5)))),
+    ));
+    for filter in [sub, member] {
+        check_fused_join(&l, &r, &[], Some(&filter));
+    }
+}
+
+/// `team_sub` as nestbench sends it: `σ[#2 ⊆ #4](Team × Team)`, planned.
+fn team_sub_plan(teams: u32) -> (Instance, nestdb::plan::Planned) {
+    let ty = vec![Type::Atom, Type::set(Type::Atom)];
+    let schema = Schema::from_relations([RelationSchema::new("Team", ty)]);
+    let mut i = Instance::empty(schema);
+    for t in 0..teams {
+        let members = [t % 11, t % 7 + 11, t % 3 + 20].map(|m| Value::Atom(Atom(1000 + m)));
+        i.insert("Team", vec![Value::Atom(Atom(t)), Value::set(members)]);
+    }
+    let team = || Box::new(Expr::Rel("Team".into()));
+    let expr = Expr::Select(
+        Box::new(Expr::Product(team(), team())),
+        Pred::SubsetCols(2, 4),
+    );
+    let planned = Planner::new(i.schema())
+        .with_instance(&i)
+        .plan_algebra(&expr)
+        .unwrap();
+    (i, planned)
+}
+
+fn resource_error(e: PlanError) -> nestdb::object::ResourceError {
+    match e {
+        PlanError::Algebra(AlgebraError::Resource(r)) => r,
+        other => panic!("expected a resource error, got {other}"),
+    }
+}
+
+/// Budgets on a σ over a product: a range cap below |Team|² trips at
+/// `exec.product` before any pair is looked at, and a step budget that
+/// runs out part-way through the pairs trips with no partial answer.
+#[test]
+fn select_over_product_keeps_its_budgets() {
+    let teams = 2000u64;
+    let (i, planned) = team_sub_plan(teams as u32);
+    let pool = ThreadPool::new(2);
+
+    let capped = Governor::new(Limits {
+        max_range: teams * teams - 1,
+        ..Limits::unlimited()
+    });
+    let err = resource_error(planned.execute(&i, &capped, &pool).unwrap_err());
+    assert_eq!(err.budget, BudgetKind::Range);
+    assert_eq!(err.site, "exec.product");
+    assert_eq!(capped.mem_spent(), 0, "nothing was materialized");
+
+    // The scan and an index of every team's 3 members cost 5 steps per
+    // team; half a step per team more runs out while the pairs are
+    // being enumerated.
+    let starved = Governor::new(Limits {
+        max_steps: 5 * teams + teams / 2,
+        ..Limits::unlimited()
+    });
+    let err = resource_error(planned.execute(&i, &starved, &pool).unwrap_err());
+    assert_eq!(err.budget, BudgetKind::Steps);
+    assert!(
+        err.site.starts_with("exec."),
+        "unexpected trip site {}",
+        err.site
+    );
 }

@@ -281,29 +281,60 @@ fn planned_execution_degrades_gracefully() {
 
 /// Every columnar join algorithm unwinds cleanly through the kernel,
 /// sequential and threaded: the depth-1 fault fires on the `exec.start`
-/// checkpoint, deeper ones inside scan/build/probe metering.
+/// checkpoint, deeper ones inside scan/build/probe metering. The element
+/// index runs the filtered σ[#2 ⊆ #4](T × T) over a set-valued `T`.
 #[test]
 fn exec_kernels_degrade_gracefully() {
-    use nestdb::exec::{execute, ExecOp, ExecPlan, JoinAlgo};
-    let (_u, _order, i) = graph_instance(4, &test_edges());
-    for algo in [
-        JoinAlgo::NestedLoop,
-        JoinAlgo::Hash { build_left: true },
-        JoinAlgo::Hash { build_left: false },
+    use nestdb::exec::{execute, ExecOp, ExecPlan, JoinAlgo, RowPred, SetConjunct};
+    use nestdb::object::{Atom, Instance, RelationSchema, Schema, Value};
+    let (_u, _order, graph) = graph_instance(4, &test_edges());
+    let mut teams = Instance::empty(Schema::from_relations([RelationSchema::new(
+        "T",
+        vec![Type::Atom, Type::set(Type::Atom)],
+    )]));
+    for t in 0..6u32 {
+        let members = (0..t % 4).map(|m| Value::Atom(Atom(10 + m)));
+        teams.insert("T", vec![Value::Atom(Atom(t)), Value::set(members)]);
+    }
+    let subset = SetConjunct::Subset { sub: 1, set: 3 };
+    for (algo, i, rel, keys, filter) in [
+        (JoinAlgo::NestedLoop, &graph, "G", vec![(1, 0)], None),
+        (
+            JoinAlgo::Hash { build_left: true },
+            &graph,
+            "G",
+            vec![(1, 0)],
+            None,
+        ),
+        (
+            JoinAlgo::Hash { build_left: false },
+            &graph,
+            "G",
+            vec![(1, 0)],
+            None,
+        ),
+        (
+            JoinAlgo::ElementIndex(subset),
+            &teams,
+            "T",
+            vec![],
+            Some(RowPred::SubsetCols(1, 3)),
+        ),
     ] {
         let mut p = ExecPlan::new();
-        let l = p.push(ExecOp::Scan { rel: "G".into() });
-        let r = p.push(ExecOp::Scan { rel: "G".into() });
+        let l = p.push(ExecOp::Scan { rel: rel.into() });
+        let r = p.push(ExecOp::Scan { rel: rel.into() });
         p.push(ExecOp::Join {
             left: l,
             right: r,
-            keys: vec![(1, 0)],
+            keys,
+            filter,
             algo,
         });
         for threads in [1usize, 4] {
             let pool = minipool::ThreadPool::new(threads);
             assert_degrades_gracefully(&format!("exec-{}-t{threads}", algo.label()), |g| {
-                execute(&p, &i, g, &pool)
+                execute(&p, i, g, &pool)
             });
         }
     }
