@@ -92,10 +92,12 @@ pub struct EvalStats {
     pub facts: usize,
 }
 
-/// Evaluation strategy.
+/// How the inflationary rounds fire rules. Served evaluation always runs
+/// `SemiNaive`; `Naive` is the §3 test oracle it is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
-    /// Re-evaluate every rule against the full database each round.
+    /// Test oracle: re-evaluate every rule against the full database each
+    /// round.
     Naive,
     /// Only evaluate rules with a delta-positive literal after round one.
     SemiNaive,

@@ -2,10 +2,15 @@
 //!
 //! The deductive side of the paper's Section 3 correspondence: rules with
 //! negation and membership over complex-object terms ([`program`]),
-//! inflationary naive/semi-naive evaluation ([`mod@eval`]), the one rule
+//! inflationary semi-naive evaluation ([`mod@eval`]), the one rule
 //! matcher that evaluation and view maintenance fire rules through
 //! ([`fire`]), and translation into `CALC + IFP` fixpoints
 //! ([`translate`]).
+//!
+//! Two further implementations of the inflationary fixpoint exist only
+//! as test oracles for the paper's §3 correspondence: naive rounds
+//! ([`Strategy::Naive`]) and the simultaneous-IFP translation
+//! ([`eval_simultaneous`]). Served requests never reach them.
 //!
 //! # Example
 //!

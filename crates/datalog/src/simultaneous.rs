@@ -20,7 +20,10 @@
 //! matching its tag pattern.
 //!
 //! The translation is validated against the Datalog engine on mutually
-//! recursive programs (even/odd reachability) in the tests.
+//! recursive programs (even/odd reachability) in the tests. It is a test
+//! oracle for the §3 correspondence, not a served engine: no request
+//! reaches it, and the differential suites hold the semi-naive rounds to
+//! it.
 
 use crate::eval::Idb;
 use crate::program::{DTerm, Literal, Program, Rule};
@@ -268,7 +271,7 @@ pub fn to_simultaneous_ifp(
     })
 }
 
-/// Failures of the one-shot simultaneous-fixpoint evaluation strategy.
+/// Failures of the one-shot simultaneous-fixpoint oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimEvalError {
     /// The program could not be translated into one fixpoint.
@@ -289,7 +292,7 @@ impl fmt::Display for SimEvalError {
 
 impl std::error::Error for SimEvalError {}
 
-/// The fourth evaluation strategy: translate the whole program into one
+/// The §3 test oracle: translate the whole program into one
 /// simultaneous `IFP` fixpoint and run it on the CALC evaluator under the
 /// given [`Governor`] (sharing its allowance with any surrounding query),
 /// then decode every IDB relation.

@@ -33,8 +33,8 @@ pub enum PlanKind {
 pub struct CacheKey {
     /// The front-end.
     pub kind: PlanKind,
-    /// Strategy/mode discriminator within the front-end (e.g. Datalog
-    /// "naive" vs "stratified" plans differ for the same source).
+    /// Semantics discriminator within the front-end (e.g. Datalog
+    /// "semi-naive" vs "stratified" plans differ for the same source).
     pub mode: String,
     /// Normalized (pretty-printed) query text.
     pub text: String,

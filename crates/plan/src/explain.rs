@@ -3,10 +3,7 @@
 //!
 //! Both renderings are stable by construction — no hashing, no pointer
 //! identity, no map iteration order — so they can be snapshot-tested as
-//! goldens. After common-subplan elimination the plan is a DAG; the text
-//! tree prints every shared subplan once and references it afterwards
-//! (`shared subplan ↑n`), while the JSON duplicates subtrees (consumers
-//! get a tree, the `"shared"` count records the consing).
+//! goldens.
 
 use crate::ir::{NodeId, Op, Plan};
 use no_algebra::Pred;
@@ -81,34 +78,19 @@ pub fn op_detail(op: &Op) -> String {
     }
 }
 
-/// Render the plan as an indented tree. Shared subplans (refcount > 1)
-/// print in full once, then as a one-line back-reference.
+/// Render the plan as an indented tree.
 pub fn plan_tree_text(plan: &Plan) -> String {
-    let counts = plan.refcounts();
     let mut out = String::new();
-    let mut printed = vec![false; plan.nodes.len()];
-    render_text(
-        plan,
-        plan.root,
-        "",
-        true,
-        true,
-        &counts,
-        &mut printed,
-        &mut out,
-    );
+    render_text(plan, plan.root, "", true, true, &mut out);
     out
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_text(
     plan: &Plan,
     id: NodeId,
     prefix: &str,
     is_last: bool,
     is_root: bool,
-    counts: &[usize],
-    printed: &mut [bool],
     out: &mut String,
 ) {
     let node = plan.node(id);
@@ -120,13 +102,6 @@ fn render_text(
         (format!("{prefix}├─ "), format!("{prefix}│  "))
     };
     let mut line = format!("{branch}{}", op_detail(&node.op));
-    if counts[id] > 1 {
-        if printed[id] {
-            out.push_str(&format!("{line} (shared subplan ↑{id})\n"));
-            return;
-        }
-        line.push_str(&format!(" ⟨{id}⟩"));
-    }
     if let Some(est) = node.est {
         line.push_str(&format!(" [est {}]", est_str(est)));
     }
@@ -135,19 +110,9 @@ fn render_text(
     }
     out.push_str(&line);
     out.push('\n');
-    printed[id] = true;
     let n = node.children.len();
     for (i, &c) in node.children.iter().enumerate() {
-        render_text(
-            plan,
-            c,
-            &child_prefix,
-            i + 1 == n,
-            false,
-            counts,
-            printed,
-            out,
-        );
+        render_text(plan, c, &child_prefix, i + 1 == n, false, out);
     }
 }
 
@@ -193,19 +158,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tree_renders_shared_subplans_once() {
+    fn tree_renders_every_occurrence_in_full() {
         let mut p = Plan::new();
-        let a = p.add(
+        let a = p.add_est(
             Op::Scan {
                 rel: "G".to_string(),
             },
             vec![],
+            Some(5),
         );
         p.root = p.add(Op::Join, vec![a, a]);
         let text = plan_tree_text(&p);
-        assert!(text.contains("⟨0⟩"), "{text}");
-        assert!(text.contains("shared subplan ↑0"), "{text}");
-        assert_eq!(text.matches("scan G").count(), 2);
+        assert_eq!(text, "join ×\n├─ scan G [est 5]\n└─ scan G [est 5]\n");
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! Every front-end (CALC, the algebra, Datalog¬) lowers into this one
 //! representation, the optimizer passes rewrite it, and the explain
 //! renderer walks it. The arena is append-only and child references are
-//! plain indices, which makes structural hash-consing (common-subplan
-//! elimination, mirroring the value interner of `no_object::intern`)
-//! a rebuild with a key→id map rather than a pointer-identity dance.
+//! plain indices; every rewrite builds a tree, so a subplan that occurs
+//! twice is two subtrees, as it is two computations at execution.
 //!
 //! The operator vocabulary covers the paper's three languages at once:
 //! the relational core (`Scan`/`Select`/`Project`/`Join`/set ops), the
@@ -137,7 +136,7 @@ pub enum Op {
     /// The root of a Datalog¬ plan: children are the rule nodes, iterated
     /// to fixpoint under the stated semantics.
     Program {
-        /// `"naive"`, `"semi-naive"`, `"stratified"`, `"simultaneous-ifp"`.
+        /// `"semi-naive"` or `"stratified"`.
         semantics: String,
     },
 }
@@ -191,8 +190,6 @@ pub struct Plan {
     pub nodes: Vec<Node>,
     /// The root node.
     pub root: NodeId,
-    /// Number of structurally-duplicate subplans merged by the CSE pass.
-    pub shared: usize,
 }
 
 impl Plan {
@@ -223,29 +220,6 @@ impl Plan {
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id]
     }
-
-    /// A structural key for a node, used by hash-consing: the operator and
-    /// annotations plus the (already canonical) child ids. `Debug` output
-    /// of the payload types is deterministic, so the key is stable.
-    pub fn structural_key(&self, node: &Node) -> String {
-        format!(
-            "{:?}|{:?}|{:?}|{:?}",
-            node.op, node.children, node.est, node.note
-        )
-    }
-
-    /// How many parents reference each node (the root counts once) —
-    /// shared subplans have count > 1 after CSE.
-    pub fn refcounts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.nodes.len()];
-        counts[self.root] += 1;
-        for node in &self.nodes {
-            for &c in &node.children {
-                counts[c] += 1;
-            }
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -253,7 +227,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arena_appends_and_counts_refs() {
+    fn arena_appends_children_before_parents() {
         let mut p = Plan::new();
         let a = p.add(
             Op::Scan {
@@ -261,34 +235,11 @@ mod tests {
             },
             vec![],
         );
-        let j = p.add(Op::Join, vec![a, a]);
+        let j = p.add_est(Op::Join, vec![a, a], Some(4));
         p.root = p.add(Op::Powerset, vec![j]);
-        let counts = p.refcounts();
-        assert_eq!(counts[a], 2, "scan is referenced twice");
-        assert_eq!(counts[j], 1);
-        assert_eq!(counts[p.root], 1);
+        assert!(a < j && j < p.root, "children precede parents");
+        assert_eq!(p.node(j).children, vec![a, a]);
+        assert_eq!(p.node(j).est, Some(4));
         assert_eq!(p.node(a).op.name(), "scan");
-    }
-
-    #[test]
-    fn structural_keys_distinguish_payloads() {
-        let mut p = Plan::new();
-        let a = p.add(
-            Op::Scan {
-                rel: "G".to_string(),
-            },
-            vec![],
-        );
-        let b = p.add(
-            Op::Scan {
-                rel: "H".to_string(),
-            },
-            vec![],
-        );
-        assert_ne!(
-            p.structural_key(p.node(a)),
-            p.structural_key(p.node(b)),
-            "different relations must not hash-cons together"
-        );
     }
 }

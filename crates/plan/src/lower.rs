@@ -6,8 +6,7 @@
 //!   that justified it* — the complexity certificate's trace literally
 //!   annotates the plan.
 //! - **The algebra** lowers structurally — its expression tree *is* a
-//!   plan already; lowering is a change of representation that the
-//!   optimizer can rewrite and [`to_expr`] inverts exactly.
+//!   plan already; lowering is a change of representation.
 //! - **Datalog¬** rules lower to Join/Filter/Project trees under a
 //!   `Program` root; the semi-naive delta rewrite is a separate pass
 //!   (see `crate::passes`), not part of lowering.
@@ -301,32 +300,6 @@ fn lower_expr(plan: &mut Plan, stats: Option<&Stats>, expr: &Expr) -> NodeId {
     }
 }
 
-/// Reconstruct the algebra expression a (possibly rewritten) plan denotes —
-/// the exact inverse of [`lower_algebra`] on algebra-shaped plans.
-pub fn to_expr(plan: &Plan, id: NodeId) -> Result<Expr, PlanError> {
-    let node = plan.node(id);
-    let child = |i: usize| to_expr(plan, node.children[i]);
-    Ok(match &node.op {
-        Op::Scan { rel } => Expr::Rel(rel.clone()),
-        Op::Select { pred } => Expr::Select(Box::new(child(0)?), pred.clone()),
-        Op::Project { cols } => Expr::Project(Box::new(child(0)?), cols.clone()),
-        Op::Join => Expr::Product(Box::new(child(0)?), Box::new(child(1)?)),
-        Op::Union => Expr::Union(Box::new(child(0)?), Box::new(child(1)?)),
-        Op::Difference => Expr::Difference(Box::new(child(0)?), Box::new(child(1)?)),
-        Op::Intersect => Expr::Intersect(Box::new(child(0)?), Box::new(child(1)?)),
-        Op::Nest { col } => Expr::Nest(Box::new(child(0)?), *col),
-        Op::Unnest { col } => Expr::Unnest(Box::new(child(0)?), *col),
-        Op::Powerset => Expr::Powerset(Box::new(child(0)?)),
-        Op::Const { types, rows } => Expr::Const(types.clone(), rows.clone()),
-        other => {
-            return Err(PlanError::Unsupported(format!(
-                "operator {} has no algebra form",
-                other.name()
-            )))
-        }
-    })
-}
-
 /// Lower a Datalog¬ program: one `Rule` node per rule, each a Join/Filter
 /// tree over its body literals projected to the head, under a `Program`
 /// root labelled with the evaluation semantics.
@@ -334,7 +307,7 @@ pub fn lower_datalog(
     schema: &Schema,
     stats: Option<&Stats>,
     program: &Program,
-    mode: &DatalogMode,
+    mode: DatalogMode,
 ) -> Result<Plan, PlanError> {
     program.validate(schema).map_err(PlanError::Datalog)?;
     let mut plan = Plan::new();
@@ -360,12 +333,7 @@ pub fn lower_datalog(
     }
     plan.root = plan.add(
         Op::Program {
-            semantics: match mode {
-                DatalogMode::Naive => "naive".to_string(),
-                DatalogMode::SemiNaive => "semi-naive".to_string(),
-                DatalogMode::Stratified => "stratified".to_string(),
-                DatalogMode::Simultaneous(_) => "simultaneous-ifp".to_string(),
-            },
+            semantics: mode.label().to_string(),
         },
         rule_nodes,
     );
@@ -454,34 +422,11 @@ fn lower_rule_body(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use no_algebra::Pred;
     use no_core::ast::Term;
     use no_object::RelationSchema;
 
     fn graph_schema() -> Schema {
         Schema::from_relations([RelationSchema::new("G", vec![Type::Atom, Type::Atom])])
-    }
-
-    #[test]
-    fn algebra_lowering_round_trips() {
-        let schema = graph_schema();
-        let exprs = [
-            Expr::rel("G"),
-            Expr::rel("G").select(Pred::EqCols(1, 2)).project([1]),
-            Expr::rel("G")
-                .project([1])
-                .product(Expr::rel("G").project([2]))
-                .union(Expr::rel("G")),
-            Expr::rel("G").nest(2).unnest(2),
-            Expr::rel("G").project([1]).powerset(),
-            Expr::rel("G").difference(Expr::rel("G").project([2, 1])),
-            Expr::rel("G").intersect(Expr::rel("G")),
-        ];
-        for e in exprs {
-            let plan = lower_algebra(&schema, None, &e).unwrap();
-            let back = to_expr(&plan, plan.root).unwrap();
-            assert_eq!(back, e, "lower/to_expr must be inverses");
-        }
     }
 
     #[test]
@@ -539,7 +484,7 @@ mod tests {
                 Literal::Pos("G".into(), vec![DTerm::var("z"), DTerm::var("y")]),
             ],
         );
-        let plan = lower_datalog(&schema, None, &p, &DatalogMode::Naive).unwrap();
+        let plan = lower_datalog(&schema, None, &p, DatalogMode::Stratified).unwrap();
         assert!(matches!(plan.node(plan.root).op, Op::Program { .. }));
         let joins = plan
             .nodes

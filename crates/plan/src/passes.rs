@@ -1,14 +1,15 @@
-//! The optimizer: a pipeline of verified rewrite passes.
+//! The optimizer: the rewrite steps of the served pipeline.
 //!
-//! Every pass preserves query results — the property suite in
-//! `tests/plan_passes.rs` proves planned-with-pass ≡ planned-without-pass
-//! ≡ legacy tree-walk on generated instances, pass by pass. The passes:
+//! Every step preserves query results — the property suite in
+//! `tests/plan_passes.rs` proves the served plan ≡ the tree-walk oracle
+//! on generated instances. The steps, named in `:explain`'s `passes:`
+//! line when they apply:
 //!
 //! | pass                  | rewrite                                          |
 //! |-----------------------|--------------------------------------------------|
 //! | `pushdown`            | selections sink into products/unions/differences; top-level `v = c` conjuncts pin CALC ranges to singletons |
 //! | `reorder-quantifiers` | head variables enumerate smallest range first (cheap stats from the instance) |
-//! | `cse`                 | hash-cons structurally identical subplans (mirrors `no_object::intern`) |
+//! | `join-algorithms`     | flat fragments lower to the columnar kernels, one algorithm per join (see `crate::joins`) |
 //! | `delta-rewrite`       | semi-naive Datalog¬: recursive rules expand into Δ-pinned variants |
 //! | `governor-trips`      | annotate operators whose estimate already exceeds a governor budget — the plan says *where* evaluation will trip before any fuel is spent |
 
@@ -17,10 +18,10 @@ use no_algebra::{Expr, Pred};
 use no_core::ast::{Formula, Term};
 use no_core::Query;
 use no_object::{Limits, Schema, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-/// One optimizer pass.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+/// One step of the served pipeline, named in plan renderings.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Pass {
     /// Predicate pushdown (algebra selections, CALC constant pins).
     Pushdown,
@@ -29,8 +30,6 @@ pub enum Pass {
     /// Columnar lowering with per-join algorithm selection (hash, merge,
     /// or nested loop) for the flat conjunctive fragment.
     Joins,
-    /// Common-subplan elimination via hash-consed plan nodes.
-    Cse,
     /// Semi-naive delta rewrite for Datalog¬.
     Delta,
     /// Governor-aware early-trip annotations.
@@ -38,73 +37,15 @@ pub enum Pass {
 }
 
 impl Pass {
-    /// All passes in pipeline order.
-    pub const ALL: [Pass; 6] = [
-        Pass::Pushdown,
-        Pass::Reorder,
-        Pass::Joins,
-        Pass::Delta,
-        Pass::Cse,
-        Pass::Trips,
-    ];
-
     /// Stable pass name (used in renderings, goldens, and CLI output).
     pub fn name(self) -> &'static str {
         match self {
             Pass::Pushdown => "pushdown",
             Pass::Reorder => "reorder-quantifiers",
             Pass::Joins => "join-algorithms",
-            Pass::Cse => "cse",
             Pass::Delta => "delta-rewrite",
             Pass::Trips => "governor-trips",
         }
-    }
-}
-
-/// Which passes an optimization run applies.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PassSet {
-    enabled: [bool; 6],
-}
-
-impl PassSet {
-    /// Every pass.
-    pub fn all() -> PassSet {
-        PassSet { enabled: [true; 6] }
-    }
-
-    /// No passes (pure lowering; the differential baseline).
-    pub fn none() -> PassSet {
-        PassSet {
-            enabled: [false; 6],
-        }
-    }
-
-    fn index(pass: Pass) -> usize {
-        Pass::ALL.iter().position(|&p| p == pass).expect("in ALL")
-    }
-
-    /// This set minus one pass.
-    pub fn without(mut self, pass: Pass) -> PassSet {
-        self.enabled[Self::index(pass)] = false;
-        self
-    }
-
-    /// This set plus one pass.
-    pub fn with(mut self, pass: Pass) -> PassSet {
-        self.enabled[Self::index(pass)] = true;
-        self
-    }
-
-    /// Membership.
-    pub fn contains(&self, pass: Pass) -> bool {
-        self.enabled[Self::index(pass)]
-    }
-}
-
-impl Default for PassSet {
-    fn default() -> Self {
-        PassSet::all()
     }
 }
 
@@ -332,46 +273,6 @@ pub fn sort_permutation(ests: &[Option<u64>]) -> Option<Vec<usize>> {
 }
 
 // ---------------------------------------------------------------------------
-// cse
-// ---------------------------------------------------------------------------
-
-/// Hash-cons the arena: structurally identical subplans collapse to one
-/// node (children precede parents by construction, so one bottom-up walk
-/// suffices). Returns the rebuilt plan; `plan.shared` counts the merges.
-pub fn cse(plan: &Plan) -> Plan {
-    let mut out = Plan::new();
-    let mut remap: Vec<NodeId> = Vec::with_capacity(plan.nodes.len());
-    let mut seen: HashMap<String, NodeId> = HashMap::new();
-    let mut merged = 0usize;
-    for node in &plan.nodes {
-        let children: Vec<NodeId> = node.children.iter().map(|&c| remap[c]).collect();
-        let candidate = Node {
-            op: node.op.clone(),
-            children: children.clone(),
-            est: node.est,
-            note: node.note.clone(),
-        };
-        let key = out.structural_key(&candidate);
-        let id = match seen.get(&key) {
-            Some(&id) => {
-                merged += 1;
-                id
-            }
-            None => {
-                out.nodes.push(candidate);
-                let id = out.nodes.len() - 1;
-                seen.insert(key, id);
-                id
-            }
-        };
-        remap.push(id);
-    }
-    out.root = remap[plan.root];
-    out.shared = merged;
-    out
-}
-
-// ---------------------------------------------------------------------------
 // delta-rewrite
 // ---------------------------------------------------------------------------
 
@@ -473,7 +374,6 @@ pub fn delta_rewrite(plan: &Plan, idb: &BTreeSet<String>) -> Plan {
         },
         new_rules,
     );
-    out.shared = plan.shared;
     out
 }
 
@@ -484,9 +384,10 @@ pub fn delta_rewrite(plan: &Plan, idb: &BTreeSet<String>) -> Plan {
 /// Annotate operators whose cardinality estimate already exceeds a
 /// governor budget: evaluation *will* trip there (or earlier), and the
 /// plan says so before any fuel is spent. Returns the warnings (also
-/// attached to the nodes).
+/// attached to the nodes), each once even when a repeated subtree
+/// carries it at several nodes.
 pub fn governor_trips(plan: &mut Plan, limits: &Limits) -> Vec<String> {
-    let mut warnings = Vec::new();
+    let mut warnings: Vec<String> = Vec::new();
     for node in &mut plan.nodes {
         let Some(est) = node.est else { continue };
         let range_bound = matches!(
@@ -497,27 +398,26 @@ pub fn governor_trips(plan: &mut Plan, limits: &Limits) -> Vec<String> {
                 | Op::Quantify { .. }
                 | Op::Powerset
         );
-        if range_bound && est > limits.max_range {
-            let w = format!(
+        let w = if range_bound && est > limits.max_range {
+            format!(
                 "{}: estimated {est} candidates exceeds max_range {} — evaluation trips early here",
                 node.op.name(),
                 limits.max_range
-            );
-            node.note = Some(match node.note.take() {
-                Some(prev) => format!("{prev}; ⚠ {w}"),
-                None => format!("⚠ {w}"),
-            });
-            warnings.push(w);
+            )
         } else if est > limits.max_steps {
-            let w = format!(
+            format!(
                 "{}: estimated {est} rows exceeds the {} step budget — evaluation trips early here",
                 node.op.name(),
                 limits.max_steps
-            );
-            node.note = Some(match node.note.take() {
-                Some(prev) => format!("{prev}; ⚠ {w}"),
-                None => format!("⚠ {w}"),
-            });
+            )
+        } else {
+            continue;
+        };
+        node.note = Some(match node.note.take() {
+            Some(prev) => format!("{prev}; ⚠ {w}"),
+            None => format!("⚠ {w}"),
+        });
+        if !warnings.contains(&w) {
             warnings.push(w);
         }
     }
@@ -599,25 +499,25 @@ mod tests {
     }
 
     #[test]
-    fn cse_merges_identical_subtrees() {
+    fn governor_trips_reports_a_repeated_subtree_once() {
+        // powerset(π₁ G) twice: both copies are annotated, one warning.
         let mut p = Plan::new();
-        let a = p.add(
-            Op::Scan {
-                rel: "G".to_string(),
-            },
-            vec![],
-        );
-        let b = p.add(
-            Op::Scan {
-                rel: "G".to_string(),
-            },
-            vec![],
-        );
+        let mut powerset = || {
+            let scan = p.add_est(Op::Scan { rel: "G".into() }, vec![], Some(5));
+            let proj = p.add_est(Op::Project { cols: vec![1] }, vec![scan], Some(5));
+            p.add_est(Op::Powerset, vec![proj], Some(32))
+        };
+        let (a, b) = (powerset(), powerset());
         p.root = p.add(Op::Join, vec![a, b]);
-        let out = cse(&p);
-        assert_eq!(out.shared, 1);
-        let join = out.node(out.root);
-        assert_eq!(join.children[0], join.children[1], "scans hash-consed");
+        let limits = Limits {
+            max_range: 10,
+            ..Limits::unlimited()
+        };
+        let warnings = governor_trips(&mut p, &limits);
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        for id in [a, b] {
+            assert!(p.node(id).note.as_ref().unwrap().contains("max_range 10"));
+        }
     }
 
     #[test]
@@ -641,7 +541,7 @@ mod tests {
                 Literal::Pos("tc".into(), vec![DTerm::var("z"), DTerm::var("y")]),
             ],
         );
-        let lowered = lower_datalog(&schema, None, &p, &DatalogMode::SemiNaive).unwrap();
+        let lowered = lower_datalog(&schema, None, &p, DatalogMode::SemiNaive).unwrap();
         let idb: BTreeSet<String> = ["tc".to_string()].into();
         let rewritten = delta_rewrite(&lowered, &idb);
         // base rule stays single; the quadratic rule splits into 2 variants

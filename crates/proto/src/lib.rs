@@ -93,36 +93,32 @@ impl Mode {
     }
 }
 
-/// The Datalog¬ evaluation strategy (ignored for other languages).
+/// The Datalog¬ semantics (ignored for other languages). It names what a
+/// program means, never which engine computes it: both run on the
+/// semi-naive round engine. Naive rounds and the simultaneous-IFP
+/// translation compute the inflationary fixpoint too (the paper's §3),
+/// but they are test oracles in `no-datalog`, not wire values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
-    /// Naive inflationary fixpoint.
-    Naive,
-    /// Semi-naive (delta) inflationary fixpoint.
+    /// Inflationary semantics.
     #[default]
     SemiNaive,
     /// Stratified semantics.
     Stratified,
-    /// Translation to one simultaneous IFP on the CALC evaluator.
-    Simultaneous,
 }
 
 impl Strategy {
     fn wire(self) -> &'static str {
         match self {
-            Strategy::Naive => "naive",
             Strategy::SemiNaive => "semi-naive",
             Strategy::Stratified => "stratified",
-            Strategy::Simultaneous => "simultaneous",
         }
     }
 
     fn from_wire(s: &str) -> Option<Strategy> {
         Some(match s {
-            "naive" => Strategy::Naive,
             "semi-naive" => Strategy::SemiNaive,
             "stratified" => Strategy::Stratified,
-            "simultaneous" => Strategy::Simultaneous,
             _ => return None,
         })
     }
@@ -256,7 +252,7 @@ impl LimitsSpec {
 }
 
 /// One request: the single entry shape behind every surface.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Request {
     /// What to do.
     pub op: Op,
@@ -266,8 +262,8 @@ pub struct Request {
     pub mode: Mode,
     /// Datalog¬ strategy (ignored for other languages).
     pub strategy: Strategy,
-    /// Route through the plan pipeline (compile → optimize → execute)
-    /// instead of the direct tree-walk entry points.
+    /// Run the served plan (the default). `false` runs the tree-walk
+    /// oracle the differential suites hold the served plans to.
     pub planned: bool,
     /// The tenant this request is accounted to (admission control and
     /// per-tenant metrics on the server; ignored in-process).
@@ -280,6 +276,22 @@ pub struct Request {
     pub view: String,
     /// Per-request budget overrides.
     pub limits: Option<LimitsSpec>,
+}
+
+impl Default for Request {
+    fn default() -> Request {
+        Request {
+            op: Op::default(),
+            lang: Lang::default(),
+            mode: Mode::default(),
+            strategy: Strategy::default(),
+            planned: true,
+            tenant: String::new(),
+            text: String::new(),
+            view: String::new(),
+            limits: None,
+        }
+    }
 }
 
 impl Request {
@@ -922,7 +934,7 @@ mod tests {
         assert_eq!(r.lang, Lang::Calc);
         assert_eq!(r.mode, Mode::Safe);
         assert_eq!(r.strategy, Strategy::SemiNaive);
-        assert!(!r.planned);
+        assert!(r.planned, "the served plan unless a request opts out");
         let j = r.to_json();
         assert!(j.contains("\"op\":\"eval\""), "{j}");
         assert!(j.contains("\"strategy\":\"semi-naive\""), "{j}");
@@ -935,7 +947,7 @@ mod tests {
             lang: Lang::Datalog,
             mode: Mode::Checked,
             strategy: Strategy::Stratified,
-            planned: true,
+            planned: false,
             tenant: "acme".into(),
             text: "rel tc(U, U).\ntc(x, y) :- G(x, y).".into(),
             view: "paths".into(),
@@ -958,6 +970,18 @@ mod tests {
         assert_eq!(r.op, Op::Eval);
         assert_eq!(r.text, "{[x:U] | G(x, x)}");
         assert_eq!(r.limits, None);
+        assert!(r.planned, "an absent planned field keeps the default");
+    }
+
+    /// Naive rounds and the simultaneous-IFP translation are test
+    /// oracles, not wire values: `strategy` names a semantics.
+    #[test]
+    fn oracle_strategies_are_refused() {
+        for name in ["naive", "simultaneous"] {
+            let src = format!(r#"{{"lang": "datalog", "strategy": "{name}"}}"#);
+            let e = Request::from_json(&src).unwrap_err();
+            assert_eq!(e, format!("unknown strategy {name:?}"));
+        }
     }
 
     #[test]
@@ -1190,12 +1214,7 @@ mod tests {
                 ]),
                 proptest::sample::select(vec![Lang::Calc, Lang::Datalog, Lang::Algebra]),
                 proptest::sample::select(vec![Mode::Fast, Mode::Safe, Mode::Checked]),
-                proptest::sample::select(vec![
-                    Strategy::Naive,
-                    Strategy::SemiNaive,
-                    Strategy::Stratified,
-                    Strategy::Simultaneous,
-                ]),
+                proptest::sample::select(vec![Strategy::SemiNaive, Strategy::Stratified]),
                 any::<bool>(),
                 "[ -~]{0,40}",
             ),

@@ -36,11 +36,10 @@
 //!
 //! `run` is the one way in. Every `eval` parses, compiles to a
 //! [`Planned`], executes it and renders the output; `planned` only picks
-//! the plan. `planned: true` runs the optimized plan from the cache;
-//! `planned: false` runs the tree-walk oracle, which is the plan the
-//! planner builds with no passes (`PassSet::none()`), compiled per request
-//! and never cached. The engines themselves are bound in one place,
-//! `Physical::execute`.
+//! the plan. `planned: true`, the default, runs the served plan from the
+//! cache; `planned: false` runs the tree-walk oracle
+//! ([`Planner::oracle`]), compiled per request and never cached. The
+//! engines themselves are bound in one place, `Physical::execute`.
 
 use crate::error::Error;
 use crate::reply;
@@ -50,14 +49,14 @@ use no_core::Query;
 use no_datalog::Program;
 use no_ivm::{decode_registry, encode_registry, BaseDelta, IvmError, ViewDelta, ViewRegistry};
 use no_object::text::{parse_clause, render_database, Clause};
-use no_object::{Governor, Instance, Limits, Schema, Type, Universe, Value};
-use no_plan::{CacheKey, CalcMode, DatalogMode, Output, PassSet, PlanCache, Planned, Planner};
+use no_object::{Governor, Instance, Limits, Schema, Universe, Value};
+use no_plan::{CacheKey, CalcMode, DatalogMode, Output, PlanCache, Planned, Planner};
 use no_proto::{
     AnalysisOut, ExplainOut, Lang, LimitsSpec, Mode, Op, Request, Response, Spend, StatsOut,
     ViewStatsOut,
 };
 use no_storage::{Db, DbOptions, SyncPolicy};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
@@ -424,8 +423,8 @@ impl SessionBuilder {
 /// A configured handle over all evaluation engines: one [`Governor`]
 /// (shared budget, cancellation), one [`ThreadPool`] (parallelism), one
 /// plan cache, and one shared [`Store`], applied uniformly to CALC,
-/// Datalog¬ (inflationary, stratified, and simultaneous-fixpoint), and
-/// the algebra. [`Session::run`] is the protocol entry point.
+/// Datalog¬ (inflationary and stratified), and the algebra.
+/// [`Session::run`] is the protocol entry point.
 #[derive(Debug, Clone)]
 pub struct Session {
     governor: Governor,
@@ -639,7 +638,7 @@ impl Session {
                     certified = Some(analysis_out(&analysis, &req.text));
                 }
             }
-            Ok((parse_source(req, schema, universe, mode)?, certified))
+            Ok((parse_source(req, universe, mode)?, certified))
         });
         let (store, (source, analysis)) = match parsed {
             Ok(p) => p,
@@ -658,13 +657,11 @@ impl Session {
         }
     }
 
-    /// The plan an `eval` runs. `planned` takes the session's optimized,
-    /// cached plan. Otherwise CALC and algebra compile with no passes:
-    /// that plan is the tree-walk oracle the differential suites hold the
-    /// served plans to, and it is built per request, never cached. A
-    /// Datalog strategy runs on the same engine either way, so it keeps
-    /// every pass (without the delta pass semi-naive would drop to naive)
-    /// and skips only the cache.
+    /// The plan an `eval` runs. `planned` takes the session's served,
+    /// cached plan. Otherwise the oracle planner compiles it: the
+    /// tree-walk plan the differential suites hold the served plans to,
+    /// built per request and never cached. A Datalog program runs on the
+    /// same round engine either way, so only the cache is skipped.
     fn compile(
         &self,
         instance: &Instance,
@@ -678,12 +675,10 @@ impl Session {
                 Source::Datalog(program, mode) => self.plan_datalog(instance, &program, mode),
             };
         }
-        let planner = Planner::new(instance.schema());
+        let planner = Planner::oracle(instance.schema());
         let plan = match source {
-            Source::Calc(query, mode) => {
-                planner.with_passes(PassSet::none()).plan_calc(&query, mode)
-            }
-            Source::Algebra(expr) => planner.with_passes(PassSet::none()).plan_algebra(&expr),
+            Source::Calc(query, mode) => planner.plan_calc(&query, mode),
+            Source::Algebra(expr) => planner.plan_algebra(&expr),
             Source::Datalog(program, mode) => planner.plan_datalog(&program, mode),
         }?;
         Ok(Arc::new(plan))
@@ -713,14 +708,8 @@ impl Session {
     /// `explain` renders the plan a `planned: true` eval of the same
     /// request would run.
     fn op_explain(&self, req: &Request) -> Response {
-        let parsed = self.read_parsed(|store, universe| {
-            parse_source(
-                req,
-                store.instance().schema(),
-                universe,
-                calc_mode(req.mode),
-            )
-        });
+        let parsed =
+            self.read_parsed(|_store, universe| parse_source(req, universe, calc_mode(req.mode)));
         let (store, source) = match parsed {
             Ok(p) => p,
             Err(resp) => return *resp,
@@ -1131,8 +1120,8 @@ impl Session {
 
     // ----- compile-to-plan entry points -------------------------------
 
-    /// Compile (or fetch from the plan cache) under the session's pass
-    /// set: stats come from the instance, limits from the governor.
+    /// Compile (or fetch from the plan cache) the served plan: stats come
+    /// from the instance, limits from the governor.
     fn cached<F>(&self, key: CacheKey, build: F) -> Result<Arc<Planned>, Error>
     where
         F: FnOnce() -> Result<Planned, no_plan::PlanError>,
@@ -1168,20 +1157,14 @@ impl Session {
         self.cached(key, || self.planner(instance).plan_algebra(expr))
     }
 
-    /// Plan a Datalog¬ program (cached) under a named strategy.
+    /// Plan a Datalog¬ program (cached) under its semantics.
     pub fn plan_datalog(
         &self,
         instance: &Instance,
         program: &Program,
         mode: DatalogMode,
     ) -> Result<Arc<Planned>, Error> {
-        let label = match &mode {
-            DatalogMode::Naive => "naive",
-            DatalogMode::SemiNaive => "semi-naive",
-            DatalogMode::Stratified => "stratified",
-            DatalogMode::Simultaneous(_) => "simultaneous-ifp",
-        };
-        let key = no_plan::datalog_key(instance.schema(), program, label);
+        let key = no_plan::datalog_key(instance.schema(), program, mode.label());
         self.cached(key, || self.planner(instance).plan_datalog(program, mode))
     }
 
@@ -1290,11 +1273,10 @@ enum Source {
     Datalog(Program, DatalogMode),
 }
 
-/// Parse `req.text` in its language; a Datalog strategy becomes the plan
-/// mode it names.
+/// Parse `req.text` in its language; a Datalog strategy becomes the
+/// semantics it names.
 fn parse_source(
     req: &Request,
-    schema: &Schema,
     universe: &mut Universe,
     calc_mode: CalcMode,
 ) -> Result<Source, Refusal> {
@@ -1312,12 +1294,8 @@ fn parse_source(
             let program =
                 no_datalog::parse_program(text, universe).map_err(|e| refuse(e.render(text)))?;
             let mode = match req.strategy {
-                no_proto::Strategy::Naive => DatalogMode::Naive,
                 no_proto::Strategy::SemiNaive => DatalogMode::SemiNaive,
                 no_proto::Strategy::Stratified => DatalogMode::Stratified,
-                no_proto::Strategy::Simultaneous => {
-                    DatalogMode::Simultaneous(infer_body_var_types(&program, schema))
-                }
             };
             Source::Datalog(program, mode)
         }
@@ -1382,51 +1360,10 @@ fn analysis_out(analysis: &no_analysis::Analysis, src: &str) -> AnalysisOut {
     }
 }
 
-/// Infer the `body_var_types` argument of the simultaneous-IFP translation
-/// from the program itself: every variable that occurs in some rule body
-/// but not in that rule's head, typed by the column it occurs at (IDB
-/// declarations first, then the EDB schema). First occurrence wins on the
-/// rare cross-rule name collision.
-fn infer_body_var_types(program: &Program, schema: &Schema) -> Vec<(String, Type)> {
-    let mut out: BTreeMap<String, Type> = BTreeMap::new();
-    for rule in &program.rules {
-        let head_vars: BTreeSet<&str> = rule
-            .head_args
-            .iter()
-            .filter_map(|t| match t {
-                no_datalog::DTerm::Var(v) => Some(v.as_str()),
-                no_datalog::DTerm::Const(_) => None,
-            })
-            .collect();
-        for lit in &rule.body {
-            let (rel, terms) = match lit {
-                no_datalog::Literal::Pos(rel, terms) | no_datalog::Literal::Neg(rel, terms) => {
-                    (rel, terms)
-                }
-                _ => continue,
-            };
-            let cols: Option<Vec<Type>> = program
-                .idb
-                .get(rel)
-                .cloned()
-                .or_else(|| schema.get(rel).map(|r| r.column_types.clone()));
-            let Some(cols) = cols else { continue };
-            for (term, ty) in terms.iter().zip(cols) {
-                if let no_datalog::DTerm::Var(v) = term {
-                    if !head_vars.contains(v.as_str()) {
-                        out.entry(v.clone()).or_insert(ty);
-                    }
-                }
-            }
-        }
-    }
-    out.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use no_object::{RelationSchema, Schema, Universe, Value};
+    use no_object::{RelationSchema, Schema, Type, Universe, Value};
 
     fn graph_store(edges: &[(&str, &str)]) -> Arc<RwLock<Store>> {
         let mut u = Universe::new();
@@ -1488,7 +1425,6 @@ mod tests {
             for strategy in [
                 no_proto::Strategy::SemiNaive,
                 no_proto::Strategy::Stratified,
-                no_proto::Strategy::Simultaneous,
             ] {
                 assert_eq!(rows(&s, &tc(strategy), "tc"), 3);
             }
@@ -1609,7 +1545,7 @@ mod tests {
             .build();
         g.cancel();
         assert!(tripped(&s.run(&calc(Mode::Fast, EDGES))));
-        assert!(tripped(&s.run(&tc(no_proto::Strategy::Naive))));
+        assert!(tripped(&s.run(&tc(no_proto::Strategy::SemiNaive))));
         assert!(tripped(&s.run(&Request::eval(Lang::Algebra, "G"))));
     }
 
@@ -1677,10 +1613,8 @@ mod tests {
     fn run_evaluates_datalog_under_every_strategy() {
         let s = graph_session(&[("a", "b"), ("b", "c")]);
         for strategy in [
-            no_proto::Strategy::Naive,
             no_proto::Strategy::SemiNaive,
             no_proto::Strategy::Stratified,
-            no_proto::Strategy::Simultaneous,
         ] {
             for planned in [false, true] {
                 let r = s.run(&Request {
@@ -1693,12 +1627,11 @@ mod tests {
                 assert!(r.ok, "{strategy:?}/{planned}: {:?}", r.error);
                 let tc = r.relations.iter().find(|r| r.name == "tc").unwrap();
                 assert_eq!(tc.rows.len(), 3, "{strategy:?}");
-                if matches!(
-                    strategy,
-                    no_proto::Strategy::Naive | no_proto::Strategy::SemiNaive
-                ) {
-                    assert!(r.rounds.is_some(), "{strategy:?} reports rounds");
-                }
+                assert_eq!(
+                    r.rounds.is_some(),
+                    strategy == no_proto::Strategy::SemiNaive,
+                    "inflationary rounds report their count"
+                );
             }
         }
     }
@@ -1940,15 +1873,6 @@ mod tests {
             let back = Response::from_json(&line).unwrap();
             assert_eq!(back.to_json(), line);
         }
-    }
-
-    #[test]
-    fn infer_body_var_types_finds_body_only_vars() {
-        let store = graph_store(&[("a", "b")]);
-        let mut store = store.write().unwrap();
-        let program = no_datalog::parse_program(TC_SRC, store.universe_mut()).unwrap();
-        let typed = infer_body_var_types(&program, store.instance().schema());
-        assert_eq!(typed, vec![("z".to_string(), Type::Atom)]);
     }
 
     #[test]

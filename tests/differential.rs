@@ -3,8 +3,9 @@
 //! The repo carries five evaluators of the same query semantics: the
 //! active-domain CALC evaluator, the range-restricted safe evaluator
 //! (Theorem 5.1), the bottom-up algebra evaluator (translated to CALC via
-//! [`nestdb::algebra::to_query`]), and the Datalog¬ strategies (naive,
-//! semi-naive, stratified, simultaneous-IFP). Every query expressible in
+//! [`nestdb::algebra::to_query`]), and the Datalog¬ engines (semi-naive
+//! and stratified rounds, plus the naive-round and simultaneous-IFP
+//! translations kept as §3 oracles). Every query expressible in
 //! more than one of them is pushed through all of them here and the
 //! results must be *identical* — any divergence is a bug in one engine,
 //! and the disagreeing pair localises it.
@@ -28,7 +29,7 @@ use nestdb::datalog::{
     StratifyError,
 };
 use nestdb::object::{AtomOrder, Governor, Instance, Limits, Relation, Type, Universe, Value};
-use nestdb::plan::{CalcMode, DatalogMode, PassSet, Planner};
+use nestdb::plan::{CalcMode, DatalogMode, Planner};
 use nestdb::proto::{Lang, Mode, Request, Strategy as WireStrategy};
 use nestdb::{Session, Store, ThreadPool};
 use proptest::prelude::*;
@@ -336,9 +337,8 @@ fn oracle_calc(
     }
 }
 
-/// [`oracle_calc`] for the Datalog¬ strategies: the IDB, and the round
-/// count where the strategy reports one. `tc_program`'s only body-only
-/// variable is `z`, so that is the simultaneous translation's typing.
+/// [`oracle_calc`] for the two wire strategies: the IDB, and the round
+/// count inflationary rounds report.
 fn oracle_datalog(
     p: &Program,
     i: &Instance,
@@ -346,35 +346,22 @@ fn oracle_datalog(
     gov: &Governor,
     pool: &ThreadPool,
 ) -> (Idb, Option<u64>) {
-    let rounds = |strategy| {
-        let (idb, stats) = datalog::eval_pooled(p, i, strategy, gov, pool).unwrap();
-        (idb, Some(stats.rounds as u64))
-    };
     match strategy {
-        WireStrategy::Naive => rounds(Strategy::Naive),
-        WireStrategy::SemiNaive => rounds(Strategy::SemiNaive),
-        WireStrategy::Stratified => (eval_stratified_pooled(p, i, gov, pool).unwrap(), None),
-        WireStrategy::Simultaneous => {
-            let order = AtomOrder::new(i.atoms().into_iter().collect());
-            let typed = [("z", Type::Atom)];
-            let idb = eval_simultaneous_pooled(p, &typed, i, order, gov, pool).unwrap();
-            (idb, None)
+        WireStrategy::SemiNaive => {
+            let (idb, stats) = datalog::eval_pooled(p, i, Strategy::SemiNaive, gov, pool).unwrap();
+            (idb, Some(stats.rounds as u64))
         }
+        WireStrategy::Stratified => (eval_stratified_pooled(p, i, gov, pool).unwrap(), None),
     }
 }
 
-const STRATEGIES: [WireStrategy; 4] = [
-    WireStrategy::Naive,
-    WireStrategy::SemiNaive,
-    WireStrategy::Stratified,
-    WireStrategy::Simultaneous,
-];
+const STRATEGIES: [WireStrategy; 2] = [WireStrategy::SemiNaive, WireStrategy::Stratified];
 
 /// The compile-to-plan axis: every engine's served plan (all passes, with
 /// statistics) must return exactly what the engine's free function
 /// returns — for CALC under both semantics (the analyzer pool covers AD
 /// fallbacks, sets, tuples, and fixpoints), the whole algebra operator
-/// suite, and all four Datalog¬ strategies — at parallelism 1, 2, and 4.
+/// suite, and both Datalog¬ strategies — at parallelism 1, 2, and 4.
 #[test]
 fn planned_execution_matches_tree_walk_across_all_engines() {
     let gov = Governor::unlimited();
@@ -408,21 +395,48 @@ fn planned_execution_matches_tree_walk_across_all_engines() {
                 assert_eq!(walk, planned, "algebra planned diverged on {expr:?}");
             }
 
-            // Datalog¬: all four strategies.
+            // Datalog¬: both strategies.
             let p = tc_program();
             for strategy in STRATEGIES {
                 let mode = match strategy {
-                    WireStrategy::Naive => DatalogMode::Naive,
                     WireStrategy::SemiNaive => DatalogMode::SemiNaive,
                     WireStrategy::Stratified => DatalogMode::Stratified,
-                    WireStrategy::Simultaneous => {
-                        DatalogMode::Simultaneous(vec![("z".into(), Type::Atom)])
-                    }
                 };
                 let (walk, _) = oracle_datalog(&p, &i, strategy, &gov, &pool);
                 let planned = served(planner.plan_datalog(&p, mode).unwrap()).into_idb();
                 assert_eq!(walk, planned, "{strategy:?} planned diverged");
             }
+        }
+    }
+}
+
+/// Section 3's correspondence, checked against the oracles kept for it:
+/// the served semi-naive rounds compute the fixpoint that naive rounds
+/// and the simultaneous-IFP translation compute, at parallelism 1, 2 and
+/// 4. `tc_program`'s only body-only variable is `z`, so that is the
+/// translation's typing.
+#[test]
+fn served_rounds_equal_the_section3_oracles() {
+    let gov = Governor::unlimited();
+    let p = tc_program();
+    for threads in [1usize, 2, 4] {
+        let pool = ThreadPool::new(threads);
+        for edges in graphs() {
+            let (_u, _o, i) = graph_instance(5, &edges);
+            let served = Planner::new(i.schema())
+                .with_instance(&i)
+                .plan_datalog(&p, DatalogMode::SemiNaive)
+                .unwrap()
+                .execute(&i, &gov, &pool)
+                .unwrap()
+                .into_idb();
+            let (naive, _) = datalog::eval_pooled(&p, &i, Strategy::Naive, &gov, &pool).unwrap();
+            let order = AtomOrder::new(i.atoms().into_iter().collect());
+            let typed = [("z", Type::Atom)];
+            let sim = eval_simultaneous_pooled(&p, &typed, &i, order, &gov, &pool).unwrap();
+            let at = format!("at {threads} threads over {edges:?}");
+            assert_eq!(served, naive, "served rounds vs naive oracle {at}");
+            assert_eq!(served, sim, "served rounds vs simultaneous oracle {at}");
         }
     }
 }
@@ -460,7 +474,7 @@ const ALGEBRA_TEXTS: [&str; 12] = [
 const TC_TEXT: &str = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
 
 /// This is what labels `planned: false` as the oracle. For every engine,
-/// CALC mode and Datalog¬ strategy, at parallelism 1, 2 and 4,
+/// CALC mode and wire strategy, at parallelism 1, 2 and 4,
 /// `Session::run` with `planned: false` replies with the rows (and
 /// rounds) of the engine's free function. At parallelism 1 it also spends
 /// exactly the steps and bytes a governor handed to that function meters.
@@ -514,6 +528,7 @@ fn unplanned_run_is_the_free_function_oracle() {
                     let want = oracle_calc(&i, &q, calc_mode, &gov, &pool).unwrap();
                     let req = Request {
                         mode,
+                        planned: false,
                         ..Request::eval(Lang::Calc, text)
                     };
                     check(req, &gov, result(&want));
@@ -524,7 +539,11 @@ fn unplanned_run_is_the_free_function_oracle() {
                 let expr = algebra::parse_expr(text, &mut parsing).unwrap();
                 let gov = Governor::unlimited();
                 let want = algebra::eval_pooled(&expr, &i, &gov, &pool).unwrap();
-                check(Request::eval(Lang::Algebra, text), &gov, result(&want));
+                let req = Request {
+                    planned: false,
+                    ..Request::eval(Lang::Algebra, text)
+                };
+                check(req, &gov, result(&want));
             }
 
             let p = datalog::parse_program(TC_TEXT, &mut parsing).unwrap();
@@ -537,6 +556,7 @@ fn unplanned_run_is_the_free_function_oracle() {
                     .collect();
                 let req = Request {
                     strategy,
+                    planned: false,
                     ..Request::eval(Lang::Datalog, TC_TEXT)
                 };
                 assert_eq!(check(req, &gov, want), rounds, "{strategy:?}");
@@ -552,10 +572,10 @@ fn unplanned_run_is_the_free_function_oracle() {
 }
 
 /// Under starvation the planned path must trip exactly like the tree-walk
-/// path. With passes disabled the physical plan *is* the tree-walk
-/// invocation, so both the budget kind and the metered step count must be
-/// bit-identical; with the full pass set the plan may do strictly less
-/// work, but any failure must still be the same structured resource trip.
+/// path. The oracle's physical plan *is* the tree-walk invocation, so
+/// both the budget kind and the metered step count must be bit-identical;
+/// the served plan may do strictly less work, but any failure must still
+/// be the same structured resource trip.
 #[test]
 fn planned_execution_trips_identically_under_starvation() {
     let edges = vec![(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4), (4, 0)];
@@ -571,22 +591,21 @@ fn planned_execution_trips_identically_under_starvation() {
         panic!("expected a resource trip, got {walk_err}")
     };
 
-    // planned, no passes: identical accounting, step for step
+    // the oracle plan: identical accounting, step for step
     let plan_gov = starvation_governor();
-    let planned = Planner::new(i.schema())
-        .with_passes(PassSet::none())
+    let planned = Planner::oracle(i.schema())
         .plan_calc(&q, CalcMode::Safe)
         .unwrap();
     let plan_err = planned.execute(&i, &plan_gov, &pool).unwrap_err();
-    let plan_trip = plan_err.resource().expect("planned path must trip too");
+    let plan_trip = plan_err.resource().expect("the oracle plan must trip too");
     assert_eq!(plan_trip.budget, walk_trip.budget, "budget kinds differ");
     assert_eq!(
         plan_gov.steps_spent(),
         walk_gov.steps_spent(),
-        "planned (no passes) must meter exactly the tree-walk steps"
+        "the oracle plan must meter exactly the tree-walk steps"
     );
 
-    // planned, full pass set: still a structured trip of the same kind
+    // the served plan: still a structured trip of the same kind
     let opt_gov = starvation_governor();
     let planned = Planner::new(i.schema())
         .with_instance(&i)

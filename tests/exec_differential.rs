@@ -38,7 +38,7 @@ use nestdb::exec::{execute, ExecOp, ExecPlan, JoinAlgo, RowPred, SetConjunct};
 use nestdb::object::{
     Atom, BudgetKind, Governor, Instance, Limits, Relation, RelationSchema, Schema, Type, Value,
 };
-use nestdb::plan::{CalcMode, Pass, PassSet, Physical, PlanError, Planner, Stats};
+use nestdb::plan::{CalcMode, Physical, PlanError, Planner, Stats};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashSet};
 
@@ -325,8 +325,7 @@ proptest! {
                     matches!(planned.physical, Physical::Exec { .. }),
                     "conjunctive query must take the columnar path"
                 );
-                let baseline = Planner::new(i.schema())
-                    .with_passes(PassSet::none())
+                let baseline = Planner::oracle(i.schema())
                     .plan_calc(q, mode)
                     .unwrap();
                 for threads in THREADS {
@@ -335,7 +334,7 @@ proptest! {
                     let rel = planned.execute(&i, &gov, &pool).unwrap().into_relation();
                     prop_assert_eq!(&rel, &ad_walk, "columnar vs tree-walk ({threads} threads)");
                     let base = baseline.execute(&i, &gov, &pool).unwrap().into_relation();
-                    prop_assert_eq!(&rel, &base, "columnar vs pass-free planned");
+                    prop_assert_eq!(&rel, &base, "columnar vs oracle plan");
                 }
             }
         }
@@ -485,7 +484,7 @@ fn cancellation_stops_execution_immediately() {
 
 /// The planner's per-join algorithm choice lands in `:explain` output —
 /// a big skewed build side yields a hash join, a tiny input a nested
-/// loop — and disabling the pass removes the columnar lowering entirely.
+/// loop — and the oracle plan has no columnar lowering at all.
 #[test]
 fn explain_records_algorithm_choices() {
     // Tiny inputs: nested loop.
@@ -509,16 +508,15 @@ fn explain_records_algorithm_choices() {
     assert!(text.contains("NestedLoopJoin"), "{text}");
     assert!(text.contains("join-algorithms"), "{text}");
 
-    // Without the pass: legacy plan, no columnar notes.
-    let legacy = Planner::new(small.schema())
+    // The oracle: the tree-walk plan, no columnar notes.
+    let oracle = Planner::oracle(small.schema())
         .with_instance(&small)
-        .with_passes(PassSet::all().without(Pass::Joins))
         .plan_calc(&q, CalcMode::Safe)
         .unwrap();
     assert!(
-        !legacy.render_text().contains("Join"),
+        !oracle.render_text().contains("Join"),
         "{}",
-        legacy.render_text()
+        oracle.render_text()
     );
 
     // A duplicate-heavy build-side key (10 distinct values over 120 rows)

@@ -101,9 +101,9 @@ fn calc_ifp_explain_snapshots() {
     check_golden("explain.calc.ifp.golden", &snapshot);
 }
 
-/// An algebra pipeline where predicate pushdown fires (σ over ×) and CSE
-/// merges the repeated `π₁ G` subexpression, feeding a powerset the trips
-/// pass annotates.
+/// An algebra pipeline where predicate pushdown fires (σ over ×) and the
+/// repeated `π₁ G` subexpression prints twice, feeding a powerset the
+/// trips pass annotates.
 #[test]
 fn algebra_explain_snapshot() {
     let (_u, instance) = graph_db();

@@ -4,9 +4,10 @@
 //! governor check fail with the designated budget, regardless of real
 //! consumption. These tests drive each engine entry point — CALC
 //! active-domain and range-restricted evaluation, IFP and PFP fixpoints,
-//! all four Datalog strategies, the algebra (including powerset), and the
-//! TM runner plus its relational simulation — with faults armed at several
-//! depths and for every budget kind, asserting that the engine always
+//! every Datalog evaluator (the served semi-naive and stratified rounds
+//! and the naive and simultaneous oracles), the algebra (including
+//! powerset), and the TM runner plus its relational simulation — with
+//! faults armed at several depths and for every budget kind, asserting that the engine always
 //! surfaces a structured [`ResourceError`] (never a panic) naming the
 //! injected budget.
 
@@ -19,8 +20,9 @@ use nestdb::core::eval::{Evaluator, Query};
 use nestdb::core::ranges::safe_eval_governed;
 use nestdb::core::EvalError;
 use nestdb::datalog::{
-    eval_governed as dl_eval_governed, eval_simultaneous, eval_stratified_governed, DTerm, Literal,
-    Program, ProgramError, SimEvalError, Strategy, StratifyError,
+    eval_governed as dl_eval_governed, eval_simultaneous, eval_simultaneous_pooled,
+    eval_stratified_governed, DTerm, Literal, Program, ProgramError, SimEvalError, Strategy,
+    StratifyError,
 };
 use nestdb::object::{BudgetKind, Governor, ResourceError, Type};
 use nestdb::tm::sim::{simulate_on_instance_governed, SimError};
@@ -205,15 +207,23 @@ fn datalog_stratified_degrades_gracefully() {
     });
 }
 
+/// The simultaneous-IFP translation is a test oracle, reached only
+/// through its free functions; sequential and pooled, it unwinds cleanly.
 #[test]
 fn datalog_simultaneous_degrades_gracefully() {
     let (_u, order, i) = graph_instance(4, &test_edges());
     let p = tc_program();
+    let typed = [("z", Type::Atom)];
+    let sim_resource = |e: SimEvalError| match e {
+        SimEvalError::Eval(ee) => resource(ee),
+        other => panic!("expected structured resource error, got {other:?}"),
+    };
     assert_degrades_gracefully("datalog-simultaneous", |g| {
-        eval_simultaneous(&p, &[("z", Type::Atom)], &i, order.clone(), g).map_err(|e| match e {
-            SimEvalError::Eval(ee) => resource(ee),
-            other => panic!("expected structured resource error, got {other:?}"),
-        })
+        eval_simultaneous(&p, &typed, &i, order.clone(), g).map_err(sim_resource)
+    });
+    let pool = minipool::ThreadPool::new(2);
+    assert_degrades_gracefully("datalog-simultaneous-pooled", |g| {
+        eval_simultaneous_pooled(&p, &typed, &i, order.clone(), g, &pool).map_err(sim_resource)
     });
 }
 
@@ -264,13 +274,8 @@ fn planned_execution_degrades_gracefully() {
 
     let p = tc_program();
     for (label, mode) in [
-        ("planned-datalog-naive", DatalogMode::Naive),
         ("planned-datalog-semi-naive", DatalogMode::SemiNaive),
         ("planned-datalog-stratified", DatalogMode::Stratified),
-        (
-            "planned-datalog-simultaneous",
-            DatalogMode::Simultaneous(vec![("z".to_string(), Type::Atom)]),
-        ),
     ] {
         let planned = planner.plan_datalog(&p, mode).unwrap();
         assert_degrades_gracefully(label, |g| {

@@ -5,7 +5,7 @@
 //! The planner compiles the positive-existential fragment of CALC+IFP to a
 //! Datalog program (`nestdb::plan::ifp`). Everything here holds that path
 //! to the tree-walk evaluator — the differential oracle, reached through
-//! `PassSet::none()` and `planned: false` — and to the same closure written
+//! `Planner::oracle` and `planned: false` — and to the same closure written
 //! by hand as Datalog rules.
 
 mod common;
@@ -21,7 +21,7 @@ use nestdb::object::{
     Atom, AtomOrder, BudgetKind, Governor, Instance, Limits, Relation, RelationSchema, Schema,
     Type, Universe, Value,
 };
-use nestdb::plan::{CalcMode, PassSet, Physical, PlanError, Planned, Planner};
+use nestdb::plan::{CalcMode, Physical, PlanError, Planned, Planner};
 use nestdb::proto::{Lang, LimitsSpec, Request, Response};
 use nestdb::{Session, Store};
 use proptest::prelude::*;
@@ -51,10 +51,10 @@ fn instance(n: usize, g: &[(usize, usize)], h: &[(usize, usize)]) -> (Universe, 
     (u, i)
 }
 
-fn plan(i: &Instance, q: &Query, mode: CalcMode, passes: PassSet) -> Planned {
-    Planner::new(i.schema())
+/// The plan `planner` builds for `q`, with `i`'s statistics.
+fn plan(planner: Planner<'_>, i: &Instance, q: &Query, mode: CalcMode) -> Planned {
+    planner
         .with_instance(i)
-        .with_passes(passes)
         .plan_calc(q, mode)
         .expect("the query plans")
 }
@@ -335,10 +335,10 @@ proptest! {
         let q = spec.query();
         let programs = program_answers(&spec, &i);
         for mode in MODES {
-            let oracle_plan = plan(&i, &q, mode, PassSet::none());
-            prop_assert!(!lowered(&oracle_plan), "PassSet::none() must stay on the tree-walk");
+            let oracle_plan = plan(Planner::oracle(i.schema()), &i, &q, mode);
+            prop_assert!(!lowered(&oracle_plan), "the oracle must stay on the tree-walk");
             let oracle = run(&oracle_plan, &i, 1);
-            let planned = plan(&i, &q, mode, PassSet::all());
+            let planned = plan(Planner::new(i.schema()), &i, &q, mode);
             prop_assert!(lowered(&planned), "not lowered: {:?}\n{:?}", planned.header, q);
             for threads in [1, 2, 4] {
                 prop_assert_eq!(&run(&planned, &i, threads), &oracle, "{:?} at {} threads: {:?}", mode, threads, q);
@@ -407,7 +407,7 @@ fn shapes_outside_the_fragment_stay_on_the_oracle() {
     for (text, why) in &table {
         let q = nestdb::core::parse_query(text, &mut u).unwrap_or_else(|e| panic!("{text}: {e:?}"));
         for mode in MODES {
-            let planned = plan(&i, &q, mode, PassSet::all());
+            let planned = plan(Planner::new(i.schema()), &i, &q, mode);
             assert!(!lowered(&planned), "{text} must not lower");
             let note = planned
                 .header
@@ -418,17 +418,16 @@ fn shapes_outside_the_fragment_stay_on_the_oracle() {
                 "{text}: expected a note with {why:?}, got {:?}",
                 planned.header
             );
-            let oracle = run(&plan(&i, &q, mode, PassSet::none()), &i, 1);
+            let oracle = run(&plan(Planner::oracle(i.schema()), &i, &q, mode), &i, 1);
             assert_eq!(run(&planned, &i, 1), oracle, "{text} ({mode:?})");
         }
     }
 
     // An open fixpoint never reaches the recognizer: it does not type-check,
-    // with or without passes.
+    // served or oracle.
     let open =
         nestdb::core::parse_query("{[u:U, v:U] | ifp(S; x:U | G(x, v))(u)}", &mut u).unwrap();
-    for passes in [PassSet::all(), PassSet::none()] {
-        let planner = Planner::new(i.schema()).with_passes(passes);
+    for planner in [Planner::new(i.schema()), Planner::oracle(i.schema())] {
         let err = planner.plan_calc(&open, CalcMode::Safe).unwrap_err();
         assert!(
             err.to_string().contains("undeclared free variable v"),
@@ -445,7 +444,7 @@ fn an_empty_fixpoint_named_like_a_stored_relation_does_not_lower() {
     let (mut u, i) = instance(3, &[(0, 1), (1, 2)], &[]);
     let text = "{[u:U, v:U] | ifp(G; x:U, y:U | G(x, y) /\\ 'a0' = 'a1')(u, v) \\/ G(u, v)}";
     let q = nestdb::core::parse_query(text, &mut u).unwrap();
-    let planned = plan(&i, &q, CalcMode::Safe, PassSet::all());
+    let planned = plan(Planner::new(i.schema()), &i, &q, CalcMode::Safe);
     assert!(!lowered(&planned));
     assert_eq!(
         run(&planned, &i, 1).len(),
@@ -474,7 +473,7 @@ fn trip(planned: &Planned, i: &Instance, g: &Governor) -> BudgetKind {
 fn budgets_trip_as_calc_resource_errors() {
     let (_u, i) = chain(10);
     let q = common::tc_query();
-    let planned = plan(&i, &q, CalcMode::Safe, PassSet::all());
+    let planned = plan(Planner::new(i.schema()), &i, &q, CalcMode::Safe);
     assert!(lowered(&planned));
     let limited = |limits: Limits| Governor::new(limits);
     let cases = [
@@ -512,7 +511,12 @@ fn budgets_trip_as_calc_resource_errors() {
 #[test]
 fn a_fault_at_every_check_degrades_gracefully() {
     let (_u, i) = chain(10);
-    let planned = plan(&i, &common::tc_query(), CalcMode::Safe, PassSet::all());
+    let planned = plan(
+        Planner::new(i.schema()),
+        &i,
+        &common::tc_query(),
+        CalcMode::Safe,
+    );
     let clean = Governor::unlimited();
     let pool = minipool::ThreadPool::sequential();
     let expected = planned.execute(&i, &clean, &pool).unwrap().into_relation();

@@ -1,19 +1,17 @@
-//! Per-pass equivalence: every optimizer pass is individually inert.
+//! Served plan ≡ oracle: the planner's two configurations agree.
 //!
-//! For each pass the planner can run, the planned result with the *full*
-//! pass set, the planned result with that one pass disabled, and the legacy
-//! tree-walk result must all be identical. This localises optimizer bugs
-//! to a single pass: if the full pipeline diverges from the tree-walk but
-//! every leave-one-out pipeline agrees, the interaction is at fault; if
-//! exactly one leave-one-out set diverges, the disabled pass was masking a
-//! bug in another.
+//! The planner builds either the served plan (every rewrite of the
+//! pipeline: pushdown, quantifier reordering, the columnar join kernels,
+//! the IFP-to-rounds lowering, the semi-naive delta rewrite) or the
+//! oracle plan (the tree-walk evaluators, exactly as lowered). On random
+//! graphs, the served plan, the oracle plan and the engine's free
+//! function must return identical relations.
 //!
 //! The query corpus is shared with the differential harness: the analyzer
 //! pool (AD fallbacks, sets, tuples, fixpoints) for CALC under both
 //! semantics, the full operator suite for the algebra, and the
-//! transitive-closure program for Datalog¬ — where disabling the delta
-//! pass legitimately downgrades a semi-naive request to naive evaluation,
-//! which must still compute the same fixpoint.
+//! transitive-closure program for Datalog¬, whose served semi-naive
+//! rounds must compute the fixpoint of naive rounds, the §3 oracle.
 
 mod common;
 
@@ -23,8 +21,8 @@ use nestdb::core::error::EvalConfig;
 use nestdb::core::eval::eval_query_with;
 use nestdb::core::ranges::safe_eval;
 use nestdb::datalog::{DTerm, Literal, Program};
-use nestdb::object::{Governor, Instance, Relation, Type};
-use nestdb::plan::{CalcMode, DatalogMode, Pass, PassSet, Planner};
+use nestdb::object::{Governor, Instance, Type};
+use nestdb::plan::{CalcMode, DatalogMode, Output, Planner};
 use proptest::prelude::*;
 
 fn tc_program() -> Program {
@@ -88,21 +86,20 @@ fn algebra_suite() -> Vec<Expr> {
 }
 
 /// Execute `planned` sequentially under an unlimited governor.
-fn run_plan(planned: &nestdb::plan::Planned, i: &Instance) -> Relation {
+fn run(planned: &nestdb::plan::Planned, i: &Instance) -> Output {
     let pool = minipool::ThreadPool::sequential();
     planned
         .execute(i, &Governor::unlimited(), &pool)
         .expect("planned execution succeeds")
-        .into_relation()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// CALC, both semantics: full pipeline ≡ each leave-one-out pipeline
-    /// ≡ tree-walk, on random graphs over the whole query pool.
+    /// CALC, both semantics: served plan ≡ oracle plan ≡ tree-walk, on
+    /// random graphs over the whole query pool.
     #[test]
-    fn calc_passes_are_individually_inert(
+    fn calc_served_plan_matches_the_oracle(
         edges in edges_strategy(5, 12),
         qi in 0usize..calc_pool().len(),
     ) {
@@ -112,82 +109,50 @@ proptest! {
             (CalcMode::ActiveDomain, eval_query_with(&i, &q, EvalConfig::default()).unwrap()),
             (CalcMode::Safe, safe_eval(&i, &q, EvalConfig::default()).unwrap()),
         ] {
-            let full = Planner::new(i.schema())
+            let served = Planner::new(i.schema())
                 .with_instance(&i)
                 .plan_calc(&q, mode)
                 .unwrap();
-            prop_assert_eq!(&run_plan(&full, &i), &walk, "full pipeline vs tree-walk ({:?})", mode);
-            for pass in Pass::ALL {
-                let without = Planner::new(i.schema())
-                    .with_instance(&i)
-                    .with_passes(PassSet::all().without(pass))
-                    .plan_calc(&q, mode)
-                    .unwrap();
-                prop_assert_eq!(
-                    &run_plan(&without, &i),
-                    &walk,
-                    "disabling {} changed the answer ({:?})",
-                    pass.name(),
-                    mode
-                );
-            }
+            let oracle = Planner::oracle(i.schema()).plan_calc(&q, mode).unwrap();
+            let oracle = run(&oracle, &i).into_relation();
+            prop_assert_eq!(&oracle, &walk, "oracle plan vs tree-walk ({:?})", mode);
+            prop_assert_eq!(&run(&served, &i).into_relation(), &walk, "served plan vs tree-walk ({:?})", mode);
         }
     }
 
-    /// Algebra: the pushdown rewrite (and every other pass) preserves the
-    /// operator suite's results exactly.
+    /// Algebra: served plan ≡ oracle plan ≡ the bottom-up evaluator on
+    /// the operator suite.
     #[test]
-    fn algebra_passes_are_individually_inert(edges in edges_strategy(5, 12), ei in 0usize..7) {
+    fn algebra_served_plan_matches_the_oracle(edges in edges_strategy(5, 12), ei in 0usize..7) {
         let (_u, _o, i) = graph_instance(5, &edges);
         let expr = &algebra_suite()[ei];
         let walk = nestdb::algebra::eval(expr, &i, &nestdb::algebra::AlgebraConfig::default())
             .expect("tree-walk algebra succeeds");
-        let full = Planner::new(i.schema())
+        let served = Planner::new(i.schema())
             .with_instance(&i)
             .plan_algebra(expr)
             .unwrap();
-        prop_assert_eq!(&run_plan(&full, &i), &walk, "full pipeline vs tree-walk");
-        for pass in Pass::ALL {
-            let without = Planner::new(i.schema())
-                .with_instance(&i)
-                .with_passes(PassSet::all().without(pass))
-                .plan_algebra(expr)
-                .unwrap();
-            prop_assert_eq!(
-                &run_plan(&without, &i),
-                &walk,
-                "disabling {} changed the answer",
-                pass.name()
-            );
-        }
+        let oracle = Planner::oracle(i.schema()).plan_algebra(expr).unwrap();
+        prop_assert_eq!(&run(&oracle, &i).into_relation(), &walk, "oracle plan vs tree-walk");
+        prop_assert_eq!(&run(&served, &i).into_relation(), &walk, "served plan vs tree-walk");
     }
 
-    /// Datalog¬: a semi-naive plan with any single pass disabled computes
-    /// the same fixpoint as the naive tree-walk — including the delta pass,
-    /// whose removal downgrades the plan to naive evaluation.
+    /// Datalog¬: the served and oracle plans of both semantics compute
+    /// the fixpoint of the free functions — naive rounds for the
+    /// inflationary semantics, stratified evaluation for the other.
     #[test]
-    fn datalog_passes_are_individually_inert(edges in edges_strategy(5, 12)) {
+    fn datalog_served_plan_matches_the_oracle(edges in edges_strategy(5, 12)) {
         let (_u, _o, i) = graph_instance(5, &edges);
         let p = tc_program();
-        let pool = minipool::ThreadPool::sequential();
-        let (walk, _) = nestdb::datalog::eval_governed(
-            &p,
-            &i,
-            nestdb::datalog::Strategy::Naive,
-            &Governor::unlimited(),
-        )
-        .unwrap();
-        for passes in std::iter::once(PassSet::all()).chain(Pass::ALL.map(|p| PassSet::all().without(p))) {
-            let planned = Planner::new(i.schema())
-                .with_instance(&i)
-                .with_passes(passes)
-                .plan_datalog(&p, DatalogMode::SemiNaive)
-                .unwrap();
-            let idb = planned
-                .execute(&i, &Governor::unlimited(), &pool)
-                .expect("planned datalog succeeds")
-                .into_idb();
-            prop_assert_eq!(&idb["tc"], &walk["tc"]);
+        let gov = Governor::unlimited();
+        let (naive, _) =
+            nestdb::datalog::eval_governed(&p, &i, nestdb::datalog::Strategy::Naive, &gov).unwrap();
+        let stratified = nestdb::datalog::eval_stratified_governed(&p, &i, &gov).unwrap();
+        for (mode, want) in [(DatalogMode::SemiNaive, &naive), (DatalogMode::Stratified, &stratified)] {
+            let served = Planner::new(i.schema()).with_instance(&i).plan_datalog(&p, mode).unwrap();
+            let oracle = Planner::oracle(i.schema()).plan_datalog(&p, mode).unwrap();
+            prop_assert_eq!(&run(&served, &i).into_idb(), want, "served plan ({:?})", mode);
+            prop_assert_eq!(&run(&oracle, &i).into_idb(), want, "oracle plan ({:?})", mode);
         }
     }
 }

@@ -4,17 +4,21 @@
 //! `no_datalog::fire`, so the maintenance suite's reference (stratified
 //! evaluation) is no longer independent of it. Here random small programs
 //! using `!R`, `=`, `!=`, `in` and `notin` over a set-typed column run as
-//! semi-naive rounds and as `strategy: simultaneous`, which translates the
-//! program into one simultaneous IFP and evaluates it on the CALC tree
-//! walk. The two IDBs must be equal at parallelism 1, 2 and 4.
+//! served semi-naive rounds and through the simultaneous-IFP oracle
+//! (`eval_simultaneous_pooled`), which translates the program into one
+//! simultaneous IFP and evaluates it on the CALC tree walk. The two IDBs
+//! must be equal at parallelism 1, 2 and 4.
 //!
 //! The matcher's step count must not depend on hash order either:
 //! repeated evaluations over instances built anew spend one count.
 
-use nestdb::datalog::{eval_governed, parse_program, Strategy};
-use nestdb::object::{Governor, Instance, RelationSchema, Schema, Type, Universe, Value};
-use nestdb::proto::{Lang, Op, Request, Strategy as Wire};
-use nestdb::Session;
+use nestdb::core::print::Printer;
+use nestdb::datalog::{eval_governed, eval_simultaneous_pooled, parse_program, Strategy};
+use nestdb::object::{
+    AtomOrder, Governor, Instance, RelationSchema, Schema, Type, Universe, Value,
+};
+use nestdb::proto::{Lang, Op, Request};
+use nestdb::{Session, ThreadPool};
 use proptest::prelude::*;
 
 const NODES: [&str; 3] = ["a", "b", "c"];
@@ -117,13 +121,10 @@ fn program(rng: &mut Rng) -> String {
     text
 }
 
-/// Each IDB relation's rendered rows under `strategy`.
-fn idb(session: &Session, text: &str, strategy: Wire) -> Vec<(String, Vec<String>)> {
-    let r = session.run(&Request {
-        strategy,
-        ..Request::eval(Lang::Datalog, text)
-    });
-    assert!(r.ok, "{strategy:?} on\n{text}: {:?}", r.error);
+/// Each IDB relation's rendered rows, served by semi-naive rounds.
+fn idb(session: &Session, text: &str) -> Vec<(String, Vec<String>)> {
+    let r = session.run(&Request::eval(Lang::Datalog, text));
+    assert!(r.ok, "{text}: {:?}", r.error);
     let mut rels: Vec<(String, Vec<String>)> = r
         .relations
         .into_iter()
@@ -131,6 +132,44 @@ fn idb(session: &Session, text: &str, strategy: Wire) -> Vec<(String, Vec<String
         .collect();
     rels.sort();
     rels
+}
+
+/// The same rows from the simultaneous-IFP oracle over the session's
+/// store, rendered as replies render them. The generated bodies use `t`
+/// and `u` for sets and `w`, `y`, `z` for atoms, and the translation
+/// needs each body-only variable's type.
+fn oracle_idb(session: &Session, text: &str, pool: &ThreadPool) -> Vec<(String, Vec<String>)> {
+    let store = session.store();
+    let store = store.read().unwrap();
+    let mut universe = store.universe().clone();
+    let program = parse_program(text, &mut universe).unwrap();
+    let instance = store.instance();
+    let order = AtomOrder::new(instance.atoms().into_iter().collect());
+    let set = Type::set(Type::Atom);
+    let typed = [
+        ("t", set.clone()),
+        ("u", set),
+        ("w", Type::Atom),
+        ("y", Type::Atom),
+        ("z", Type::Atom),
+    ];
+    let gov = Governor::unlimited();
+    let idb = eval_simultaneous_pooled(&program, &typed, instance, order, &gov, pool)
+        .unwrap_or_else(|e| panic!("simultaneous oracle on\n{text}: {e}"));
+    let printer = Printer::with_universe(&universe);
+    idb.iter()
+        .map(|(name, rel)| {
+            let rows = rel
+                .sorted_rows()
+                .iter()
+                .map(|row| {
+                    let cells: Vec<String> = row.iter().map(|v| printer.value(v)).collect();
+                    format!("({})", cells.join(", "))
+                })
+                .collect();
+            (name.clone(), rows)
+        })
+        .collect()
 }
 
 proptest! {
@@ -151,8 +190,8 @@ proptest! {
                 });
                 prop_assert!(r.ok, "{clause}: {:?}", r.error);
             }
-            let rounds = idb(&session, &text, Wire::SemiNaive);
-            let oracle = idb(&session, &text, Wire::Simultaneous);
+            let rounds = idb(&session, &text);
+            let oracle = oracle_idb(&session, &text, &ThreadPool::new(threads));
             prop_assert_eq!(
                 rounds,
                 oracle,
