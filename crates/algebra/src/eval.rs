@@ -177,7 +177,7 @@ fn eval_i(
             let mut out = IdRelation::new();
             for row in input.iter() {
                 if holds(pred, row, int) {
-                    out.insert(row.to_vec().into_boxed_slice());
+                    out.insert(row);
                 }
             }
             out
@@ -188,7 +188,7 @@ fn eval_i(
             for row in input.iter() {
                 let new: Vec<ValueId> = cols.iter().map(|&i| row[i - 1]).collect();
                 charge_row(governor, "algebra.project", new.len(), 0)?;
-                out.insert(new.into_boxed_slice());
+                out.insert(&new);
             }
             out
         }
@@ -210,7 +210,7 @@ fn eval_i(
                             let mut row = x.to_vec();
                             row.extend_from_slice(y);
                             charge_row(governor, "algebra.product", row.len(), 0)?;
-                            part.insert(row.into_boxed_slice());
+                            part.insert(&row);
                         }
                     }
                     Ok::<IdRelation, AlgebraError>(part)
@@ -227,7 +227,7 @@ fn eval_i(
                         let mut row = x.to_vec();
                         row.extend_from_slice(y);
                         charge_row(governor, "algebra.product", row.len(), 0)?;
-                        out.insert(row.into_boxed_slice());
+                        out.insert(&row);
                     }
                 }
                 out
@@ -271,7 +271,7 @@ fn eval_i(
                 let (set, grown) = int.intern_set_with_growth(vals);
                 key.insert(i, set);
                 charge_row(governor, "algebra.nest", key.len(), grown)?;
-                out.insert(key.into_boxed_slice());
+                out.insert(&key);
             }
             out
         }
@@ -288,7 +288,7 @@ fn eval_i(
                     let mut new = row.to_vec();
                     new[i] = elem;
                     charge_row(governor, "algebra.unnest", new.len(), 0)?;
-                    out.insert(new.into_boxed_slice());
+                    out.insert(&new);
                 }
                 guard(&out, governor)?;
             }
@@ -315,7 +315,7 @@ fn eval_i(
                     .collect();
                 let (set, grown) = int.intern_set_presorted_with_growth(members);
                 charge_row(governor, "algebra.powerset", 1, grown)?;
-                out.insert(vec![set].into_boxed_slice());
+                out.insert(&[set]);
                 Ok(())
             };
             if pool.threads() > 1 && n >= PARALLEL_POWERSET_MIN_ELEMS {

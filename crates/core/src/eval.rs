@@ -389,7 +389,7 @@ impl<'a> Evaluator<'a> {
             None => {
                 if self.holds_i(body, env)? {
                     self.governor.charge_mem(site, Self::row_bytes(row))?;
-                    out.insert(row.clone().into_boxed_slice());
+                    out.insert(row);
                 }
                 Ok(())
             }

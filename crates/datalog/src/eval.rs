@@ -16,14 +16,20 @@
 //! DESIGN.md §6).
 //!
 //! Rules fire through the one rule matcher ([`crate::fire`]) over
-//! hash-consed rows: the relations the program reads are interned once
-//! per evaluation (the rest of the instance is never touched), the IDB
-//! and deltas are [`IdRelation`]s, and cells are [`ValueId`]s — so fact
-//! dedup and (not-)membership tests cost O(arity) id compares regardless
-//! of value nesting. [`eval_interned`] answers in those ids, with the
-//! arena they live in ([`InternedIdb`]), for the planner to hand on
-//! unresolved; the `eval*` entry points resolve to [`Relation`]s at
-//! their own boundary.
+//! hash-consed rows, and the arena is the instance version's own
+//! ([`Resident`]): the rounds read each EDB relation as the row set the
+//! version keeps resident, interned on the version's first read and
+//! shared by every evaluation until the next write. The IDB and deltas
+//! are [`IdRelation`]s and cells are [`ValueId`]s, so fact dedup and
+//! (not-)membership tests cost O(arity) id compares regardless of value
+//! nesting. Because that arena outlives the evaluation, nothing grows it
+//! for free: a constant in a relation literal is looked up, not admitted,
+//! and every other rule constant is admitted and pays its growth at
+//! `datalog.intern` (DESIGN.md §14, "Resident scans"). Reading the EDB
+//! costs no step, cold or warm. [`eval_interned`] answers in the
+//! resident ids, with the arena they live in ([`InternedIdb`]), for the
+//! planner to hand on unresolved; the `eval*` entry points resolve to
+//! [`Relation`]s at their own boundary.
 //!
 //! A round's rules share one probe cache (one per task when the round
 //! fans out over a pool): the IDB does not change until the round
@@ -34,13 +40,20 @@
 //! bindings probe the indexes of the other body literals. Steps are the
 //! matcher's, charged at `datalog.search`: index builds included, and
 //! independent of hash order at parallelism 1.
+//!
+//! A head row the round-start IDB already holds is dropped before it is
+//! stored (its 8 bytes per column are still charged at
+//! `datalog.derive`), so the rows a round collects are exactly its news:
+//! they are copied into the IDB once and become the next Δ as they are.
 
-use crate::fire::{self, IndexCache, Key, Meter, Phase, State};
+use crate::fire::{self, IndexCache, Meter, Phase, State, Target};
 use crate::program::{Literal, Program, ProgramError, Rule};
 use minipool::ThreadPool;
+use no_exec::Resident;
 use no_object::intern::{IdRelation, Interner, ValueId};
-use no_object::{Governor, Instance, Relation, ResourceError};
+use no_object::{Governor, Instance, Relation};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The computed IDB: relation name → facts.
 pub type Idb = BTreeMap<String, Relation>;
@@ -157,7 +170,7 @@ fn partition_rows(rel: &IdRelation, parts: usize) -> Vec<IdRelation> {
     let n = parts.clamp(1, rel.len().max(1));
     let mut chunks = vec![IdRelation::new(); n];
     for (i, row) in rel.iter().enumerate() {
-        chunks[i % n].insert(row.to_vec().into_boxed_slice());
+        chunks[i % n].insert(row);
     }
     chunks
 }
@@ -182,7 +195,7 @@ pub fn eval_pooled(
 }
 
 /// [`eval_pooled`] without the resolve: the IDB comes back as the ids the
-/// rounds derived, over the arena they were interned in.
+/// rounds derived, over the instance version's resident arena.
 pub fn eval_interned(
     program: &Program,
     instance: &Instance,
@@ -191,48 +204,68 @@ pub fn eval_interned(
     pool: &ThreadPool,
 ) -> Result<(InternedIdb, EvalStats), ProgramError> {
     program.validate(instance.schema())?;
-    let interner = Interner::new();
+    let resident = Resident::of(instance);
     let (relations, stats) = eval_rounds(
         program,
         instance,
+        &resident,
         &IdbI::new(),
-        &interner,
         strategy,
         governor,
         pool,
     )?;
-    Ok((InternedIdb::new(relations, interner), stats))
+    Ok((
+        InternedIdb::new(relations, resident.interner().clone()),
+        stats,
+    ))
+}
+
+/// An EDB relation a round reads: a lower stratum's, borrowed, or the
+/// instance version's resident rows.
+enum Edb<'f> {
+    Lower(&'f IdRelation),
+    Resident(Arc<IdRelation>),
+}
+
+impl Edb<'_> {
+    fn rows(&self) -> &IdRelation {
+        match self {
+            Edb::Lower(rel) => rel,
+            Edb::Resident(rel) => rel,
+        }
+    }
 }
 
 /// The round loop behind [`eval_interned`], for a program already
-/// validated. `frozen` holds relations computed earlier over `interner` —
-/// the lower strata of stratified evaluation — which the program reads
-/// like EDB relations (and which win over an instance relation of the
-/// same name).
+/// validated, over `resident` (taken from `instance`). `frozen` holds
+/// relations computed earlier over the resident arena — the lower strata
+/// of stratified evaluation — which the program reads like EDB relations
+/// (and which win over an instance relation of the same name).
 pub(crate) fn eval_rounds(
     program: &Program,
     instance: &Instance,
+    resident: &Resident,
     frozen: &IdbI,
-    interner: &Interner,
     strategy: Strategy,
     governor: &Governor,
     pool: &ThreadPool,
 ) -> Result<(IdbI, EvalStats), ProgramError> {
-    // Intern the relations the program reads once, as input data
-    // (uncharged); the rest of the instance is never touched.
-    let mut edb: HashMap<String, IdRelation> = HashMap::new();
+    // The relations the program reads, as the version keeps them; the
+    // rest of the instance is never touched.
+    let interner = resident.interner();
+    let mut edb: HashMap<&str, Edb<'_>> = HashMap::new();
     for lit in program.rules.iter().flat_map(|r| &r.body) {
         let (Literal::Pos(name, _) | Literal::Neg(name, _)) = lit else {
             continue;
         };
-        if program.idb.contains_key(name) || edb.contains_key(name) {
+        if program.idb.contains_key(name) || edb.contains_key(name.as_str()) {
             continue;
         }
         let rel = match frozen.get(name) {
-            Some(rel) => rel.clone(),
-            None => IdRelation::from_relation(interner, instance.relation(name)),
+            Some(rel) => Edb::Lower(rel),
+            None => Edb::Resident(resident.rows(instance, name)),
         };
-        edb.insert(name.clone(), rel);
+        edb.insert(name, rel);
     }
     let mut idb: IdbI = program
         .idb
@@ -293,9 +326,7 @@ pub(crate) fn eval_rounds(
             })?;
             for local in results {
                 for (name, rel) in local {
-                    if !rel.is_empty() {
-                        new_delta.get_mut(&name).expect("declared IDB").absorb(&rel);
-                    }
+                    new_delta.get_mut(&name).expect("declared IDB").absorb(&rel);
                 }
             }
         } else {
@@ -304,19 +335,13 @@ pub(crate) fn eval_rounds(
                 derive(rule, &st, pin.get(), &mut new_delta, governor, interner)?;
             }
         }
-        for (name, facts) in &new_delta {
-            let target = idb.get_mut(name).expect("declared IDB");
-            let mut fresh = IdRelation::new();
-            for row in facts.iter() {
-                if !target.contains(row) {
-                    fresh.insert(row.to_vec().into_boxed_slice());
-                }
-            }
+        // every collected row is new: it joins the IDB and is the next Δ
+        for (name, fresh) in new_delta {
             if !fresh.is_empty() {
                 grew = true;
-                target.absorb(&fresh);
+                idb.get_mut(&name).expect("declared IDB").absorb(&fresh);
             }
-            delta.insert(name.to_string(), fresh);
+            delta.insert(name, fresh);
         }
         if !grew {
             break;
@@ -332,7 +357,7 @@ pub(crate) fn eval_rounds(
 /// the EDB never changes at all, so its indexes come from a cache that
 /// can outlive the round.
 struct RoundState<'a> {
-    edb: &'a HashMap<String, IdRelation>,
+    edb: &'a HashMap<&'a str, Edb<'a>>,
     idb: &'a IdbI,
     empty: IdRelation,
     edb_cache: &'a IndexCache<ValueId>,
@@ -341,7 +366,7 @@ struct RoundState<'a> {
 
 impl<'a> RoundState<'a> {
     fn new(
-        edb: &'a HashMap<String, IdRelation>,
+        edb: &'a HashMap<&'a str, Edb<'a>>,
         idb: &'a IdbI,
         edb_cache: &'a IndexCache<ValueId>,
     ) -> Self {
@@ -359,36 +384,23 @@ impl State<ValueId> for RoundState<'_> {
     type Table = IdRelation;
 
     fn rel(&self, name: &str, _phase: Phase) -> &IdRelation {
-        self.idb
-            .get(name)
-            .or_else(|| self.edb.get(name))
+        (self.idb.get(name))
+            .or_else(|| self.edb.get(name).map(Edb::rows))
             .unwrap_or(&self.empty)
     }
 
-    fn cache(&self) -> &IndexCache<ValueId> {
-        &self.cache
-    }
-
-    fn probe(
-        &self,
-        rel: &IdRelation,
-        name: &str,
-        phase: Phase,
-        key: &Key<'_, ValueId>,
-        meter: &Meter<'_>,
-        each: &mut dyn FnMut(&[ValueId]) -> Result<bool, ResourceError>,
-    ) -> Result<(), ResourceError> {
-        let cache = if self.idb.contains_key(name) {
-            &self.cache
+    fn target(&self, name: &str, phase: Phase) -> Target<'_, ValueId> {
+        if self.idb.contains_key(name) {
+            self.cache.target(name, phase)
         } else {
-            self.edb_cache
-        };
-        cache.probe(rel, name, phase, key, meter, each)
+            self.edb_cache.target(name, phase)
+        }
     }
 }
 
 /// Fire one rule against `st` (with `pinned` enumerating last round's
-/// delta), inserting the derived head facts into `out`.
+/// delta), collecting into `out` the head facts the round did not start
+/// with.
 fn derive(
     rule: &Rule,
     st: &RoundState<'_>,
@@ -397,6 +409,7 @@ fn derive(
     governor: &Governor,
     int: &Interner,
 ) -> Result<(), ProgramError> {
+    let known = &st.idb[&rule.head];
     let out = out.get_mut(&rule.head).expect("declared IDB");
     fire::for_each_firing(
         int,
@@ -406,10 +419,12 @@ fn derive(
         st,
         Meter::new(governor, "datalog.search", "datalog.search"),
         &mut |row| {
-            // one id per column; the values behind the ids were admitted
-            // to the arena (and charged, where applicable) once
+            // one id per column, charged per firing; the values behind
+            // the ids are the arena's
             governor.charge_mem("datalog.derive", 8 * row.len() as u64)?;
-            out.insert(row.into_boxed_slice());
+            if !known.contains(row) {
+                out.insert(row);
+            }
             Ok(true)
         },
     )?;
@@ -687,6 +702,29 @@ mod tests {
                 assert_eq!(seq, par, "threads {threads} {strategy:?}");
             }
         }
+    }
+
+    #[test]
+    fn rounds_read_the_resident_edb_of_the_current_version() {
+        let (u, mut i) = graph(&[("a", "b"), ("b", "c")]);
+        let run = |i: &Instance| {
+            let g = Governor::unlimited();
+            let pool = ThreadPool::sequential();
+            let (idb, _) = eval_interned(&tc_program(), i, Strategy::SemiNaive, &g, &pool).unwrap();
+            (idb.resolve(), g.steps_spent(), g.mem_spent())
+        };
+        let cold = run(&i);
+        let edb = Resident::of(&i).rows(&i, "G");
+        assert_eq!(run(&i), cold, "warm answers and spends as cold");
+        assert!(Arc::ptr_eq(&edb, &Resident::of(&i).rows(&i, "G")));
+        // a write starts a new version; the next rounds read it
+        let (a, c) = (
+            Value::Atom(u.get("a").unwrap()),
+            Value::Atom(u.get("c").unwrap()),
+        );
+        i.insert("G", vec![c, a]);
+        assert!(!Arc::ptr_eq(&edb, &Resident::of(&i).rows(&i, "G")));
+        assert_eq!(run(&i).0["tc"].len(), 9, "the cycle closes");
     }
 
     #[test]

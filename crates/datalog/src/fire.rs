@@ -38,13 +38,28 @@
 //! site), which every later probe of the shape reuses. A shape therefore
 //! costs `2·|rel| + Σ yields` whichever key comes first, so step counts do
 //! not depend on hash order.
+//!
+//! **Constants.** A rule constant in a relation literal is only compared
+//! with row cells, so an arena looks it up and admits nothing: a constant
+//! the arena lacks is in no row, and stands for a cell equal to none
+//! ([`ValueId::ABSENT`]). Every other constant (head, `=`, `≠`, `∈`, `∉`)
+//! can reach a head row, meet another constant or be taken apart, so the
+//! arena admits it and charges its growth at `datalog.intern`. Neither
+//! costs a step, so an arena that already holds a constant changes no
+//! step count.
+//!
+//! **Per call, not per probe.** A firing call resolves each positive
+//! literal's relation, phase and probe cache once ([`State::target`]), and
+//! keeps one probe-key buffer per depth; a probe then hashes its key
+//! cells and nothing else.
 
 use crate::program::{DTerm, Literal, Rule};
-use no_object::intern::{IdRelation, Interner, ValueId};
+use no_object::intern::{IdBuildHasher, IdRelation, Interner, ValueId};
 use no_object::{Governor, Relation, ResourceError, Value};
 use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::rc::Rc;
 
 /// Which version of a relation a literal reads.
@@ -58,14 +73,36 @@ pub enum Phase {
     New,
 }
 
+/// One column value of a row, and the hasher probe indexes over such
+/// cells use.
+pub trait Cell: Clone + Eq + Hash {
+    /// Builds the hasher of index keys.
+    type Hasher: BuildHasher + Default;
+}
+
+impl Cell for ValueId {
+    type Hasher = IdBuildHasher;
+}
+
+impl Cell for Value {
+    type Hasher = RandomState;
+}
+
 /// The cells rows are made of, and what a rule needs of them beyond
 /// equality.
 pub trait Cells {
     /// One column value of a row.
-    type Cell: Clone + Eq + Hash;
+    type Cell: Cell;
 
-    /// A rule constant as a cell.
-    fn constant(&self, v: &Value) -> Self::Cell;
+    /// A rule constant a firing can bind, emit or take apart (head, `=`,
+    /// `≠`, `∈`, `∉`) as a cell. An arena admits it and charges `meter`'s
+    /// governor its growth.
+    fn constant(&self, v: &Value, meter: &Meter<'_>) -> Result<Self::Cell, ResourceError>;
+
+    /// A rule constant a firing only compares with row cells (a relation
+    /// literal's) as a cell. An arena admits nothing: a constant it lacks
+    /// becomes a cell equal to no row's.
+    fn compared(&self, v: &Value) -> Self::Cell;
 
     /// The members of `set` in canonical order, or `None` for a non-set.
     fn members<'a>(&'a self, set: &'a Self::Cell) -> Option<&'a [Self::Cell]>;
@@ -78,8 +115,12 @@ pub trait Cells {
 impl Cells for Interner {
     type Cell = ValueId;
 
-    fn constant(&self, v: &Value) -> ValueId {
-        self.intern(v)
+    fn constant(&self, v: &Value, meter: &Meter<'_>) -> Result<ValueId, ResourceError> {
+        self.intern_charged(meter.gov, "datalog.intern", v)
+    }
+
+    fn compared(&self, v: &Value) -> ValueId {
+        self.lookup(v).unwrap_or(ValueId::ABSENT)
     }
 
     fn members<'a>(&'a self, set: &'a ValueId) -> Option<&'a [ValueId]> {
@@ -97,7 +138,11 @@ pub struct Values;
 impl Cells for Values {
     type Cell = Value;
 
-    fn constant(&self, v: &Value) -> Value {
+    fn constant(&self, v: &Value, _meter: &Meter<'_>) -> Result<Value, ResourceError> {
+        Ok(v.clone())
+    }
+
+    fn compared(&self, v: &Value) -> Value {
         v.clone()
     }
 
@@ -201,6 +246,8 @@ pub struct Key<'k, C> {
     cells: &'k [C],
     /// Every position is bound: `cells` is the whole row.
     whole: bool,
+    /// The probed relation's arity.
+    arity: usize,
 }
 
 impl<C: Eq> Key<'_, C> {
@@ -223,46 +270,85 @@ fn positions(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-type Index<C> = HashMap<Vec<C>, Vec<Box<[C]>>>;
-
-/// One relation's probe shapes, by (phase, bound-position mask).
-type Shapes<C> = HashMap<(Phase, u64), Shape<C>>;
+/// Key cells → the matching rows, concatenated.
+type Index<C> = HashMap<Vec<C>, Vec<C>, <C as Cell>::Hasher>;
 
 /// How far a probe shape has got: scanned once, or indexed.
-enum Shape<C> {
+enum Shape<C: Cell> {
     Scanned,
     Built(Rc<Index<C>>),
 }
 
-/// Hash indexes over relation states, keyed by probe shape: relation
-/// name → (phase, bound-position mask). An index is built on a shape's
-/// second probe and serves every later one. Every relation a cache
-/// indexes must stay unchanged for the cache's lifetime.
-pub struct IndexCache<C> {
-    shapes: RefCell<HashMap<String, Shapes<C>>>,
+/// One relation at one phase, as a cache knows it: each bound-position
+/// mask probed so far, and how far that shape has got.
+struct Entry<C: Cell> {
+    name: String,
+    phase: Phase,
+    shapes: Vec<(u64, Shape<C>)>,
 }
 
-impl<C> Default for IndexCache<C> {
+/// Hash indexes over relation states, keyed by probe shape: relation
+/// name and phase, then bound-position mask. An index is built on a
+/// shape's second probe and serves every later one. Every relation a
+/// cache indexes must stay unchanged for the cache's lifetime.
+pub struct IndexCache<C: Cell> {
+    entries: RefCell<Vec<Entry<C>>>,
+}
+
+impl<C: Cell> Default for IndexCache<C> {
     fn default() -> Self {
         IndexCache {
-            shapes: RefCell::new(HashMap::new()),
+            entries: RefCell::new(Vec::new()),
         }
     }
 }
 
-impl<C: Clone + Eq + Hash> IndexCache<C> {
+impl<C: Cell> IndexCache<C> {
     /// A fresh, empty cache.
     pub fn new() -> Self {
         IndexCache::default()
     }
 
-    /// Enumerate the rows of `rel` (the contents of `name`@`phase`) that
-    /// match `key`, calling `each` per row (`Ok(false)` stops early).
+    /// Where probes of `name`@`phase` go in this cache.
+    pub fn target(&self, name: &str, phase: Phase) -> Target<'_, C> {
+        let mut entries = self.entries.borrow_mut();
+        let entry = match (entries.iter()).position(|e| e.phase == phase && e.name == name) {
+            Some(i) => i,
+            None => {
+                entries.push(Entry {
+                    name: name.to_string(),
+                    phase,
+                    shapes: Vec::new(),
+                });
+                entries.len() - 1
+            }
+        };
+        Target { cache: self, entry }
+    }
+}
+
+/// One relation@phase's entry in an [`IndexCache`]: what a literal's
+/// probes go through, resolved once per firing call.
+pub struct Target<'c, C: Cell> {
+    cache: &'c IndexCache<C>,
+    entry: usize,
+}
+
+impl<C: Cell> Clone for Target<'_, C> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<C: Cell> Copy for Target<'_, C> {}
+
+impl<C: Cell> Target<'_, C> {
+    /// Enumerate the rows of `rel` (the contents of this target's
+    /// relation@phase) that match `key`, calling `each` per row
+    /// (`Ok(false)` stops early).
     pub fn probe<T: Table<C>>(
         &self,
         rel: &T,
-        name: &str,
-        phase: Phase,
         key: &Key<'_, C>,
         meter: &Meter<'_>,
         each: &mut dyn FnMut(&[C]) -> Result<bool, ResourceError>,
@@ -286,28 +372,27 @@ impl<C: Clone + Eq + Hash> IndexCache<C> {
         // resolve (or build) the index, then release the borrow before
         // calling `each`: deeper literals probe this cache reentrantly
         let index = {
-            let mut shapes = self.shapes.borrow_mut();
-            if !shapes.contains_key(name) {
-                shapes.insert(name.to_string(), HashMap::new());
-            }
-            let by_shape = shapes.get_mut(name).expect("inserted above");
-            match by_shape.get(&(phase, key.mask)) {
+            let mut entries = self.cache.entries.borrow_mut();
+            let shapes = &mut entries[self.entry].shapes;
+            match shapes.iter().position(|(mask, _)| *mask == key.mask) {
                 None => {
-                    by_shape.insert((phase, key.mask), Shape::Scanned);
+                    shapes.push((key.mask, Shape::Scanned));
                     None
                 }
-                Some(Shape::Scanned) => {
-                    let mut built: Index<C> = HashMap::new();
-                    for row in rel.rows() {
-                        meter.index()?;
-                        let k = positions(key.mask).map(|p| row[p].clone()).collect();
-                        built.entry(k).or_default().push(row.into());
+                Some(i) => match &shapes[i].1 {
+                    Shape::Scanned => {
+                        let mut built = Index::<C>::default();
+                        for row in rel.rows() {
+                            meter.index()?;
+                            let k = positions(key.mask).map(|p| row[p].clone()).collect();
+                            built.entry(k).or_default().extend_from_slice(row);
+                        }
+                        let built = Rc::new(built);
+                        shapes[i].1 = Shape::Built(Rc::clone(&built));
+                        Some(built)
                     }
-                    let built = Rc::new(built);
-                    by_shape.insert((phase, key.mask), Shape::Built(Rc::clone(&built)));
-                    Some(built)
-                }
-                Some(Shape::Built(built)) => Some(Rc::clone(built)),
+                    Shape::Built(built) => Some(Rc::clone(built)),
+                },
             }
         };
         match index {
@@ -323,7 +408,8 @@ impl<C: Clone + Eq + Hash> IndexCache<C> {
                 }
             }
             Some(index) => {
-                for row in index.get(key.cells).into_iter().flatten() {
+                let rows = index.get(key.cells).map_or(&[][..], Vec::as_slice);
+                for row in rows.chunks_exact(key.arity) {
                     meter.fire()?;
                     if !each(row)? {
                         break;
@@ -336,29 +422,31 @@ impl<C: Clone + Eq + Hash> IndexCache<C> {
 }
 
 /// Relation states by name and phase, as one caller sees them.
-pub trait State<C: Clone + Eq + Hash> {
+pub trait State<C: Cell> {
     /// How this state stores a relation.
     type Table: Table<C>;
 
     /// The contents of `name` at `phase` (empty when unknown).
     fn rel(&self, name: &str, phase: Phase) -> &Self::Table;
 
-    /// The probe indexes over this state.
-    fn cache(&self) -> &IndexCache<C>;
+    /// Where probes of `name`@`phase` go. A firing call asks once per
+    /// positive literal.
+    fn target(&self, name: &str, phase: Phase) -> Target<'_, C>;
 
-    /// Enumerate the rows of `rel` — the contents of `name`@`phase` —
-    /// matching `key`, calling `each` per row (`Ok(false)` stops early).
-    /// A state that layers changes over a frozen relation overrides this.
+    /// Enumerate the rows of `rel` — the contents of `name`, probed
+    /// through `target` — matching `key`, calling `each` per row
+    /// (`Ok(false)` stops early). A state that layers changes over a
+    /// frozen relation overrides this.
     fn probe(
         &self,
         rel: &Self::Table,
-        name: &str,
-        phase: Phase,
+        _name: &str,
+        target: Target<'_, C>,
         key: &Key<'_, C>,
         meter: &Meter<'_>,
         each: &mut dyn FnMut(&[C]) -> Result<bool, ResourceError>,
     ) -> Result<(), ResourceError> {
-        self.cache().probe(rel, name, phase, key, meter, each)
+        target.probe(rel, key, meter, each)
     }
 }
 
@@ -394,36 +482,51 @@ struct Compiled<'r, C> {
     vars: usize,
 }
 
-fn compile<'r, D: Cells>(cells: &D, rule: &'r Rule) -> Compiled<'r, D::Cell> {
+fn compile<'r, D: Cells>(
+    cells: &D,
+    rule: &'r Rule,
+    meter: &Meter<'_>,
+) -> Result<Compiled<'r, D::Cell>, ResourceError> {
     let mut names: Vec<&'r str> = Vec::new();
-    let mut term = |t: &'r DTerm| match t {
-        DTerm::Const(v) => Term::Const(cells.constant(v)),
-        DTerm::Var(v) => Term::Var(match names.iter().position(|n| n == v) {
-            Some(slot) => slot,
-            None => {
-                names.push(v);
-                names.len() - 1
-            }
-        }),
-    };
-    let head = rule.head_args.iter().map(&mut term).collect();
-    let goals = rule
-        .body
-        .iter()
-        .map(|lit| match lit {
-            Literal::Pos(name, args) => Goal::Pos(name, args.iter().map(&mut term).collect()),
-            Literal::Neg(name, args) => Goal::Neg(name, args.iter().map(&mut term).collect()),
-            Literal::Eq(a, b) => Goal::Eq(term(a), term(b)),
-            Literal::Neq(a, b) => Goal::Neq(term(a), term(b)),
-            Literal::In(a, b) => Goal::In(term(a), term(b)),
-            Literal::NotIn(a, b) => Goal::NotIn(term(a), term(b)),
+    // `compared`: the term sits in a relation literal, where a constant
+    // is only ever compared with row cells
+    let mut term = |t: &'r DTerm, compared: bool| -> Result<Term<D::Cell>, ResourceError> {
+        Ok(match t {
+            DTerm::Const(v) if compared => Term::Const(cells.compared(v)),
+            DTerm::Const(v) => Term::Const(cells.constant(v, meter)?),
+            DTerm::Var(v) => Term::Var(match names.iter().position(|n| n == v) {
+                Some(slot) => slot,
+                None => {
+                    names.push(v);
+                    names.len() - 1
+                }
+            }),
         })
-        .collect();
-    Compiled {
+    };
+    let head = (rule.head_args.iter())
+        .map(|t| term(t, false))
+        .collect::<Result<_, _>>()?;
+    let mut goals = Vec::with_capacity(rule.body.len());
+    for lit in &rule.body {
+        let mut args = |args: &'r [DTerm]| {
+            (args.iter())
+                .map(|t| term(t, true))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        goals.push(match lit {
+            Literal::Pos(name, a) => Goal::Pos(name, args(a)?),
+            Literal::Neg(name, a) => Goal::Neg(name, args(a)?),
+            Literal::Eq(a, b) => Goal::Eq(term(a, false)?, term(b, false)?),
+            Literal::Neq(a, b) => Goal::Neq(term(a, false)?, term(b, false)?),
+            Literal::In(a, b) => Goal::In(term(a, false)?, term(b, false)?),
+            Literal::NotIn(a, b) => Goal::NotIn(term(a, false)?, term(b, false)?),
+        });
+    }
+    Ok(Compiled {
         head,
         goals,
         vars: names.len(),
-    }
+    })
 }
 
 /// Variable slots plus a trail of the slots bound, for backtracking.
@@ -475,8 +578,17 @@ impl<C: Clone + Eq> Binding<C> {
         Some(mark)
     }
 
-    fn row(&self, terms: &[Term<C>]) -> Option<Vec<C>> {
-        terms.iter().map(|t| self.get(t).cloned()).collect()
+    /// Write the cells `terms` are bound to into `out`; false when one is
+    /// still free.
+    fn fill(&self, terms: &[Term<C>], out: &mut Vec<C>) -> bool {
+        out.clear();
+        for t in terms {
+            match self.get(t) {
+                Some(c) => out.push(c.clone()),
+                None => return false,
+            }
+        }
+        true
     }
 }
 
@@ -498,19 +610,27 @@ fn var_of<C>(t: &Term<C>) -> usize {
 
 type Emit<'e, C> = dyn FnMut(&Binding<C>) -> Result<bool, ResourceError> + 'e;
 
+/// Takes each head row a firing derives (`Ok(false)` stops early).
+pub type Sink<'s, C> = dyn FnMut(&[C]) -> Result<bool, ResourceError> + 's;
+
 /// One firing call's enumeration state.
 struct Matcher<'a, 'r, D: Cells, S: State<D::Cell>> {
     cells: &'a D,
     goals: &'a [Goal<'r, D::Cell>],
     /// Each relation literal's table at its phase.
     tables: Vec<Option<&'a S::Table>>,
-    phases: Vec<Phase>,
+    /// Where each positive literal's probes go.
+    targets: Vec<Option<Target<'a, D::Cell>>>,
     st: &'a S,
     meter: Meter<'a>,
     binding: Binding<D::Cell>,
     /// Positive literals still to enumerate, reordered in place per depth.
     positives: Vec<usize>,
     constraints: &'a [usize],
+    /// One probe-key buffer per depth.
+    keys: Vec<Vec<D::Cell>>,
+    /// The row a negated literal is checked for.
+    scratch: Vec<D::Cell>,
 }
 
 impl<'a, 'r, D: Cells, S: State<D::Cell>> Matcher<'a, 'r, D, S> {
@@ -550,8 +670,9 @@ impl<'a, 'r, D: Cells, S: State<D::Cell>> Matcher<'a, 'r, D, S> {
         };
         // probe on the positions the binding already determines; unify
         // re-checks them and binds the rest
+        let mut bound = std::mem::take(&mut self.keys[depth]);
+        bound.clear();
         let mut mask = 0u64;
-        let mut bound = Vec::new();
         for (p, arg) in args.iter().enumerate().take(64) {
             if let Some(c) = self.binding.get(arg) {
                 mask |= 1 << p;
@@ -562,11 +683,13 @@ impl<'a, 'r, D: Cells, S: State<D::Cell>> Matcher<'a, 'r, D, S> {
             mask,
             whole: bound.len() == args.len(),
             cells: &bound,
+            arity: args.len(),
         };
         let (st, meter) = (self.st, self.meter);
         let rel = self.tables[idx].expect("relation literals are resolved");
+        let target = self.targets[idx].expect("positive literals are resolved");
         let mut keep_going = true;
-        st.probe(rel, name, self.phases[idx], &key, &meter, &mut |row| {
+        let probed = st.probe(rel, name, target, &key, &meter, &mut |row| {
             let Some(mark) = self.binding.unify(args, row) else {
                 return Ok(true);
             };
@@ -574,7 +697,9 @@ impl<'a, 'r, D: Cells, S: State<D::Cell>> Matcher<'a, 'r, D, S> {
             self.binding.undo(mark);
             keep_going &= keep;
             Ok(keep)
-        })?;
+        });
+        self.keys[depth] = bound;
+        probed?;
         Ok(keep_going)
     }
 
@@ -597,11 +722,15 @@ impl<'a, 'r, D: Cells, S: State<D::Cell>> Matcher<'a, 'r, D, S> {
         self.meter.fire()?;
         let b = &self.binding;
         let step = match &self.goals[idx] {
-            Goal::Neg(_, args) => match b.row(args) {
-                Some(row) if self.tables[idx].is_some_and(|t| t.contains(&row)) => Step::Fail,
-                Some(_) => Step::Go,
-                None => Step::Defer,
-            },
+            Goal::Neg(_, args) => {
+                if !b.fill(args, &mut self.scratch) {
+                    Step::Defer
+                } else if self.tables[idx].is_some_and(|t| t.contains(&self.scratch)) {
+                    Step::Fail
+                } else {
+                    Step::Go
+                }
+            }
             Goal::Eq(x, y) => match (b.get(x), b.get(y)) {
                 (Some(l), Some(r)) if l == r => Step::Go,
                 (Some(_), Some(_)) => Step::Fail,
@@ -665,9 +794,9 @@ impl<'a, 'r, D: Cells, S: State<D::Cell>> Matcher<'a, 'r, D, S> {
 }
 
 /// Set up a firing call: resolve each relation literal's table at its
-/// phase and split the body (minus the pinned literal) into positives
-/// and constraints. Runs `go` with the matcher and the constraint list's
-/// owner kept alive.
+/// phase (and each positive one's probe target) and split the body (minus
+/// the pinned literal) into positives and constraints. Runs `go` with the
+/// matcher and the constraint list's owner kept alive.
 fn with_matcher<'r, D: Cells, S: State<D::Cell>, R>(
     cells: &D,
     rule: &Compiled<'r, D::Cell>,
@@ -677,17 +806,21 @@ fn with_matcher<'r, D: Cells, S: State<D::Cell>, R>(
     meter: Meter<'_>,
     go: impl FnOnce(&mut Matcher<'_, 'r, D, S>) -> R,
 ) -> R {
-    let phases: Vec<Phase> = (0..rule.goals.len()).map(phase_of).collect();
-    let tables = rule
-        .goals
-        .iter()
-        .zip(&phases)
-        .map(|(g, &phase)| match g {
-            Goal::Pos(name, _) | Goal::Neg(name, _) => Some(st.rel(name, phase)),
-            _ => None,
-        })
-        .collect();
     let free = |i: &usize| pinned != Some(*i);
+    let mut tables = Vec::with_capacity(rule.goals.len());
+    let mut targets = Vec::with_capacity(rule.goals.len());
+    for (i, g) in rule.goals.iter().enumerate() {
+        let (table, target) = match g {
+            Goal::Pos(name, _) if free(&i) => (
+                Some(st.rel(name, phase_of(i))),
+                Some(st.target(name, phase_of(i))),
+            ),
+            Goal::Pos(name, _) | Goal::Neg(name, _) => (Some(st.rel(name, phase_of(i))), None),
+            _ => (None, None),
+        };
+        tables.push(table);
+        targets.push(target);
+    }
     let positives: Vec<usize> = (0..rule.goals.len())
         .filter(free)
         .filter(|&i| matches!(rule.goals[i], Goal::Pos(..)))
@@ -700,24 +833,27 @@ fn with_matcher<'r, D: Cells, S: State<D::Cell>, R>(
         cells,
         goals: &rule.goals,
         tables,
-        phases,
+        targets,
         st,
         meter,
         binding: Binding {
             slots: vec![None; rule.vars],
             trail: Vec::new(),
         },
+        keys: vec![Vec::new(); positives.len()],
         positives,
         constraints: &constraints,
+        scratch: Vec::new(),
     };
     go(&mut m)
 }
 
 /// Enumerate every firing of `rule` and hand the instantiated head row to
-/// `sink` (`Ok(false)` stops early). With a [`Pin`], the pinned literal
-/// enumerates `pin.rows`; a pinned negated literal only binds, it is not
-/// re-checked — the pin rows *are* the violation/satisfaction delta.
-/// `phase_of` assigns each body literal index the state it reads.
+/// `sink` (`Ok(false)` stops early); the row is a buffer the next firing
+/// reuses. With a [`Pin`], the pinned literal enumerates `pin.rows`; a
+/// pinned negated literal only binds, it is not re-checked — the pin rows
+/// *are* the violation/satisfaction delta. `phase_of` assigns each body
+/// literal index the state it reads.
 pub fn for_each_firing<D: Cells, S: State<D::Cell>>(
     cells: &D,
     rule: &Rule,
@@ -725,13 +861,17 @@ pub fn for_each_firing<D: Cells, S: State<D::Cell>>(
     phase_of: &dyn Fn(usize) -> Phase,
     st: &S,
     meter: Meter<'_>,
-    sink: &mut dyn FnMut(Vec<D::Cell>) -> Result<bool, ResourceError>,
+    sink: &mut Sink<'_, D::Cell>,
 ) -> Result<(), ResourceError> {
-    let rule = compile(cells, rule);
+    let rule = compile(cells, rule, &meter)?;
     let head = &rule.head;
-    let mut emit = |b: &Binding<D::Cell>| match b.row(head) {
-        Some(row) => sink(row),
-        None => Ok(true),
+    let mut row = Vec::with_capacity(head.len());
+    let mut emit = |b: &Binding<D::Cell>| {
+        if b.fill(head, &mut row) {
+            sink(&row)
+        } else {
+            Ok(true)
+        }
     };
     with_matcher(
         cells,
@@ -777,7 +917,7 @@ pub fn derives<D: Cells, S: State<D::Cell>>(
     if rule.head_args.len() != fact.len() {
         return Ok(false);
     }
-    let rule = compile(cells, rule);
+    let rule = compile(cells, rule, &meter)?;
     with_matcher(cells, &rule, None, phase_of, st, meter, |m| {
         if m.binding.unify(&rule.head, fact).is_none() {
             return Ok(false);
@@ -798,21 +938,21 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// One phase-less state over named tables.
-    struct Flat<T, C> {
+    struct Flat<T, C: Cell> {
         rels: BTreeMap<String, T>,
         empty: T,
         cache: IndexCache<C>,
     }
 
-    impl<T: Table<C>, C: Clone + Eq + Hash> State<C> for Flat<T, C> {
+    impl<T: Table<C>, C: Cell> State<C> for Flat<T, C> {
         type Table = T;
 
         fn rel(&self, name: &str, _phase: Phase) -> &T {
             self.rels.get(name).unwrap_or(&self.empty)
         }
 
-        fn cache(&self) -> &IndexCache<C> {
-            &self.cache
+        fn target(&self, name: &str, phase: Phase) -> Target<'_, C> {
+            self.cache.target(name, phase)
         }
     }
 
@@ -1016,6 +1156,93 @@ mod tests {
         for reversed in [false, true, false, true] {
             assert_eq!(steps(reversed), 5 + 5 + 5 + 6);
         }
+    }
+
+    #[test]
+    fn a_compared_constant_the_arena_lacks_admits_nothing() {
+        let mut u = Universe::new();
+        let rels = edges(&mut u, &[("a", "b"), ("b", "c")]);
+        let absent = atoms(&mut u, &["z"]).remove(0);
+        // out(x) :- G(x, y), !G(y, 'z').   out(x) :- G(x, 'z').
+        let negated = rule(
+            &["x"],
+            vec![
+                pos("G", &["x", "y"]),
+                Literal::Neg(
+                    "G".into(),
+                    vec![DTerm::var("y"), DTerm::Const(absent.clone())],
+                ),
+            ],
+        );
+        let positive = rule(
+            &["x"],
+            vec![Literal::Pos(
+                "G".into(),
+                vec![DTerm::var("x"), DTerm::Const(absent)],
+            )],
+        );
+        let int = Interner::new();
+        let fired = |r: &Rule| {
+            fire_with(
+                &int,
+                r,
+                None,
+                &rels,
+                |rel| IdRelation::from_relation(&int, rel),
+                |id| int.resolve(*id),
+            )
+        };
+        fired(&negated);
+        let arena = (int.len(), int.bytes());
+        assert_eq!(fired(&negated).0.len(), 2, "a negated absent row holds");
+        assert!(
+            fired(&positive).0.is_empty(),
+            "an absent constant is in no row"
+        );
+        assert_eq!((int.len(), int.bytes()), arena);
+        // the same steps as over value cells, where the constant exists
+        assert_eq!(fire(&negated, None, &rels).len(), 2);
+    }
+
+    #[test]
+    fn a_head_constant_pays_its_growth_once() {
+        let mut u = Universe::new();
+        let rels = edges(&mut u, &[("a", "b")]);
+        let tagged = Value::tuple(atoms(&mut u, &["new", "tag"]));
+        // out(x, ['new', 'tag']) :- G(x, y).
+        let r = Rule {
+            head: "out".to_string(),
+            head_args: vec![DTerm::var("x"), DTerm::Const(tagged)],
+            body: vec![pos("G", &["x", "y"])],
+        };
+        let int = Interner::new();
+        let st = Flat {
+            rels: rels
+                .iter()
+                .map(|(n, r)| (n.clone(), IdRelation::from_relation(&int, r)))
+                .collect(),
+            empty: IdRelation::new(),
+            cache: IndexCache::new(),
+        };
+        let spend = || {
+            let gov = Governor::unlimited();
+            let meter = Meter::new(&gov, "test.fire", "test.index");
+            for_each_firing(&int, &r, None, &|_| Phase::Old, &st, meter, &mut |_| {
+                Ok(true)
+            })
+            .unwrap();
+            (gov.steps_spent(), gov.mem_spent())
+        };
+        let before = int.bytes();
+        let cold = spend();
+        let growth = int.bytes() - before;
+        assert!(growth > 0, "the tuple and its atoms were new");
+        let warm = spend();
+        assert_eq!(
+            (cold.0, cold.1 - growth),
+            warm,
+            "only the admitting call pays"
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@
 
 use crate::eval::{Idb, IdbI, InternedIdb, Strategy};
 use crate::program::{Literal, Program, ProgramError};
-use no_object::{Governor, Instance, Interner};
+use no_exec::Resident;
+use no_object::{Governor, Instance};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -144,8 +145,9 @@ pub fn eval_stratified_pooled(
 }
 
 /// [`eval_stratified_pooled`] without the resolve: every stratum derives
-/// into one arena, lower strata are read as the ids they were derived
-/// as, and the IDB comes back over that arena.
+/// into the instance version's resident arena, lower strata are borrowed
+/// as the ids they were derived as, and the IDB comes back over that
+/// arena.
 pub fn eval_stratified_interned(
     program: &Program,
     instance: &Instance,
@@ -154,7 +156,7 @@ pub fn eval_stratified_interned(
 ) -> Result<InternedIdb, StratifyError> {
     program.validate(instance.schema())?;
     let strata = stratify(program)?;
-    let interner = Interner::new();
+    let resident = Resident::of(instance);
     // Evaluate one stratum at a time. Lower strata are *frozen*: the
     // round loop reads their computed relations like EDB relations, so
     // the current stratum's negation only ever consults finished
@@ -177,8 +179,8 @@ pub fn eval_stratified_interned(
         let (idb, _) = crate::eval::eval_rounds(
             &sub,
             instance,
+            &resident,
             &computed,
-            &interner,
             Strategy::SemiNaive,
             governor,
             pool,
@@ -190,7 +192,7 @@ pub fn eval_stratified_interned(
     for name in program.idb.keys() {
         computed.entry(name.clone()).or_default();
     }
-    Ok(InternedIdb::new(computed, interner))
+    Ok(InternedIdb::new(computed, resident.interner().clone()))
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! What executions against one version of an instance share.
 //!
-//! A [`Resident`] holds one [`Interner`] and the canonical [`ColumnTable`]
-//! of every relation scanned so far. It lives in the instance's derived
-//! memo ([`Instance::derived`]), so every read of one version finds the
-//! same arena and tables, and the next write drops both: the first scan
-//! after it interns the relation afresh.
+//! A [`Resident`] holds one [`Interner`], the canonical [`ColumnTable`]
+//! of every relation scanned so far, and the row set ([`IdRelation`]) of
+//! every relation the Datalog round engine has read. It lives in the
+//! instance's derived memo ([`Instance::derived`]), so every read of one
+//! version finds the same arena and tables, and the next write drops all
+//! of it: the first read after it interns the relation afresh.
 //!
 //! Ids are therefore admission order *within one version*: which relation
 //! was scanned first, and which constants executions admitted. Answers
@@ -14,14 +15,15 @@
 
 use crate::table::ColumnTable;
 use conc::Mutex;
-use no_object::{Instance, Interner, RelationSchema};
+use no_object::{IdRelation, Instance, Interner, RelationSchema};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One arena and the canonical scan tables of one instance version.
+/// One arena, and the scan tables and row sets of one instance version.
 pub struct Resident {
     int: Interner,
     scans: Mutex<HashMap<String, Arc<ColumnTable>>>,
+    rows: Mutex<HashMap<String, Arc<IdRelation>>>,
 }
 
 impl Resident {
@@ -31,6 +33,7 @@ impl Resident {
         instance.derived(|| Resident {
             int: Interner::new(),
             scans: Mutex::new_named("exec.scans", HashMap::new()),
+            rows: Mutex::new_named("exec.rows", HashMap::new()),
         })
     }
 
@@ -44,20 +47,36 @@ impl Resident {
     /// from. Concurrent first calls build once: the table is built under
     /// the scan lock.
     pub fn scan(&self, instance: &Instance, rel: &str) -> Arc<ColumnTable> {
-        let mut scans = self.scans.lock();
-        if let Some(t) = scans.get(rel) {
-            return Arc::clone(t);
-        }
-        let arity = instance.schema().get(rel).map_or(0, RelationSchema::arity);
-        let mut t = ColumnTable::empty(arity);
-        for row in instance.relation(rel).iter() {
-            t.push_row(&self.int.intern_row(row));
-        }
-        t.canonicalize();
-        let t = Arc::new(t);
-        scans.insert(rel.to_string(), Arc::clone(&t));
-        t
+        memo(&self.scans, rel, || {
+            let arity = instance.schema().get(rel).map_or(0, RelationSchema::arity);
+            let mut t = ColumnTable::empty(arity);
+            for row in instance.relation(rel).iter() {
+                t.push_row(&self.int.intern_row(row));
+            }
+            t.canonicalize();
+            t
+        })
     }
+
+    /// Relation `rel` as a row set, the form the Datalog round engine
+    /// probes, interned on the first call for this version as
+    /// [`Resident::scan`] interns its table (under the rows lock).
+    pub fn rows(&self, instance: &Instance, rel: &str) -> Arc<IdRelation> {
+        memo(&self.rows, rel, || {
+            IdRelation::from_relation(&self.int, instance.relation(rel))
+        })
+    }
+}
+
+/// `rel`'s entry in `memo`, built under the memo's lock on the first call.
+fn memo<T>(memo: &Mutex<HashMap<String, Arc<T>>>, rel: &str, build: impl FnOnce() -> T) -> Arc<T> {
+    let mut memo = memo.lock();
+    if let Some(t) = memo.get(rel) {
+        return Arc::clone(t);
+    }
+    let t = Arc::new(build());
+    memo.insert(rel.to_string(), Arc::clone(&t));
+    t
 }
 
 #[cfg(test)]

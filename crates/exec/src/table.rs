@@ -85,10 +85,21 @@ impl ColumnTable {
     }
 
     /// Restore the canonical form: sort rows by raw-id lexicographic
-    /// order and drop duplicates.
+    /// order and drop duplicates. Rows are sorted on two columns at a
+    /// time, packed into one `u64` key, last pair first: each pass breaks
+    /// its ties by the order the previous pass left, so the last pass
+    /// leaves the rows in lexicographic order.
     pub fn canonicalize(&mut self) {
         let mut perm: Vec<u32> = (0..self.len as u32).collect();
-        perm.sort_unstable_by(|&a, &b| self.cmp_idx(a as usize, b as usize));
+        for pair in self.cols.rchunks(2) {
+            let key =
+                |i: u32| (pair.iter()).fold(0u64, |k, c| k << 32 | c[i as usize].index() as u64);
+            let mut keyed: Vec<(u64, u32)> = (perm.iter().enumerate())
+                .map(|(at, &i)| (key(i), at as u32))
+                .collect();
+            keyed.sort_unstable();
+            perm = keyed.iter().map(|&(_, at)| perm[at as usize]).collect();
+        }
         perm.dedup_by(|&mut a, &mut b| self.cmp_idx(a as usize, b as usize) == Ordering::Equal);
         self.gather(&perm);
     }

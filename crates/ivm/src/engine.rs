@@ -23,7 +23,7 @@
 
 use crate::delta::{BaseDelta, ViewDelta};
 use crate::error::IvmError;
-use no_datalog::fire::{self, IndexCache, Key, Meter, Phase, Pin, State, Table, Values};
+use no_datalog::fire::{self, IndexCache, Key, Meter, Phase, Pin, State, Table, Target, Values};
 use no_datalog::{parse_program, Literal, Program, Rule};
 use no_object::{Governor, Instance, Relation, ResourceError, Universe, Value};
 use no_plan::{plan_maintenance, MaintenancePlan, MaintenanceStrategy, StratumPlan};
@@ -201,41 +201,44 @@ impl State<Value> for MaintCtx<'_> {
         }
     }
 
-    fn cache(&self) -> &IndexCache<Value> {
-        &self.cache
+    fn target(&self, name: &str, phase: Phase) -> Target<'_, Value> {
+        // same-stratum relations are probed as the frozen snapshot, which
+        // is indexable once for the whole call, whatever the phase
+        if self.stratum_rels.contains(name) {
+            return self.cache.target(name, Phase::Old);
+        }
+        self.cache.target(name, phase)
     }
 
     fn probe(
         &self,
         rel: &Relation,
         name: &str,
-        phase: Phase,
+        target: Target<'_, Value>,
         key: &Key<'_, Value>,
         meter: &Meter<'_>,
         each: &mut dyn FnMut(&[Value]) -> Result<bool, ResourceError>,
     ) -> Result<(), ResourceError> {
         if !self.stratum_rels.contains(name) {
-            return self.cache.probe(rel, name, phase, key, meter, each);
+            return target.probe(rel, key, meter, each);
         }
-        // same-stratum: probe the frozen snapshot (indexable once for
-        // the whole call, any phase) and layer the overlay on top —
-        // skip removed rows, then walk the small added set
+        // same-stratum: probe the frozen snapshot and layer the overlay
+        // on top — skip removed rows, then walk the small added set
         let old = &self.view_old[name];
         let Some((removed, added)) = self.overlay.get(name) else {
-            return self.cache.probe(old, name, Phase::Old, key, meter, each);
+            return target.probe(old, key, meter, each);
         };
         let mut stopped = false;
-        self.cache
-            .probe(old, name, Phase::Old, key, meter, &mut |row| {
-                if removed.contains(row) {
-                    return Ok(true);
-                }
-                let keep = each(row)?;
-                if !keep {
-                    stopped = true;
-                }
-                Ok(keep)
-            })?;
+        target.probe(old, key, meter, &mut |row| {
+            if removed.contains(row) {
+                return Ok(true);
+            }
+            let keep = each(row)?;
+            if !keep {
+                stopped = true;
+            }
+            Ok(keep)
+        })?;
         if !stopped {
             for row in added.rows() {
                 if key.matches(row) {
@@ -269,8 +272,8 @@ impl State<Value> for InitCtx<'_> {
             .unwrap_or_else(|| self.instance.relation(name))
     }
 
-    fn cache(&self) -> &IndexCache<Value> {
-        &self.cache
+    fn target(&self, name: &str, phase: Phase) -> Target<'_, Value> {
+        self.cache.target(name, phase)
     }
 }
 
@@ -289,7 +292,9 @@ fn for_each_firing<S: State<Value, Table = Relation>>(
     gov: &Governor,
     sink: &mut dyn FnMut(Vec<Value>) -> Result<bool, ResourceError>,
 ) -> Result<(), ResourceError> {
-    fire::for_each_firing(&Values, rule, pin, phase_of, st, meter(gov), sink)
+    fire::for_each_firing(&Values, rule, pin, phase_of, st, meter(gov), &mut |row| {
+        sink(row.to_vec())
+    })
 }
 
 /// External (non-same-stratum) add/del rows visible to a stratum.

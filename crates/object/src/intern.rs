@@ -71,9 +71,9 @@ use conc::{AtomicPtr, AtomicU32, AtomicU64, Mutex};
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ptr;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
@@ -140,6 +140,50 @@ impl ValueId {
     fn pack(shard: usize, slot: u32) -> ValueId {
         debug_assert!(shard < NUM_SHARDS && slot <= SLOT_MASK);
         ValueId(((shard as u32) << SLOT_BITS) | slot)
+    }
+
+    /// An id no arena ever issues (the last slot of the last shard, which
+    /// a shard refuses to fill), so it equals no interned value. A reader
+    /// of a long-lived arena stands it in for a constant
+    /// [`Interner::lookup`] did not find: it matches no row. It must only
+    /// be compared, never resolved.
+    pub const ABSENT: ValueId = ValueId(u32::MAX);
+}
+
+/// Hashes [`ValueId`]s and rows of them: one multiply per cell, then a
+/// fold of the high bits into the low ones. Ids are minted by an arena,
+/// never chosen by a client, so there are no crafted collisions to defend
+/// against. Every id-keyed set and index uses it: [`IdRelation`], the
+/// rule matcher's probe indexes, reply rendering.
+#[derive(Clone, Copy, Default, Debug)]
+pub struct IdHasher(u64);
+
+/// Builds [`IdHasher`]s, for `HashMap`/`HashSet` type parameters.
+pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // each cell moves the whole state: a key's first cell counts as
+        // much as its last
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
     }
 }
 
@@ -664,9 +708,20 @@ impl Interner {
 /// A relation over interned rows: the id-level counterpart of
 /// [`Relation`], used by the engines' hot loops. Row dedup costs O(arity)
 /// hashing of ids instead of O(‖row‖) hashing of value trees.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Rows live end to end in one id vector (every row of a relation has the
+/// same arity), indexed by an open-addressing table of row numbers hashed
+/// with [`IdHasher`]: a row costs its ids and one table slot, and no
+/// allocation of its own.
+#[derive(Clone, Default)]
 pub struct IdRelation {
-    rows: HashSet<Box<[ValueId]>>,
+    /// Row `i` is `cells[i * arity..][..arity]`.
+    cells: Vec<ValueId>,
+    arity: usize,
+    len: usize,
+    /// Row number + 1 per slot, `0` for empty; a power of two long, at
+    /// most half full.
+    slots: Vec<u32>,
 }
 
 impl IdRelation {
@@ -677,52 +732,99 @@ impl IdRelation {
 
     /// Intern every row of a value-level relation.
     pub fn from_relation(interner: &Interner, rel: &Relation) -> Self {
-        IdRelation {
-            rows: rel.iter().map(|row| interner.intern_row(row)).collect(),
+        let mut out = IdRelation::new();
+        for row in rel.iter() {
+            out.insert(&interner.intern_row(row));
         }
+        out
     }
 
     /// Resolve back to a value-level relation (the boundary conversion).
     pub fn to_relation(&self, interner: &Interner) -> Relation {
-        Relation::from_rows(self.rows.iter().map(|row| interner.resolve_row(row)))
+        Relation::from_rows(self.iter().map(|row| interner.resolve_row(row)))
+    }
+
+    fn row(&self, i: usize) -> &[ValueId] {
+        &self.cells[i * self.arity..][..self.arity]
+    }
+
+    /// The slot `row` sits in, or the empty slot it would go to.
+    fn find(&self, row: &[ValueId]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut s = IdBuildHasher::default().hash_one(row) as usize & mask;
+        loop {
+            match self.slots[s] {
+                0 => return Err(s),
+                r if self.row(r as usize - 1) == row => return Ok(s),
+                _ => s = (s + 1) & mask,
+            }
+        }
     }
 
     /// Insert a row; returns whether it was new.
-    pub fn insert(&mut self, row: Box<[ValueId]>) -> bool {
-        self.rows.insert(row)
+    pub fn insert(&mut self, row: &[ValueId]) -> bool {
+        if self.len == 0 {
+            self.arity = row.len();
+        }
+        assert_eq!(row.len(), self.arity, "rows of one relation share an arity");
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        match self.find(row) {
+            Ok(_) => false,
+            Err(s) => {
+                self.cells.extend_from_slice(row);
+                self.len += 1;
+                self.slots[s] = self.len as u32;
+                true
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let cap = (2 * self.slots.len()).max(8);
+        self.slots = vec![0; cap];
+        for i in 0..self.len {
+            let Err(s) = self.find(self.row(i)) else {
+                unreachable!("rows are distinct")
+            };
+            self.slots[s] = i as u32 + 1;
+        }
     }
 
     /// Membership test: O(arity).
     pub fn contains(&self, row: &[ValueId]) -> bool {
-        self.rows.contains(row)
+        self.len > 0 && row.len() == self.arity && self.find(row).is_ok()
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True iff there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
-    /// Iterate rows in unspecified order.
+    /// Iterate rows in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &[ValueId]> {
-        self.rows.iter().map(|r| r.as_ref())
+        (0..self.len).map(|i| self.row(i))
     }
 
     /// Union in place; returns the number of newly added rows.
     pub fn absorb(&mut self, other: &IdRelation) -> usize {
-        let before = self.rows.len();
-        self.rows.extend(other.rows.iter().cloned());
-        self.rows.len() - before
+        let before = self.len;
+        for row in other.iter() {
+            self.insert(row);
+        }
+        self.len - before
     }
 
     /// Rows sorted by the structural order on resolved values
     /// (deterministic across runs).
     pub fn sorted_rows(&self, interner: &Interner) -> Vec<&[ValueId]> {
-        let mut rows: Vec<&[ValueId]> = self.rows.iter().map(|r| r.as_ref()).collect();
+        let mut rows: Vec<&[ValueId]> = self.iter().collect();
         rows.sort_unstable_by(|a, b| interner.cmp_slices(a, b));
         rows
     }
@@ -732,23 +834,39 @@ impl IdRelation {
     /// so hashing raw ids is sound (and deterministic within a run).
     pub fn digest(&self) -> u64 {
         let mut acc: u64 = 0;
-        for row in &self.rows {
+        for row in self.iter() {
             let mut h = DefaultHasher::new();
             row.hash(&mut h);
-            // XOR-combine so iteration order of the hash set is irrelevant.
+            // XOR-combine so the order rows were inserted in is irrelevant.
             acc ^= h.finish();
         }
         let mut h = DefaultHasher::new();
-        (self.rows.len() as u64).hash(&mut h);
+        (self.len as u64).hash(&mut h);
         acc ^ h.finish()
     }
 }
 
-impl FromIterator<Box<[ValueId]>> for IdRelation {
-    fn from_iter<I: IntoIterator<Item = Box<[ValueId]>>>(iter: I) -> Self {
-        IdRelation {
-            rows: iter.into_iter().collect(),
+impl PartialEq for IdRelation {
+    fn eq(&self, other: &IdRelation) -> bool {
+        self.len == other.len && self.iter().all(|row| other.contains(row))
+    }
+}
+
+impl Eq for IdRelation {}
+
+impl fmt::Debug for IdRelation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl<R: AsRef<[ValueId]>> FromIterator<R> for IdRelation {
+    fn from_iter<I: IntoIterator<Item = R>>(iter: I) -> Self {
+        let mut out = IdRelation::new();
+        for row in iter {
+            out.insert(row.as_ref());
         }
+        out
     }
 }
 
@@ -925,8 +1043,56 @@ mod tests {
 
         let mut idr2 = idr.clone();
         let dup = int.intern_row(&[a(0), Value::set([a(2), a(1)])]);
-        assert!(!idr2.insert(dup), "canonicalised duplicate must collapse");
+        assert!(!idr2.insert(&dup), "canonicalised duplicate must collapse");
         assert_eq!(idr2.absorb(&idr), 0);
+    }
+
+    #[test]
+    fn id_hasher_weighs_every_cell() {
+        let int = Interner::new();
+        let ids: Vec<ValueId> = (0..64).map(|i| int.intern(&a(i))).collect();
+        let hash = |row: &[ValueId]| IdBuildHasher::default().hash_one(row);
+        for &x in &ids {
+            for &y in &ids {
+                if x != y {
+                    // rows that differ only in their first cell
+                    assert_ne!(hash(&[x, ids[0]]), hash(&[y, ids[0]]));
+                    assert_ne!(hash(&[x]), hash(&[y]));
+                }
+            }
+        }
+        assert_ne!(hash(&[ids[1], ids[2]]), hash(&[ids[2], ids[1]]));
+    }
+
+    #[test]
+    fn absent_is_no_interned_id() {
+        let int = Interner::new();
+        for i in 0..4096 {
+            assert_ne!(int.intern(&a(i)), ValueId::ABSENT);
+        }
+        assert_eq!(ValueId::ABSENT.shard(), NUM_SHARDS - 1);
+        assert_eq!(ValueId::ABSENT.slot(), SLOT_MASK, "the slot `add` refuses");
+    }
+
+    #[test]
+    fn id_relation_grows_and_compares_as_a_set() {
+        let int = Interner::new();
+        let ids: Vec<ValueId> = (0..40).map(|i| int.intern(&a(i))).collect();
+        let rows: Vec<[ValueId; 2]> = (ids.iter())
+            .flat_map(|&x| ids.iter().map(move |&y| [x, y]))
+            .collect();
+        let forward: IdRelation = rows.iter().collect();
+        let backward: IdRelation = rows.iter().rev().chain(&rows).collect();
+        assert_eq!(forward.len(), 1600);
+        assert_eq!(
+            forward, backward,
+            "insertion order and duplicates do not matter"
+        );
+        assert!(rows.iter().all(|r| backward.contains(r)));
+        assert!(!forward.contains(&[ids[0]]), "a row of another arity");
+        let mut unit = IdRelation::new();
+        assert!(unit.insert(&[]) && !unit.insert(&[]));
+        assert!(unit.contains(&[]) && unit.len() == 1);
     }
 
     #[test]
@@ -934,11 +1100,11 @@ mod tests {
         let int = Interner::new();
         let mut r = IdRelation::new();
         let d0 = r.digest();
-        r.insert(int.intern_row(&[a(0), a(1)]));
+        r.insert(&int.intern_row(&[a(0), a(1)]));
         let d1 = r.digest();
         assert_ne!(d0, d1);
         let mut r2 = IdRelation::new();
-        r2.insert(int.intern_row(&[a(0), a(1)]));
+        r2.insert(&int.intern_row(&[a(0), a(1)]));
         assert_eq!(
             r2.digest(),
             d1,
@@ -950,9 +1116,9 @@ mod tests {
     fn sorted_rows_deterministic_structural_order() {
         let int = Interner::new();
         let mut r = IdRelation::new();
-        r.insert(int.intern_row(&[a(2)]));
-        r.insert(int.intern_row(&[a(0)]));
-        r.insert(int.intern_row(&[Value::set([a(0)])]));
+        r.insert(&int.intern_row(&[a(2)]));
+        r.insert(&int.intern_row(&[a(0)]));
+        r.insert(&int.intern_row(&[Value::set([a(0)])]));
         let sorted: Vec<Value> = r
             .sorted_rows(&int)
             .into_iter()

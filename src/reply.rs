@@ -15,10 +15,10 @@
 
 use no_exec::{Answer, ColumnTable};
 use no_ivm::ViewDelta;
+use no_object::intern::IdBuildHasher;
 use no_object::{Interner, Relation, Universe, ValueId};
 use no_proto::{CellWriter, DeltaOut, RelationOut, RowsWriter};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Render `answer` as the reply relation `name`: rows in value order,
 /// each in the text format and, together, as one JSON array.
@@ -112,7 +112,7 @@ impl Ranked {
     fn of(table: &ColumnTable, int: &Interner) -> Ranked {
         let (n, arity) = (table.len(), table.arity());
         // number the distinct cells as first met, row-major
-        let mut slot: HashMap<ValueId, u32, BuildHasherDefault<IdHasher>> = HashMap::default();
+        let mut slot: HashMap<ValueId, u32, IdBuildHasher> = HashMap::default();
         let mut distinct = Vec::new();
         let mut keys = vec![0u32; n * arity];
         for c in 0..arity {
@@ -190,29 +190,6 @@ fn encode(out: &mut Vec<u32>, int: &Interner, id: ValueId) {
         encode(out, int, *x);
     }
     out.push(0);
-}
-
-/// Hashes a [`ValueId`] with one multiply and a fold: a reply hashes one
-/// per cell, and ids are minted by the arena, never chosen by a client,
-/// so there are no crafted collisions to defend against.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(u32::from(b) ^ self.0 as u32);
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        let h = u64::from(n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 29);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// The text form of a cell, as the CALC printer writes a constant:

@@ -25,7 +25,7 @@
 use conc::lockdep;
 use conc::sched::{self, ExploreOpts, Replay};
 use minipool::ThreadPool;
-use no_exec::{ColumnTable, Resident};
+use no_exec::Resident;
 use no_object::atom::Atom;
 use no_object::governor::{BudgetKind, Governor};
 use no_object::intern::Interner;
@@ -159,18 +159,37 @@ fn colliding_interns_agree_and_charge_growth_once() {
 }
 
 // ---------------------------------------------------------------------------
-// Resident scans: two readers race one relation's first scan
+// Resident reads: two readers race one relation's first scan or row set
 // ---------------------------------------------------------------------------
 
-/// Two readers race the first scan of one relation on one instance
-/// version: both get the table one build made, each atom is admitted to
-/// the version's arena once, and the memo (`instance.derived`), scan-table
-/// (`exec.scans`) and interner-shard (`intern.shard_writer`) classes form
-/// no lock-order cycle. The build holds `exec.scans` while it interns;
-/// nothing takes `exec.scans` or `instance.derived` under a shard lock.
+/// Two readers race the first read of one relation on one instance
+/// version: both get what one build made, each atom is admitted to the
+/// version's arena once, and the memo (`instance.derived`), resident
+/// (`exec.scans`, `exec.rows`) and interner-shard (`intern.shard_writer`)
+/// classes form no lock-order cycle. A build holds its resident lock
+/// while it interns; nothing takes a resident lock or `instance.derived`
+/// under a shard lock. Run once for the executor's scan tables and once
+/// for the round engine's row sets.
 #[test]
 fn racing_first_scans_share_one_build() {
     let _g = serial();
+    race_first_read("resident-first-scan", 0x5CA7_0001, |r, i| {
+        let t = r.scan(i, "G");
+        (t.len(), Arc::as_ptr(&t) as usize)
+    });
+    race_first_read("resident-first-rows", 0x5CA7_0002, |r, i| {
+        let t = r.rows(i, "G");
+        (t.len(), Arc::as_ptr(&t) as usize)
+    });
+}
+
+/// `read` returns the rows it saw and the address of the build it got
+/// (which the version's memo keeps alive).
+fn race_first_read(
+    name: &'static str,
+    seed: u64,
+    read: fn(&Resident, &Instance) -> (usize, usize),
+) {
     let scenario = || {
         let schema =
             Schema::from_relations([RelationSchema::new("G", vec![Type::Atom, Type::Atom])]);
@@ -178,38 +197,43 @@ fn racing_first_scans_share_one_build() {
         for (a, b) in [(0, 1), (1, 2)] {
             instance.insert("G", vec![Value::Atom(Atom(a)), Value::Atom(Atom(b))]);
         }
-        let tables: conc::Mutex<Vec<Arc<ColumnTable>>> = conc::Mutex::new(Vec::new());
+        let builds: conc::Mutex<Vec<(usize, usize)>> = conc::Mutex::new(Vec::new());
         conc::thread::scope(|s| {
             for _ in 0..2 {
                 let instance = &instance;
-                let tables = &tables;
+                let builds = &builds;
                 conc::thread::spawn_scoped(s, move || {
-                    let table = Resident::of(instance).scan(instance, "G");
-                    tables.lock().push(table);
+                    let build = read(&Resident::of(instance), instance);
+                    builds.lock().push(build);
                 });
             }
             conc::thread::await_children();
         });
-        let tables = tables.into_inner();
-        assert!(
-            Arc::ptr_eq(&tables[0], &tables[1]),
+        let builds = builds.into_inner();
+        assert_eq!(
+            builds[0].1, builds[1].1,
             "both readers must get the one build"
         );
-        assert_eq!(tables[0].len(), 2);
+        assert_eq!(builds[0].0, 2);
         assert_eq!(
             Resident::of(&instance).interner().len(),
             3,
             "each atom is admitted once"
         );
     };
-    let mut opts = ExploreOpts::exhaustive("resident-first-scan", 1);
+    let mut opts = ExploreOpts::exhaustive(name, 1);
     opts.max_schedules = 600;
     let exhaustive = sched::explore(opts, scenario);
     let cycles = lockdep::cycles_in(&exhaustive.new_edges);
     assert!(cycles.is_empty(), "{cycles:?}");
     exhaustive.assert_ok();
-    sched::explore(seeds("resident-first-scan", 32, 0x5CA7_0001), scenario).assert_ok();
-    let classes = ["instance.derived", "exec.scans", "intern.shard_writer"];
+    sched::explore(seeds(name, 32, seed), scenario).assert_ok();
+    let classes = [
+        "instance.derived",
+        "exec.scans",
+        "exec.rows",
+        "intern.shard_writer",
+    ];
     let cycles = lockdep::cycles();
     assert!(
         !cycles
