@@ -9,7 +9,7 @@
 #   - std::sync::Arc, std::sync::mpsc      (not scheduling-relevant)
 #   - std::sync::atomic::Ordering          (just the enum)
 #   - crates/conc itself and crates/vendor/{rand,proptest,criterion}
-#     (the shim layer owns the real primitives; the other vendored
+#     (the shim layer owns the real primitives; the vendored
 #     stand-ins are single-threaded test scaffolding)
 #
 # Exit 1 (deny mode) on any hit, printing file:line for each.
@@ -18,7 +18,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-MIGRATED="crates/exec/src crates/object/src crates/server/src crates/storage/src crates/vendor/minipool/src"
+MIGRATED="crates/exec/src crates/object/src crates/server/src crates/storage/src"
 PATTERN='std::sync::(Mutex|RwLock)|std::sync::atomic::(\{[^}]*)?Atomic(Bool|U8|U16|U32|U64|Usize|I8|I16|I32|I64|Isize|Ptr)'
 
 # shellcheck disable=SC2086  # MIGRATED is a deliberate word list

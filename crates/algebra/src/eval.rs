@@ -19,19 +19,10 @@
 //! resolve to a [`Relation`] at their own boundary.
 
 use crate::expr::{AlgebraError, Expr, Pred};
-use minipool::ThreadPool;
 use no_object::intern::{IdRelation, Interner, ValueId};
 use no_object::{Governor, Instance, Limits, Relation};
 use std::collections::HashMap;
 use std::time::Duration;
-
-/// Minimum product cell count before the evaluator bothers fanning a
-/// product out over the pool (below this, task setup dominates).
-const PARALLEL_PRODUCT_MIN_CELLS: u64 = 1024;
-
-/// Minimum powerset input cardinality before masks are fanned out
-/// (2^10 = 1024 output rows).
-const PARALLEL_POWERSET_MIN_ELEMS: usize = 10;
 
 /// Evaluation limits — a thin constructor over the shared [`Governor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -103,39 +94,21 @@ pub fn eval_governed(
     instance: &Instance,
     governor: &Governor,
 ) -> Result<Relation, AlgebraError> {
-    eval_pooled(expr, instance, governor, &ThreadPool::sequential())
-}
-
-/// [`eval_governed`] with an explicit [`ThreadPool`]. The enumeration-heavy
-/// operators — product and powerset — fan their output loops out over the
-/// pool when the work is large enough to amortise task setup; all other
-/// operators run on the calling thread. At `threads == 1` evaluation is
-/// identical to previous releases. Results are identical at every
-/// parallelism level; under tight budgets the exact row at which a
-/// resource trip fires may differ when `threads > 1` because workers
-/// charge the governor concurrently.
-pub fn eval_pooled(
-    expr: &Expr,
-    instance: &Instance,
-    governor: &Governor,
-    pool: &ThreadPool,
-) -> Result<Relation, AlgebraError> {
-    let (out, interner) = eval_interned(expr, instance, governor, pool)?;
+    let (out, interner) = eval_interned(expr, instance, governor)?;
     Ok(out.to_relation(&interner))
 }
 
-/// [`eval_pooled`] without the resolve: the result comes back as the id
+/// [`eval_governed`] without the resolve: the result comes back as the id
 /// rows the operators built, with the arena their ids live in.
 pub fn eval_interned(
     expr: &Expr,
     instance: &Instance,
     governor: &Governor,
-    pool: &ThreadPool,
 ) -> Result<(IdRelation, Interner), AlgebraError> {
     // typecheck up front so evaluation can assume well-formedness
     expr.output_types(instance.schema())?;
     let interner = Interner::new();
-    let out = eval_i(expr, instance, governor, &interner, pool)?;
+    let out = eval_i(expr, instance, governor, &interner)?;
     Ok((out, interner))
 }
 
@@ -166,14 +139,13 @@ fn eval_i(
     instance: &Instance,
     governor: &Governor,
     int: &Interner,
-    pool: &ThreadPool,
 ) -> Result<IdRelation, AlgebraError> {
     governor.checkpoint("algebra.eval")?;
     let out = match expr {
         Expr::Rel(name) => IdRelation::from_relation(int, instance.relation(name)),
         Expr::Const(_, rows) => rows.iter().map(|r| int.intern_row(r)).collect(),
         Expr::Select(e, pred) => {
-            let input = eval_i(e, instance, governor, int, pool)?;
+            let input = eval_i(e, instance, governor, int)?;
             let mut out = IdRelation::new();
             for row in input.iter() {
                 if holds(pred, row, int) {
@@ -183,7 +155,7 @@ fn eval_i(
             out
         }
         Expr::Project(e, cols) => {
-            let input = eval_i(e, instance, governor, int, pool)?;
+            let input = eval_i(e, instance, governor, int)?;
             let mut out = IdRelation::new();
             for row in input.iter() {
                 let new: Vec<ValueId> = cols.iter().map(|&i| row[i - 1]).collect();
@@ -193,70 +165,46 @@ fn eval_i(
             out
         }
         Expr::Product(a, b) => {
-            let ra = eval_i(a, instance, governor, int, pool)?;
-            let rb = eval_i(b, instance, governor, int, pool)?;
+            let ra = eval_i(a, instance, governor, int)?;
+            let rb = eval_i(b, instance, governor, int)?;
             // check the product size before materialising anything
             let cells = (ra.len() as u64).saturating_mul(rb.len() as u64);
             governor.check_range("algebra.product", cells)?;
-            if pool.threads() > 1 && ra.len() >= 2 && cells >= PARALLEL_PRODUCT_MIN_CELLS {
-                // fan the left operand's rows out over the pool; each
-                // worker builds a partial product, merged at the end
-                let rows_a: Vec<&[ValueId]> = ra.iter().collect();
-                let spans = minipool::split(rows_a.len(), pool.threads());
-                let parts = pool.try_map(spans, |span| {
-                    let mut part = IdRelation::new();
-                    for x in &rows_a[span] {
-                        for y in rb.iter() {
-                            let mut row = x.to_vec();
-                            row.extend_from_slice(y);
-                            charge_row(governor, "algebra.product", row.len(), 0)?;
-                            part.insert(&row);
-                        }
-                    }
-                    Ok::<IdRelation, AlgebraError>(part)
-                })?;
-                let mut out = IdRelation::new();
-                for part in &parts {
-                    out.absorb(part);
+            let mut out = IdRelation::new();
+            for x in ra.iter() {
+                for y in rb.iter() {
+                    let mut row = x.to_vec();
+                    row.extend_from_slice(y);
+                    charge_row(governor, "algebra.product", row.len(), 0)?;
+                    out.insert(&row);
                 }
-                out
-            } else {
-                let mut out = IdRelation::new();
-                for x in ra.iter() {
-                    for y in rb.iter() {
-                        let mut row = x.to_vec();
-                        row.extend_from_slice(y);
-                        charge_row(governor, "algebra.product", row.len(), 0)?;
-                        out.insert(&row);
-                    }
-                }
-                out
             }
+            out
         }
         Expr::Union(a, b) => {
-            let mut ra = eval_i(a, instance, governor, int, pool)?;
-            let rb = eval_i(b, instance, governor, int, pool)?;
+            let mut ra = eval_i(a, instance, governor, int)?;
+            let rb = eval_i(b, instance, governor, int)?;
             ra.absorb(&rb);
             ra
         }
         Expr::Difference(a, b) => {
-            let ra = eval_i(a, instance, governor, int, pool)?;
-            let rb = eval_i(b, instance, governor, int, pool)?;
+            let ra = eval_i(a, instance, governor, int)?;
+            let rb = eval_i(b, instance, governor, int)?;
             ra.iter()
                 .filter(|r| !rb.contains(r))
                 .map(|r| r.to_vec().into_boxed_slice())
                 .collect()
         }
         Expr::Intersect(a, b) => {
-            let ra = eval_i(a, instance, governor, int, pool)?;
-            let rb = eval_i(b, instance, governor, int, pool)?;
+            let ra = eval_i(a, instance, governor, int)?;
+            let rb = eval_i(b, instance, governor, int)?;
             ra.iter()
                 .filter(|r| rb.contains(r))
                 .map(|r| r.to_vec().into_boxed_slice())
                 .collect()
         }
         Expr::Nest(e, col) => {
-            let input = eval_i(e, instance, governor, int, pool)?;
+            let input = eval_i(e, instance, governor, int)?;
             let i = col - 1;
             // group by all other columns; id rows hash in O(arity)
             let mut groups: HashMap<Vec<ValueId>, Vec<ValueId>> = HashMap::new();
@@ -276,7 +224,7 @@ fn eval_i(
             out
         }
         Expr::Unnest(e, col) => {
-            let input = eval_i(e, instance, governor, int, pool)?;
+            let input = eval_i(e, instance, governor, int)?;
             let i = col - 1;
             let mut out = IdRelation::new();
             for row in input.iter() {
@@ -295,7 +243,7 @@ fn eval_i(
             out
         }
         Expr::Powerset(e) => {
-            let input = eval_i(e, instance, governor, int, pool)?;
+            let input = eval_i(e, instance, governor, int)?;
             let n = input.len();
             // check the 2^n blowup before materialising anything
             if n >= 63 {
@@ -306,7 +254,8 @@ fn eval_i(
             // mask yields an already-canonical id slice
             let mut elems: Vec<ValueId> = input.iter().map(|row| row[0]).collect();
             elems.sort_unstable_by(|a, b| int.cmp(*a, *b));
-            let emit = |mask: u64, out: &mut IdRelation| -> Result<(), AlgebraError> {
+            let mut out = IdRelation::new();
+            for mask in 0u64..(1u64 << n) {
                 let members: Vec<ValueId> = elems
                     .iter()
                     .enumerate()
@@ -316,30 +265,8 @@ fn eval_i(
                 let (set, grown) = int.intern_set_presorted_with_growth(members);
                 charge_row(governor, "algebra.powerset", 1, grown)?;
                 out.insert(&[set]);
-                Ok(())
-            };
-            if pool.threads() > 1 && n >= PARALLEL_POWERSET_MIN_ELEMS {
-                // fan contiguous mask ranges out over the pool
-                let spans = minipool::split_u64(1u64 << n, pool.threads() as u64);
-                let parts = pool.try_map(spans, |span| {
-                    let mut part = IdRelation::new();
-                    for mask in span {
-                        emit(mask, &mut part)?;
-                    }
-                    Ok::<IdRelation, AlgebraError>(part)
-                })?;
-                let mut out = IdRelation::new();
-                for part in &parts {
-                    out.absorb(part);
-                }
-                out
-            } else {
-                let mut out = IdRelation::new();
-                for mask in 0u64..(1u64 << n) {
-                    emit(mask, &mut out)?;
-                }
-                out
             }
+            out
         }
     };
     guard(&out, governor)?;
@@ -551,35 +478,6 @@ mod tests {
         match eval_governed(&Expr::rel("W"), &i, &g) {
             Err(AlgebraError::Resource(e)) => assert_eq!(e.budget, BudgetKind::Cancelled),
             other => panic!("expected a cancellation error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn pooled_matches_sequential() {
-        // a 12-element powerset (4096 rows) and a 3-way product both cross
-        // the parallel thresholds; the pooled result must be identical
-        let mut u = Universe::new();
-        let schema = Schema::from_relations([RelationSchema::new("E", vec![Type::Atom])]);
-        let mut i = Instance::empty(schema);
-        for k in 0..12 {
-            i.insert("E", vec![Value::Atom(u.intern(&format!("e{k}")))]);
-        }
-        let pow = Expr::rel("E").powerset();
-        let prod = Expr::rel("E")
-            .product(Expr::rel("E"))
-            .product(Expr::rel("E"));
-        for expr in [pow, prod] {
-            let seq = eval_governed(&expr, &i, &AlgebraConfig::default().governor()).unwrap();
-            for threads in [2, 4] {
-                let par = eval_pooled(
-                    &expr,
-                    &i,
-                    &AlgebraConfig::default().governor(),
-                    &ThreadPool::new(threads),
-                )
-                .unwrap();
-                assert_eq!(seq, par, "threads {threads}");
-            }
         }
     }
 

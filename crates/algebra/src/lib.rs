@@ -38,7 +38,7 @@ pub mod expr;
 pub mod parser;
 pub mod to_calc;
 
-pub use eval::{eval, eval_governed, eval_interned, eval_pooled, AlgebraConfig};
+pub use eval::{eval, eval_governed, eval_interned, AlgebraConfig};
 pub use expr::{AlgebraError, Expr, Pred};
 pub use parser::{parse_expr, ParseError};
 pub use to_calc::to_query;

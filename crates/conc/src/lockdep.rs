@@ -13,9 +13,8 @@
 //! a [`CC001`](crate::report) diagnostic. Edges within one class
 //! (`A → A`) are cycles of length one: two instances of the same class
 //! acquired in instance order can deadlock against the opposite order —
-//! exactly the PR 5 minipool bug, where a worker held its own deque lock
-//! (class `minipool.deque`) while stealing from a sibling's (same
-//! class). Classes are the `&'static str` names passed to
+//! a worker holding its own queue's lock while locking a sibling's of
+//! the same class, say. Classes are the `&'static str` names passed to
 //! [`Mutex::new_named`](crate::Mutex::new_named); unnamed locks share the
 //! class `"conc.anon"`, whose self-edges are *not* reported (distinct
 //! anonymous locks are indistinguishable, so a self-edge there is usually

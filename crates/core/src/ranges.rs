@@ -126,33 +126,13 @@ pub fn safe_eval_governed(
     query: &Query,
     governor: &Governor,
 ) -> Result<Relation, EvalError> {
-    safe_eval_pooled(
-        instance,
-        query,
-        governor,
-        &minipool::ThreadPool::sequential(),
-    )
-}
-
-/// As [`safe_eval_governed`], with a worker pool for the final enumeration
-/// pass. Range *analysis* stays sequential (it is a cheap static pass over
-/// the formula plus small auxiliary evaluations); only the satisfaction
-/// enumeration over the computed ranges is chunked across workers. A
-/// sequential pool reproduces [`safe_eval_governed`] exactly.
-pub fn safe_eval_pooled(
-    instance: &Instance,
-    query: &Query,
-    governor: &Governor,
-    pool: &minipool::ThreadPool,
-) -> Result<Relation, EvalError> {
     let checked = typeck::check(instance.schema(), &query.head, &query.body)
         .map_err(|e| EvalError::ShapeError(e.to_string()))?;
     let governor = governor.clone();
     let ranges = compute_ranges_governed(instance, &checked.var_types, &query.body, &governor)?;
     let order = active_order(instance, query);
-    let mut ev = Evaluator::with_governor(instance, order, governor)
-        .with_ranges(ranges.to_range_map())
-        .with_pool(pool.clone());
+    let mut ev =
+        Evaluator::with_governor(instance, order, governor).with_ranges(ranges.to_range_map());
     ev.query(query)
 }
 

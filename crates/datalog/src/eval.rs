@@ -31,15 +31,14 @@
 //! planner to hand on unresolved; the `eval*` entry points resolve to
 //! [`Relation`]s at their own boundary.
 //!
-//! A round's rules share one probe cache (one per task when the round
-//! fans out over a pool): the IDB does not change until the round
-//! barrier, so an index built for one rule's probe serves every later
-//! probe of that shape in the round, and at parallelism 1 an index over
-//! an EDB relation serves every round. Under semi-naive evaluation this
+//! A round's rules share one probe cache: the IDB does not change until
+//! the round barrier, so an index built for one rule's probe serves
+//! every later probe of that shape in the round, and an index over an
+//! EDB relation serves every round. Under semi-naive evaluation this
 //! is the `HashJoin(probe=Δ)` shape `:explain` reports: each delta row's
 //! bindings probe the indexes of the other body literals. Steps are the
 //! matcher's, charged at `datalog.search`: index builds included, and
-//! independent of hash order at parallelism 1.
+//! independent of hash order.
 //!
 //! A head row the round-start IDB already holds is dropped before it is
 //! stored (its 8 bytes per column are still charged at
@@ -48,7 +47,6 @@
 
 use crate::fire::{self, IndexCache, Meter, Phase, State, Target};
 use crate::program::{Literal, Program, ProgramError, Rule};
-use minipool::ThreadPool;
 use no_exec::Resident;
 use no_object::intern::{IdRelation, Interner, ValueId};
 use no_object::{Governor, Instance, Relation};
@@ -137,71 +135,17 @@ pub fn eval_governed(
     strategy: Strategy,
     governor: &Governor,
 ) -> Result<(Idb, EvalStats), ProgramError> {
-    eval_pooled(
-        program,
-        instance,
-        strategy,
-        governor,
-        &ThreadPool::sequential(),
-    )
-}
-
-/// A rule task's view of the delta: which body position (if any) is pinned
-/// to last round's delta, and the rows it is pinned to. Chunked tasks own
-/// their slice of the delta; unchunked tasks borrow the whole relation.
-enum Pin<'r> {
-    None,
-    Borrowed(usize, &'r IdRelation),
-    Owned(usize, IdRelation),
-}
-
-impl Pin<'_> {
-    fn get(&self) -> Option<(usize, &IdRelation)> {
-        match self {
-            Pin::None => None,
-            Pin::Borrowed(pos, rel) => Some((*pos, rel)),
-            Pin::Owned(pos, rel) => Some((*pos, rel)),
-        }
-    }
-}
-
-/// Split `rel` into at most `parts` non-empty relations covering its rows.
-fn partition_rows(rel: &IdRelation, parts: usize) -> Vec<IdRelation> {
-    let n = parts.clamp(1, rel.len().max(1));
-    let mut chunks = vec![IdRelation::new(); n];
-    for (i, row) in rel.iter().enumerate() {
-        chunks[i % n].insert(row);
-    }
-    chunks
-}
-
-/// [`eval_governed`] with an explicit [`ThreadPool`]. At `threads == 1` the
-/// round loop is executed exactly as in previous releases; at higher
-/// parallelism each round's rule evaluations — and, under semi-naive, each
-/// (rule, delta-position, delta-chunk) — become independent tasks fanned
-/// out over the pool, with worker-local outputs merged at the round
-/// barrier. Derived relations are identical at every parallelism level;
-/// steps and the exact step-fuel trip point may differ when `threads > 1`
-/// because each task builds its own probe indexes.
-pub fn eval_pooled(
-    program: &Program,
-    instance: &Instance,
-    strategy: Strategy,
-    governor: &Governor,
-    pool: &ThreadPool,
-) -> Result<(Idb, EvalStats), ProgramError> {
-    let (idb, stats) = eval_interned(program, instance, strategy, governor, pool)?;
+    let (idb, stats) = eval_interned(program, instance, strategy, governor)?;
     Ok((idb.resolve(), stats))
 }
 
-/// [`eval_pooled`] without the resolve: the IDB comes back as the ids the
+/// [`eval_governed`] without the resolve: the IDB comes back as the ids the
 /// rounds derived, over the instance version's resident arena.
 pub fn eval_interned(
     program: &Program,
     instance: &Instance,
     strategy: Strategy,
     governor: &Governor,
-    pool: &ThreadPool,
 ) -> Result<(InternedIdb, EvalStats), ProgramError> {
     program.validate(instance.schema())?;
     let resident = Resident::of(instance);
@@ -212,7 +156,6 @@ pub fn eval_interned(
         &IdbI::new(),
         strategy,
         governor,
-        pool,
     )?;
     Ok((
         InternedIdb::new(relations, resident.interner().clone()),
@@ -248,7 +191,6 @@ pub(crate) fn eval_rounds(
     frozen: &IdbI,
     strategy: Strategy,
     governor: &Governor,
-    pool: &ThreadPool,
 ) -> Result<(IdbI, EvalStats), ProgramError> {
     // The relations the program reads, as the version keeps them; the
     // rest of the instance is never touched.
@@ -274,8 +216,7 @@ pub(crate) fn eval_rounds(
         .collect();
     let mut delta: IdbI = idb.clone();
     let mut stats = EvalStats::default();
-    // at parallelism 1 the EDB is indexed once for every round; pooled
-    // tasks each index what they probe
+    // the EDB is indexed once for every round
     let edb_cache = IndexCache::new();
     loop {
         stats.rounds += 1;
@@ -286,53 +227,28 @@ pub(crate) fn eval_rounds(
             .map(|k| (k.clone(), IdRelation::new()))
             .collect();
         let mut grew = false;
-        // Build this round's task list: one task per rule under naive
-        // evaluation (and in the first full round), one per delta-positive
-        // literal occurrence under semi-naive — split further into
-        // per-chunk tasks when the delta is large enough to share.
-        let mut tasks: Vec<(&Rule, Pin<'_>)> = Vec::new();
+        // One firing per rule under naive evaluation (and in the first
+        // full round), one per delta-positive literal occurrence under
+        // semi-naive.
+        let st = RoundState::new(&edb, &idb, &edb_cache);
+        let use_delta = strategy == Strategy::SemiNaive && stats.rounds > 1;
         for rule in &program.rules {
-            let use_delta = strategy == Strategy::SemiNaive && stats.rounds > 1;
-            if use_delta {
-                for (pos, lit) in rule.body.iter().enumerate() {
-                    let Literal::Pos(name, _) = lit else { continue };
-                    if !idb.contains_key(name) {
-                        continue;
-                    }
-                    let d = &delta[name];
-                    if pool.threads() > 1 && d.len() >= 2 {
-                        for chunk in partition_rows(d, pool.threads()) {
-                            tasks.push((rule, Pin::Owned(pos, chunk)));
-                        }
-                    } else {
-                        tasks.push((rule, Pin::Borrowed(pos, d)));
-                    }
-                }
-            } else {
-                tasks.push((rule, Pin::None));
+            if !use_delta {
+                derive(rule, &st, None, &mut new_delta, governor, interner)?;
+                continue;
             }
-        }
-        if pool.threads() > 1 && tasks.len() > 1 {
-            let results = pool.try_map(tasks, |(rule, pin)| {
-                let mut local: IdbI = program
-                    .idb
-                    .keys()
-                    .map(|k| (k.clone(), IdRelation::new()))
-                    .collect();
-                let task_cache = IndexCache::new();
-                let st = RoundState::new(&edb, &idb, &task_cache);
-                derive(rule, &st, pin.get(), &mut local, governor, interner)?;
-                Ok::<IdbI, ProgramError>(local)
-            })?;
-            for local in results {
-                for (name, rel) in local {
-                    new_delta.get_mut(&name).expect("declared IDB").absorb(&rel);
+            for (pos, lit) in rule.body.iter().enumerate() {
+                let Literal::Pos(name, _) = lit else { continue };
+                if let Some(d) = delta.get(name) {
+                    derive(
+                        rule,
+                        &st,
+                        Some((pos, d)),
+                        &mut new_delta,
+                        governor,
+                        interner,
+                    )?;
                 }
-            }
-        } else {
-            let st = RoundState::new(&edb, &idb, &edb_cache);
-            for (rule, pin) in &tasks {
-                derive(rule, &st, pin.get(), &mut new_delta, governor, interner)?;
             }
         }
         // every collected row is new: it joins the IDB and is the next Δ
@@ -690,27 +606,11 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matches_sequential() {
-        let (_u, i) = graph(&[("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("b", "a")]);
-        let (seq, _) =
-            eval_governed(&tc_program(), &i, Strategy::SemiNaive, &Governor::default()).unwrap();
-        for threads in [2, 4] {
-            for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-                let pool = ThreadPool::new(threads);
-                let (par, _) =
-                    eval_pooled(&tc_program(), &i, strategy, &Governor::default(), &pool).unwrap();
-                assert_eq!(seq, par, "threads {threads} {strategy:?}");
-            }
-        }
-    }
-
-    #[test]
     fn rounds_read_the_resident_edb_of_the_current_version() {
         let (u, mut i) = graph(&[("a", "b"), ("b", "c")]);
         let run = |i: &Instance| {
             let g = Governor::unlimited();
-            let pool = ThreadPool::sequential();
-            let (idb, _) = eval_interned(&tc_program(), i, Strategy::SemiNaive, &g, &pool).unwrap();
+            let (idb, _) = eval_interned(&tc_program(), i, Strategy::SemiNaive, &g).unwrap();
             (idb.resolve(), g.steps_spent(), g.mem_spent())
         };
         let cold = run(&i);

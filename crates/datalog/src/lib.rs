@@ -50,16 +50,11 @@ pub mod simultaneous;
 pub mod stratified;
 pub mod translate;
 
-pub use eval::{
-    eval, eval_governed, eval_interned, eval_pooled, EvalStats, Idb, InternedIdb, Strategy,
-};
+pub use eval::{eval, eval_governed, eval_interned, EvalStats, Idb, InternedIdb, Strategy};
 pub use parser::{parse_program, parse_program_spanned};
 pub use program::{DTerm, Literal, Program, ProgramError, Rule};
-pub use simultaneous::{
-    eval_simultaneous, eval_simultaneous_pooled, to_simultaneous_ifp, SimEvalError, Simultaneous,
-};
+pub use simultaneous::{eval_simultaneous, to_simultaneous_ifp, SimEvalError, Simultaneous};
 pub use stratified::{
-    eval_stratified, eval_stratified_governed, eval_stratified_interned, eval_stratified_pooled,
-    stratify, StratifyError,
+    eval_stratified, eval_stratified_governed, eval_stratified_interned, stratify, StratifyError,
 };
 pub use translate::{to_ifp, TranslateError};

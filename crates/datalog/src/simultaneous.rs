@@ -303,30 +303,8 @@ pub fn eval_simultaneous(
     order: AtomOrder,
     governor: &Governor,
 ) -> Result<Idb, SimEvalError> {
-    eval_simultaneous_pooled(
-        program,
-        body_var_types,
-        instance,
-        order,
-        governor,
-        &minipool::ThreadPool::sequential(),
-    )
-}
-
-/// [`eval_simultaneous`] with an explicit [`minipool::ThreadPool`]: the
-/// single combined fixpoint's stage enumeration fans out over the pool via
-/// the CALC evaluator's parallel quantifier driver.
-pub fn eval_simultaneous_pooled(
-    program: &Program,
-    body_var_types: &[(&str, Type)],
-    instance: &Instance,
-    order: AtomOrder,
-    governor: &Governor,
-    pool: &minipool::ThreadPool,
-) -> Result<Idb, SimEvalError> {
     let sim = to_simultaneous_ifp(program, body_var_types).map_err(SimEvalError::Translate)?;
-    let mut ev =
-        Evaluator::with_governor(instance, order, governor.clone()).with_pool(pool.clone());
+    let mut ev = Evaluator::with_governor(instance, order, governor.clone());
     let combined = ev
         .eval_fixpoint(&sim.fixpoint)
         .map_err(SimEvalError::Eval)?;

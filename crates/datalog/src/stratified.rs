@@ -122,29 +122,10 @@ pub fn eval_stratified_governed(
     instance: &Instance,
     governor: &Governor,
 ) -> Result<Idb, StratifyError> {
-    eval_stratified_pooled(
-        program,
-        instance,
-        governor,
-        &minipool::ThreadPool::sequential(),
-    )
+    Ok(eval_stratified_interned(program, instance, governor)?.resolve())
 }
 
-/// [`eval_stratified_governed`] with an explicit [`minipool::ThreadPool`]:
-/// each stratum's inflationary fixpoint runs through the round loop of
-/// [`crate::eval::eval_pooled`], so rule evaluation inside every stratum
-/// fans out over the pool (strata themselves stay sequential — each one
-/// negates over the previous ones, a hard dependency).
-pub fn eval_stratified_pooled(
-    program: &Program,
-    instance: &Instance,
-    governor: &Governor,
-    pool: &minipool::ThreadPool,
-) -> Result<Idb, StratifyError> {
-    Ok(eval_stratified_interned(program, instance, governor, pool)?.resolve())
-}
-
-/// [`eval_stratified_pooled`] without the resolve: every stratum derives
+/// [`eval_stratified_governed`] without the resolve: every stratum derives
 /// into the instance version's resident arena, lower strata are borrowed
 /// as the ids they were derived as, and the IDB comes back over that
 /// arena.
@@ -152,7 +133,6 @@ pub fn eval_stratified_interned(
     program: &Program,
     instance: &Instance,
     governor: &Governor,
-    pool: &minipool::ThreadPool,
 ) -> Result<InternedIdb, StratifyError> {
     program.validate(instance.schema())?;
     let strata = stratify(program)?;
@@ -183,7 +163,6 @@ pub fn eval_stratified_interned(
             &computed,
             Strategy::SemiNaive,
             governor,
-            pool,
         )
         .map_err(StratifyError::Program)?;
         computed.extend(idb);

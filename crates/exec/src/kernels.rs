@@ -27,13 +27,9 @@
 use crate::meter::BlockMeter;
 use crate::pred::{CompiledPred, RowPred};
 use crate::table::ColumnTable;
-use minipool::{split, ThreadPool};
 use no_object::{Governor, Interner, ResourceError, ValueId};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-
-/// Probe sides at or above this row count fan out across the pool.
-const PARALLEL_PROBE_MIN: usize = 4096;
 
 /// The physical join algorithm to run, chosen by the planner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -253,7 +249,6 @@ pub fn join(
     algo: JoinAlgo,
     int: &Interner,
     gov: &Governor,
-    pool: &ThreadPool,
 ) -> Result<ColumnTable, ResourceError> {
     if keys.is_empty() {
         gov.check_range("exec.product", l.len() as u64 * r.len() as u64)?;
@@ -273,8 +268,8 @@ pub fn join(
     };
     let mut pairs = match algo {
         JoinAlgo::NestedLoop => nested_loop_pairs(&test, gov)?,
-        JoinAlgo::Hash { build_left } => hash_pairs(&test, build_left, gov, pool)?,
-        JoinAlgo::ElementIndex(conj) => element_index_pairs(&test, conj, gov, pool)?,
+        JoinAlgo::Hash { build_left } => hash_pairs(&test, build_left, gov)?,
+        JoinAlgo::ElementIndex(conj) => element_index_pairs(&test, conj, gov)?,
     };
     pairs.sort_unstable();
     materialize_pairs(l, r, pairs.iter().copied(), "exec.join", gov)
@@ -342,7 +337,6 @@ fn hash_pairs(
     test: &PairTest<'_>,
     build_left: bool,
     gov: &Governor,
-    pool: &ThreadPool,
 ) -> Result<Vec<(u32, u32)>, ResourceError> {
     let lkeys: Vec<usize> = test.keys.iter().map(|&(lc, _)| lc).collect();
     let rkeys: Vec<usize> = test.keys.iter().map(|&(_, rc)| rc).collect();
@@ -364,7 +358,7 @@ fn hash_pairs(
             .get(&probe.key_at(pkeys, p))
             .map_or(&[][..], Vec::as_slice)
     };
-    probe_pairs(&test, build_left, hits, gov, pool)
+    probe_pairs(&test, build_left, hits, gov)
 }
 
 /// Index the members of the set column on the side holding `conj`'s
@@ -377,7 +371,6 @@ fn element_index_pairs(
     test: &PairTest<'_>,
     conj: SetConjunct,
     gov: &Governor,
-    pool: &ThreadPool,
 ) -> Result<Vec<(u32, u32)>, ResourceError> {
     let la = test.l.arity();
     let (probe_col, set_col) = match conj {
@@ -426,54 +419,42 @@ fn element_index_pairs(
             },
         }
     };
-    probe_pairs(test, build_left, hits, gov, pool)
+    probe_pairs(test, build_left, hits, gov)
 }
 
 /// Probe every row of the non-build side against an index: `hits(p)` is
 /// the build rows probe row `p` may pair with, each kept when `test`
 /// holds. One step per probe row and per candidate at
-/// `exec.join.probe`; probe sides of at least [`PARALLEL_PROBE_MIN`]
-/// rows split across the pool (each chunk meters what it did, so totals
-/// do not depend on the thread count).
+/// `exec.join.probe`.
 fn probe_pairs<'a>(
     test: &PairTest<'_>,
     build_left: bool,
-    hits: impl Fn(usize) -> &'a [u32] + Sync,
+    hits: impl Fn(usize) -> &'a [u32],
     gov: &Governor,
-    pool: &ThreadPool,
 ) -> Result<Vec<(u32, u32)>, ResourceError> {
     let probe_len = if build_left {
         test.r.len()
     } else {
         test.l.len()
     };
-    let probe_chunk = |range: std::ops::Range<usize>| -> Result<Vec<(u32, u32)>, ResourceError> {
-        let mut m = BlockMeter::new(gov, "exec.join.probe");
-        let mut out = Vec::new();
-        for p in range {
-            let hits = hits(p);
-            m.work(1 + hits.len() as u64)?;
-            for &b in hits {
-                let (i, j) = if build_left {
-                    (b, p as u32)
-                } else {
-                    (p as u32, b)
-                };
-                if test.holds(i, j) {
-                    out.push((i, j));
-                }
+    let mut m = BlockMeter::new(gov, "exec.join.probe");
+    let mut out = Vec::new();
+    for p in 0..probe_len {
+        let hits = hits(p);
+        m.work(1 + hits.len() as u64)?;
+        for &b in hits {
+            let (i, j) = if build_left {
+                (b, p as u32)
+            } else {
+                (p as u32, b)
+            };
+            if test.holds(i, j) {
+                out.push((i, j));
             }
         }
-        m.finish()?;
-        Ok(out)
-    };
-
-    let chunked: Vec<Vec<(u32, u32)>> = if pool.threads() > 1 && probe_len >= PARALLEL_PROBE_MIN {
-        pool.try_map(split(probe_len, pool.threads()), probe_chunk)?
-    } else {
-        vec![probe_chunk(0..probe_len)?]
-    };
-    Ok(chunked.concat())
+    }
+    m.finish()?;
+    Ok(out)
 }
 
 /// Materialize sorted `(left, right)` index pairs, charging one output

@@ -6,16 +6,14 @@
 //! `tick_n`/`charge_mem` pair every [`BLOCK`] units of work (and at
 //! operator end), so the totals a budget sees are identical to per-row
 //! charging — only the trip *granularity* coarsens, by at most one block.
-//! Totals are also independent of how work is chunked across pool
-//! workers: each chunk flushes exactly what it accumulated.
 
 use no_object::{Governor, ResourceError};
 
 /// Flush threshold, in accumulated steps.
 pub const BLOCK: u64 = 1024;
 
-/// A local accumulator of governor charges for one operator (or one
-/// parallel chunk of one), flushed per block and on `finish`.
+/// A local accumulator of governor charges for one operator, flushed per
+/// block and on `finish`.
 pub struct BlockMeter<'g> {
     gov: &'g Governor,
     site: &'static str,

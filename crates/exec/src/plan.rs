@@ -20,7 +20,6 @@ use crate::meter::BlockMeter;
 use crate::pred::RowPred;
 use crate::resident::Resident;
 use crate::table::ColumnTable;
-use minipool::ThreadPool;
 use no_object::{Governor, Instance, ResourceError, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -163,7 +162,6 @@ pub fn execute(
     plan: &ExecPlan,
     instance: &Instance,
     governor: &Governor,
-    pool: &ThreadPool,
 ) -> Result<Answer, ResourceError> {
     governor.checkpoint("exec.start")?;
     let resident = Resident::of(instance);
@@ -223,7 +221,6 @@ pub fn execute(
                 *algo,
                 int,
                 governor,
-                pool,
             )?,
         };
         slots.push(Arc::new(table));

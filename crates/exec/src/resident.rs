@@ -84,7 +84,6 @@ mod tests {
     use super::*;
     use crate::plan::{execute, ExecOp, ExecPlan};
     use crate::pred::RowPred;
-    use minipool::ThreadPool;
     use no_object::{Atom, Governor, Relation, Schema, Type, Value};
 
     fn atom(a: u32) -> Value {
@@ -112,7 +111,7 @@ mod tests {
     /// The relation a plan answers and the steps it spent.
     fn run(plan: &ExecPlan, i: &Instance) -> (Relation, u64) {
         let gov = Governor::unlimited();
-        let rel = execute(plan, i, &gov, &ThreadPool::new(1)).expect("unlimited");
+        let rel = execute(plan, i, &gov).expect("unlimited");
         (rel.to_relation(), gov.steps_spent())
     }
 
@@ -157,7 +156,7 @@ mod tests {
         let int = Resident::of(&i).interner().clone();
         let mem = || {
             let gov = Governor::unlimited();
-            execute(&plan, &i, &gov, &ThreadPool::new(1)).expect("unlimited");
+            execute(&plan, &i, &gov).expect("unlimited");
             gov.mem_spent()
         };
         let before = int.bytes();

@@ -5,7 +5,7 @@
 //! Datalog¬ — compile into a single logical plan IR ([`ir::Plan`]), get
 //! rewritten by a pipeline of semantics-preserving optimizer passes
 //! ([`passes`]), and execute as a physical plan ([`physical::Physical`])
-//! whose operators bind to the existing interned/pooled runtime kernels.
+//! whose operators bind to the existing interned runtime kernels.
 //! Because the kernels already thread the [`no_object::Governor`] at every
 //! accounting site, planned evaluation draws the same fuel and trips with
 //! the same structured errors as the legacy tree-walk path — which is
@@ -441,14 +441,31 @@ impl Planned {
         )
     }
 
-    /// Execute on an instance (see [`Physical::execute`]).
+    /// [`Physical::execute`] with an ignored third argument, kept only so
+    /// the benchmark's trace replay builds; ROADMAP item 1(b)'s
+    /// benchmark-only PR deletes it.
+    #[doc(hidden)]
     pub fn execute(
         &self,
         instance: &Instance,
         governor: &Governor,
-        pool: &minipool::ThreadPool,
+        _pool: &ThreadPool,
     ) -> Result<Output, PlanError> {
-        self.physical.execute(instance, governor, pool)
+        self.physical.execute(instance, governor)
+    }
+}
+
+/// An inert stand-in for the worker pool evaluation no longer takes,
+/// kept only so the benchmark's trace replay builds; ROADMAP item 1(b)'s
+/// benchmark-only PR deletes it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct ThreadPool;
+
+impl ThreadPool {
+    /// Ignores `threads`: a request runs on one thread.
+    pub fn new(_threads: usize) -> ThreadPool {
+        ThreadPool
     }
 }
 
@@ -517,8 +534,11 @@ mod tests {
         let planner = Planner::new(&schema).with_instance(&inst);
         let planned = planner.plan_calc(&q, CalcMode::Safe).unwrap();
         let gov = Governor::unlimited();
-        let pool = minipool::ThreadPool::sequential();
-        let rel = planned.execute(&inst, &gov, &pool).unwrap().into_relation();
+        let rel = planned
+            .physical
+            .execute(&inst, &gov)
+            .unwrap()
+            .into_relation();
         assert_eq!(rel.len(), 2);
         // The conjunctive query takes the columnar path...
         assert!(matches!(planned.physical, Physical::Exec { .. }));
@@ -528,7 +548,11 @@ mod tests {
             .plan_calc(&q, CalcMode::Safe)
             .unwrap();
         assert!(oracle.render_text().contains("range x ← rule 1"));
-        let orel = oracle.execute(&inst, &gov, &pool).unwrap().into_relation();
+        let orel = oracle
+            .physical
+            .execute(&inst, &gov)
+            .unwrap()
+            .into_relation();
         assert_eq!(rel, orel, "columnar and oracle plans agree");
     }
 
@@ -544,7 +568,6 @@ mod tests {
             ]),
         );
         let gov = Governor::unlimited();
-        let pool = minipool::ThreadPool::sequential();
         let planned = Planner::new(&schema)
             .with_instance(&inst)
             .plan_calc(&q, CalcMode::Safe)
@@ -557,14 +580,19 @@ mod tests {
             .header
             .iter()
             .any(|h| h.contains("union of conjunctive plans")));
-        let rel = planned.execute(&inst, &gov, &pool).unwrap().into_relation();
+        let rel = planned
+            .physical
+            .execute(&inst, &gov)
+            .unwrap()
+            .into_relation();
         // edges (a,b),(b,c) plus their reversals = 4 rows
         assert_eq!(rel.len(), 4);
         // the tree-walk oracle agrees
         let baseline = Planner::oracle(&schema)
             .plan_calc(&q, CalcMode::Safe)
             .unwrap()
-            .execute(&inst, &gov, &pool)
+            .physical
+            .execute(&inst, &gov)
             .unwrap()
             .into_relation();
         assert_eq!(rel, baseline);
@@ -584,8 +612,11 @@ mod tests {
         for mode in [CalcMode::ActiveDomain, CalcMode::Safe] {
             let planned = planner.plan_calc(&q, mode).unwrap();
             let gov = Governor::unlimited();
-            let pool = minipool::ThreadPool::sequential();
-            let rel = planned.execute(&inst, &gov, &pool).unwrap().into_relation();
+            let rel = planned
+                .physical
+                .execute(&inst, &gov)
+                .unwrap()
+                .into_relation();
             assert_eq!(rel.len(), 1, "only the edge out of atom 0");
         }
     }
@@ -626,8 +657,11 @@ mod tests {
             _ => unreachable!(),
         }
         let gov = Governor::unlimited();
-        let pool = minipool::ThreadPool::sequential();
-        let rel = planned.execute(&inst, &gov, &pool).unwrap().into_relation();
+        let rel = planned
+            .physical
+            .execute(&inst, &gov)
+            .unwrap()
+            .into_relation();
         // G(1,2) ∧ E(2) ∧ ¬G(2,1): row must come back as (x=1, y=2), not
         // permuted.
         let row = rel.iter().next().unwrap().clone();
@@ -636,7 +670,8 @@ mod tests {
         let oracle = Planner::oracle(&schema2)
             .plan_calc(&q, CalcMode::Safe)
             .unwrap()
-            .execute(&inst, &gov, &pool)
+            .physical
+            .execute(&inst, &gov)
             .unwrap()
             .into_relation();
         assert_eq!(rel, oracle);

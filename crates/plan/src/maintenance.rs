@@ -1,7 +1,7 @@
 //! Maintenance planning for incremental view maintenance.
 //!
 //! [`plan_maintenance`] splits a stratified Datalog¬ program into strata,
-//! mirroring `no_datalog::eval_stratified_pooled` (lower strata are
+//! mirroring `no_datalog::eval_stratified_interned` (lower strata are
 //! frozen inputs, so negation only consults finished relations), and
 //! gives each stratum a maintenance strategy:
 //!
@@ -97,7 +97,7 @@ impl MaintenancePlan {
 
 /// Plan incremental maintenance for a stratified Datalog¬ program.
 ///
-/// Mirrors `no_datalog::eval_stratified_pooled`: the program is validated
+/// Mirrors `no_datalog::eval_stratified_interned`: the program is validated
 /// and stratified once, and each stratum gets the strategy its shape
 /// forces. Fails with [`PlanError::Stratify`] when the program has a
 /// negative cycle and with [`PlanError::Datalog`] when it doesn't

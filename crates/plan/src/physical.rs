@@ -243,15 +243,9 @@ fn restore_columns(rel: Relation, perm: &[usize]) -> Relation {
 }
 
 impl Physical {
-    /// Execute the plan on an instance, drawing from `governor` and
-    /// fanning hot loops over `pool` — the same contract as every legacy
-    /// engine entry point.
-    pub fn execute(
-        &self,
-        instance: &Instance,
-        governor: &Governor,
-        pool: &minipool::ThreadPool,
-    ) -> Result<Output, PlanError> {
+    /// Execute the plan on an instance, drawing from `governor` — the
+    /// same contract as every engine entry point.
+    pub fn execute(&self, instance: &Instance, governor: &Governor) -> Result<Output, PlanError> {
         match self {
             Physical::Calc {
                 query,
@@ -261,8 +255,7 @@ impl Physical {
                 pins,
             } => {
                 let order = active_order(instance, query);
-                let mut ev = Evaluator::with_governor(instance, order, governor.clone())
-                    .with_pool(pool.clone());
+                let mut ev = Evaluator::with_governor(instance, order, governor.clone());
                 match mode {
                     CalcMode::ActiveDomain => {
                         if !pins.is_empty() {
@@ -298,37 +291,35 @@ impl Physical {
                 Ok(Output::Relation(Answer::intern(&rel, &Interner::new())))
             }
             Physical::Algebra { expr } => {
-                let (rel, arena) = no_algebra::eval_interned(expr, instance, governor, pool)?;
+                let (rel, arena) = no_algebra::eval_interned(expr, instance, governor)?;
                 let arity = expr.output_types(instance.schema())?.len();
                 Ok(Output::Relation(Answer::from_ids(&rel, arity, arena)))
             }
             Physical::Datalog { program, mode } => match mode {
                 DatalogMode::SemiNaive => {
                     let (idb, stats) =
-                        eval_interned(program, instance, Strategy::SemiNaive, governor, pool)
+                        eval_interned(program, instance, Strategy::SemiNaive, governor)
                             .map_err(PlanError::Datalog)?;
                     Ok(Output::Idb(answers(program, &idb), Some(stats)))
                 }
                 DatalogMode::Stratified => {
-                    let idb = eval_stratified_interned(program, instance, governor, pool)
+                    let idb = eval_stratified_interned(program, instance, governor)
                         .map_err(PlanError::Stratify)?;
                     Ok(Output::Idb(answers(program, &idb), None))
                 }
             },
             Physical::Ifp { program, result } => {
                 // A trip is a CALC trip: the caller asked a CALC question.
-                let (idb, _) =
-                    eval_interned(program, instance, Strategy::SemiNaive, governor, pool).map_err(
-                        |e| match e {
-                            ProgramError::Resource(r) => PlanError::Calc(EvalError::Resource(r)),
-                            other => PlanError::Datalog(other),
-                        },
-                    )?;
+                let (idb, _) = eval_interned(program, instance, Strategy::SemiNaive, governor)
+                    .map_err(|e| match e {
+                        ProgramError::Resource(r) => PlanError::Calc(EvalError::Resource(r)),
+                        other => PlanError::Datalog(other),
+                    })?;
                 Ok(Output::Relation(answer(program, &idb, result)))
             }
             Physical::Exec { plan, origin } => {
                 let answer =
-                    no_exec::execute(plan, instance, governor, pool).map_err(|r| match origin {
+                    no_exec::execute(plan, instance, governor).map_err(|r| match origin {
                         ExecOrigin::Calc => PlanError::Calc(EvalError::Resource(r)),
                         ExecOrigin::Algebra => PlanError::Algebra(AlgebraError::Resource(r)),
                     })?;

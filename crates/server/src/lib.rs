@@ -313,27 +313,41 @@ impl Metrics {
 /// A connection's write half, shared between its executor thread (reply
 /// lines) and publishers on other connections (push lines). Every line
 /// is written and flushed under the lock, so replies and pushes
-/// interleave only at line granularity.
-type SharedWriter = Arc<Mutex<BufWriter<TcpStream>>>;
+/// interleave only at line granularity. The server's connections write
+/// to their sockets; the concheck corpus's write to memory.
+type SharedWriter<W = BufWriter<TcpStream>> = Arc<Mutex<W>>;
+
+/// A connection's [`SharedWriter`], in the lock class lockdep knows it by.
+fn conn_writer<W>(w: W) -> SharedWriter<W> {
+    Arc::new(Mutex::new_named("server.conn_writer", w))
+}
 
 /// The server-wide fan-out table: view name → subscribed connections.
 /// The handler decides whether a subscribe is valid (the view must
-/// exist); this table only routes deltas. Lock order is
-/// `server.subscriptions` → `server.conn_writer`, never the reverse —
-/// publishers snapshot the target writers and write outside the table
-/// lock.
-struct Subscriptions {
-    table: Mutex<BTreeMap<String, Vec<(u64, SharedWriter)>>>,
+/// exist); this table only routes deltas. The shipped code never holds
+/// `server.subscriptions` and a `server.conn_writer` at once: publishers
+/// snapshot the target writers and write outside the table lock.
+struct Subscriptions<W = BufWriter<TcpStream>> {
+    table: Mutex<BTreeMap<String, Subscribers<W>>>,
 }
 
-impl Subscriptions {
-    fn new() -> Subscriptions {
+/// One view's subscribed connections: id and write half.
+type Subscribers<W> = Vec<(u64, SharedWriter<W>)>;
+
+impl<W: Write> Subscriptions<W> {
+    fn new() -> Subscriptions<W> {
         Subscriptions {
             table: Mutex::new_named("server.subscriptions", BTreeMap::new()),
         }
     }
 
-    fn subscribe(&self, view: &str, conn: u64, writer: SharedWriter) {
+    fn subscribe(&self, view: &str, conn: u64, writer: SharedWriter<W>) {
+        // The planted bug: register while holding the connection's
+        // writer (`server.conn_writer` → `server.subscriptions`).
+        #[cfg(feature = "concheck")]
+        let acking = concheck::planted().then(|| Arc::clone(&writer));
+        #[cfg(feature = "concheck")]
+        let _ack = acking.as_ref().map(|w| w.lock());
         let mut t = self.table.lock();
         let subs = t.entry(view.to_string()).or_default();
         if !subs.iter().any(|(id, _)| *id == conn) {
@@ -365,7 +379,7 @@ impl Subscriptions {
     /// subscriber whose socket is dead is dropped from the table.
     fn publish(&self, deltas: &[DeltaOut], from_conn: u64) {
         for delta in deltas {
-            let targets: Vec<(u64, SharedWriter)> = {
+            let targets: Subscribers<W> = {
                 let t = self.table.lock();
                 match t.get(&delta.view) {
                     Some(subs) => subs
@@ -388,18 +402,83 @@ impl Subscriptions {
             let mut line = push.to_json();
             line.push('\n');
             let mut dead = Vec::new();
-            for (id, writer) in &targets {
-                let mut w = writer.lock();
-                if w.write_all(line.as_bytes())
-                    .and_then(|()| w.flush())
-                    .is_err()
-                {
-                    dead.push(*id);
+            {
+                // The planted bug's other half: write under the table
+                // lock (`server.subscriptions` → `server.conn_writer`).
+                #[cfg(feature = "concheck")]
+                let _table = concheck::planted().then(|| self.table.lock());
+                for (id, writer) in &targets {
+                    let mut w = writer.lock();
+                    if w.write_all(line.as_bytes())
+                        .and_then(|()| w.flush())
+                        .is_err()
+                    {
+                        dead.push(*id);
+                    }
                 }
             }
             for id in dead {
                 self.unsubscribe(&delta.view, id);
             }
+        }
+    }
+}
+
+/// The concurrency sanitizer's hold on the fan-out table (DESIGN.md
+/// §16), compiled only with `--features concheck`: connections that
+/// write to memory, and a planted ABBA on the table and writer locks
+/// that lockdep and the model checker must both convict.
+#[cfg(feature = "concheck")]
+pub mod concheck {
+    use super::{conn_writer, SharedWriter, Subscriptions};
+    use conc::AtomicBool;
+    use no_proto::DeltaOut;
+    use std::sync::atomic::Ordering;
+
+    static PLANTED: AtomicBool = AtomicBool::new(false);
+
+    /// Plant (or remove) the inverted lock order: `subscribe` registers
+    /// while holding the subscriber's writer, and `publish` writes while
+    /// holding the table.
+    pub fn set_planted_abba(on: bool) {
+        PLANTED.store(on, Ordering::SeqCst);
+    }
+
+    pub(crate) fn planted() -> bool {
+        PLANTED.load(Ordering::SeqCst)
+    }
+
+    /// A connection's write half, writing to memory.
+    pub type Writer = SharedWriter<Vec<u8>>;
+
+    /// The server's subscription table over in-memory connections.
+    pub struct Fanout(Subscriptions<Vec<u8>>);
+
+    impl Default for Fanout {
+        fn default() -> Self {
+            Fanout(Subscriptions::new())
+        }
+    }
+
+    impl Fanout {
+        /// A new connection's writer.
+        pub fn connection() -> Writer {
+            conn_writer(Vec::new())
+        }
+
+        /// Connection `conn` subscribes to `view`.
+        pub fn subscribe(&self, view: &str, conn: u64, writer: &Writer) {
+            self.0.subscribe(view, conn, Writer::clone(writer));
+        }
+
+        /// Connection `from_conn` changes `view`: push an empty delta to
+        /// its other subscribers.
+        pub fn publish(&self, view: &str, from_conn: u64) {
+            let delta = DeltaOut {
+                view: view.to_string(),
+                ..DeltaOut::default()
+            };
+            self.0.publish(&[delta], from_conn);
         }
     }
 }
@@ -551,10 +630,7 @@ fn serve_connection(
             }
         })
     };
-    let out: SharedWriter = Arc::new(Mutex::new_named(
-        "server.conn_writer",
-        BufWriter::new(stream),
-    ));
+    let out: SharedWriter = conn_writer(BufWriter::new(stream));
     while let Ok(line) = rx.recv() {
         let line = line.trim();
         if line.is_empty() {

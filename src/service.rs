@@ -14,7 +14,7 @@ use no_server::{CancelToken, Handler, Server, ServerConfig};
 use std::sync::{Arc, RwLock};
 
 /// The [`Handler`] the nestdb server runs: one shared [`Session`] (store,
-/// plan cache, thread pool) answering every connection's requests.
+/// plan cache) answering every connection's requests.
 #[derive(Debug, Clone)]
 pub struct SessionHandler {
     session: Session,

@@ -1,8 +1,8 @@
 //! The [`Session`] facade: one handle over every evaluation engine, and
 //! the single dispatch point behind the wire protocol.
 //!
-//! A session bundles a [`Governor`] (budgets, cancellation), a
-//! [`ThreadPool`] (parallelism), a plan cache, and a shared [`Store`]
+//! A session bundles a [`Governor`] (budgets, cancellation), a plan
+//! cache, and a shared [`Store`]
 //! (universe + instance + optional durable [`Db`]). Every caller surface —
 //! the shell, the `nestdb` CLI subcommands, the TCP server, embeddings —
 //! reduces its work to one serializable [`Request`] and calls
@@ -12,7 +12,7 @@
 //! use nestdb::Session;
 //! use no_proto::{Lang, Request};
 //!
-//! let session = Session::builder().parallelism(4).build();
+//! let session = Session::builder().build();
 //! let r = session.run(&Request {
 //!     op: no_proto::Op::Insert,
 //!     text: "schema G(U, U).".into(),
@@ -43,7 +43,6 @@
 
 use crate::error::Error;
 use crate::reply;
-use minipool::ThreadPool;
 use no_algebra::Expr;
 use no_core::Query;
 use no_datalog::Program;
@@ -63,19 +62,6 @@ use std::time::{Duration, Instant};
 
 /// How many plans a session keeps in its LRU plan cache.
 pub const PLAN_CACHE_CAPACITY: usize = 64;
-
-/// Environment variable consulted for the default worker count when
-/// [`SessionBuilder::parallelism`] is not called. Unset, unparsable, or
-/// zero values fall back to `1` (sequential).
-pub const THREADS_ENV: &str = "NESTDB_THREADS";
-
-fn default_parallelism() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
 
 // ---------------------------------------------------------------------------
 // Store
@@ -344,7 +330,6 @@ impl Store {
 pub struct SessionBuilder {
     limits: Option<Limits>,
     governor: Option<Governor>,
-    parallelism: Option<usize>,
     sync_policy: SyncPolicy,
     store: Option<Arc<RwLock<Store>>>,
     plans: Option<Arc<Mutex<PlanCache<Planned>>>>,
@@ -366,13 +351,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Number of worker threads for the enumeration-heavy evaluation
-    /// loops. `1` (the default) evaluates exactly as the sequential
-    /// engines always have; values above `1` fan hot loops out over a
-    /// work-stealing pool. When not set, the [`THREADS_ENV`] environment
-    /// variable is consulted.
-    pub fn parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = Some(threads.max(1));
+    /// Ignores `threads`: a request runs on one thread. Kept only so the
+    /// benchmark's trace replay builds; ROADMAP item 1(b)'s benchmark-only
+    /// PR deletes it.
+    #[doc(hidden)]
+    pub fn parallelism(self, _threads: usize) -> Self {
         self
     }
 
@@ -405,10 +388,8 @@ impl SessionBuilder {
         let governor = self
             .governor
             .unwrap_or_else(|| Governor::new(self.limits.unwrap_or_else(Limits::unlimited)));
-        let pool = ThreadPool::new(self.parallelism.unwrap_or_else(default_parallelism));
         Session {
             governor,
-            pool,
             plans: self
                 .plans
                 .unwrap_or_else(|| Arc::new(Mutex::new(PlanCache::new(PLAN_CACHE_CAPACITY)))),
@@ -421,14 +402,12 @@ impl SessionBuilder {
 }
 
 /// A configured handle over all evaluation engines: one [`Governor`]
-/// (shared budget, cancellation), one [`ThreadPool`] (parallelism), one
-/// plan cache, and one shared [`Store`], applied uniformly to CALC,
+/// (shared budget, cancellation), one plan cache, and one shared [`Store`], applied uniformly to CALC,
 /// Datalog¬ (inflationary and stratified), and the algebra.
 /// [`Session::run`] is the protocol entry point.
 #[derive(Debug, Clone)]
 pub struct Session {
     governor: Governor,
-    pool: ThreadPool,
     /// LRU cache of compiled plans, keyed on normalized query text plus a
     /// schema fingerprint. Shared by clones of this session, and across
     /// sessions when built with [`SessionBuilder::plan_cache`].
@@ -457,11 +436,6 @@ impl Session {
         &self.governor
     }
 
-    /// The configured worker count.
-    pub fn parallelism(&self) -> usize {
-        self.pool.threads()
-    }
-
     /// The shared store handle.
     pub fn store(&self) -> Arc<RwLock<Store>> {
         Arc::clone(&self.store)
@@ -473,24 +447,11 @@ impl Session {
         Arc::clone(&self.plans)
     }
 
-    /// This session with a different governor — same pool, plan cache,
-    /// store, and sync policy. Construction is a few `Arc` clones.
+    /// This session with a different governor — same plan cache, store,
+    /// and sync policy. Construction is a few `Arc` clones.
     pub fn with_governor(&self, governor: Governor) -> Session {
         Session {
             governor,
-            pool: self.pool.clone(),
-            plans: Arc::clone(&self.plans),
-            sync_policy: self.sync_policy,
-            store: Arc::clone(&self.store),
-        }
-    }
-
-    /// This session with a different worker count — same governor, plan
-    /// cache, store, and sync policy.
-    pub fn with_parallelism(&self, threads: usize) -> Session {
-        Session {
-            governor: self.governor.clone(),
-            pool: ThreadPool::new(threads.max(1)),
             plans: Arc::clone(&self.plans),
             sync_policy: self.sync_policy,
             store: Arc::clone(&self.store),
@@ -647,7 +608,7 @@ impl Session {
         let instance = store.instance();
         let output = self
             .compile(instance, source, req.planned)
-            .and_then(|plan| Ok(plan.execute(instance, &self.governor, &self.pool)?));
+            .and_then(|plan| Ok(plan.physical.execute(instance, &self.governor)?));
         match output {
             Ok(output) => Response {
                 analysis,
@@ -1416,21 +1377,17 @@ mod tests {
 
     #[test]
     fn session_runs_every_engine() {
-        let base = graph_session(&[("a", "b"), ("b", "c")]);
-        for threads in [1, 4] {
-            let s = base.with_parallelism(threads);
-            assert_eq!(s.parallelism(), threads);
-            assert_eq!(rows(&s, &calc(Mode::Fast, EDGES), "result"), 2);
-            assert_eq!(rows(&s, &calc(Mode::Safe, EDGES), "result"), 2);
-            for strategy in [
-                no_proto::Strategy::SemiNaive,
-                no_proto::Strategy::Stratified,
-            ] {
-                assert_eq!(rows(&s, &tc(strategy), "tc"), 3);
-            }
-            let e = Request::eval(Lang::Algebra, "select[eq(1, 1)](G)");
-            assert_eq!(rows(&s, &e, "result"), 2);
+        let s = graph_session(&[("a", "b"), ("b", "c")]);
+        assert_eq!(rows(&s, &calc(Mode::Fast, EDGES), "result"), 2);
+        assert_eq!(rows(&s, &calc(Mode::Safe, EDGES), "result"), 2);
+        for strategy in [
+            no_proto::Strategy::SemiNaive,
+            no_proto::Strategy::Stratified,
+        ] {
+            assert_eq!(rows(&s, &tc(strategy), "tc"), 3);
         }
+        let e = Request::eval(Lang::Algebra, "select[eq(1, 1)](G)");
+        assert_eq!(rows(&s, &e, "result"), 2);
     }
 
     #[test]
@@ -1465,7 +1422,6 @@ mod tests {
                 max_steps: 0,
                 ..Limits::unlimited()
             })
-            .parallelism(4)
             .store(graph_store(&[("a", "b")]))
             .build();
         for (lang, text) in [

@@ -39,23 +39,18 @@ pub struct Shell {
     session: Session,
     config: EvalConfig,
     active_domain: bool,
-    threads: usize,
 }
 
 impl Shell {
     /// A fresh shell with an empty database.
     pub fn new() -> Self {
         let store = Arc::new(RwLock::new(Store::new()));
-        let session = Session::builder()
-            .store(Arc::clone(&store))
-            .parallelism(1)
-            .build();
+        let session = Session::builder().store(Arc::clone(&store)).build();
         Shell {
             store,
             session,
             config: EvalConfig::default(),
             active_domain: false,
-            threads: 1,
         }
     }
 
@@ -292,7 +287,7 @@ impl Shell {
 
     /// `:check` — static analysis only. The argument is a `.dl` file path
     /// (Datalog¬) or inline CALC query text. Never evaluates, so it works
-    /// under any budget and any `:threads` setting.
+    /// under any budget.
     fn check_input(&mut self, arg: &str) -> Result<String, String> {
         if arg.is_empty() {
             return Err(":check needs a query or a .dl file (try :help)".to_string());
@@ -483,18 +478,6 @@ impl Shell {
                     }
                     Err(_) => Err(format!("not a number of milliseconds: {arg}")),
                 },
-                "threads" => match arg.parse::<usize>() {
-                    Ok(n) if n >= 1 => {
-                        self.threads = n;
-                        self.session = self.session.with_parallelism(n);
-                        Ok(Some(format!(
-                            "worker threads set to {n}{}",
-                            if n == 1 { " (sequential)" } else { "" }
-                        )))
-                    }
-                    Ok(_) => Err("need at least 1 thread".to_string()),
-                    Err(_) => Err(format!("not a thread count: {arg}")),
-                },
                 "mem" => match arg.parse::<u64>() {
                     Ok(0) => {
                         self.config.max_memory_bytes = u64::MAX;
@@ -551,7 +534,6 @@ commands:
   :budget <n>        set the quantifier-range budget
   :deadline <ms>     wall-clock limit per evaluation (0 = unlimited)
   :mem <bytes>       memory budget for materialised values (0 = unlimited)
-  :threads <n>       worker threads for parallel evaluation (1 = sequential)
   :help  :quit";
 
 impl Default for Shell {
@@ -585,6 +567,10 @@ mod tests {
         let mut sh = loaded_shell();
         let out = sh.command("{[x:U, y:U] | G(x, y)}").unwrap().unwrap();
         assert!(out.contains("3 rows"), "{out}");
+        sh.command(":active").unwrap();
+        let out = sh.command("{[x:U, y:U] | G(x, y)}").unwrap().unwrap();
+        assert!(out.contains("3 rows"), "{out}");
+        sh.command(":active").unwrap();
         let schema = sh.command(":schema").unwrap().unwrap();
         assert!(schema.contains("G(U, U)"), "{schema}");
         assert!(schema.contains("<0,0>-database schema"), "{schema}");
@@ -726,7 +712,6 @@ mod tests {
             ":budget",
             ":deadline",
             ":mem",
-            ":threads",
         ] {
             assert!(h.contains(cmd), "{h}");
         }
@@ -782,7 +767,6 @@ mod tests {
         let mut sh = loaded_shell();
         // zero fuel: evaluation would trip instantly, analysis must not
         sh.config.max_steps = 0;
-        sh.command(":threads 4").unwrap();
         let out = sh
             .command(":check {[x:U, y:U] | G(x, y)}")
             .unwrap()
@@ -888,25 +872,5 @@ mod tests {
         assert!(err.contains("corrupt"), "{err}");
         assert!(err.contains("checksum"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn threads_command_controls_parallelism() {
-        let mut sh = loaded_shell();
-        let out = sh.command(":threads 4").unwrap().unwrap();
-        assert!(out.contains('4'), "{out}");
-        assert_eq!(sh.threads, 4);
-        assert_eq!(sh.session.parallelism(), 4);
-        // queries and datalog still give the same answers at 4 workers
-        let out = sh.command("{[x:U, y:U] | G(x, y)}").unwrap().unwrap();
-        assert!(out.contains("3 rows"), "{out}");
-        sh.command(":active").unwrap();
-        let out = sh.command("{[x:U, y:U] | G(x, y)}").unwrap().unwrap();
-        assert!(out.contains("3 rows"), "{out}");
-        sh.command(":active").unwrap();
-        let out = sh.command(":threads 1").unwrap().unwrap();
-        assert!(out.contains("sequential"), "{out}");
-        assert!(sh.command(":threads 0").is_err());
-        assert!(sh.command(":threads many").is_err());
     }
 }

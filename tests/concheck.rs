@@ -1,9 +1,9 @@
 //! The concurrency-sanitizer scenario corpus.
 //!
 //! Each test closes over one concurrent interaction of the runtime
-//! substrate (the work-stealing pool, the interner, the governor's
-//! fault/counter machinery, the server's admission buckets and cancel
-//! tokens) and drives it through `conc::sched::explore`: every
+//! substrate (the interner, the governor's fault/counter machinery, the
+//! server's admission buckets, subscription fan-out and cancel tokens)
+//! and drives it through `conc::sched::explore`: every
 //! instrumented lock/atomic operation becomes a scheduling point, and
 //! the invariants in the closure are asserted on *every* explored
 //! interleaving. A failure prints a `CC00x` diagnostic plus a replay
@@ -24,13 +24,13 @@
 
 use conc::lockdep;
 use conc::sched::{self, ExploreOpts, Replay};
-use minipool::ThreadPool;
 use no_exec::Resident;
 use no_object::atom::Atom;
 use no_object::governor::{BudgetKind, Governor};
 use no_object::intern::Interner;
 use no_object::{Instance, RelationSchema, Schema, Type, Value};
 use no_server::admission::TokenBuckets;
+use no_server::concheck::{set_planted_abba, Fanout};
 use no_server::CancelToken;
 use std::sync::atomic::{AtomicUsize as StdAtomicUsize, Ordering};
 use std::sync::Arc;
@@ -285,82 +285,53 @@ fn governor_fault_trips_exactly_once_across_racing_workers() {
 }
 
 // ---------------------------------------------------------------------------
-// minipool: stealing, and cancellation at a steal point
+// The planted bug: an ABBA on the subscription table and a writer
 // ---------------------------------------------------------------------------
 
-/// Two workers where one runs dry and steals from the other: results
-/// must come back complete and in input order on every schedule, and
-/// the (fixed) drop-own-guard-before-stealing discipline must never
-/// deadlock.
-#[test]
-fn minipool_two_workers_stealing_is_clean() {
-    let _g = serial();
-    let scenario = || {
-        let pool = ThreadPool::new(2);
-        let out = pool
-            .try_map(vec![0usize, 1, 2], |i| Ok::<usize, ()>(i * 10))
-            .expect("no task errs");
-        assert_eq!(out, vec![0, 10, 20]);
-    };
-    let mut opts = ExploreOpts::exhaustive("minipool-steal", 1);
-    opts.max_schedules = 800;
-    sched::explore(opts, scenario).assert_ok();
-    sched::explore(seeds("minipool-steal", 24, 0x57EA_1001), scenario).assert_ok();
+/// Connection 1 publishes a delta of view `v` to connection 2 while
+/// connection 2 subscribes to view `u`: on every schedule the push
+/// reaches connection 2 exactly once, and both subscriptions stand.
+fn fanout_scenario() {
+    let fan = Fanout::default();
+    let (w1, w2) = (Fanout::connection(), Fanout::connection());
+    fan.subscribe("v", 1, &w1);
+    fan.subscribe("v", 2, &w2);
+    conc::thread::scope(|s| {
+        let fan = &fan;
+        let w2 = &w2;
+        conc::thread::spawn_scoped(s, move || fan.publish("v", 1));
+        conc::thread::spawn_scoped(s, move || fan.subscribe("u", 2, w2));
+        conc::thread::await_children();
+    });
+    assert!(
+        w1.lock().is_empty(),
+        "the publisher gets no push of its own delta"
+    );
+    let pushed = String::from_utf8(w2.lock().clone()).expect("utf-8 lines");
+    assert_eq!(pushed.lines().count(), 1, "one push line: {pushed:?}");
+    assert!(pushed.contains("\"view\":\"v\""), "{pushed}");
 }
-
-/// Every task errors, so the stop flag is raised while the sibling may
-/// be anywhere in its pop-own/steal-sibling sequence. On every schedule
-/// the pool must terminate (a hang would surface as `CC002`/`CC004`)
-/// and report the smallest index it actually executed — worker 0 owns
-/// {0,1} and worker 1 owns {2,3}, so the winner is 0 or 2, never 1 or 3
-/// and never a lost error.
-#[test]
-fn minipool_cancellation_at_a_steal_point_keeps_smallest_error() {
-    let _g = serial();
-    let scenario = || {
-        let pool = ThreadPool::new(2);
-        let out = pool.try_map(vec![0usize, 1, 2, 3], Err::<(), usize>);
-        match out {
-            Err(0) | Err(2) => {}
-            other => panic!("expected the smallest executed index (0 or 2), got {other:?}"),
-        }
-    };
-    let mut opts = ExploreOpts::exhaustive("minipool-cancel-at-steal", 1);
-    opts.max_schedules = 800;
-    sched::explore(opts, scenario).assert_ok();
-    sched::explore(seeds("minipool-cancel-at-steal", 48, 0xCA2C_E105), scenario).assert_ok();
-}
-
-// ---------------------------------------------------------------------------
-// The planted bug: PR 5's ABBA steal order
-// ---------------------------------------------------------------------------
 
 /// Validation that the sanitizer actually catches what it claims to:
-/// re-introduce the pre-PR-5 bug (hold your own deque's guard while
-/// locking a sibling's to steal) behind `set_abba_steal(true)` and
-/// demand that BOTH analyses convict it — lockdep with a `CC001`
-/// held-while-acquiring cycle on `minipool.deque` carrying both sites,
-/// and the model checker with a `CC002` deadlocking schedule that
-/// replays from its printed seed. With the switch off, the same
-/// exploration must be clean and contribute no cycle.
+/// behind `set_planted_abba(true)` the server subscribes while holding
+/// the subscriber's `server.conn_writer` and publishes while holding
+/// `server.subscriptions` — an ABBA the shipped code avoids by never
+/// holding the two at once. BOTH analyses must convict it: lockdep with
+/// a `CC001` cycle through the two classes carrying both witnesses, and
+/// the model checker with a `CC002` deadlocking schedule that replays
+/// from its printed seed. With the switch off, the same exploration
+/// must be clean and contribute no cycle.
 #[test]
-fn planted_abba_steal_is_caught_by_both_analyses() {
+fn planted_abba_fanout_is_caught_by_both_analyses() {
     let _g = serial();
-    let scenario = || {
-        let pool = ThreadPool::new(2);
-        // Both deques non-empty and both workers forced to steal once
-        // their own half runs dry: {0,1} / {2,3}.
-        if let Ok(out) = pool.try_map(vec![0usize, 1, 2, 3], Ok::<usize, ()>) {
-            assert_eq!(out, vec![0, 1, 2, 3]);
-        }
-    };
+    let scenario = fanout_scenario;
 
-    minipool::set_abba_steal(true);
-    let mut opts = seeds("minipool-abba-planted", 64, 0xABBA_0001);
+    set_planted_abba(true);
+    let mut opts = seeds("fanout-abba-planted", 64, 0xABBA_0001);
     opts.preemption_bound = Some(2);
     opts.max_schedules = 1500;
     let res = sched::explore(opts, scenario);
-    minipool::set_abba_steal(false);
+    set_planted_abba(false);
 
     // Analysis 1: the model checker found an actual deadlock.
     let deadlocks: Vec<_> = res
@@ -370,53 +341,57 @@ fn planted_abba_steal_is_caught_by_both_analyses() {
         .collect();
     assert!(
         !deadlocks.is_empty(),
-        "planted ABBA steal must deadlock on some schedule; failures: {:?}",
+        "planted ABBA must deadlock on some schedule; failures: {:?}",
         res.failures
     );
 
     // ... and the failure is reproducible from its printed seed.
-    if let Some(f) = deadlocks
+    let seed = deadlocks
         .iter()
-        .find(|f| matches!(f.replay, Replay::Seed(_)))
-    {
-        let Replay::Seed(seed) = f.replay else {
-            unreachable!()
-        };
-        minipool::set_abba_steal(true);
-        let replayed = sched::explore(ExploreOpts::replay("minipool-abba-replay", seed), scenario);
-        minipool::set_abba_steal(false);
-        assert!(
-            replayed.failures.iter().any(|f| f.diag.code == "CC002"),
-            "seed {seed:#x} must reproduce the deadlock"
-        );
-    }
+        .find_map(|f| match f.replay {
+            Replay::Seed(seed) => Some(seed),
+            _ => None,
+        })
+        .expect("random exploration reports seed replays");
+    set_planted_abba(true);
+    let replayed = sched::explore(ExploreOpts::replay("fanout-abba-replay", seed), scenario);
+    set_planted_abba(false);
+    assert!(
+        replayed.failures.iter().any(|f| f.diag.code == "CC002"),
+        "seed {seed:#x} must reproduce the deadlock"
+    );
 
     // Analysis 2: lockdep convicts the ordering statically — a
-    // minipool.deque → minipool.deque cycle with both sites on record —
-    // even on schedules that happened not to deadlock.
+    // server.subscriptions ⇄ server.conn_writer cycle with both
+    // acquisitions on record — even on schedules that did not deadlock.
     let cycles = lockdep::cycles_in(&res.new_edges);
     let cc001 = cycles
         .iter()
-        .find(|d| d.code == "CC001" && d.message.contains("minipool.deque"))
-        .unwrap_or_else(|| panic!("expected a CC001 cycle on minipool.deque, got {cycles:?}"));
+        .find(|d| {
+            d.code == "CC001"
+                && d.message.contains("server.subscriptions")
+                && d.message.contains("server.conn_writer")
+        })
+        .unwrap_or_else(|| panic!("expected a CC001 cycle on the fan-out locks, got {cycles:?}"));
     assert!(
-        !cc001.witnesses.is_empty(),
-        "the cycle must carry held/acquired witnesses"
+        cc001.witnesses.len() >= 2,
+        "the cycle must carry a witness for each direction: {:?}",
+        cc001.witnesses
     );
 
     // Scrub the planted edges so later corpus tests (and the final graph
     // dump) see only the shipped code's ordering.
     lockdep::reset();
 
-    // Fixed version: the identical exploration is clean and adds no cycle.
-    let mut opts = seeds("minipool-abba-fixed", 64, 0xABBA_0002);
+    // Shipped order: the identical exploration is clean and adds no cycle.
+    let mut opts = seeds("fanout-abba-shipped", 64, 0xABBA_0002);
     opts.preemption_bound = Some(2);
     opts.max_schedules = 1500;
-    let fixed = sched::explore(opts, scenario);
-    fixed.assert_ok();
+    let shipped = sched::explore(opts, scenario);
+    shipped.assert_ok();
     assert!(
-        lockdep::cycles_in(&fixed.new_edges).is_empty(),
-        "the shipped steal order must contribute zero cycles"
+        lockdep::cycles_in(&shipped.new_edges).is_empty(),
+        "the shipped fan-out must contribute zero cycles"
     );
 }
 

@@ -12,7 +12,9 @@
 //!
 //! The second half repeats the exercise under starvation budgets: all
 //! engines must trip with a structured [`ResourceError`] — no panics, no
-//! hangs, no engine quietly returning a truncated answer.
+//! hangs, no engine quietly returning a truncated answer. Requests on
+//! different threads share a session's governor, so its fuel, faults and
+//! cancellation are checked across threads too.
 
 mod common;
 
@@ -21,17 +23,18 @@ use nestdb::algebra::{self, AlgebraError, Expr, Pred};
 use nestdb::core::error::{EvalConfig, EvalError};
 use nestdb::core::eval::{active_order, eval_query_with, Evaluator};
 use nestdb::core::print::Printer;
-use nestdb::core::ranges::{compute_ranges, safe_eval, safe_eval_governed, safe_eval_pooled};
+use nestdb::core::ranges::{compute_ranges, safe_eval, safe_eval_governed};
 use nestdb::core::{rr, typeck, Query};
 use nestdb::datalog::{
-    self, eval_governed, eval_simultaneous, eval_simultaneous_pooled, eval_stratified_governed,
-    eval_stratified_pooled, DTerm, Idb, Literal, Program, ProgramError, SimEvalError, Strategy,
-    StratifyError,
+    self, eval_governed, eval_simultaneous, eval_stratified_governed, DTerm, Idb, Literal, Program,
+    ProgramError, SimEvalError, Strategy, StratifyError,
 };
-use nestdb::object::{AtomOrder, Governor, Instance, Limits, Relation, Type, Universe, Value};
+use nestdb::object::{
+    AtomOrder, BudgetKind, Governor, Instance, Limits, Relation, Type, Universe, Value,
+};
 use nestdb::plan::{CalcMode, DatalogMode, Planner};
 use nestdb::proto::{Lang, Mode, Request, Strategy as WireStrategy};
-use nestdb::{Session, Store, ThreadPool};
+use nestdb::{Session, Store};
 use proptest::prelude::*;
 use std::sync::{Arc, RwLock};
 
@@ -327,13 +330,12 @@ fn oracle_calc(
     q: &Query,
     mode: CalcMode,
     gov: &Governor,
-    pool: &ThreadPool,
 ) -> Result<Relation, EvalError> {
     match mode {
-        CalcMode::ActiveDomain => Evaluator::with_governor(i, active_order(i, q), gov.clone())
-            .with_pool(pool.clone())
-            .query(q),
-        CalcMode::Safe => safe_eval_pooled(i, q, gov, pool),
+        CalcMode::ActiveDomain => {
+            Evaluator::with_governor(i, active_order(i, q), gov.clone()).query(q)
+        }
+        CalcMode::Safe => safe_eval_governed(i, q, gov),
     }
 }
 
@@ -344,14 +346,13 @@ fn oracle_datalog(
     i: &Instance,
     strategy: WireStrategy,
     gov: &Governor,
-    pool: &ThreadPool,
 ) -> (Idb, Option<u64>) {
     match strategy {
         WireStrategy::SemiNaive => {
-            let (idb, stats) = datalog::eval_pooled(p, i, Strategy::SemiNaive, gov, pool).unwrap();
+            let (idb, stats) = eval_governed(p, i, Strategy::SemiNaive, gov).unwrap();
             (idb, Some(stats.rounds as u64))
         }
-        WireStrategy::Stratified => (eval_stratified_pooled(p, i, gov, pool).unwrap(), None),
+        WireStrategy::Stratified => (eval_stratified_governed(p, i, gov).unwrap(), None),
     }
 }
 
@@ -361,83 +362,74 @@ const STRATEGIES: [WireStrategy; 2] = [WireStrategy::SemiNaive, WireStrategy::St
 /// statistics) must return exactly what the engine's free function
 /// returns — for CALC under both semantics (the analyzer pool covers AD
 /// fallbacks, sets, tuples, and fixpoints), the whole algebra operator
-/// suite, and both Datalog¬ strategies — at parallelism 1, 2, and 4.
+/// suite, and both Datalog¬ strategies.
 #[test]
 fn planned_execution_matches_tree_walk_across_all_engines() {
     let gov = Governor::unlimited();
-    for threads in [1usize, 2, 4] {
-        let pool = ThreadPool::new(threads);
-        for edges in graphs() {
-            let (mut u, _o, i) = graph_instance(5, &edges);
-            let planner = Planner::new(i.schema()).with_instance(&i);
-            let served = |planned: nestdb::plan::Planned| planned.execute(&i, &gov, &pool).unwrap();
+    for edges in graphs() {
+        let (mut u, _o, i) = graph_instance(5, &edges);
+        let planner = Planner::new(i.schema()).with_instance(&i);
+        let served = |planned: nestdb::plan::Planned| planned.physical.execute(&i, &gov).unwrap();
 
-            // CALC: the recursive TC query plus the full analyzer pool.
-            let mut queries = vec![tc_query()];
-            for src in analyzer_query_pool() {
-                queries.push(nestdb::core::parse_query(src, &mut u).unwrap());
+        // CALC: the recursive TC query plus the full analyzer pool.
+        let mut queries = vec![tc_query()];
+        for src in analyzer_query_pool() {
+            queries.push(nestdb::core::parse_query(src, &mut u).unwrap());
+        }
+        for q in &queries {
+            for mode in [CalcMode::ActiveDomain, CalcMode::Safe] {
+                let walk = oracle_calc(&i, q, mode, &gov).unwrap();
+                let planned = served(planner.plan_calc(q, mode).unwrap()).into_relation();
+                assert_eq!(walk, planned, "{mode:?} planned diverged");
             }
-            for q in &queries {
-                for mode in [CalcMode::ActiveDomain, CalcMode::Safe] {
-                    let walk = oracle_calc(&i, q, mode, &gov, &pool).unwrap();
-                    let planned = served(planner.plan_calc(q, mode).unwrap()).into_relation();
-                    assert_eq!(
-                        walk, planned,
-                        "{mode:?} planned diverged at {threads} threads"
-                    );
-                }
-            }
+        }
 
-            // Algebra: every operator.
-            for expr in operator_suite() {
-                let walk = algebra::eval_pooled(&expr, &i, &gov, &pool).unwrap();
-                let planned = served(planner.plan_algebra(&expr).unwrap()).into_relation();
-                assert_eq!(walk, planned, "algebra planned diverged on {expr:?}");
-            }
+        // Algebra: every operator.
+        for expr in operator_suite() {
+            let walk = algebra::eval_governed(&expr, &i, &gov).unwrap();
+            let planned = served(planner.plan_algebra(&expr).unwrap()).into_relation();
+            assert_eq!(walk, planned, "algebra planned diverged on {expr:?}");
+        }
 
-            // Datalog¬: both strategies.
-            let p = tc_program();
-            for strategy in STRATEGIES {
-                let mode = match strategy {
-                    WireStrategy::SemiNaive => DatalogMode::SemiNaive,
-                    WireStrategy::Stratified => DatalogMode::Stratified,
-                };
-                let (walk, _) = oracle_datalog(&p, &i, strategy, &gov, &pool);
-                let planned = served(planner.plan_datalog(&p, mode).unwrap()).into_idb();
-                assert_eq!(walk, planned, "{strategy:?} planned diverged");
-            }
+        // Datalog¬: both strategies.
+        let p = tc_program();
+        for strategy in STRATEGIES {
+            let mode = match strategy {
+                WireStrategy::SemiNaive => DatalogMode::SemiNaive,
+                WireStrategy::Stratified => DatalogMode::Stratified,
+            };
+            let (walk, _) = oracle_datalog(&p, &i, strategy, &gov);
+            let planned = served(planner.plan_datalog(&p, mode).unwrap()).into_idb();
+            assert_eq!(walk, planned, "{strategy:?} planned diverged");
         }
     }
 }
 
 /// Section 3's correspondence, checked against the oracles kept for it:
 /// the served semi-naive rounds compute the fixpoint that naive rounds
-/// and the simultaneous-IFP translation compute, at parallelism 1, 2 and
-/// 4. `tc_program`'s only body-only variable is `z`, so that is the
-/// translation's typing.
+/// and the simultaneous-IFP translation compute. `tc_program`'s only
+/// body-only variable is `z`, so that is the translation's typing.
 #[test]
 fn served_rounds_equal_the_section3_oracles() {
     let gov = Governor::unlimited();
     let p = tc_program();
-    for threads in [1usize, 2, 4] {
-        let pool = ThreadPool::new(threads);
-        for edges in graphs() {
-            let (_u, _o, i) = graph_instance(5, &edges);
-            let served = Planner::new(i.schema())
-                .with_instance(&i)
-                .plan_datalog(&p, DatalogMode::SemiNaive)
-                .unwrap()
-                .execute(&i, &gov, &pool)
-                .unwrap()
-                .into_idb();
-            let (naive, _) = datalog::eval_pooled(&p, &i, Strategy::Naive, &gov, &pool).unwrap();
-            let order = AtomOrder::new(i.atoms().into_iter().collect());
-            let typed = [("z", Type::Atom)];
-            let sim = eval_simultaneous_pooled(&p, &typed, &i, order, &gov, &pool).unwrap();
-            let at = format!("at {threads} threads over {edges:?}");
-            assert_eq!(served, naive, "served rounds vs naive oracle {at}");
-            assert_eq!(served, sim, "served rounds vs simultaneous oracle {at}");
-        }
+    for edges in graphs() {
+        let (_u, _o, i) = graph_instance(5, &edges);
+        let served = Planner::new(i.schema())
+            .with_instance(&i)
+            .plan_datalog(&p, DatalogMode::SemiNaive)
+            .unwrap()
+            .physical
+            .execute(&i, &gov)
+            .unwrap()
+            .into_idb();
+        let (naive, _) = eval_governed(&p, &i, Strategy::Naive, &gov).unwrap();
+        let order = AtomOrder::new(i.atoms().into_iter().collect());
+        let typed = [("z", Type::Atom)];
+        let sim = eval_simultaneous(&p, &typed, &i, order, &gov).unwrap();
+        let at = format!("over {edges:?}");
+        assert_eq!(served, naive, "served rounds vs naive oracle {at}");
+        assert_eq!(served, sim, "served rounds vs simultaneous oracle {at}");
     }
 }
 
@@ -474,101 +466,229 @@ const ALGEBRA_TEXTS: [&str; 12] = [
 const TC_TEXT: &str = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
 
 /// This is what labels `planned: false` as the oracle. For every engine,
-/// CALC mode and wire strategy, at parallelism 1, 2 and 4,
-/// `Session::run` with `planned: false` replies with the rows (and
-/// rounds) of the engine's free function. At parallelism 1 it also spends
-/// exactly the steps and bytes a governor handed to that function meters.
+/// CALC mode and wire strategy, `Session::run` with `planned: false`
+/// replies with the rows (and rounds) of the engine's free function, and
+/// spends exactly the steps and bytes a governor handed to that function
+/// meters.
 #[test]
 fn unplanned_run_is_the_free_function_oracle() {
-    for threads in [1usize, 2, 4] {
-        let pool = ThreadPool::new(threads);
-        for edges in graphs() {
-            let (u, _o, i) = graph_instance(5, &edges);
-            let session = Session::builder()
-                .parallelism(threads)
-                .store(Arc::new(RwLock::new(Store::with_data(
-                    u.clone(),
-                    i.clone(),
-                ))))
-                .build();
-            let check = |req: Request, gov: &Governor, want: Vec<(String, Vec<String>)>| {
-                let r = session.run(&req);
-                assert!(r.ok, "{req:?}: {:?}", r.error);
-                let got: Vec<(String, Vec<String>)> = r
-                    .relations
-                    .iter()
-                    .map(|rel| (rel.name.clone(), rel.rows.clone()))
-                    .collect();
-                assert_eq!(got, want, "{req:?} at {threads} threads");
-                if threads == 1 {
-                    let spend = r.spend.unwrap();
-                    let metered = (gov.steps_spent(), gov.mem_spent());
-                    assert_eq!((spend.steps, spend.mem_bytes), metered, "{req:?}");
-                }
-                r.rounds
+    for edges in graphs() {
+        let (u, _o, i) = graph_instance(5, &edges);
+        let session = Session::builder()
+            .store(Arc::new(RwLock::new(Store::with_data(
+                u.clone(),
+                i.clone(),
+            ))))
+            .build();
+        let check = |req: Request, gov: &Governor, want: Vec<(String, Vec<String>)>| {
+            let r = session.run(&req);
+            assert!(r.ok, "{req:?}: {:?}", r.error);
+            let got: Vec<(String, Vec<String>)> = r
+                .relations
+                .iter()
+                .map(|rel| (rel.name.clone(), rel.rows.clone()))
+                .collect();
+            assert_eq!(got, want, "{req:?}");
+            let spend = r.spend.unwrap();
+            let metered = (gov.steps_spent(), gov.mem_spent());
+            assert_eq!((spend.steps, spend.mem_bytes), metered, "{req:?}");
+            r.rounds
+        };
+        let result = |rel: &Relation| vec![("result".to_string(), canon_rows(&u, rel))];
+
+        let mut parsing = u.clone();
+        for text in analyzer_query_pool() {
+            let q = nestdb::core::parse_query(text, &mut parsing).unwrap();
+            // `checked` runs safe evaluation only under a certificate
+            let certified = nestdb::analysis::analyze_calc(i.schema(), text, &mut parsing);
+            let checked = if certified.is_rr_safe() {
+                CalcMode::Safe
+            } else {
+                CalcMode::ActiveDomain
             };
-            let result = |rel: &Relation| vec![("result".to_string(), canon_rows(&u, rel))];
-
-            let mut parsing = u.clone();
-            for text in analyzer_query_pool() {
-                let q = nestdb::core::parse_query(text, &mut parsing).unwrap();
-                // `checked` runs safe evaluation only under a certificate
-                let certified = nestdb::analysis::analyze_calc(i.schema(), text, &mut parsing);
-                let checked = if certified.is_rr_safe() {
-                    CalcMode::Safe
-                } else {
-                    CalcMode::ActiveDomain
-                };
-                for (mode, calc_mode) in [
-                    (Mode::Fast, CalcMode::ActiveDomain),
-                    (Mode::Safe, CalcMode::Safe),
-                    (Mode::Checked, checked),
-                ] {
-                    let gov = Governor::unlimited();
-                    let want = oracle_calc(&i, &q, calc_mode, &gov, &pool).unwrap();
-                    let req = Request {
-                        mode,
-                        planned: false,
-                        ..Request::eval(Lang::Calc, text)
-                    };
-                    check(req, &gov, result(&want));
-                }
-            }
-
-            for text in ALGEBRA_TEXTS {
-                let expr = algebra::parse_expr(text, &mut parsing).unwrap();
+            for (mode, calc_mode) in [
+                (Mode::Fast, CalcMode::ActiveDomain),
+                (Mode::Safe, CalcMode::Safe),
+                (Mode::Checked, checked),
+            ] {
                 let gov = Governor::unlimited();
-                let want = algebra::eval_pooled(&expr, &i, &gov, &pool).unwrap();
+                let want = oracle_calc(&i, &q, calc_mode, &gov).unwrap();
                 let req = Request {
+                    mode,
                     planned: false,
-                    ..Request::eval(Lang::Algebra, text)
+                    ..Request::eval(Lang::Calc, text)
                 };
                 check(req, &gov, result(&want));
             }
+        }
 
-            let p = datalog::parse_program(TC_TEXT, &mut parsing).unwrap();
-            for strategy in STRATEGIES {
-                let gov = Governor::unlimited();
-                let (idb, rounds) = oracle_datalog(&p, &i, strategy, &gov, &pool);
-                let want = idb
-                    .iter()
-                    .map(|(name, rel)| (name.clone(), canon_rows(&u, rel)))
-                    .collect();
-                let req = Request {
-                    strategy,
-                    planned: false,
-                    ..Request::eval(Lang::Datalog, TC_TEXT)
-                };
-                assert_eq!(check(req, &gov, want), rounds, "{strategy:?}");
-            }
-            assert_eq!(parsing.len(), u.len(), "the texts name no new atoms");
-            assert_eq!(
-                session.plan_cache_stats(),
-                (0, 0),
-                "the oracle is never cached"
-            );
+        for text in ALGEBRA_TEXTS {
+            let expr = algebra::parse_expr(text, &mut parsing).unwrap();
+            let gov = Governor::unlimited();
+            let want = algebra::eval_governed(&expr, &i, &gov).unwrap();
+            let req = Request {
+                planned: false,
+                ..Request::eval(Lang::Algebra, text)
+            };
+            check(req, &gov, result(&want));
+        }
+
+        let p = datalog::parse_program(TC_TEXT, &mut parsing).unwrap();
+        for strategy in STRATEGIES {
+            let gov = Governor::unlimited();
+            let (idb, rounds) = oracle_datalog(&p, &i, strategy, &gov);
+            let want = idb
+                .iter()
+                .map(|(name, rel)| (name.clone(), canon_rows(&u, rel)))
+                .collect();
+            let req = Request {
+                strategy,
+                planned: false,
+                ..Request::eval(Lang::Datalog, TC_TEXT)
+            };
+            assert_eq!(check(req, &gov, want), rounds, "{strategy:?}");
+        }
+        assert_eq!(parsing.len(), u.len(), "the texts name no new atoms");
+        assert_eq!(
+            session.plan_cache_stats(),
+            (0, 0),
+            "the oracle is never cached"
+        );
+    }
+}
+
+/// Every engine, driven through `Session::run`, answers on both plans, and
+/// the served plan replies with the oracle's rows: CALC+IFP under both
+/// semantics, both Datalog¬ strategies and the algebra operator suite.
+#[test]
+fn every_engine_answers_alike_on_both_plans() {
+    const TC_CALC: &str =
+        "{[u:U, v:U] | ifp(S; x:U, y:U | G(x, y) \\/ exists z:U (S(x, z) /\\ G(z, y)))(u, v)}";
+    let mut reqs = Vec::new();
+    for mode in [Mode::Fast, Mode::Safe] {
+        reqs.push(Request {
+            mode,
+            ..Request::eval(Lang::Calc, TC_CALC)
+        });
+    }
+    for strategy in STRATEGIES {
+        reqs.push(Request {
+            strategy,
+            ..Request::eval(Lang::Datalog, TC_TEXT)
+        });
+    }
+    for text in ALGEBRA_TEXTS {
+        reqs.push(Request::eval(Lang::Algebra, text));
+    }
+    for edges in graphs() {
+        let (u, _o, i) = graph_instance(5, &edges);
+        let session = Session::builder()
+            .store(Arc::new(RwLock::new(Store::with_data(u, i))))
+            .build();
+        for req in &reqs {
+            let [oracle, served] = [false, true].map(|planned| {
+                let r = session.run(&Request {
+                    planned,
+                    ..req.clone()
+                });
+                assert!(r.ok, "{req:?} planned={planned}: {:?}", r.error);
+                r.relations
+            });
+            assert_eq!(served, oracle, "{req:?} over {edges:?}");
         }
     }
+}
+
+/// A starvation budget trips a session's Datalog¬ request as a structured
+/// resource error on both plans.
+#[test]
+fn resource_trips_are_structured_on_both_plans() {
+    let (u, _order, i) = graph_instance(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]);
+    let s = Session::builder()
+        .limits(Limits {
+            max_steps: 25,
+            ..Limits::unlimited()
+        })
+        .store(Arc::new(RwLock::new(Store::with_data(u, i))))
+        .build();
+    for planned in [false, true] {
+        let r = s.run(&Request {
+            strategy: WireStrategy::SemiNaive,
+            planned,
+            ..Request::eval(Lang::Datalog, TC_TEXT)
+        });
+        let err = r.error.expect("a 25-step budget cannot close a 5-cycle");
+        assert!(err.resource_trip, "planned={planned}: {}", err.message);
+        assert_eq!(err.kind, "resource");
+        assert!(err.message.contains("step fuel"), "{}", err.message);
+    }
+}
+
+#[test]
+fn step_fuel_is_conserved_across_workers() {
+    let g = Governor::new(Limits::unlimited());
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            let g = g.clone();
+            scope.spawn(move || {
+                for _ in 0..1000 {
+                    g.tick("governor.test").unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(g.steps_spent(), 4000);
+}
+
+#[test]
+fn injected_fault_fires_exactly_once_across_workers() {
+    // Four threads hammer the same governor; the armed countdown must
+    // produce exactly one structured error in total — the nth check
+    // fails for exactly one observer, not once per thread.
+    let g = Governor::new(Limits::unlimited());
+    g.trip_after(500, BudgetKind::Memory);
+    let mut trips = 0usize;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let g = g.clone();
+                scope.spawn(move || {
+                    let mut seen = 0usize;
+                    for _ in 0..1000 {
+                        if let Err(e) = g.tick("governor.test") {
+                            assert_eq!(e.budget, BudgetKind::Memory);
+                            seen += 1;
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        for h in handles {
+            trips += h.join().unwrap();
+        }
+    });
+    assert_eq!(trips, 1, "fault must fire exactly once");
+}
+
+#[test]
+fn cancellation_is_observed_by_every_worker() {
+    let g = Governor::new(Limits::unlimited());
+    g.cancel();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let g = g.clone();
+                scope.spawn(move || match g.tick("governor.test") {
+                    Err(e) => e.budget == BudgetKind::Cancelled,
+                    Ok(()) => false,
+                })
+            })
+            .collect();
+        for h in handles {
+            assert!(h.join().unwrap(), "a thread missed the cancellation");
+        }
+    });
 }
 
 /// Under starvation the planned path must trip exactly like the tree-walk
@@ -582,7 +702,6 @@ fn planned_execution_trips_identically_under_starvation() {
     let (_u, _o, i) = graph_instance(5, &edges);
     let q = tc_query();
     let p = tc_program();
-    let pool = minipool::ThreadPool::sequential();
 
     // tree-walk baseline
     let walk_gov = starvation_governor();
@@ -596,7 +715,7 @@ fn planned_execution_trips_identically_under_starvation() {
     let planned = Planner::oracle(i.schema())
         .plan_calc(&q, CalcMode::Safe)
         .unwrap();
-    let plan_err = planned.execute(&i, &plan_gov, &pool).unwrap_err();
+    let plan_err = planned.physical.execute(&i, &plan_gov).unwrap_err();
     let plan_trip = plan_err.resource().expect("the oracle plan must trip too");
     assert_eq!(plan_trip.budget, walk_trip.budget, "budget kinds differ");
     assert_eq!(
@@ -611,7 +730,7 @@ fn planned_execution_trips_identically_under_starvation() {
         .with_instance(&i)
         .plan_calc(&q, CalcMode::Safe)
         .unwrap();
-    let err = planned.execute(&i, &opt_gov, &pool).unwrap_err();
+    let err = planned.physical.execute(&i, &opt_gov).unwrap_err();
     assert_eq!(
         err.resource().expect("optimized plan must trip too").budget,
         walk_trip.budget
@@ -628,7 +747,7 @@ fn planned_execution_trips_identically_under_starvation() {
         .with_instance(&i)
         .plan_datalog(&p, nestdb::plan::DatalogMode::SemiNaive)
         .unwrap();
-    let err = planned.execute(&i, &plan_gov, &pool).unwrap_err();
+    let err = planned.physical.execute(&i, &plan_gov).unwrap_err();
     let trip = err.resource().expect("planned datalog must trip");
     assert_eq!(trip.budget, walk_trip.budget);
     assert_eq!(plan_gov.steps_spent(), walk_gov.steps_spent());

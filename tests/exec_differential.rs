@@ -2,22 +2,20 @@
 //!
 //! The headline property of the exec subsystem: every physical join
 //! algorithm — nested loop, hash (building either side), element index —
-//! computes the *bit-identical* relation, at every parallelism level, as each
-//! other, as a naive reference join written in plain Rust, and as the
-//! legacy tree-walk engines. Canonical column tables (rows sorted by raw
-//! interner id, deduplicated) make "bit-identical" a plain `==`:
-//! algorithm choice and thread count can change only running time, never
-//! a single bit of the answer.
+//! computes the *bit-identical* relation as each other, as a naive
+//! reference join written in plain Rust, and as the legacy tree-walk
+//! engines. Canonical column tables (rows sorted by raw interner id,
+//! deduplicated) make "bit-identical" a plain `==`: algorithm choice can
+//! change only running time, never a single bit of the answer.
 //!
 //! Inputs are property-generated with deliberately nasty shapes — empty
-//! relations, duplicate-heavy small domains, skewed keys — plus a
-//! deterministic large fixture that crosses the parallel-probe threshold
-//! so multi-threaded hash probing really runs. A selection over a product
+//! relations, duplicate-heavy small domains, skewed keys — plus
+//! deterministic large fixtures with thousands of probe rows. A selection over a product
 //! runs inside the join: random predicate trees (`=`, `=`-constant, `∈`,
 //! `⊆`, `¬`, `∧`, `∨`) over set-valued inputs are tested on candidate
 //! pairs, and every applicable algorithm must equal a plain-Rust
-//! `σ(L × R)` with steps independent of thread count, build side and
-//! arena id order. Governor starvation is fuzzed too: under a given
+//! `σ(L × R)` with steps independent of warm or cold scans, build side
+//! and arena id order. Governor starvation is fuzzed too: under a given
 //! budget every algorithm must trip with the same [`BudgetKind`], and a
 //! σ over a product keeps the range cap of the product it replaces.
 //!
@@ -28,7 +26,6 @@
 mod common;
 
 use common::*;
-use minipool::ThreadPool;
 use nestdb::algebra::{AlgebraError, Expr, Pred};
 use nestdb::core::ast::{Formula, Term};
 use nestdb::core::error::EvalConfig;
@@ -100,9 +97,6 @@ fn key_join_algos() -> impl Iterator<Item = JoinAlgo> {
     ALGOS.into_iter().filter(|&a| applicable(a, true, None))
 }
 
-/// Parallelism levels the equivalence must hold at.
-const THREADS: [usize; 3] = [1, 2, 4];
-
 /// An instance with two binary atom relations `L` and `R`.
 fn lr_instance(l: &[(u32, u32)], r: &[(u32, u32)]) -> Instance {
     let schema = Schema::from_relations([
@@ -167,8 +161,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The headline: hash vs merge vs nested-loop agree bit-for-bit with
-    /// each other and with the naive reference at parallelism {1,2,4},
-    /// on small-domain (duplicate-heavy, skewed, possibly empty) inputs.
+    /// each other and with the naive reference, on small-domain (duplicate-heavy, skewed, possibly empty) inputs.
     #[test]
     fn join_algorithms_agree_bitwise(
         l in prop::collection::vec((0u32..6, 0u32..6), 0..40),
@@ -179,28 +172,23 @@ proptest! {
         let mut first: Option<Relation> = None;
         for algo in key_join_algos() {
             let plan = join_plan(algo);
-            for threads in THREADS {
-                let pool = ThreadPool::new(threads);
-                let rel = execute(&plan, &i, &Governor::unlimited(), &pool)
-                    .expect("unlimited execution succeeds")
-                    .to_relation();
-                prop_assert_eq!(
-                    rel_atoms(&rel),
-                    expected.clone(),
-                    "{} at {} threads diverged from the reference",
-                    algo.label(),
-                    threads
-                );
-                match &first {
-                    None => first = Some(rel),
-                    Some(f) => prop_assert_eq!(
-                        f,
-                        &rel,
-                        "{} at {} threads diverged from the first algorithm",
-                        algo.label(),
-                        threads
-                    ),
-                }
+            let rel = execute(&plan, &i, &Governor::unlimited())
+                .expect("unlimited execution succeeds")
+                .to_relation();
+            prop_assert_eq!(
+                rel_atoms(&rel),
+                expected.clone(),
+                "{} diverged from the reference",
+                algo.label()
+            );
+            match &first {
+                None => first = Some(rel),
+                Some(f) => prop_assert_eq!(
+                    f,
+                    &rel,
+                    "{} diverged from the first algorithm",
+                    algo.label()
+                ),
             }
         }
     }
@@ -214,9 +202,8 @@ proptest! {
         let i = lr_instance(&l, &r);
         let ls: HashSet<(u32, u32)> = l.iter().copied().collect();
         let rs: HashSet<(u32, u32)> = r.iter().copied().collect();
-        let pool = ThreadPool::new(2);
         let gov = Governor::unlimited();
-        let run = |p: &ExecPlan| rel_atoms(&execute(p, &i, &gov, &pool).unwrap().to_relation());
+        let run = |p: &ExecPlan| rel_atoms(&execute(p, &i, &gov).unwrap().to_relation());
         let scan = |rel: &str| {
             let mut p = ExecPlan::new();
             p.push(ExecOp::Scan { rel: rel.into() });
@@ -290,7 +277,7 @@ proptest! {
 
     /// Planned conjunctive CALC through the columnar path agrees with the
     /// tree-walk evaluators (both semantics) and the pass-free planned
-    /// baseline, at every parallelism level.
+    /// baseline.
     #[test]
     fn conjunctive_calc_matches_tree_walk(edges in edges_strategy(5, 14)) {
         let (_u, _o, i) = graph_instance(5, &edges);
@@ -328,14 +315,11 @@ proptest! {
                 let baseline = Planner::oracle(i.schema())
                     .plan_calc(q, mode)
                     .unwrap();
-                for threads in THREADS {
-                    let pool = ThreadPool::new(threads);
-                    let gov = Governor::unlimited();
-                    let rel = planned.execute(&i, &gov, &pool).unwrap().into_relation();
-                    prop_assert_eq!(&rel, &ad_walk, "columnar vs tree-walk ({threads} threads)");
-                    let base = baseline.execute(&i, &gov, &pool).unwrap().into_relation();
-                    prop_assert_eq!(&rel, &base, "columnar vs oracle plan");
-                }
+                let gov = Governor::unlimited();
+                let rel = planned.physical.execute(&i, &gov).unwrap().into_relation();
+                prop_assert_eq!(&rel, &ad_walk, "columnar vs tree-walk");
+                let base = baseline.physical.execute(&i, &gov).unwrap().into_relation();
+                prop_assert_eq!(&rel, &base, "columnar vs oracle plan");
             }
         }
     }
@@ -392,11 +376,10 @@ proptest! {
     }
 }
 
-/// A deterministic fixture large enough to cross the parallel-probe
-/// threshold (4096 probe rows), so threaded hash probing actually runs:
-/// all algorithms and parallelism levels must still agree bit-for-bit.
+/// A deterministic fixture with 5000 probe rows: all algorithms must
+/// still agree bit-for-bit.
 #[test]
-fn large_join_exercises_parallel_probe() {
+fn large_join_agrees_across_algorithms() {
     // 5000 distinct left rows over 250 keys (20 rows/key), 1000 right
     // rows over the same keys (4 rows/key): ~80 output rows per key.
     let l: Vec<(u32, u32)> = (0..5000).map(|i| (i, i % 250)).collect();
@@ -405,23 +388,19 @@ fn large_join_exercises_parallel_probe() {
     let mut first: Option<Relation> = None;
     for algo in key_join_algos() {
         let plan = join_plan(algo);
-        for threads in THREADS {
-            let pool = ThreadPool::new(threads);
-            let rel = execute(&plan, &i, &Governor::unlimited(), &pool)
-                .unwrap()
-                .to_relation();
-            assert_eq!(rel.len(), 5000 * 4, "{} at {threads} threads", algo.label());
-            match &first {
-                None => first = Some(rel),
-                Some(f) => assert_eq!(f, &rel, "{} at {threads} threads diverged", algo.label()),
-            }
+        let rel = execute(&plan, &i, &Governor::unlimited())
+            .unwrap()
+            .to_relation();
+        assert_eq!(rel.len(), 5000 * 4, "{}", algo.label());
+        match &first {
+            None => first = Some(rel),
+            Some(f) => assert_eq!(f, &rel, "{} diverged", algo.label()),
         }
     }
 }
 
 /// Governor starvation: for a fixed budget every algorithm trips with the
-/// same [`BudgetKind`], at sequential and threaded parallelism, and the
-/// trip site is an exec site.
+/// same [`BudgetKind`], and the trip site is an exec site.
 #[test]
 fn starvation_trips_with_matching_budget_kinds() {
     let l: Vec<(u32, u32)> = (0..200).map(|i| (i, i % 10)).collect();
@@ -445,22 +424,19 @@ fn starvation_trips_with_matching_budget_kinds() {
     ] {
         for algo in key_join_algos() {
             let plan = join_plan(algo);
-            for threads in [1usize, 4] {
-                let pool = ThreadPool::new(threads);
-                let gov = Governor::new(limits.clone());
-                let err = execute(&plan, &i, &gov, &pool).expect_err("starved execution must trip");
-                assert_eq!(
-                    err.budget,
-                    expect,
-                    "{} at {threads} threads tripped the wrong budget",
-                    algo.label()
-                );
-                assert!(
-                    err.site.starts_with("exec."),
-                    "unexpected trip site {}",
-                    err.site
-                );
-            }
+            let gov = Governor::new(limits.clone());
+            let err = execute(&plan, &i, &gov).expect_err("starved execution must trip");
+            assert_eq!(
+                err.budget,
+                expect,
+                "{} tripped the wrong budget",
+                algo.label()
+            );
+            assert!(
+                err.site.starts_with("exec."),
+                "unexpected trip site {}",
+                err.site
+            );
         }
     }
 }
@@ -471,13 +447,8 @@ fn cancellation_stops_execution_immediately() {
     let i = lr_instance(&[(0, 1)], &[(1, 2)]);
     let gov = Governor::unlimited();
     gov.cancel();
-    let err = execute(
-        &join_plan(JoinAlgo::NestedLoop),
-        &i,
-        &gov,
-        &ThreadPool::sequential(),
-    )
-    .expect_err("cancelled governor must refuse");
+    let err = execute(&join_plan(JoinAlgo::NestedLoop), &i, &gov)
+        .expect_err("cancelled governor must refuse");
     assert_eq!(err.budget, BudgetKind::Cancelled);
     assert_eq!(err.site, "exec.start");
 }
@@ -657,24 +628,24 @@ fn fused_plan(keys: &[(usize, usize)], filter: Option<&RowPred>, algo: JoinAlgo)
 }
 
 /// Run a plan unmetered-but-counted: its rows and the steps it spent.
-fn run_counted(plan: &ExecPlan, i: &Instance, threads: usize) -> (BTreeSet<Vec<Value>>, u64) {
+fn run_counted(plan: &ExecPlan, i: &Instance) -> (BTreeSet<Vec<Value>>, u64) {
     let gov = Governor::unlimited();
-    let rel = execute(plan, i, &gov, &ThreadPool::new(threads))
+    let rel = execute(plan, i, &gov)
         .expect("unlimited execution succeeds")
         .to_relation();
     (rel.iter().cloned().collect(), gov.steps_spent())
 }
 
 /// Every applicable algorithm's fused join equals the reference `σ(L ×
-/// R)` at every parallelism level, with thread-count-independent steps
-/// that also do not depend on the hash join's build side or on the
-/// arena's id order (scanning `R` before `L` admits ids differently).
+/// R)`, with steps that do not depend on whether the scans were warm, on
+/// the hash join's build side or on the arena's id order (scanning `R`
+/// before `L` admits ids differently).
 fn check_fused_join(l: &SetRows, r: &SetRows, keys: &[(usize, usize)], filter: Option<&RowPred>) {
     let i = set_instance(l, r);
     let reordered = set_instance(l, r);
     let mut scan_r = ExecPlan::new();
     scan_r.push(ExecOp::Scan { rel: "R".into() });
-    run_counted(&scan_r, &reordered, 1);
+    run_counted(&scan_r, &reordered);
     let expected = reference_select_product(l, r, keys, filter);
     let mut hash_steps = Vec::new();
     for algo in ALGOS
@@ -682,23 +653,21 @@ fn check_fused_join(l: &SetRows, r: &SetRows, keys: &[(usize, usize)], filter: O
         .filter(|&a| applicable(a, !keys.is_empty(), filter))
     {
         let plan = fused_plan(keys, filter, algo);
-        let (rows, steps) = run_counted(&plan, &i, 1);
+        let (rows, steps) = run_counted(&plan, &i);
         assert_eq!(
             rows,
             expected,
             "{} vs σ(L × R), filter {filter:?}",
             algo.label()
         );
-        for threads in THREADS {
-            assert_eq!(
-                run_counted(&plan, &i, threads),
-                (rows.clone(), steps),
-                "{} at {threads} threads",
-                algo.label()
-            );
-        }
         assert_eq!(
-            run_counted(&plan, &reordered, 2),
+            run_counted(&plan, &i),
+            (rows.clone(), steps),
+            "{} run again",
+            algo.label()
+        );
+        assert_eq!(
+            run_counted(&plan, &reordered),
             (rows, steps),
             "{} over a differently ordered arena",
             algo.label()
@@ -747,12 +716,11 @@ proptest! {
     }
 }
 
-/// A probe side past the parallel-probe threshold, so element-index
-/// probes fan out across the pool: `⊆` and `∈` across sides, each with
-/// extra conjuncts, agree with the reference and with the nested loop
-/// at every parallelism level, with equal steps.
+/// A probe side of 4200 rows: element-index `⊆` and `∈` across sides,
+/// each with extra conjuncts, agree with the reference and with the
+/// nested loop, with equal steps.
 #[test]
-fn large_element_index_join_exercises_parallel_probe() {
+fn large_element_index_join_matches_reference() {
     // 4200 left rows with sets of 0–3 members; 60 right rows with up to
     // 12 members, all over 24 atoms.
     let l: SetRows = (0..4200u32)
@@ -811,13 +779,12 @@ fn resource_error(e: PlanError) -> nestdb::object::ResourceError {
 fn select_over_product_keeps_its_budgets() {
     let teams = 2000u64;
     let (i, planned) = team_sub_plan(teams as u32);
-    let pool = ThreadPool::new(2);
 
     let capped = Governor::new(Limits {
         max_range: teams * teams - 1,
         ..Limits::unlimited()
     });
-    let err = resource_error(planned.execute(&i, &capped, &pool).unwrap_err());
+    let err = resource_error(planned.physical.execute(&i, &capped).unwrap_err());
     assert_eq!(err.budget, BudgetKind::Range);
     assert_eq!(err.site, "exec.product");
     assert_eq!(capped.mem_spent(), 0, "nothing was materialized");
@@ -829,7 +796,7 @@ fn select_over_product_keeps_its_budgets() {
         max_steps: 5 * teams + teams / 2,
         ..Limits::unlimited()
     });
-    let err = resource_error(planned.execute(&i, &starved, &pool).unwrap_err());
+    let err = resource_error(planned.physical.execute(&i, &starved).unwrap_err());
     assert_eq!(err.budget, BudgetKind::Steps);
     assert!(
         err.site.starts_with("exec."),

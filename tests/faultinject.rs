@@ -20,9 +20,8 @@ use nestdb::core::eval::{Evaluator, Query};
 use nestdb::core::ranges::safe_eval_governed;
 use nestdb::core::EvalError;
 use nestdb::datalog::{
-    eval_governed as dl_eval_governed, eval_simultaneous, eval_simultaneous_pooled,
-    eval_stratified_governed, DTerm, Literal, Program, ProgramError, SimEvalError, Strategy,
-    StratifyError,
+    eval_governed as dl_eval_governed, eval_simultaneous, eval_stratified_governed, DTerm, Literal,
+    Program, ProgramError, SimEvalError, Strategy, StratifyError,
 };
 use nestdb::object::{BudgetKind, Governor, ResourceError, Type};
 use nestdb::tm::sim::{simulate_on_instance_governed, SimError};
@@ -208,7 +207,7 @@ fn datalog_stratified_degrades_gracefully() {
 }
 
 /// The simultaneous-IFP translation is a test oracle, reached only
-/// through its free functions; sequential and pooled, it unwinds cleanly.
+/// through its free function; it unwinds cleanly.
 #[test]
 fn datalog_simultaneous_degrades_gracefully() {
     let (_u, order, i) = graph_instance(4, &test_edges());
@@ -220,10 +219,6 @@ fn datalog_simultaneous_degrades_gracefully() {
     };
     assert_degrades_gracefully("datalog-simultaneous", |g| {
         eval_simultaneous(&p, &typed, &i, order.clone(), g).map_err(sim_resource)
-    });
-    let pool = minipool::ThreadPool::new(2);
-    assert_degrades_gracefully("datalog-simultaneous-pooled", |g| {
-        eval_simultaneous_pooled(&p, &typed, &i, order.clone(), g, &pool).map_err(sim_resource)
     });
 }
 
@@ -246,7 +241,6 @@ fn algebra_powerset_degrades_gracefully() {
 fn planned_execution_degrades_gracefully() {
     use nestdb::plan::{CalcMode, DatalogMode, PlanError, Planner};
     let (_u, _order, i) = graph_instance(4, &test_edges());
-    let pool = minipool::ThreadPool::sequential();
     let plan_resource = |e: PlanError| match e.resource() {
         Some(r) => r.clone(),
         None => panic!("expected structured resource error, got {e:?}"),
@@ -257,19 +251,19 @@ fn planned_execution_degrades_gracefully() {
         .plan_calc(&tc_query(), CalcMode::ActiveDomain)
         .unwrap();
     assert_degrades_gracefully("planned-calc-ad", |g| {
-        calc_ad.execute(&i, g, &pool).map_err(plan_resource)
+        calc_ad.physical.execute(&i, g).map_err(plan_resource)
     });
 
     let calc_safe = planner.plan_calc(&tc_query(), CalcMode::Safe).unwrap();
     assert_degrades_gracefully("planned-calc-rr", |g| {
-        calc_safe.execute(&i, g, &pool).map_err(plan_resource)
+        calc_safe.physical.execute(&i, g).map_err(plan_resource)
     });
 
     let algebra = planner
         .plan_algebra(&Expr::rel("G").project([1]).powerset())
         .unwrap();
     assert_degrades_gracefully("planned-algebra", |g| {
-        algebra.execute(&i, g, &pool).map_err(plan_resource)
+        algebra.physical.execute(&i, g).map_err(plan_resource)
     });
 
     let p = tc_program();
@@ -279,13 +273,13 @@ fn planned_execution_degrades_gracefully() {
     ] {
         let planned = planner.plan_datalog(&p, mode).unwrap();
         assert_degrades_gracefully(label, |g| {
-            planned.execute(&i, g, &pool).map_err(plan_resource)
+            planned.physical.execute(&i, g).map_err(plan_resource)
         });
     }
 }
 
-/// Every columnar join algorithm unwinds cleanly through the kernel,
-/// sequential and threaded: the depth-1 fault fires on the `exec.start`
+/// Every columnar join algorithm unwinds cleanly through the kernel: the
+/// depth-1 fault fires on the `exec.start`
 /// checkpoint, deeper ones inside scan/build/probe metering. The element
 /// index runs the filtered σ[#2 ⊆ #4](T × T) over a set-valued `T`.
 #[test]
@@ -336,12 +330,7 @@ fn exec_kernels_degrade_gracefully() {
             filter,
             algo,
         });
-        for threads in [1usize, 4] {
-            let pool = minipool::ThreadPool::new(threads);
-            assert_degrades_gracefully(&format!("exec-{}-t{threads}", algo.label()), |g| {
-                execute(&p, i, g, &pool)
-            });
-        }
+        assert_degrades_gracefully(&format!("exec-{}", algo.label()), |g| execute(&p, i, g));
     }
 }
 

@@ -14,7 +14,7 @@ use nestdb::core::ast::{FixOp, Fixpoint, Formula, Term};
 use nestdb::core::eval::Query;
 use nestdb::core::EvalError;
 use nestdb::datalog::{
-    eval_pooled, eval_simultaneous_pooled, eval_stratified_pooled, DTerm, Literal, Program,
+    eval_governed, eval_simultaneous, eval_stratified_governed, DTerm, Literal, Program,
     Strategy as DlStrategy,
 };
 use nestdb::object::{
@@ -59,13 +59,10 @@ fn plan(planner: Planner<'_>, i: &Instance, q: &Query, mode: CalcMode) -> Planne
         .expect("the query plans")
 }
 
-fn run(planned: &Planned, i: &Instance, threads: usize) -> Relation {
+fn run(planned: &Planned, i: &Instance) -> Relation {
     planned
-        .execute(
-            i,
-            &Governor::unlimited(),
-            &minipool::ThreadPool::new(threads),
-        )
+        .physical
+        .execute(i, &Governor::unlimited())
         .expect("execution succeeds")
         .into_relation()
 }
@@ -305,20 +302,19 @@ impl Spec {
 fn program_answers(spec: &Spec, i: &Instance) -> Vec<(&'static str, Relation)> {
     let (p, ans) = spec.program();
     let g = Governor::unlimited();
-    let pool = minipool::ThreadPool::sequential();
     let mut out = Vec::new();
     for (name, strategy) in [
         ("naive", DlStrategy::Naive),
         ("semi-naive", DlStrategy::SemiNaive),
     ] {
-        let (mut idb, _) = eval_pooled(&p, i, strategy, &g, &pool).expect(name);
+        let (mut idb, _) = eval_governed(&p, i, strategy, &g).expect(name);
         out.push((name, idb.remove(ans).expect("declared")));
     }
-    let mut idb = eval_stratified_pooled(&p, i, &g, &pool).expect("stratified");
+    let mut idb = eval_stratified_governed(&p, i, &g).expect("stratified");
     out.push(("stratified", idb.remove(ans).expect("declared")));
     if p.idb.len() == 1 || spec.n == 2 {
         let order = AtomOrder::new(i.atoms().into_iter().collect());
-        let mut idb = eval_simultaneous_pooled(&p, &[], i, order, &g, &pool).expect("simultaneous");
+        let mut idb = eval_simultaneous(&p, &[], i, order, &g).expect("simultaneous");
         out.push(("simultaneous", idb.remove(ans).expect("declared")));
     }
     out
@@ -327,8 +323,8 @@ fn program_answers(spec: &Spec, i: &Instance) -> Vec<(&'static str, Relation)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// lowered ≡ tree-walk ≡ hand-written Datalog, in both modes and at
-    /// every parallelism — and the lowered path is the one that ran.
+    /// lowered ≡ tree-walk ≡ hand-written Datalog, in both modes — and the
+    /// lowered path is the one that ran.
     #[test]
     fn lowered_agrees_with_the_oracle_and_with_datalog(spec in spec_strategy()) {
         let (_u, i) = instance(spec.n, &spec.g, &spec.h);
@@ -337,12 +333,10 @@ proptest! {
         for mode in MODES {
             let oracle_plan = plan(Planner::oracle(i.schema()), &i, &q, mode);
             prop_assert!(!lowered(&oracle_plan), "the oracle must stay on the tree-walk");
-            let oracle = run(&oracle_plan, &i, 1);
+            let oracle = run(&oracle_plan, &i);
             let planned = plan(Planner::new(i.schema()), &i, &q, mode);
             prop_assert!(lowered(&planned), "not lowered: {:?}\n{:?}", planned.header, q);
-            for threads in [1, 2, 4] {
-                prop_assert_eq!(&run(&planned, &i, threads), &oracle, "{:?} at {} threads: {:?}", mode, threads, q);
-            }
+            prop_assert_eq!(&run(&planned, &i), &oracle, "{:?}: {:?}", mode, q);
             for (strategy, ans) in &programs {
                 prop_assert_eq!(ans, &oracle, "{} vs oracle ({:?}): {:?}", strategy, mode, q);
             }
@@ -418,8 +412,8 @@ fn shapes_outside_the_fragment_stay_on_the_oracle() {
                 "{text}: expected a note with {why:?}, got {:?}",
                 planned.header
             );
-            let oracle = run(&plan(Planner::oracle(i.schema()), &i, &q, mode), &i, 1);
-            assert_eq!(run(&planned, &i, 1), oracle, "{text} ({mode:?})");
+            let oracle = run(&plan(Planner::oracle(i.schema()), &i, &q, mode), &i);
+            assert_eq!(run(&planned, &i), oracle, "{text} ({mode:?})");
         }
     }
 
@@ -447,7 +441,7 @@ fn an_empty_fixpoint_named_like_a_stored_relation_does_not_lower() {
     let planned = plan(Planner::new(i.schema()), &i, &q, CalcMode::Safe);
     assert!(!lowered(&planned));
     assert_eq!(
-        run(&planned, &i, 1).len(),
+        run(&planned, &i).len(),
         2,
         "the stored G, not the empty fixpoint"
     );
@@ -463,7 +457,7 @@ fn chain(n: usize) -> (Universe, Instance) {
 }
 
 fn trip(planned: &Planned, i: &Instance, g: &Governor) -> BudgetKind {
-    match planned.execute(i, g, &minipool::ThreadPool::sequential()) {
+    match planned.physical.execute(i, g) {
         Err(PlanError::Calc(EvalError::Resource(r))) => r.budget,
         other => panic!("expected a CALC resource trip, got {other:?}"),
     }
@@ -518,14 +512,17 @@ fn a_fault_at_every_check_degrades_gracefully() {
         CalcMode::Safe,
     );
     let clean = Governor::unlimited();
-    let pool = minipool::ThreadPool::sequential();
-    let expected = planned.execute(&i, &clean, &pool).unwrap().into_relation();
+    let expected = planned
+        .physical
+        .execute(&i, &clean)
+        .unwrap()
+        .into_relation();
     assert_eq!(expected.len(), 45);
     let mut tripped = 0;
     for k in 1..=clean.steps_spent() {
         let g = Governor::unlimited();
         g.trip_after(k, BudgetKind::Deadline);
-        match planned.execute(&i, &g, &pool) {
+        match planned.physical.execute(&i, &g) {
             Err(PlanError::Calc(EvalError::Resource(r))) => {
                 assert_eq!(r.budget, BudgetKind::Deadline, "fault {k}");
                 tripped += 1;

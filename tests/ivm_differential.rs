@@ -1,16 +1,16 @@
 //! Maintenance differential suite: incremental view maintenance must be
 //! **bit-identical** to full recomputation, across every engine that can
-//! recompute the view, at parallelism 1, 2, and 4, over hundreds of
-//! random insert/delete interleavings — and the maintained state must
+//! recompute the view, over hundreds of random insert/delete
+//! interleavings — and the maintained state must
 //! survive a crash at any storage I/O point (restored from its
 //! checkpoint plus a write-ahead-log tail replay, or cleanly degraded to
 //! re-materialization; never silently wrong).
 //!
 //! The maintained semantics is the stratified model (PAPER.md §5 /
 //! DESIGN.md §17): counting for non-recursive strata, DRed for
-//! recursive ones. The oracles here are the stratified evaluator (pooled
-//! at each parallelism), the naive and semi-naive engines where the
-//! program is negation-free, and the planner's compiled Datalog plans.
+//! recursive ones. The oracles here are the stratified evaluator, the
+//! naive and semi-naive engines where the program is negation-free, and
+//! the planner's compiled Datalog plans.
 
 mod common;
 
@@ -26,7 +26,7 @@ use nestdb::object::{
 use nestdb::plan::{DatalogMode, Planner};
 use nestdb::proto::{LimitsSpec, Op, Request};
 use nestdb::storage::{Db, DbOptions, FaultMode, IoFaults, SyncPolicy};
-use nestdb::{Session, Store, ThreadPool};
+use nestdb::{Session, Store};
 use proptest::prelude::*;
 use std::sync::{Arc, RwLock};
 
@@ -94,12 +94,7 @@ impl Rng {
 
 /// Full recomputation of `program` through every applicable engine; all
 /// engines must agree with each other, so any one result is THE oracle.
-fn recompute_all_engines(
-    program: &Program,
-    instance: &Instance,
-    pool: &ThreadPool,
-    has_negation: bool,
-) -> Idb {
+fn recompute_all_engines(program: &Program, instance: &Instance, has_negation: bool) -> Idb {
     let gov = Governor::unlimited();
     let strat = eval_stratified_governed(program, instance, &gov).expect("stratified oracle");
 
@@ -108,7 +103,8 @@ fn recompute_all_engines(
         .plan_datalog(program, DatalogMode::Stratified)
         .expect("plannable");
     let planned_idb = planned
-        .execute(instance, &Governor::unlimited(), pool)
+        .physical
+        .execute(instance, &Governor::unlimited())
         .expect("planned stratified oracle")
         .into_idb();
     for (name, rel) in &strat {
@@ -135,7 +131,8 @@ fn recompute_all_engines(
             .plan_datalog(program, DatalogMode::SemiNaive)
             .expect("plannable");
         let idb = planned
-            .execute(instance, &Governor::unlimited(), pool)
+            .physical
+            .execute(instance, &Governor::unlimited())
             .expect("planned semi-naive oracle")
             .into_idb();
         for (name, rel) in &strat {
@@ -169,7 +166,7 @@ fn assert_view_matches(reg: &ViewRegistry, name: &str, oracle: &Idb, ctx: &str) 
 /// One random interleaving: `steps` batches of 1–3 inserts/deletes,
 /// maintained incrementally and checked against the stratified oracle
 /// after every batch; the full engine matrix runs at the end.
-fn run_interleaving(seed: u64, steps: usize, pool: &ThreadPool) {
+fn run_interleaving(seed: u64, steps: usize) {
     let mut rng = Rng::new(seed);
     let u = fresh_universe();
     let mut universe = u.clone();
@@ -216,32 +213,29 @@ fn run_interleaving(seed: u64, steps: usize, pool: &ThreadPool) {
 
     // the full engine matrix at the interleaving's final state
     for (name, program, neg) in &programs {
-        let oracle = recompute_all_engines(program, &instance, pool, *neg);
+        let oracle = recompute_all_engines(program, &instance, *neg);
         assert_view_matches(&reg, name, &oracle, &format!("seed {seed} final"));
     }
 }
 
 /// The headline matrix: three maintained views (recursive DRed,
-/// non-recursive counting, stratified negation) × parallelism {1, 2, 4}
-/// × 40 random interleavings each (120 total, every batch checked).
+/// non-recursive counting, stratified negation) × 120 random
+/// interleavings (three seed blocks of 40, every batch checked).
 #[test]
-fn maintained_views_match_recomputation_across_engines_and_parallelism() {
-    for (pi, threads) in [1usize, 2, 4].into_iter().enumerate() {
-        let pool = ThreadPool::new(threads);
+fn maintained_views_match_recomputation_across_engines() {
+    for block in 0..3u64 {
         for k in 0..40u64 {
-            run_interleaving(1 + pi as u64 * 1000 + k, 8, &pool);
+            run_interleaving(1 + block * 1000 + k, 8);
         }
     }
 }
 
-/// Longer interleavings at sequential parallelism: fewer seeds, more
-/// steps, so deep insert/delete histories (cycles forming and breaking,
+/// Longer interleavings: fewer seeds, more steps, so deep insert/delete histories (cycles forming and breaking,
 /// support counts rising and draining) are exercised too.
 #[test]
 fn deep_interleavings_stay_exact() {
-    let pool = ThreadPool::sequential();
     for k in 0..10u64 {
-        run_interleaving(9000 + k, 25, &pool);
+        run_interleaving(9000 + k, 25);
     }
 }
 

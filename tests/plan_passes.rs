@@ -85,11 +85,11 @@ fn algebra_suite() -> Vec<Expr> {
     ]
 }
 
-/// Execute `planned` sequentially under an unlimited governor.
+/// Execute `planned` under an unlimited governor.
 fn run(planned: &nestdb::plan::Planned, i: &Instance) -> Output {
-    let pool = minipool::ThreadPool::sequential();
     planned
-        .execute(i, &Governor::unlimited(), &pool)
+        .physical
+        .execute(i, &Governor::unlimited())
         .expect("planned execution succeeds")
 }
 

@@ -29,7 +29,7 @@ use common::ScratchDir;
 use nestdb::exec::Resident;
 use nestdb::object::text::parse_database;
 use nestdb::object::Universe;
-use nestdb::proto::{Lang, LimitsSpec, Mode, Op, Request, Response, Strategy};
+use nestdb::proto::{Lang, LimitsSpec, Mode, Op, Request, Strategy};
 use nestdb::storage::{Db, DbOptions};
 use nestdb::{Session, Store};
 use rand::rngs::StdRng;
@@ -61,11 +61,10 @@ fn database_text() -> String {
     text
 }
 
-fn session(parallelism: usize) -> Session {
+fn session() -> Session {
     let mut universe = Universe::new();
     let (_, instance) = parse_database(&database_text(), &mut universe).unwrap();
     Session::builder()
-        .parallelism(parallelism)
         .store(Arc::new(RwLock::new(Store::with_data(universe, instance))))
         .build()
 }
@@ -162,7 +161,7 @@ fn read_matrix() -> Vec<Request> {
 
 #[test]
 fn reads_answer_while_another_thread_holds_the_store_shared() {
-    let session = session(1);
+    let session = session();
     let matrix = read_matrix();
     let idle: Vec<String> = matrix.iter().map(|req| reply(&session, req)).collect();
     assert!(
@@ -281,15 +280,15 @@ fn streams(seed: u64) -> Vec<Vec<Request>> {
 
 #[test]
 fn four_threads_on_one_session_reply_as_a_single_threaded_replay() {
-    for parallelism in [1, 2, 4] {
-        let streams = streams(0x5EED + parallelism as u64);
-        let replay = session(parallelism);
+    for seed in [1, 2, 4] {
+        let streams = streams(0x5EED + seed);
+        let replay = session();
         let want: Vec<Vec<String>> = streams
             .iter()
             .map(|s| s.iter().map(|req| reply(&replay, req)).collect())
             .collect();
 
-        let shared = session(parallelism);
+        let shared = session();
         let got: Vec<Vec<String>> = std::thread::scope(|scope| {
             let workers: Vec<_> = streams
                 .iter()
@@ -301,25 +300,11 @@ fn four_threads_on_one_session_reply_as_a_single_threaded_replay() {
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
 
-        // how much a *failing* evaluation spends before every pool worker
-        // has noticed depends on their timing — and a trip's message
-        // quotes that spend — so failures are compared without either
-        let settled = |json: &str| {
-            let mut resp = Response::from_json(json).unwrap();
-            if let Some(err) = resp.error.as_mut() {
-                resp.spend = None;
-                if err.resource_trip {
-                    err.message.clear();
-                }
-            }
-            resp.to_json()
-        };
         for t in 0..THREADS {
             for k in 0..PER_THREAD {
                 assert_eq!(
-                    settled(&got[t][k]),
-                    settled(&want[t][k]),
-                    "parallelism {parallelism}, thread {t}, request {k}: {:?}",
+                    got[t][k], want[t][k],
+                    "seed {seed}, thread {t}, request {k}: {:?}",
                     streams[t][k]
                 );
             }
@@ -371,46 +356,44 @@ const QQQ_REPLY: &str = "{\"ok\":false,\"error\":{\"kind\":\"parse\",\"message\"
 
 #[test]
 fn a_read_naming_an_unseen_atom_interns_it_once_and_for_all() {
-    for parallelism in [1, 2, 4] {
-        let session = session(parallelism);
-        let before = universe_len(&session);
-        // active-domain answers contain the query's own constants, which
-        // must render by name: the atom is the store's, not the request's
-        let req = calc("{[x:U] | x = 'zzz'}", Mode::Fast, false);
-        // the one difference from the old reply: the request that makes
-        // the universe grow is billed the three bytes it grew by
-        assert_eq!(
-            reply(&session, &req),
-            ZZZ_REPLY.replace("\"mem_bytes\":488", "\"mem_bytes\":491")
-        );
-        assert_eq!(universe_len(&session), before + 1);
-        assert_eq!(exclusive_reads(&session), 1);
-        // the second time round it is an ordinary shared-lock read
-        assert_eq!(reply(&session, &req), ZZZ_REPLY);
-        assert_eq!(universe_len(&session), before + 1);
-        assert_eq!(exclusive_reads(&session), 1);
+    let session = session();
+    let before = universe_len(&session);
+    // active-domain answers contain the query's own constants, which
+    // must render by name: the atom is the store's, not the request's
+    let req = calc("{[x:U] | x = 'zzz'}", Mode::Fast, false);
+    // the one difference from the old reply: the request that makes
+    // the universe grow is billed the three bytes it grew by
+    assert_eq!(
+        reply(&session, &req),
+        ZZZ_REPLY.replace("\"mem_bytes\":488", "\"mem_bytes\":491")
+    );
+    assert_eq!(universe_len(&session), before + 1);
+    assert_eq!(exclusive_reads(&session), 1);
+    // the second time round it is an ordinary shared-lock read
+    assert_eq!(reply(&session, &req), ZZZ_REPLY);
+    assert_eq!(universe_len(&session), before + 1);
+    assert_eq!(exclusive_reads(&session), 1);
 
-        // a parse that fails *after* quoting a new atom has interned it,
-        // as a parse made directly against the store's universe would
-        let bad = calc("{[x:U] | x = 'qqq' /\\ G(x,, x)}", Mode::Fast, false);
-        assert_eq!(
-            reply(&session, &bad),
-            QQQ_REPLY.replace("\"mem_bytes\":0", "\"mem_bytes\":3")
-        );
-        assert_eq!(reply(&session, &bad), QQQ_REPLY);
-        assert_eq!(universe_len(&session), before + 2);
-        assert_eq!(exclusive_reads(&session), 2);
-        let store = session.store();
-        let store = store.read().unwrap();
-        let u = store.universe();
-        assert_eq!(u.get("zzz").map(|a| a.0 as usize), Some(before));
-        assert_eq!(u.get("qqq").map(|a| a.0 as usize), Some(before + 1));
-    }
+    // a parse that fails *after* quoting a new atom has interned it,
+    // as a parse made directly against the store's universe would
+    let bad = calc("{[x:U] | x = 'qqq' /\\ G(x,, x)}", Mode::Fast, false);
+    assert_eq!(
+        reply(&session, &bad),
+        QQQ_REPLY.replace("\"mem_bytes\":0", "\"mem_bytes\":3")
+    );
+    assert_eq!(reply(&session, &bad), QQQ_REPLY);
+    assert_eq!(universe_len(&session), before + 2);
+    assert_eq!(exclusive_reads(&session), 2);
+    let store = session.store();
+    let store = store.read().unwrap();
+    let u = store.universe();
+    assert_eq!(u.get("zzz").map(|a| a.0 as usize), Some(before));
+    assert_eq!(u.get("qqq").map(|a| a.0 as usize), Some(before + 1));
 }
 
 #[test]
 fn atoms_interned_for_a_read_are_charged_to_that_read() {
-    let session = session(1);
+    let session = session();
     let before = universe_len(&session);
     let big = "x".repeat(4096);
     let mut req = calc(&format!("{{[x:U] | x = '{big}'}}"), Mode::Fast, false);
@@ -442,7 +425,7 @@ fn racing_new_atom_reads_and_a_writer_keep_the_universe_a_bijection() {
     const READERS: usize = 4;
     const ROUNDS: usize = 60;
     let scratch = ScratchDir::new("read_concurrency_hammer");
-    let session = session(2);
+    let session = session();
     let open = session.run(&Request {
         op: Op::Open,
         text: scratch.path().display().to_string(),
@@ -584,7 +567,7 @@ fn reads_follow_writes(session: &Session) {
 
 #[test]
 fn a_read_after_a_write_sees_the_write() {
-    reads_follow_writes(&session(1));
+    reads_follow_writes(&session());
 
     // the same on a durable store, whose writes go through the log, and
     // once more after reopening it
@@ -640,8 +623,8 @@ fn exec_texts() -> Vec<Request> {
 #[test]
 fn cold_and_warm_executions_reply_and_spend_identically() {
     let texts = exec_texts();
-    let cold: Vec<String> = texts.iter().map(|req| reply(&session(1), req)).collect();
-    let warm = session(1);
+    let cold: Vec<String> = texts.iter().map(|req| reply(&session(), req)).collect();
+    let warm = session();
     for req in texts.iter().rev() {
         reply(&warm, req);
     }
@@ -655,7 +638,7 @@ fn cold_and_warm_executions_reply_and_spend_identically() {
 /// admits nothing.
 #[test]
 fn a_served_lookup_of_an_unseen_atom_admits_nothing_to_the_arena() {
-    let session = session(1);
+    let session = session();
     let arena = || {
         let store = session.store();
         let store = store.read().unwrap();

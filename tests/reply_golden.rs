@@ -2,10 +2,10 @@
 //!
 //! The other goldens pin answers and plan renderings; this one pins the
 //! bytes a client receives: every `Response::to_json` line for a fixed
-//! corpus of requests against `data/graph.no`, run at parallelism 1. It
-//! covers every `data/queries.calc` query planned and unplanned,
-//! `data/tc.dl` under both strategies, algebra scan, join, `nest`
-//! and `unnest`, one `materialize`, and one `update` with its deltas.
+//! corpus of requests against `data/graph.no`. It covers every
+//! `data/queries.calc` query planned and unplanned, `data/tc.dl` under
+//! both strategies, algebra scan, join, `nest` and `unnest`, one
+//! `materialize`, and one `update` with its deltas.
 //! `spend.elapsed_us` is the only wall-clock field and is zeroed; steps
 //! and memory spend stay in the snapshot, except the update's steps,
 //! which vary between runs (see below).
@@ -39,7 +39,6 @@ fn graph_session() -> Session {
     let (_schema, instance) = parse_database(&data("graph.no"), &mut u).unwrap();
     Session::builder()
         .store(Arc::new(RwLock::new(Store::with_data(u, instance))))
-        .parallelism(1)
         .build()
 }
 

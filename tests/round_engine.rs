@@ -7,8 +7,7 @@
 //!   reachability, stratified complement and CALC+IFP closure texts are
 //!   pinned, cold and warm alike. Steps and bytes are what the round
 //!   engine meters, so a change that makes a round cheaper must leave
-//!   every figure here as it is. At parallelism 2 and 4, where pooled
-//!   tasks each index what they probe, rows and rounds are pinned.
+//!   every figure here as it is.
 //! * **rounds read the current version** — the rounds read the EDB the
 //!   instance version keeps resident; a write starts a new version, and
 //!   the next evaluation sees the write and meters it exactly, also when
@@ -60,11 +59,10 @@ fn fixpoint_db() -> String {
     text
 }
 
-fn session(text: &str, parallelism: usize) -> Session {
+fn session(text: &str) -> Session {
     let mut universe = Universe::new();
     let (_, instance) = parse_database(text, &mut universe).unwrap();
     Session::builder()
-        .parallelism(parallelism)
         .store(Arc::new(RwLock::new(Store::with_data(universe, instance))))
         .build()
 }
@@ -129,7 +127,7 @@ fn run(s: &Session, name: &str, req: &Request) -> Response {
     r
 }
 
-/// `(name, rows per relation, rounds, steps, mem_bytes)` at parallelism 1.
+/// `(name, rows per relation, rounds, steps, mem_bytes)`.
 type Pinned = (
     &'static str,
     &'static [(&'static str, usize)],
@@ -148,7 +146,7 @@ const PINNED: [Pinned; 4] = [
 #[test]
 fn fixpoint_shapes_meter_exactly() {
     let text = fixpoint_db();
-    let s = session(&text, 1);
+    let s = session(&text);
     for ((name, req), (pinned, rows, rounds, steps, mem)) in texts().iter().zip(PINNED) {
         assert_eq!(*name, pinned);
         let want: Shape = (
@@ -167,21 +165,11 @@ fn fixpoint_shapes_meter_exactly() {
             );
         }
     }
-    for threads in [2, 4] {
-        let s = session(&text, threads);
-        for ((name, req), (_, rows, rounds, ..)) in texts().iter().zip(PINNED) {
-            let want: Shape = (
-                rows.iter().map(|(r, n)| (r.to_string(), *n)).collect(),
-                rounds,
-            );
-            assert_eq!(shape(&run(&s, name, req)), want, "{name} at {threads}");
-        }
-    }
 }
 
 #[test]
 fn rounds_read_the_current_version() {
-    let s = session(&fixpoint_db(), 1);
+    let s = session(&fixpoint_db());
     let insert = |text: &str| {
         let r = s.run(&Request {
             op: Op::Insert,

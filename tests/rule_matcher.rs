@@ -5,20 +5,20 @@
 //! evaluation) is no longer independent of it. Here random small programs
 //! using `!R`, `=`, `!=`, `in` and `notin` over a set-typed column run as
 //! served semi-naive rounds and through the simultaneous-IFP oracle
-//! (`eval_simultaneous_pooled`), which translates the program into one
+//! (`eval_simultaneous`), which translates the program into one
 //! simultaneous IFP and evaluates it on the CALC tree walk. The two IDBs
-//! must be equal at parallelism 1, 2 and 4.
+//! must be equal.
 //!
 //! The matcher's step count must not depend on hash order either:
 //! repeated evaluations over instances built anew spend one count.
 
 use nestdb::core::print::Printer;
-use nestdb::datalog::{eval_governed, eval_simultaneous_pooled, parse_program, Strategy};
+use nestdb::datalog::{eval_governed, eval_simultaneous, parse_program, Strategy};
 use nestdb::object::{
     AtomOrder, Governor, Instance, RelationSchema, Schema, Type, Universe, Value,
 };
 use nestdb::proto::{Lang, Op, Request};
-use nestdb::{Session, ThreadPool};
+use nestdb::Session;
 use proptest::prelude::*;
 
 const NODES: [&str; 3] = ["a", "b", "c"];
@@ -138,7 +138,7 @@ fn idb(session: &Session, text: &str) -> Vec<(String, Vec<String>)> {
 /// store, rendered as replies render them. The generated bodies use `t`
 /// and `u` for sets and `w`, `y`, `z` for atoms, and the translation
 /// needs each body-only variable's type.
-fn oracle_idb(session: &Session, text: &str, pool: &ThreadPool) -> Vec<(String, Vec<String>)> {
+fn oracle_idb(session: &Session, text: &str) -> Vec<(String, Vec<String>)> {
     let store = session.store();
     let store = store.read().unwrap();
     let mut universe = store.universe().clone();
@@ -154,7 +154,7 @@ fn oracle_idb(session: &Session, text: &str, pool: &ThreadPool) -> Vec<(String, 
         ("z", Type::Atom),
     ];
     let gov = Governor::unlimited();
-    let idb = eval_simultaneous_pooled(&program, &typed, instance, order, &gov, pool)
+    let idb = eval_simultaneous(&program, &typed, instance, order, &gov)
         .unwrap_or_else(|e| panic!("simultaneous oracle on\n{text}: {e}"));
     let printer = Printer::with_universe(&universe);
     idb.iter()
@@ -180,32 +180,23 @@ proptest! {
         let mut rng = Rng(seed | 1);
         let clauses = store_clauses(&mut rng);
         let text = program(&mut rng);
-        for threads in [1usize, 2, 4] {
-            let session = Session::builder().parallelism(threads).build();
-            for clause in &clauses {
-                let r = session.run(&Request {
-                    op: Op::Insert,
-                    text: clause.clone(),
-                    ..Request::default()
-                });
-                prop_assert!(r.ok, "{clause}: {:?}", r.error);
-            }
-            let rounds = idb(&session, &text);
-            let oracle = oracle_idb(&session, &text, &ThreadPool::new(threads));
-            prop_assert_eq!(
-                rounds,
-                oracle,
-                "at {} threads, store {:?}, program\n{}",
-                threads,
-                clauses,
-                text
-            );
+        let session = Session::default();
+        for clause in &clauses {
+            let r = session.run(&Request {
+                op: Op::Insert,
+                text: clause.clone(),
+                ..Request::default()
+            });
+            prop_assert!(r.ok, "{clause}: {:?}", r.error);
         }
+        let rounds = idb(&session, &text);
+        let oracle = oracle_idb(&session, &text);
+        prop_assert_eq!(rounds, oracle, "store {:?}, program\n{}", clauses, text);
     }
 }
 
-/// A program with negation and `=` over a 40-node graph, evaluated at
-/// parallelism 1 on ten instances built anew (so their hash sets iterate
+/// A program with negation and `=` over a 40-node graph, evaluated on
+/// ten instances built anew (so their hash sets iterate
 /// in different orders): every run spends the same steps.
 #[test]
 fn eval_steps_do_not_depend_on_hash_order() {
