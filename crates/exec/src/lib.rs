@@ -20,7 +20,7 @@
 //!   table per relation ([`Resident`]), shared by every execution against
 //!   one version of the instance and dropped by the next write. Ids are
 //!   admission order within that version (which relation was scanned
-//!   first, which constants were admitted); workers only read them.
+//!   first, which constants were admitted); executions only read them.
 //!   Raw-id order never escapes into results: the root is returned as
 //!   ids over the resident arena ([`Answer`]), and replies rank and
 //!   render its rows in value order.

@@ -43,8 +43,8 @@
 //! id only exists after its publishing store).
 //!
 //! All interning methods take `&self`: the interner is `Clone` (shared
-//! handle) + `Send` + `Sync` and can be hit from every worker of a thread
-//! pool concurrently. Structural equality of ids is unaffected by
+//! handle) + `Send` + `Sync` and can be hit from every request thread
+//! concurrently. Structural equality of ids is unaffected by
 //! sharding: the shard index is a pure function of the node, so equal
 //! nodes land in the same shard and the same slot.
 //!
@@ -517,7 +517,7 @@ impl Interner {
     /// Intern a value, charging the governor for *arena growth only*: the
     /// second interning of a structurally identical value costs nothing.
     /// Growth is attributed per admitting call, so concurrent interning
-    /// from several workers never double-charges (each node's bytes are
+    /// from several threads never double-charges (each node's bytes are
     /// charged by exactly one caller — the one whose insert admitted it).
     pub fn intern_charged(
         &self,
