@@ -6,7 +6,8 @@
 //! active-domain and range-restricted evaluation, IFP and PFP fixpoints,
 //! every Datalog evaluator (the served semi-naive and stratified rounds
 //! and the naive and simultaneous oracles), the algebra (including
-//! powerset), and the TM runner plus its relational simulation — with
+//! powerset), incremental view maintenance (`materialize` and
+//! `maintain`), and the TM runner plus its relational simulation — with
 //! faults armed at several depths and for every budget kind, asserting that the engine always
 //! surfaces a structured [`ResourceError`] (never a panic) naming the
 //! injected budget.
@@ -332,6 +333,45 @@ fn exec_kernels_degrade_gracefully() {
         });
         assert_degrades_gracefully(&format!("exec-{}", algo.label()), |g| execute(&p, i, g));
     }
+}
+
+/// Views: `materialize` runs the recursive stratum's Δ loop, and
+/// `maintain` of a batch that deletes `1→2` (which has an alternative
+/// path) and inserts `2→0` runs over-delete, re-derive and insert
+/// propagation. A tripped `maintain` leaves the view as it was.
+#[test]
+fn ivm_views_degrade_gracefully() {
+    use nestdb::ivm::{BaseDelta, IvmError, ViewRegistry};
+    use nestdb::object::{Atom, Value};
+    let (_u, _order, i) = graph_instance(4, &test_edges());
+    let p = tc_program();
+    let ivm_resource = |e: IvmError| match e {
+        IvmError::Resource(r) => r,
+        other => panic!("expected structured resource error, got {other:?}"),
+    };
+    assert_degrades_gracefully("ivm-materialize", |g| {
+        let mut reg = ViewRegistry::new();
+        reg.materialize_program("tc", p.to_string(), p.clone(), &i, g)
+            .map(drop)
+            .map_err(ivm_resource)
+    });
+
+    let mut reg = ViewRegistry::new();
+    reg.materialize_program("tc", p.to_string(), p.clone(), &i, &Governor::unlimited())
+        .expect("materialize");
+    let tc = |reg: &ViewRegistry| reg.get("tc").unwrap().relation("tc").unwrap().clone();
+    let edge = |a: u32, b: u32| vec![Value::Atom(Atom(a)), Value::Atom(Atom(b))];
+    let mut delta = BaseDelta::new();
+    delta.delete("G", edge(1, 2));
+    delta.insert("G", edge(2, 0));
+    assert_degrades_gracefully("ivm-maintain", |g| {
+        let mut run = reg.clone();
+        let out = run.maintain(&i, &delta, g);
+        if out.is_err() {
+            assert_eq!(tc(&run), tc(&reg), "a tripped maintain changed the view");
+        }
+        out.map_err(ivm_resource)
+    });
 }
 
 #[test]
