@@ -1,8 +1,9 @@
 //! # `no-conc` — the concurrency sanitizer substrate
 //!
-//! The parallel runtime of this workspace (the vendored work-stealing
-//! pool, the lock-sharded interner, the governor's shared counters, the
-//! server's token buckets) is load-bearing for every tractability
+//! The concurrency of this workspace, which runs across requests only
+//! (a request evaluates on one thread): the server's threads, the
+//! lock-sharded interner, the governor's shared counters and the server's
+//! token buckets. It is load-bearing for every tractability
 //! guarantee the engines enforce: a deadlock or a lost update in the
 //! substrate silently invalidates results that the analyzers certified.
 //! This crate makes that substrate *checkable* without making it slower.

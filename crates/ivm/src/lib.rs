@@ -29,7 +29,7 @@
 //! interned ids. Maintenance is governor-metered at `"ivm.fire"` (the
 //! matcher's enumeration steps), `"ivm.index"` (its probe-index builds),
 //! `"ivm.round"` (per fixpoint round) and `"ivm.derive"` (memory per
-//! stored fact), with per-view step accounting in [`ViewStats`].
+//! row a Δ loop holds), with per-view step accounting in [`ViewStats`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

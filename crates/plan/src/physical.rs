@@ -1,14 +1,14 @@
 //! The physical plan: the executable counterpart of a logical [`crate::ir::Plan`].
 //!
-//! Physical operators bind directly to the existing interned/pooled
-//! runtime kernels — the CALC [`Evaluator`], the bottom-up algebra
-//! evaluator, and the Datalog¬ round engines. That binding is deliberate:
-//! the kernels already thread the [`Governor`] fuel/memory accounting at
-//! every site, so a planned evaluation draws from exactly the same meters
-//! as the legacy tree-walk path and trips with the same structured
-//! [`ResourceError`]s. What the optimizer changes is *which* kernel
-//! invocation runs (variable order, pinned ranges, delta rewriting,
-//! pushed-down selections), never how work is accounted.
+//! Physical operators bind directly to the runtime engines, each run on
+//! the request's one thread: the CALC [`Evaluator`] (the tree walk, which
+//! also serves as the oracle plan), the bottom-up algebra evaluator, the
+//! semi-naive Datalog¬ round engine and the columnar `no-exec` kernels.
+//! Every engine threads the [`Governor`] fuel/memory accounting at every
+//! site, so each physical path draws from the same meters and trips with
+//! the same structured [`ResourceError`]s. What the optimizer changes is
+//! *which* engine invocation runs (variable order, pinned ranges, delta
+//! rewriting, pushed-down selections), never how work is accounted.
 
 use no_algebra::{AlgebraError, Expr};
 use no_core::ast::VarName;
