@@ -533,6 +533,10 @@ impl ViewRegistry {
         delta: &BaseDelta,
         gov: &Governor,
     ) -> Result<BTreeMap<String, ViewDelta>, IvmError> {
+        // no view reads the base: nothing to copy, normalize or report
+        if self.views.is_empty() {
+            return Ok(BTreeMap::new());
+        }
         let delta = delta.clone().normalize(instance);
         let mut out = BTreeMap::new();
         if delta.is_empty() {

@@ -8,6 +8,7 @@
 //! about.
 
 use crate::atom::Atom;
+use crate::text::Clause;
 use crate::types::Type;
 use crate::value::Value;
 use conc::Mutex;
@@ -95,6 +96,34 @@ impl Schema {
             .iter()
             .find(|r| r.name == name)
             .map(Arc::as_ref)
+    }
+
+    /// The one row check every writer runs: `row` must fit relation
+    /// `name`'s arity and column types. The error is the refusal a caller
+    /// shows.
+    pub fn check_row(&self, name: &str, row: &[Value]) -> Result<(), String> {
+        let rel = self
+            .get(name)
+            .ok_or_else(|| format!("unknown relation {name:?}"))?;
+        if rel.arity() != row.len() {
+            return Err(format!(
+                "relation {name:?} has arity {} but the tuple has {} values",
+                rel.arity(),
+                row.len()
+            ));
+        }
+        match row
+            .iter()
+            .zip(&rel.column_types)
+            .position(|(v, t)| !v.has_type(t))
+        {
+            Some(i) => Err(format!(
+                "column {} is not of type {} in relation {name:?}",
+                i + 1,
+                rel.column_types[i]
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Iterate the relation schemas in declaration order.
@@ -296,29 +325,31 @@ impl Instance {
             .unwrap_or_else(|| panic!("relation {name:?} not in schema"))
     }
 
+    /// Declare one more relation, empty.
+    ///
+    /// # Panics
+    /// Panics if the name is already taken, like [`Schema::add`].
+    pub fn declare(&mut self, rel: RelationSchema) {
+        let name = rel.name.clone();
+        self.schema.add(rel);
+        self.relations.insert(name, Relation::new());
+        self.changed();
+    }
+
     /// Insert a row, validating its types against the schema.
     ///
     /// # Panics
-    /// Panics on unknown relations, arity mismatches, or ill-typed values:
-    /// instances are built by trusted loaders and generators, and a typing
-    /// violation indicates a programming error, not bad user data.
+    /// Panics when [`Schema::check_row`] refuses the row: instances are
+    /// built by trusted loaders and generators, and a typing violation
+    /// indicates a programming error, not bad user data.
     pub fn insert(&mut self, name: &str, row: Vec<Value>) -> bool {
-        let rel_schema = self
-            .schema
-            .get(name)
-            .unwrap_or_else(|| panic!("relation {name:?} not in schema"));
-        assert_eq!(
-            row.len(),
-            rel_schema.arity(),
-            "arity mismatch inserting into {name}"
-        );
-        for (v, t) in row.iter().zip(&rel_schema.column_types) {
-            assert!(v.has_type(t), "value {v} not of type {t} in {name}");
+        if let Err(e) = self.schema.check_row(name, &row) {
+            panic!("{e}");
         }
         let fresh = self
             .relations
             .get_mut(name)
-            .expect("validated above")
+            .expect("checked above")
             .insert(row);
         if fresh {
             self.changed();
@@ -343,15 +374,39 @@ impl Instance {
         removed
     }
 
-    /// Replace the extension of a relation wholesale (rows must already be
-    /// validated by the caller or come from a trusted source).
-    pub fn set_relation(&mut self, name: &str, rel: Relation) {
-        assert!(
-            self.schema.get(name).is_some(),
-            "relation {name:?} not in schema"
-        );
-        self.relations.insert(name.to_string(), rel);
-        self.changed();
+    /// Check a clause against this instance before it is logged or
+    /// applied: `Ok` tells whether applying it would change anything (a
+    /// duplicate fact or an absent retraction would not), `Err` is the
+    /// refusal — a redeclared relation or a row [`Schema::check_row`]
+    /// rejects.
+    pub fn check(&self, clause: &Clause) -> Result<bool, String> {
+        match clause {
+            Clause::Schema(rel) => match self.schema.get(&rel.name) {
+                Some(_) => Err(format!("relation {:?} is already declared", rel.name)),
+                None => Ok(true),
+            },
+            Clause::Fact(name, row) => {
+                self.schema.check_row(name, row)?;
+                Ok(!self.relation(name).contains(row))
+            }
+            Clause::Retract(name, row) => {
+                self.schema.check_row(name, row)?;
+                Ok(self.relation(name).contains(row))
+            }
+        }
+    }
+
+    /// Apply a clause [`Instance::check`] accepted; returns whether the
+    /// instance changed.
+    pub fn apply(&mut self, clause: Clause) -> bool {
+        match clause {
+            Clause::Schema(rel) => {
+                self.declare(rel);
+                true
+            }
+            Clause::Fact(name, row) => self.insert(&name, row),
+            Clause::Retract(name, row) => self.delete(&name, &row),
+        }
     }
 
     /// `atom(I)`: the set of atomic constants occurring in the instance.
@@ -487,10 +542,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "arity mismatch")]
+    #[should_panic(expected = "has arity 2 but the tuple has 1 values")]
     fn arity_mismatch_panics() {
         let mut i = Instance::empty(graph_schema());
         i.insert("G", vec![Value::Atom(Atom(0))]);
+    }
+
+    #[test]
+    fn check_refuses_bad_clauses_and_spots_no_ops() {
+        let mut u = Universe::new();
+        let ab = vec![Value::Atom(u.intern("a")), Value::Atom(u.intern("b"))];
+        let mut i = Instance::empty(graph_schema());
+        let fact = Clause::Fact("G".into(), ab.clone());
+        assert_eq!(i.check(&fact), Ok(true));
+        assert!(i.apply(fact.clone()));
+        assert_eq!(i.check(&fact), Ok(false), "a duplicate changes nothing");
+        let retract = Clause::Retract("G".into(), ab.clone());
+        assert_eq!(i.check(&retract), Ok(true));
+        let short = Clause::Retract("G".into(), ab[..1].to_vec());
+        assert_eq!(
+            i.check(&short),
+            Err(r#"relation "G" has arity 2 but the tuple has 1 values"#.into())
+        );
+        let h = RelationSchema::new("H", vec![Type::set(Type::Atom)]);
+        assert_eq!(
+            i.check(&Clause::Schema(graph_schema().get("G").unwrap().clone())),
+            Err(r#"relation "G" is already declared"#.into())
+        );
+        assert!(i.apply(Clause::Schema(h)));
+        assert!(i.relation("H").is_empty());
+        assert_eq!(
+            i.check(&Clause::Fact("H".into(), ab[..1].to_vec())),
+            Err(r#"column 1 is not of type {U} in relation "H""#.into())
+        );
+        assert_eq!(
+            i.check(&Clause::Fact("K".into(), vec![])),
+            Err(r#"unknown relation "K""#.into())
+        );
     }
 
     #[test]
@@ -547,7 +635,7 @@ mod tests {
         assert_eq!(*i.derived(|| 2u32), 2);
         i.delete("G", &ab);
         assert_eq!(*i.derived(|| 3u32), 3);
-        i.set_relation("G", Relation::new());
+        i.declare(RelationSchema::new("H", vec![Type::Atom]));
         assert_eq!(*i.derived(|| 4u32), 4);
         // the clone still holds the version it was taken from
         assert_eq!(*clone.derived::<u32>(|| unreachable!()), 1);

@@ -222,21 +222,7 @@ impl P<'_, '_> {
         }
         let mut instance = Instance::empty(schema.clone());
         for (name, row) in facts {
-            let rel = schema
-                .get(&name)
-                .ok_or_else(|| self.err(format!("fact for undeclared relation {name}")))?;
-            if rel.arity() != row.len() {
-                return Err(self.err(format!(
-                    "fact for {name} has arity {}, declared {}",
-                    row.len(),
-                    rel.arity()
-                )));
-            }
-            for (v, t) in row.iter().zip(&rel.column_types) {
-                if !v.has_type(t) {
-                    return Err(self.err(format!("value {v} is not of type {t} in {name}")));
-                }
-            }
+            schema.check_row(&name, &row).map_err(|e| self.err(e))?;
             instance.insert(&name, row);
         }
         Ok((schema, instance))
@@ -251,6 +237,29 @@ pub fn parse_database(src: &str, universe: &mut Universe) -> Result<(Schema, Ins
         universe,
     }
     .database()
+}
+
+/// The clauses that import a text database into an instance over `live`:
+/// a declaration for each relation `live` lacks, in file order, then every
+/// fact, relation by relation, rows sorted. A relation `live` already
+/// declares keeps its declaration, and its facts are checked against it
+/// when they are applied.
+pub fn import_clauses(
+    src: &str,
+    universe: &mut Universe,
+    live: &Schema,
+) -> Result<Vec<Clause>, TextError> {
+    let (schema, parsed) = parse_database(src, universe)?;
+    let declarations = schema
+        .relations()
+        .filter(|r| live.get(&r.name).is_none())
+        .map(|r| Clause::Schema(r.clone()));
+    let facts = schema.relations().flat_map(|r| {
+        let rows = parsed.relation(&r.name).sorted_rows();
+        rows.into_iter()
+            .map(|row| Clause::Fact(r.name.clone(), row.clone()))
+    });
+    Ok(declarations.chain(facts).collect())
 }
 
 /// One clause of the text format, parsed but not yet applied to any
@@ -337,17 +346,20 @@ pub fn render_fact(universe: &Universe, name: &str, row: &[Value]) -> String {
     out
 }
 
-/// Render one retraction clause `delete R(v1, …, vn).` — the inverse of
-/// [`parse_clause`] for [`Clause::Retract`].
-pub fn render_retract(universe: &Universe, name: &str, row: &[Value]) -> String {
-    format!("delete {}", render_fact(universe, name, row))
-}
-
 /// Render one schema declaration `schema R(T1, …, Tn).` — the inverse of
 /// [`parse_clause`] for [`Clause::Schema`].
 pub fn render_schema_decl(rel: &RelationSchema) -> String {
     let cols: Vec<String> = rel.column_types.iter().map(ToString::to_string).collect();
     format!("schema {}({}).", rel.name, cols.join(", "))
+}
+
+/// Render one clause — the inverse of [`parse_clause`].
+pub fn render_clause(universe: &Universe, clause: &Clause) -> String {
+    match clause {
+        Clause::Schema(rel) => render_schema_decl(rel),
+        Clause::Fact(name, row) => render_fact(universe, name, row),
+        Clause::Retract(name, row) => format!("delete {}", render_fact(universe, name, row)),
+    }
 }
 
 fn render_value(universe: &Universe, v: &Value, out: &mut String) {
@@ -382,19 +394,11 @@ fn render_value(universe: &Universe, v: &Value, out: &mut String) {
 pub fn render_database(universe: &Universe, instance: &Instance) -> String {
     let mut out = String::new();
     for rel in instance.schema().relations() {
-        let cols: Vec<String> = rel.column_types.iter().map(ToString::to_string).collect();
-        let _ = writeln!(out, "schema {}({}).", rel.name, cols.join(", "));
+        let _ = writeln!(out, "{}", render_schema_decl(rel));
     }
     for rel in instance.schema().relations() {
         for row in instance.relation(&rel.name).sorted_rows() {
-            let _ = write!(out, "{}(", rel.name);
-            for (i, v) in row.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                render_value(universe, v, &mut out);
-            }
-            out.push_str(").\n");
+            let _ = writeln!(out, "{}", render_fact(universe, &rel.name, row));
         }
     }
     out
@@ -446,7 +450,7 @@ mod tests {
         assert!(parse_database(bad3, &mut u)
             .unwrap_err()
             .message
-            .contains("undeclared"));
+            .contains("unknown relation"));
     }
 
     #[test]
@@ -491,7 +495,7 @@ mod tests {
     fn retract_clause_roundtrips() {
         let mut u = Universe::new();
         let row = vec![Value::Atom(u.intern("a")), Value::Atom(u.intern("b"))];
-        let clause = render_retract(&u, "G", &row);
+        let clause = render_clause(&u, &Clause::Retract("G".into(), row.clone()));
         assert_eq!(clause, "delete G('a', 'b').");
         assert_eq!(
             parse_clause(&clause, &mut u).unwrap(),

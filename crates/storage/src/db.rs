@@ -4,11 +4,11 @@
 //!
 //! ## Crash windows
 //!
-//! Every mutation follows *validate → log → apply*: the in-memory state
-//! changes only after the WAL append succeeded, so an I/O failure leaves
-//! memory and disk telling the same story. `save()` has exactly one
-//! publication point — the atomic rename of `snapshot.tmp` over
-//! `snapshot.bin`:
+//! Every mutation takes one body, `Db::write`: *check → log → apply*.
+//! The in-memory state changes only after the WAL append succeeded, so
+//! an I/O failure leaves memory and disk telling the same story.
+//! `save()` has exactly one publication point — the atomic rename of
+//! `snapshot.tmp` over `snapshot.bin`:
 //!
 //! * crash **before** the rename — the old snapshot and the full WAL
 //!   survive; recovery replays everything;
@@ -28,9 +28,7 @@ use crate::snapshot::{decode_snapshot, encode_snapshot};
 use crate::views::{decode_views, encode_views, ViewsCheckpoint};
 use crate::wal::{scan_wal, WalWriter};
 use crate::{fsio, StorageError, SNAPSHOT_FILE, SNAPSHOT_TMP, VIEWS_FILE, VIEWS_TMP, WAL_FILE};
-use no_object::text::{
-    parse_clause, parse_database, render_fact, render_retract, render_schema_decl, Clause,
-};
+use no_object::text::{import_clauses, parse_clause, render_clause, Clause};
 use no_object::{Governor, Instance, RelationSchema, Schema, Universe, Value};
 use std::path::{Path, PathBuf};
 
@@ -198,8 +196,8 @@ impl Db {
                         }
                         replayed_bytes += frame.len() as u64;
                         let clause = parse_frame(&mut universe, frame, &wal_path, i)?;
-                        apply_clause(&mut instance, &clause, &wal_path, i)?;
-                        tail.push(clause);
+                        tail.push(clause.clone());
+                        apply_clause(&mut instance, clause, &wal_path, i)?;
                     }
                     stats.replayed_frames = scan.frames.len() as u64;
                     stats.truncated_bytes = wal_bytes.len() as u64 - scan.keep_len;
@@ -243,7 +241,8 @@ impl Db {
         let universe = Universe::default();
         let instance = Instance::empty(Schema::new());
         let bytes = encode_snapshot(0, &universe, &instance);
-        write_snapshot_atomically(dir, &bytes, &options.faults)?;
+        publish(&options.faults, dir, SNAPSHOT_TMP, SNAPSHOT_FILE, &bytes)?;
+        fsio::sync_dir(&options.faults, dir)?;
         let mut wal = WalWriter::create(&dir.join(WAL_FILE), 0, &options.faults)?;
         wal.sync()?;
         Ok(Db {
@@ -264,38 +263,14 @@ impl Db {
 
     /// Declare a new relation. Logged, then applied.
     pub fn declare(&mut self, rel: RelationSchema) -> Result<(), StorageError> {
-        if self.instance.schema().get(&rel.name).is_some() {
-            return Err(StorageError::Invalid {
-                detail: format!("relation {:?} is already declared", rel.name),
-            });
-        }
-        let clause = render_schema_decl(&rel);
-        self.wal.append(clause.as_bytes())?;
-        if self.sync == SyncPolicy::Always {
-            self.wal.sync()?;
-        }
-        self.tail.push(Clause::Schema(rel.clone()));
-        apply_declare(&mut self.instance, rel);
-        Ok(())
+        self.write(Clause::Schema(rel), self.sync).map(drop)
     }
 
     /// Insert one tuple. Validated against the schema (structured error,
     /// never a panic), logged, then applied. Returns `Ok(false)` without
     /// logging when the tuple was already present.
     pub fn insert(&mut self, name: &str, row: Vec<Value>) -> Result<bool, StorageError> {
-        validate_row(self.instance.schema(), name, &row)
-            .map_err(|detail| StorageError::Invalid { detail })?;
-        if self.instance.relation(name).contains(&row) {
-            return Ok(false);
-        }
-        let clause = render_fact(&self.universe, name, &row);
-        self.wal.append(clause.as_bytes())?;
-        if self.sync == SyncPolicy::Always {
-            self.wal.sync()?;
-        }
-        self.tail.push(Clause::Fact(name.to_string(), row.clone()));
-        self.instance.insert(name, row);
-        Ok(true)
+        self.write(Clause::Fact(name.to_string(), row), self.sync)
     }
 
     /// Delete one tuple. Validated, logged as a `delete R(…).` clause,
@@ -304,20 +279,7 @@ impl Db {
     /// reach the log, so replay applies every logged retraction to a
     /// present row.
     pub fn delete(&mut self, name: &str, row: &[Value]) -> Result<bool, StorageError> {
-        validate_row(self.instance.schema(), name, row)
-            .map_err(|detail| StorageError::Invalid { detail })?;
-        if !self.instance.relation(name).contains(row) {
-            return Ok(false);
-        }
-        let clause = render_retract(&self.universe, name, row);
-        self.wal.append(clause.as_bytes())?;
-        if self.sync == SyncPolicy::Always {
-            self.wal.sync()?;
-        }
-        self.tail
-            .push(Clause::Retract(name.to_string(), row.to_vec()));
-        self.instance.delete(name, row);
-        Ok(true)
+        self.write(Clause::Retract(name.to_string(), row.to_vec()), self.sync)
     }
 
     /// Bulk-import a text-format database (`schema R(U).` declarations
@@ -325,38 +287,49 @@ impl Db {
     /// existing duplicates are skipped. One `fsync` at the end covers the
     /// whole batch under [`SyncPolicy::Always`].
     pub fn import_text(&mut self, src: &str) -> Result<ImportStats, StorageError> {
-        let (schema, parsed) =
-            parse_database(src, &mut self.universe).map_err(|e| StorageError::Invalid {
-                detail: format!("cannot parse database text: {e}"),
+        let clauses =
+            import_clauses(src, &mut self.universe, self.instance.schema()).map_err(|e| {
+                StorageError::Invalid {
+                    detail: format!("cannot parse database text: {e}"),
+                }
             })?;
         let mut stats = ImportStats::default();
-        for rel in schema.relations() {
-            if self.instance.schema().get(&rel.name).is_none() {
-                let clause = render_schema_decl(rel);
-                self.wal.append(clause.as_bytes())?;
-                self.tail.push(Clause::Schema(rel.clone()));
-                apply_declare(&mut self.instance, rel.clone());
-                stats.relations_added += 1;
+        for clause in clauses {
+            let declares = matches!(clause, Clause::Schema(_));
+            if !self.write(clause, SyncPolicy::Manual)? {
+                continue;
             }
-        }
-        for rel in schema.relations() {
-            for row in parsed.relation(&rel.name).sorted_rows() {
-                validate_row(self.instance.schema(), &rel.name, row)
-                    .map_err(|detail| StorageError::Invalid { detail })?;
-                if self.instance.relation(&rel.name).contains(row) {
-                    continue;
-                }
-                let clause = render_fact(&self.universe, &rel.name, row);
-                self.wal.append(clause.as_bytes())?;
-                self.tail.push(Clause::Fact(rel.name.clone(), row.clone()));
-                self.instance.insert(&rel.name, row.clone());
+            if declares {
+                stats.relations_added += 1;
+            } else {
                 stats.tuples_added += 1;
             }
         }
-        if self.sync == SyncPolicy::Always && (stats.relations_added + stats.tuples_added) > 0 {
+        if self.sync == SyncPolicy::Always && stats != ImportStats::default() {
             self.wal.sync()?;
         }
         Ok(stats)
+    }
+
+    /// The one write body: check the clause ([`Instance::check`]), skip
+    /// it when it would change nothing, log it, `fsync` under `sync`,
+    /// then apply it. Returns whether it changed the database.
+    fn write(&mut self, clause: Clause, sync: SyncPolicy) -> Result<bool, StorageError> {
+        let changes = self
+            .instance
+            .check(&clause)
+            .map_err(|detail| StorageError::Invalid { detail })?;
+        if !changes {
+            return Ok(false);
+        }
+        self.wal
+            .append(render_clause(&self.universe, &clause).as_bytes())?;
+        if sync == SyncPolicy::Always {
+            self.wal.sync()?;
+        }
+        self.tail.push(clause.clone());
+        self.instance.apply(clause);
+        Ok(true)
     }
 
     /// Checkpoint: write a snapshot of the current state at epoch `e+1`,
@@ -372,25 +345,9 @@ impl Db {
         }
         let next = self.epoch + 1;
         let bytes = encode_snapshot(next, &self.universe, &self.instance);
-        let tmp_path = self.dir.join(SNAPSHOT_TMP);
-        let snap_path = self.dir.join(SNAPSHOT_FILE);
-
-        // Phase 1: stage. Failure here changes nothing visible.
-        let stage = (|| {
-            let mut f = fsio::create(&self.faults, &tmp_path)?;
-            fsio::write_all(&self.faults, &mut f, &tmp_path, &bytes)?;
-            fsio::sync(&self.faults, &f, &tmp_path)
-        })();
-        if let Err(e) = stage {
-            let _ = std::fs::remove_file(&tmp_path);
-            return Err(e);
-        }
-
-        // Phase 2: publish. The rename is the commit point.
-        if let Err(e) = fsio::rename(&self.faults, &tmp_path, &snap_path) {
-            let _ = std::fs::remove_file(&tmp_path);
-            return Err(e);
-        }
+        // Stage, then publish: the rename is the commit point, and a
+        // failure before it changes nothing visible.
+        publish(&self.faults, &self.dir, SNAPSHOT_TMP, SNAPSHOT_FILE, &bytes)?;
 
         // Phase 3: from here the old WAL is stale; any failure leaves the
         // writer unusable until reopen (recovery handles every window).
@@ -421,21 +378,7 @@ impl Db {
     /// exactly which tail to replay over the stored states.
     pub fn save_views(&mut self, body: &[u8]) -> Result<(), StorageError> {
         let bytes = encode_views(self.epoch, self.wal.frames(), body);
-        let tmp_path = self.dir.join(VIEWS_TMP);
-        let views_path = self.dir.join(VIEWS_FILE);
-        let stage = (|| {
-            let mut f = fsio::create(&self.faults, &tmp_path)?;
-            fsio::write_all(&self.faults, &mut f, &tmp_path, &bytes)?;
-            fsio::sync(&self.faults, &f, &tmp_path)
-        })();
-        if let Err(e) = stage {
-            let _ = std::fs::remove_file(&tmp_path);
-            return Err(e);
-        }
-        if let Err(e) = fsio::rename(&self.faults, &tmp_path, &views_path) {
-            let _ = std::fs::remove_file(&tmp_path);
-            return Err(e);
-        }
+        publish(&self.faults, &self.dir, VIEWS_TMP, VIEWS_FILE, &bytes)?;
         fsio::sync_dir(&self.faults, &self.dir)
     }
 
@@ -516,57 +459,28 @@ impl Db {
     }
 }
 
-/// Write `bytes` as the snapshot via temp-file + fsync + rename + dir
-/// fsync.
-fn write_snapshot_atomically(
-    dir: &Path,
-    bytes: &[u8],
+/// Stage `bytes` in `dir/tmp` (create, write, fsync) and publish them
+/// over `dir/name` with one atomic rename. A failure removes the staging
+/// file and leaves `name` as it was; the caller fsyncs the directory.
+fn publish(
     faults: &IoFaults,
+    dir: &Path,
+    tmp: &str,
+    name: &str,
+    bytes: &[u8],
 ) -> Result<(), StorageError> {
-    let tmp_path = dir.join(SNAPSHOT_TMP);
-    let snap_path = dir.join(SNAPSHOT_FILE);
-    let mut f = fsio::create(faults, &tmp_path)?;
-    fsio::write_all(faults, &mut f, &tmp_path, bytes)?;
-    fsio::sync(faults, &f, &tmp_path)?;
-    drop(f);
-    fsio::rename(faults, &tmp_path, &snap_path)?;
-    fsio::sync_dir(faults, dir)
-}
-
-/// Extend the instance's schema with one more relation, carrying every
-/// existing relation over (the schema inside an [`Instance`] is fixed, so
-/// declaration rebuilds it).
-fn apply_declare(instance: &mut Instance, rel: RelationSchema) {
-    let mut schema = Schema::new();
-    for r in instance.schema().relations() {
-        schema.add(r.clone());
+    let tmp_path = dir.join(tmp);
+    let published = (|| {
+        let mut f = fsio::create(faults, &tmp_path)?;
+        fsio::write_all(faults, &mut f, &tmp_path, bytes)?;
+        fsio::sync(faults, &f, &tmp_path)?;
+        drop(f);
+        fsio::rename(faults, &tmp_path, &dir.join(name))
+    })();
+    if published.is_err() {
+        let _ = std::fs::remove_file(&tmp_path);
     }
-    schema.add(rel);
-    let mut next = Instance::empty(schema);
-    for r in instance.schema().relations() {
-        next.set_relation(&r.name, instance.relation(&r.name).clone());
-    }
-    *instance = next;
-}
-
-/// Check a row against the schema without panicking.
-fn validate_row(schema: &Schema, name: &str, row: &[Value]) -> Result<(), String> {
-    let rel = schema
-        .get(name)
-        .ok_or_else(|| format!("unknown relation {name:?}"))?;
-    if rel.arity() != row.len() {
-        return Err(format!(
-            "relation {name:?} has arity {} but the tuple has {} values",
-            rel.arity(),
-            row.len()
-        ));
-    }
-    for (v, t) in row.iter().zip(rel.column_types.iter()) {
-        if !v.has_type(t) {
-            return Err(format!("value {v} is not of type {t} in relation {name:?}"));
-        }
-    }
-    Ok(())
+    published
 }
 
 /// Parse one replayed WAL frame. Frames passed their checksum, so any
@@ -586,46 +500,27 @@ fn parse_frame(
     })
 }
 
-/// Apply one replayed clause. Mutations are validated before logging and
+/// Apply one replayed clause. Mutations are checked before logging and
 /// no-ops are never logged, so replay from the same starting state must
-/// apply cleanly — anything else is corruption.
+/// apply cleanly — anything else is corruption. (A replayed duplicate
+/// fact changes nothing and is let through.)
 fn apply_clause(
     instance: &mut Instance,
-    clause: &Clause,
+    clause: Clause,
     path: &Path,
     index: usize,
 ) -> Result<(), StorageError> {
-    match clause {
-        Clause::Schema(rel) => {
-            if instance.schema().get(&rel.name).is_some() {
-                return Err(StorageError::corrupt(
-                    path,
-                    0,
-                    format!("frame {index} redeclares relation {:?}", rel.name),
-                ));
-            }
-            apply_declare(instance, rel.clone());
+    let corrupt =
+        |detail: String| StorageError::corrupt(path, 0, format!("frame {index}: {detail}"));
+    match (instance.check(&clause).map_err(corrupt)?, &clause) {
+        (false, Clause::Retract(name, _)) => {
+            Err(corrupt(format!("retracts an absent tuple from {name:?}")))
         }
-        Clause::Fact(name, row) => {
-            validate_row(instance.schema(), name, row).map_err(|detail| {
-                StorageError::corrupt(path, 0, format!("frame {index}: {detail}"))
-            })?;
-            instance.insert(name, row.clone());
-        }
-        Clause::Retract(name, row) => {
-            validate_row(instance.schema(), name, row).map_err(|detail| {
-                StorageError::corrupt(path, 0, format!("frame {index}: {detail}"))
-            })?;
-            if !instance.delete(name, row) {
-                return Err(StorageError::corrupt(
-                    path,
-                    0,
-                    format!("frame {index} retracts an absent tuple from {name:?}"),
-                ));
-            }
+        _ => {
+            instance.apply(clause);
+            Ok(())
         }
     }
-    Ok(())
 }
 
 /// Read-only integrity check of the database at `dir`: validates the
@@ -678,7 +573,7 @@ pub fn verify(dir: &Path) -> Result<VerifyReport, StorageError> {
             Some(we) if we == epoch => {
                 for (i, frame) in scan.frames.iter().enumerate() {
                     let clause = parse_frame(&mut universe, frame, &wal_path, i)?;
-                    apply_clause(&mut instance, &clause, &wal_path, i)?;
+                    apply_clause(&mut instance, clause, &wal_path, i)?;
                 }
                 report.wal_frames = scan.frames.len() as u64;
             }

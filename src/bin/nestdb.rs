@@ -10,7 +10,7 @@
 //! Subcommands: `analyze` (static analysis), `explain` (plans without
 //! evaluation), `open` (shell attached to a durable database directory),
 //! `save` (import a text database into a durable directory and
-//! checkpoint), `verify` (read-only integrity check of a durable
+//! checkpoint, through the shell), `verify` (read-only integrity check of a durable
 //! directory), `serve` (TCP query service speaking newline-delimited
 //! JSON requests). With no subcommand, arguments are text database files
 //! loaded into an in-memory shell.
@@ -24,7 +24,6 @@ use nestdb::plan::json_escape;
 use nestdb::proto::{Lang, Op, Request};
 use nestdb::server::ServerConfig;
 use nestdb::shell::Shell;
-use nestdb::storage::{Db, DbOptions};
 use nestdb::{Session, Store};
 use std::io::{self, BufRead, Write};
 use std::path::Path;
@@ -306,46 +305,23 @@ fn run_verify(args: &[String]) -> i32 {
 /// `nestdb save <file.no> <dir>`
 ///
 /// Import a text database file into a durable directory (created if it
-/// does not exist; recovered through the usual snapshot + WAL replay if
-/// it does) and checkpoint, folding the imported mutations into a fresh
-/// snapshot.
+/// does not exist; recovered if it does) and checkpoint: see
+/// [`Shell::save_file_into`].
 fn run_save(args: &[String]) -> i32 {
     let [src, dir] = args else {
         eprintln!("usage: nestdb save <file.no> <dir>");
         return 2;
     };
-    let text = match std::fs::read_to_string(src) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {src}: {e}");
-            return 1;
+    match Shell::new().save_file_into(src, dir) {
+        Ok(out) => {
+            println!("{out}");
+            0
         }
-    };
-    let mut db = match Db::open(Path::new(dir), DbOptions::default()) {
-        Ok(db) => db,
         Err(e) => {
             eprintln!("error: {e}");
-            return 1;
+            1
         }
-    };
-    let stats = match db.import_text(&text) {
-        Ok(stats) => stats,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    if let Err(e) = db.save() {
-        eprintln!("error: {e}");
-        return 1;
     }
-    println!(
-        "saved {src} into {dir}: +{} relations, +{} tuples (snapshot epoch {})",
-        stats.relations_added,
-        stats.tuples_added,
-        db.epoch(),
-    );
-    0
 }
 
 /// `nestdb serve [--addr host:port] [--db <path>] [--tenant-steps N] [--tenant-refill N]`

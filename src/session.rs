@@ -47,14 +47,14 @@ use no_algebra::Expr;
 use no_core::Query;
 use no_datalog::Program;
 use no_ivm::{decode_registry, encode_registry, BaseDelta, IvmError, ViewDelta, ViewRegistry};
-use no_object::text::{parse_clause, render_database, Clause};
-use no_object::{Governor, Instance, Limits, Schema, Universe, Value};
+use no_object::text::{import_clauses, parse_clause, render_database, Clause};
+use no_object::{Governor, Instance, Limits, Schema, Universe};
 use no_plan::{CacheKey, CalcMode, DatalogMode, Output, PlanCache, Planned, Planner};
 use no_proto::{
-    AnalysisOut, ExplainOut, Lang, LimitsSpec, Mode, Op, Request, Response, Spend, StatsOut,
-    ViewStatsOut,
+    AnalysisOut, DeltaOut, ExplainOut, Lang, LimitsSpec, Mode, Op, Request, Response, Spend,
+    StatsOut, ViewStatsOut,
 };
-use no_storage::{Db, DbOptions, SyncPolicy};
+use no_storage::{Db, DbOptions, ImportStats, SyncPolicy};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -143,14 +143,6 @@ impl Store {
         }
     }
 
-    /// Replace the in-memory instance (ignored while a durable store is
-    /// attached — mutate through the log instead).
-    pub fn set_instance(&mut self, instance: Instance) {
-        if self.db.is_none() {
-            self.instance = instance;
-        }
-    }
-
     /// The attached durable database, if any.
     pub fn db(&self) -> Option<&Db> {
         self.db.as_ref()
@@ -235,90 +227,117 @@ impl Store {
         self.db.take()
     }
 
-    /// Apply one parsed clause — a `schema R(U).` declaration or a fact —
-    /// logging it first when a durable store is attached. Returns the
-    /// one-line outcome message; errors are message strings too (they
-    /// never poison the store).
+    /// Apply one parsed clause — a `schema R(U).` declaration, a fact or
+    /// a `delete` — after [`Instance::check`] accepts it. A durable store
+    /// logs it first ([`Db`] checks again), an in-memory one applies it.
+    /// Returns the one-line outcome message; errors are message strings
+    /// too (they never poison the store). Views are the caller's: the
+    /// session's batch writer maintains them around this call.
     pub fn apply_clause(&mut self, clause: Clause) -> Result<String, String> {
-        if let Some(db) = &mut self.db {
-            return match clause {
-                Clause::Schema(rel) => {
-                    let name = rel.name.clone();
-                    db.declare(rel).map_err(|e| e.to_string())?;
-                    Ok(format!("declared {name} (logged)"))
-                }
-                Clause::Fact(name, row) => {
-                    let fresh = db.insert(&name, row).map_err(|e| e.to_string())?;
-                    Ok(if fresh {
-                        format!("inserted into {name} (logged)")
-                    } else {
-                        format!("already in {name} (nothing logged)")
-                    })
-                }
-                Clause::Retract(name, row) => {
-                    let removed = db.delete(&name, &row).map_err(|e| e.to_string())?;
-                    Ok(if removed {
-                        format!("deleted from {name} (logged)")
-                    } else {
-                        format!("not in {name} (nothing logged)")
-                    })
-                }
-            };
-        }
+        let changes = self.instance().check(&clause)?;
+        let mut message = match (&clause, changes) {
+            (Clause::Schema(rel), _) => format!("declared {}", rel.name),
+            (Clause::Fact(name, _), true) => format!("inserted into {name}"),
+            (Clause::Fact(name, _), false) => format!("already in {name}"),
+            (Clause::Retract(name, _), true) => format!("deleted from {name}"),
+            (Clause::Retract(name, _), false) => format!("not in {name}"),
+        };
+        let Some(db) = &mut self.db else {
+            self.instance.apply(clause);
+            return Ok(message);
+        };
         match clause {
-            Clause::Schema(rel) => {
-                if self.instance.schema().get(&rel.name).is_some() {
-                    return Err(format!("relation {:?} is already declared", rel.name));
-                }
-                let name = rel.name.clone();
-                let mut schema = Schema::new();
-                for r in self.instance.schema().relations() {
-                    schema.add(r.clone());
-                }
-                schema.add(rel);
-                let mut next = Instance::empty(schema);
-                for r in self.instance.schema().relations() {
-                    next.set_relation(&r.name, self.instance.relation(&r.name).clone());
-                }
-                self.instance = next;
-                Ok(format!("declared {name}"))
+            Clause::Schema(rel) => db.declare(rel),
+            Clause::Fact(name, row) => db.insert(&name, row).map(drop),
+            Clause::Retract(name, row) => db.delete(&name, &row).map(drop),
+        }
+        .map_err(|e| e.to_string())?;
+        message.push_str(if changes {
+            " (logged)"
+        } else {
+            " (nothing logged)"
+        });
+        Ok(message)
+    }
+
+    /// Import a text database: declare the relations it adds and insert
+    /// the facts it adds, through [`Instance::check`] and the live
+    /// backend's writer — a durable store logs each clause and fsyncs once
+    /// ([`Db::import_text`]). Every view then catches up with the imported
+    /// facts as its delta, also when the import failed partway.
+    pub fn import(&mut self, src: &str, gov: &Governor) -> Result<ImportStats, String> {
+        let (result, landed) = match &mut self.db {
+            Some(db) => {
+                let from = db.epoch_clauses().len();
+                let result = db.import_text(src).map(drop).map_err(|e| e.to_string());
+                (result, db.epoch_clauses().skip(from).cloned().collect())
             }
+            None => {
+                let mut landed = Vec::new();
+                let result = import_clauses(src, &mut self.universe, self.instance.schema())
+                    .map_err(|e| format!("cannot parse database text: {e}"))
+                    .and_then(|clauses| {
+                        for clause in clauses {
+                            if self.instance.check(&clause)? {
+                                landed.push(clause.clone());
+                                self.instance.apply(clause);
+                            }
+                        }
+                        Ok(())
+                    });
+                (result, landed)
+            }
+        };
+        if !landed.is_empty() {
+            let mut views = std::mem::take(&mut self.views);
+            let caught_up = catch_up(&mut views, self.instance(), &landed, gov);
+            self.views = views;
+            if caught_up.is_err() {
+                let _ = self.recompute_views(gov);
+            }
+        }
+        result?;
+        let declared = landed
+            .iter()
+            .filter(|c| matches!(c, Clause::Schema(_)))
+            .count() as u64;
+        Ok(ImportStats {
+            relations_added: declared,
+            tuples_added: landed.len() as u64 - declared,
+        })
+    }
+}
+
+/// Bring `views` up to date with `clauses`, which are already applied to
+/// `instance`. Maintenance reads the pre-change instance, so their net
+/// change is un-applied on a copy first. Declarations carry no rows: a
+/// relation declared among them was empty before, and no view reads it.
+fn catch_up<'c>(
+    views: &mut ViewRegistry,
+    instance: &Instance,
+    clauses: impl IntoIterator<Item = &'c Clause>,
+    gov: &Governor,
+) -> Result<(), IvmError> {
+    if views.is_empty() {
+        return Ok(());
+    }
+    let (mut delta, mut undo) = (BaseDelta::new(), BaseDelta::new());
+    for clause in clauses {
+        match clause {
             Clause::Fact(name, row) => {
-                let (arity, col_types) = match self.instance.schema().get(&name) {
-                    Some(r) => (r.arity(), r.column_types.clone()),
-                    None => return Err(format!("unknown relation {name:?}")),
-                };
-                if arity != row.len() {
-                    return Err(format!(
-                        "relation {name:?} has arity {arity} but the tuple has {} values",
-                        row.len()
-                    ));
-                }
-                for (v, t) in row.iter().zip(col_types.iter()) {
-                    if !v.has_type(t) {
-                        return Err(format!("value is not of type {t} in relation {name:?}"));
-                    }
-                }
-                let fresh = self.instance.insert(&name, row);
-                Ok(if fresh {
-                    format!("inserted into {name}")
-                } else {
-                    format!("already in {name}")
-                })
+                delta.insert(name, row.clone());
+                undo.delete(name, row.clone());
             }
             Clause::Retract(name, row) => {
-                if self.instance.schema().get(&name).is_none() {
-                    return Err(format!("unknown relation {name:?}"));
-                }
-                let removed = self.instance.delete(&name, &row);
-                Ok(if removed {
-                    format!("deleted from {name}")
-                } else {
-                    format!("not in {name}")
-                })
+                delta.delete(name, row.clone());
+                undo.insert(name, row.clone());
             }
+            Clause::Schema(_) => {}
         }
     }
+    let mut pre = instance.clone();
+    undo.apply(&mut pre);
+    views.maintain(&pre, &delta, gov).map(drop)
 }
 
 // ---------------------------------------------------------------------------
@@ -359,10 +378,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Durability policy for databases opened through this session:
+    /// Durability policy for databases an `open` request attaches:
     /// [`SyncPolicy::Always`] (the default) fsyncs the write-ahead log on
-    /// every mutation; [`SyncPolicy::Manual`] defers to explicit
-    /// [`Session::sync`] / [`Session::save`] calls.
+    /// every mutation; [`SyncPolicy::Manual`] defers to a checkpoint
+    /// (`save`) or an explicit [`Db::sync`].
     pub fn sync_policy(mut self, policy: SyncPolicy) -> Self {
         self.sync_policy = policy;
         self
@@ -412,7 +431,7 @@ pub struct Session {
     /// schema fingerprint. Shared by clones of this session, and across
     /// sessions when built with [`SessionBuilder::plan_cache`].
     plans: Arc<Mutex<PlanCache<Planned>>>,
-    /// Durability policy applied to databases opened via [`Session::open`].
+    /// Durability policy applied to databases an `open` request attaches.
     sync_policy: SyncPolicy,
     /// The shared database state [`Session::run`] reads and mutates.
     store: Arc<RwLock<Store>>,
@@ -700,49 +719,65 @@ impl Session {
             Ok(c) => c,
             Err(e) => return Response::error("parse", e.to_string()),
         };
-        // with views live, route the mutation through maintenance first —
-        // the engine needs the pre-delta instance
-        let mut view_deltas = BTreeMap::new();
-        if !store.views().is_empty() {
-            let mut delta = BaseDelta::new();
-            match &clause {
-                Clause::Fact(name, row) => {
-                    if let Err(m) = validate_mutation(store.instance(), name, row) {
-                        return Response::error("storage", m);
-                    }
-                    delta.insert(name, row.clone());
-                }
-                Clause::Retract(name, row) => {
-                    if let Err(m) = validate_mutation(store.instance(), name, row) {
-                        return Response::error("storage", m);
-                    }
-                    delta.delete(name, row.clone());
-                }
+        match self.write_batch(&mut store, vec![clause]) {
+            Err(refusal) => *refusal,
+            Ok(Written {
+                failed: Some(m), ..
+            }) => Response::error("storage", m),
+            Ok(mut w) => Response {
+                deltas: w.deltas,
+                ..Response::message(w.messages.remove(0))
+            },
+        }
+    }
+
+    /// The one writer path, shared by `insert` and `update`: check every
+    /// clause against the live instance, maintain the views under the
+    /// batch's delta (the engine reads the pre-batch instance), then land
+    /// each clause through [`Store::apply_clause`], logged first on a
+    /// durable store. A refused check or maintenance changes nothing; an
+    /// apply that fails leaves the views ahead of the store, so they are
+    /// recomputed against what landed.
+    fn write_batch(&self, store: &mut Store, clauses: Vec<Clause>) -> Result<Written, Refusal> {
+        let mut delta = BaseDelta::new();
+        let mut mutates = false;
+        for clause in &clauses {
+            if let Err(m) = store.instance().check(clause) {
+                return Err(Box::new(Response::error("storage", m)));
+            }
+            match clause {
+                Clause::Fact(name, row) => delta.insert(name, row.clone()),
+                Clause::Retract(name, row) => delta.delete(name, row.clone()),
                 // a fresh relation is empty: no view can read it yet
-                Clause::Schema(_) => {}
+                Clause::Schema(_) => continue,
             }
-            if !delta.is_empty() {
-                match store.maintain_views(&delta, &self.governor) {
-                    Ok(d) => view_deltas = d,
-                    Err(e) => return ivm_error_response(&e),
+            mutates = true;
+        }
+        let mut view_deltas = BTreeMap::new();
+        if mutates {
+            view_deltas = store
+                .maintain_views(&delta, &self.governor)
+                .map_err(|e| Box::new(ivm_error_response(&e)))?;
+        }
+        let mut messages = Vec::with_capacity(clauses.len());
+        let mut failed = None;
+        for clause in clauses {
+            match store.apply_clause(clause) {
+                Ok(m) => messages.push(m),
+                Err(m) => {
+                    if !view_deltas.is_empty() {
+                        let _ = store.recompute_views(&self.governor);
+                    }
+                    failed = Some(m);
+                    break;
                 }
             }
         }
-        match store.apply_clause(clause) {
-            Ok(msg) => {
-                let mut resp = Response::message(msg);
-                resp.deltas = reply::delta_outs(store.universe(), &view_deltas);
-                resp
-            }
-            Err(msg) => {
-                if !view_deltas.is_empty() {
-                    // views ran ahead of a failed apply; fall back to a
-                    // recomputation so they match whatever is live
-                    let _ = store.recompute_views(&self.governor);
-                }
-                Response::error("storage", msg)
-            }
-        }
+        Ok(Written {
+            messages,
+            deltas: reply::delta_outs(store.universe(), &view_deltas),
+            failed,
+        })
     }
 
     fn op_materialize(&self, req: &Request) -> Response {
@@ -793,53 +828,28 @@ impl Session {
                 "update needs fact or delete clauses, one per line of `text`",
             );
         }
-        // validate everything up front so maintenance never runs ahead of
-        // a mutation the store would refuse
-        let mut delta = BaseDelta::new();
-        for c in &clauses {
-            match c {
-                Clause::Schema(_) => {
-                    return Response::error(
-                        "protocol",
-                        "update takes fact/delete clauses; declare schema through op: insert",
-                    )
-                }
-                Clause::Fact(name, row) => {
-                    if let Err(m) = validate_mutation(store.instance(), name, row) {
-                        return Response::error("storage", m);
-                    }
-                    delta.insert(name, row.clone());
-                }
-                Clause::Retract(name, row) => {
-                    if let Err(m) = validate_mutation(store.instance(), name, row) {
-                        return Response::error("storage", m);
-                    }
-                    delta.delete(name, row.clone());
-                }
-            }
+        if clauses.iter().any(|c| matches!(c, Clause::Schema(_))) {
+            return Response::error(
+                "protocol",
+                "update takes fact/delete clauses; declare schema through op: insert",
+            );
         }
-        let view_deltas = match store.maintain_views(&delta, &self.governor) {
-            Ok(d) => d,
-            Err(e) => return ivm_error_response(&e),
-        };
-        let mut applied = 0usize;
-        for c in clauses {
-            match store.apply_clause(c) {
-                Ok(_) => applied += 1,
-                Err(m) => {
-                    // views were maintained for the whole batch; resync
-                    // them with what actually landed
-                    let _ = store.recompute_views(&self.governor);
-                    return Response::error("storage", format!("after {applied} clauses: {m}"));
-                }
-            }
+        match self.write_batch(&mut store, clauses) {
+            Err(refusal) => *refusal,
+            Ok(Written {
+                messages,
+                failed: Some(m),
+                ..
+            }) => Response::error("storage", format!("after {} clauses: {m}", messages.len())),
+            Ok(w) => Response {
+                deltas: w.deltas,
+                ..Response::message(format!(
+                    "applied {} mutations; {} views maintained",
+                    w.messages.len(),
+                    store.views().len()
+                ))
+            },
         }
-        let mut resp = Response::message(format!(
-            "applied {applied} mutations; {} views maintained",
-            store.views().len()
-        ));
-        resp.deltas = reply::delta_outs(store.universe(), &view_deltas);
-        resp
     }
 
     fn op_subscribe(&self, req: &Request) -> Response {
@@ -978,34 +988,12 @@ impl Session {
                 return ViewRegistry::new();
             }
         };
-        // the net change between the checkpoint's WAL position and now
-        let mut delta = BaseDelta::new();
-        let mut replayed = 0usize;
-        for clause in db.epoch_clauses().skip(ck.frames as usize) {
-            replayed += 1;
-            match clause {
-                Clause::Fact(name, row) => delta.insert(name, row.clone()),
-                Clause::Retract(name, row) => delta.delete(name, row.clone()),
-                // relations declared after the checkpoint are empty then
-                // and unreadable by any checkpointed view
-                Clause::Schema(_) => {}
-            }
-        }
-        // maintenance needs the pre-delta instance; recovery already
-        // replayed the whole log, so un-apply the net tail first
-        let mut pre = db.instance().clone();
-        for (rel, rows) in &delta.add {
-            for row in rows.iter() {
-                pre.delete(rel, row);
-            }
-        }
-        for (rel, rows) in &delta.del {
-            for row in rows.iter() {
-                pre.insert(rel, row.clone());
-            }
-        }
-        match reg.maintain(&pre, &delta, &self.governor) {
-            Ok(_) => {
+        // recovery already replayed the whole log: catch the views up with
+        // the tail the checkpoint had not seen
+        let tail = db.epoch_clauses().skip(ck.frames as usize);
+        let replayed = tail.len();
+        match catch_up(&mut reg, db.instance(), tail, &self.governor) {
+            Ok(()) => {
                 msg.push_str(&format!(
                     "\nviews restored: {} from checkpoint, {replayed} log clauses replayed",
                     reg.len()
@@ -1046,37 +1034,6 @@ impl Session {
             }),
             ..Response::default()
         }
-    }
-
-    // ----- durable storage --------------------------------------------
-
-    /// Open (creating if absent) the durable database at `dir`, running
-    /// full crash recovery: load the latest valid snapshot, replay the
-    /// write-ahead log, truncate a torn tail, refuse on mid-log
-    /// corruption. The session's governor is charged for the replayed
-    /// arenas, so recovering a huge store trips the same memory budget as
-    /// building it any other way; the session's
-    /// [`SessionBuilder::sync_policy`] decides mutation durability.
-    pub fn open(&self, dir: &Path) -> Result<Db, Error> {
-        let options = DbOptions {
-            sync: self.sync_policy,
-            governor: Some(self.governor.clone()),
-            faults: no_storage::IoFaults::none(),
-        };
-        Db::open(dir, options).map_err(Error::from)
-    }
-
-    /// Checkpoint `db`: fold the write-ahead log into a fresh snapshot
-    /// (published with an atomic rename) and reset the log.
-    pub fn save(&self, db: &mut Db) -> Result<(), Error> {
-        db.save().map_err(Error::from)
-    }
-
-    /// Make every mutation of `db` so far durable (meaningful under
-    /// [`SyncPolicy::Manual`]; a no-op-cost fsync under
-    /// [`SyncPolicy::Always`]).
-    pub fn sync(&self, db: &mut Db) -> Result<(), Error> {
-        db.sync().map_err(Error::from)
     }
 
     // ----- compile-to-plan entry points -------------------------------
@@ -1200,6 +1157,15 @@ fn failure(kind: &str, message: String, resource_trip: bool) -> Response {
 /// and a [`Response`] is several hundred bytes.
 type Refusal = Box<Response>;
 
+/// What a batch write did: each landed clause's outcome message, the
+/// views' deltas, and the refusal of the clause that failed to land, if
+/// one did (the clauses before it stay applied).
+struct Written {
+    messages: Vec<String>,
+    deltas: Vec<DeltaOut>,
+    failed: Option<String>,
+}
+
 /// `mode: checked` found errors: the diagnostics as the error, the full
 /// analysis alongside.
 fn checked_refusal(analysis: &no_analysis::Analysis, src: &str) -> Refusal {
@@ -1282,28 +1248,6 @@ fn render(universe: &Universe, output: Output) -> Response {
         rounds,
         ..Response::default()
     }
-}
-
-/// Check a fact/delete mutation against the schema without applying it,
-/// so a batch can be validated up front and applied all-or-nothing.
-fn validate_mutation(instance: &Instance, name: &str, row: &[Value]) -> Result<(), String> {
-    let rel = match instance.schema().get(name) {
-        Some(r) => r,
-        None => return Err(format!("unknown relation {name:?}")),
-    };
-    if rel.arity() != row.len() {
-        return Err(format!(
-            "relation {name:?} has arity {} but the tuple has {} values",
-            rel.arity(),
-            row.len()
-        ));
-    }
-    for (v, t) in row.iter().zip(rel.column_types.iter()) {
-        if !v.has_type(t) {
-            return Err(format!("value is not of type {t} in relation {name:?}"));
-        }
-    }
-    Ok(())
 }
 
 fn analysis_out(analysis: &no_analysis::Analysis, src: &str) -> AnalysisOut {
@@ -1457,17 +1401,26 @@ mod tests {
         );
     }
 
+    fn request(op: Op, text: &str) -> Request {
+        Request {
+            op,
+            text: text.into(),
+            ..Request::default()
+        }
+    }
+
     #[test]
     fn session_opens_and_recovers_durable_databases() {
         let dir = std::env::temp_dir().join(format!("nestdb_session_db_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let d = dir.display().to_string();
         let s = Session::default();
-        let mut db = s.open(&dir).unwrap();
-        assert!(db.open_stats().created);
-        db.import_text("schema G(U, U).\nG('a', 'b').\nG('b', 'c').\n")
-            .unwrap();
-        s.save(&mut db).unwrap();
-        drop(db);
+        let r = s.run(&request(Op::Open, &d));
+        assert!(r.message.unwrap().contains("created"));
+        for clause in ["schema G(U, U).", "G('a', 'b').", "G('b', 'c')."] {
+            assert!(s.run(&request(Op::Insert, clause)).ok, "{clause}");
+        }
+        assert!(s.run(&request(Op::Save, "")).ok);
 
         // Replay through a session with a tiny memory budget must trip —
         // recovery is charged like any other materialisation.
@@ -1477,18 +1430,14 @@ mod tests {
                 ..Limits::unlimited()
             })
             .build();
-        let err = tight.open(&dir).unwrap_err();
-        assert!(err.is_resource_trip(), "{err}");
+        let r = tight.run(&request(Op::Open, &d));
+        assert!(tripped(&r), "{:?}", r.error);
 
         // A roomy session recovers the data and queries it.
         let s2 = Session::builder().sync_policy(SyncPolicy::Manual).build();
-        let db = s2.open(&dir).unwrap();
-        assert_eq!(db.epoch(), 1);
-        s2.store().write().unwrap().attach(db);
+        let r = s2.run(&request(Op::Open, &d));
+        assert!(r.message.unwrap().contains("snapshot epoch 1"));
         assert_eq!(rows(&s2, &calc(Mode::Fast, EDGES), "result"), 2);
-        let mut db = s2.store().write().unwrap().detach().unwrap();
-        s2.sync(&mut db).unwrap();
-        drop(db);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1942,6 +1891,54 @@ mod tests {
             ..Request::default()
         });
         assert_eq!(r.stats.as_ref().unwrap().views[0].maintain_calls, 0);
+    }
+
+    /// A malformed clause gets one refusal, word for word, whichever store
+    /// serves it: in memory, in memory with a view live, or durable.
+    #[test]
+    fn a_malformed_clause_gets_one_refusal_on_every_store() {
+        let dir = std::env::temp_dir().join(format!("nestdb_refusal_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plain = graph_session(&[("a", "b")]);
+        let viewed = graph_session(&[("a", "b")]);
+        let mut paths = request(Op::Materialize, TC_SRC);
+        paths.view = "paths".into();
+        assert!(viewed.run(&paths).ok);
+        let durable = Session::default();
+        assert!(
+            durable
+                .run(&request(Op::Open, &dir.display().to_string()))
+                .ok
+        );
+        for clause in ["schema G(U, U).", "G('a', 'b')."] {
+            assert!(durable.run(&request(Op::Insert, clause)).ok, "{clause}");
+        }
+        let arity = r#"relation "G" has arity 2 but the tuple has 1 values"#;
+        let ty = r#"column 1 is not of type U in relation "G""#;
+        for (op, text, message) in [
+            (Op::Insert, "delete G('a').", arity),
+            (Op::Update, "delete G('a').", arity),
+            (Op::Insert, "G({'a'}, 'b').", ty),
+            (Op::Update, "G('c', 'd').\nG({'a'}, 'b').", ty),
+            (Op::Insert, "H('a').", r#"unknown relation "H""#),
+            (Op::Update, "delete H('a').", r#"unknown relation "H""#),
+            (
+                Op::Insert,
+                "schema G(U).",
+                r#"relation "G" is already declared"#,
+            ),
+        ] {
+            for s in [&plain, &viewed, &durable] {
+                let r = s.run(&request(op, text));
+                let e = r.error.unwrap_or_else(|| panic!("{text}: {:?}", r.message));
+                assert_eq!((e.kind.as_str(), e.message.as_str()), ("storage", message));
+            }
+        }
+        // nothing landed anywhere
+        for s in [&plain, &viewed, &durable] {
+            assert_eq!(rows(s, &calc(Mode::Fast, EDGES), "result"), 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

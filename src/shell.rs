@@ -24,7 +24,7 @@ use crate::session::{Session, Store};
 use no_core::error::EvalConfig;
 use no_core::parser::parse_query;
 use no_core::report::{classify, InputAssumption};
-use no_object::text::{parse_database, render_database};
+use no_object::text::render_database;
 use no_proto::{Lang, LimitsSpec, Mode, Op, Request, Response, Spend};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
@@ -108,35 +108,52 @@ impl Shell {
         }
     }
 
-    /// Load a database file (text format). Without a durable store this
-    /// replaces the in-memory database; with one attached it imports the
-    /// file's declarations and facts into the store (logged, durable).
+    /// Load a database file (text format) into the store: its new
+    /// relations are declared and its new facts inserted, logged when a
+    /// durable store is attached, and every live view catches up with
+    /// them before this returns ([`Store::import`]).
     pub fn load(&mut self, path: &str) -> Result<String, String> {
         let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let mut store = self
             .store
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(db) = store.db_mut() {
-            let stats = db.import_text(&src).map_err(|e| e.to_string())?;
-            return Ok(format!(
+        let stats = store.import(&src, self.session.governor())?;
+        Ok(match store.db() {
+            Some(db) => format!(
                 "imported {path} into {}: +{} relations, +{} tuples",
                 db.dir().display(),
                 stats.relations_added,
                 stats.tuples_added
-            ));
+            ),
+            None => {
+                let instance = store.instance();
+                format!(
+                    "loaded {path}: {} relations, {} tuples, {} atoms",
+                    instance.schema().len(),
+                    instance.cardinality(),
+                    instance.atoms().len()
+                )
+            }
+        })
+    }
+
+    /// `nestdb save <file> <dir>`: import a text database file into a
+    /// durable directory and checkpoint it, as `:open <dir>`, `:load
+    /// <file>` and `:save` — so the directory's views are restored, catch
+    /// up with the imported facts and are checkpointed with the snapshot.
+    /// Returns the three commands' messages, one per line.
+    pub fn save_file_into(&mut self, file: &str, dir: &str) -> Result<String, String> {
+        let steps = [
+            format!(":open {dir}"),
+            format!(":load {file}"),
+            ":save".to_string(),
+        ];
+        let mut out = Vec::new();
+        for step in &steps {
+            out.extend(self.command(step)?);
         }
-        let (schema, instance) =
-            parse_database(&src, store.universe_mut()).map_err(|e| e.to_string())?;
-        let summary = format!(
-            "loaded {}: {} relations, {} tuples, {} atoms",
-            path,
-            schema.len(),
-            instance.cardinality(),
-            instance.atoms().len()
-        );
-        store.set_instance(instance);
-        Ok(summary)
+        Ok(out.join("\n"))
     }
 
     /// Render a tripped budget: which budget, where, and how much of each
@@ -512,8 +529,8 @@ impl Shell {
 const HELP: &str = "\
 queries:   {[x:U, y:{U}] | Friends(x, y) /\\ ...}   evaluate a CALC query
 commands:
-  :load <file>       load a database (text format: schema R(U). R('a').)
-                     (with a store attached: import into it, logged)
+  :load <file>       import a database (text format: schema R(U). R('a').)
+                     (with a store attached: logged; views catch up)
   :open <dir>        attach a durable database (snapshot + write-ahead log,
                      created if absent; crash recovery runs on open)
   :insert <clause>   apply one clause — schema R(U). or R('a'). — logged
@@ -549,16 +566,14 @@ mod tests {
     fn loaded_shell() -> Shell {
         let sh = Shell::new();
         // build the graph database inline rather than from a file
-        {
-            let store = sh.store();
-            let mut s = store.write().unwrap();
-            let (_schema, instance) = parse_database(
+        sh.store()
+            .write()
+            .unwrap()
+            .import(
                 "schema G(U, U).\nG('a','b').\nG('b','c').\nG('c','a').",
-                s.universe_mut(),
+                sh.session.governor(),
             )
             .unwrap();
-            s.set_instance(instance);
-        }
         sh
     }
 
@@ -847,6 +862,79 @@ mod tests {
         sh.command(&format!(":open {}", store.display())).unwrap();
         let out = sh.command("{[x:U, y:U] | G(x, y)}").unwrap().unwrap();
         assert!(out.contains("2 rows"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A durable store at `dir` holding `G(a, b)` and the checkpointed
+    /// view `paths` (transitive closure of `G`), plus a text file adding
+    /// `G(b, c)`.
+    fn store_with_a_view(dir: &std::path::Path) -> (String, String) {
+        std::fs::create_dir_all(dir).unwrap();
+        let more = dir.join("more.no");
+        std::fs::write(&more, "schema G(U, U).\nG('b', 'c').\n").unwrap();
+        let store = dir.join("store").display().to_string();
+        let s = Session::default();
+        let run = |op, text: &str, view: &str| {
+            let r = s.run(&Request {
+                op,
+                text: text.into(),
+                view: view.into(),
+                ..Request::default()
+            });
+            assert!(r.ok, "{text}: {:?}", r.error);
+        };
+        run(Op::Open, &store, "");
+        run(Op::Insert, "schema G(U, U).", "");
+        run(Op::Insert, "G('a', 'b').", "");
+        let tc = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
+        run(Op::Materialize, tc, "paths");
+        run(Op::Save, "", "");
+        (store, more.display().to_string())
+    }
+
+    /// Reopen `store` and insert `G(c, d)`: the views it restores, and
+    /// the rows the insert adds to `paths`.
+    fn reopen_and_extend(store: &str) -> (Vec<String>, usize) {
+        let s = Session::default();
+        let op = |op, text: &str| Request {
+            op,
+            text: text.into(),
+            ..Request::default()
+        };
+        assert!(s.run(&op(Op::Open, store)).ok);
+        let stats = s.run(&op(Op::Stats, "")).stats.unwrap();
+        let views = stats.views.into_iter().map(|v| v.view).collect();
+        let r = s.run(&op(Op::Update, "G('c', 'd')."));
+        assert!(r.ok, "{:?}", r.error);
+        let added = r.deltas.first().map_or(0, |d| d.added[0].rows.len());
+        (views, added)
+    }
+
+    #[test]
+    fn load_into_a_durable_store_keeps_its_views_current() {
+        let dir = scratch("load_views");
+        let (store, more) = store_with_a_view(&dir);
+        let mut sh = Shell::new();
+        sh.command(&format!(":open {store}")).unwrap();
+        let out = sh.command(&format!(":load {more}")).unwrap().unwrap();
+        assert!(out.contains("+0 relations, +1 tuples"), "{out}");
+        let out = sh.command(":save").unwrap().unwrap();
+        assert!(out.contains("1 views checkpointed"), "{out}");
+        drop(sh);
+        // the checkpointed view holds (b, c) and (a, c), so G(c, d) adds
+        // (c, d), (b, d) and (a, d)
+        assert_eq!(reopen_and_extend(&store), (vec!["paths".to_string()], 3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_file_into_keeps_the_directorys_views() {
+        let dir = scratch("save_views");
+        let (store, more) = store_with_a_view(&dir);
+        let out = Shell::new().save_file_into(&more, &store).unwrap();
+        assert!(out.contains("views restored: 1"), "{out}");
+        assert!(out.contains("1 views checkpointed"), "{out}");
+        assert_eq!(reopen_and_extend(&store), (vec!["paths".to_string()], 3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
