@@ -10,7 +10,8 @@
 //! The join kernels all reduce to the same two steps: enumerate the set
 //! of `(left row, right row)` index pairs that satisfy the join's keys
 //! and filter — by exhaustive pairing (nested loop), by probing a key
-//! index built on one side (hash), or by probing an index of one side's
+//! index built on one side (hash), by binary search in the right side's
+//! sorted first column (lookup), or by probing an index of one side's
 //! set members (element index) — then sort the pairs and materialize
 //! them column-wise. A selection over a product is such a join: its
 //! predicate is tested on each candidate pair, and only passing pairs
@@ -27,9 +28,10 @@
 use crate::meter::BlockMeter;
 use crate::pred::{CompiledPred, RowPred};
 use crate::table::ColumnTable;
-use no_object::{Governor, Interner, ResourceError, ValueId};
+use no_object::{Governor, Interner, ResourceError, Value, ValueId};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// The physical join algorithm to run, chosen by the planner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,6 +43,11 @@ pub enum JoinAlgo {
         /// Build on the left input (probe with the right) when true.
         build_left: bool,
     },
+    /// Probe the right input's sorted first column with each left row's
+    /// key ([`ColumnTable::leading_range`]): no index is built. Needs a
+    /// key pair on the right's column 0; the other keys and the filter
+    /// are tested on each candidate.
+    Lookup,
     /// Index the members of one side's set column, probe with the
     /// other side's element (`∈`) or set (`⊆`) column. Enumerates only
     /// the pairs satisfying the conjunct, so it is correct exactly when
@@ -77,6 +84,7 @@ impl JoinAlgo {
                 "HashJoin(build={})",
                 if *build_left { "left" } else { "right" }
             ),
+            JoinAlgo::Lookup => "LookupJoin".to_string(),
             JoinAlgo::ElementIndex(SetConjunct::In { elem, set }) => {
                 format!("ElementIndexJoin(#{} ∈ #{})", elem + 1, set + 1)
             }
@@ -87,19 +95,58 @@ impl JoinAlgo {
     }
 }
 
-/// σ — keep the rows satisfying `pred`.
+/// σ — keep the rows satisfying `pred`: one step per row tested at
+/// `exec.select`.
 pub fn select(
     t: &ColumnTable,
     pred: &RowPred,
     int: &Interner,
     gov: &Governor,
 ) -> Result<ColumnTable, ResourceError> {
-    let compiled = pred.compile(int);
-    let mut m = BlockMeter::new(gov, "exec.select");
+    keep_rows(
+        t,
+        0..t.len(),
+        Some(pred),
+        int,
+        BlockMeter::new(gov, "exec.select"),
+    )
+}
+
+/// σ\[#1 = `key` ∧ `rest`\] by the table's sorted first column: the key
+/// is looked up in the arena without admitting it (an absent value
+/// matches no row), its rows are found by [`ColumnTable::leading_range`]
+/// and `rest` is tested on them. One step for the probe and one per row
+/// in the range at `exec.lookup`, whatever the table's size.
+pub fn lookup(
+    t: &ColumnTable,
+    key: &Value,
+    rest: Option<&RowPred>,
+    int: &Interner,
+    gov: &Governor,
+) -> Result<ColumnTable, ResourceError> {
+    let rows = int.lookup(key).map_or(0..0, |id| t.leading_range(id));
+    let mut m = BlockMeter::new(gov, "exec.lookup");
+    m.work(1)?;
+    keep_rows(t, rows, rest, int, m)
+}
+
+/// The rows of `rows` satisfying `pred` (all of them without one), one
+/// step each and the standard bytes per kept row on `m`.
+fn keep_rows(
+    t: &ColumnTable,
+    rows: Range<usize>,
+    pred: Option<&RowPred>,
+    int: &Interner,
+    mut m: BlockMeter<'_>,
+) -> Result<ColumnTable, ResourceError> {
+    let compiled = pred.map(|p| p.compile(int));
     let mut keep: Vec<u32> = Vec::new();
-    for i in 0..t.len() {
+    for i in rows {
         m.work(1)?;
-        if compiled.eval_by(&|c| t.col(c)[i], int) {
+        if compiled
+            .as_ref()
+            .is_none_or(|p| p.eval_by(&|c| t.col(c)[i], int))
+        {
             keep.push(i as u32);
         }
     }
@@ -269,6 +316,7 @@ pub fn join(
     let mut pairs = match algo {
         JoinAlgo::NestedLoop => nested_loop_pairs(&test, gov)?,
         JoinAlgo::Hash { build_left } => hash_pairs(&test, build_left, gov)?,
+        JoinAlgo::Lookup => lookup_pairs(&test, gov)?,
         JoinAlgo::ElementIndex(conj) => element_index_pairs(&test, conj, gov)?,
     };
     pairs.sort_unstable();
@@ -354,11 +402,25 @@ fn hash_pairs(
     // The index matches the keys; candidates are left to the filter.
     let test = PairTest { keys: &[], ..*test };
     let hits = |p: usize| {
-        index
-            .get(&probe.key_at(pkeys, p))
-            .map_or(&[][..], Vec::as_slice)
+        let rows = index.get(&probe.key_at(pkeys, p));
+        rows.map_or(&[][..], Vec::as_slice).iter().copied()
     };
     probe_pairs(&test, build_left, hits, gov)
+}
+
+/// Probe the right side's sorted first column with each left row's key
+/// on it: the candidates are the right rows in its leading range, each
+/// then checked against every key and the filter.
+fn lookup_pairs(test: &PairTest<'_>, gov: &Governor) -> Result<Vec<(u32, u32)>, ResourceError> {
+    let &(lc, _) = (test.keys.iter())
+        .find(|&&(_, rc)| rc == 0)
+        .expect("a lookup join keys the right input's first column");
+    let (probe, r) = (test.l.col(lc), test.r);
+    let hits = |p: usize| {
+        let rows = r.leading_range(probe[p]);
+        rows.start as u32..rows.end as u32
+    };
+    probe_pairs(test, false, hits, gov)
 }
 
 /// Index the members of the set column on the side holding `conj`'s
@@ -406,7 +468,7 @@ fn element_index_pairs(
     let posting = |e: &ValueId| postings.get(e).map_or(&[][..], Vec::as_slice);
     let hits = |p: usize| {
         let v = probe.col(probe_col)[p];
-        match conj {
+        let rows = match conj {
             SetConjunct::In { .. } => posting(&v),
             SetConjunct::Subset { .. } => match int.set_elems(v) {
                 None => &[][..],
@@ -417,7 +479,8 @@ fn element_index_pairs(
                     .min_by_key(|hits| hits.len())
                     .expect("a non-empty set"),
             },
-        }
+        };
+        rows.iter().copied()
     };
     probe_pairs(test, build_left, hits, gov)
 }
@@ -426,10 +489,10 @@ fn element_index_pairs(
 /// the build rows probe row `p` may pair with, each kept when `test`
 /// holds. One step per probe row and per candidate at
 /// `exec.join.probe`.
-fn probe_pairs<'a>(
+fn probe_pairs<I: ExactSizeIterator<Item = u32>>(
     test: &PairTest<'_>,
     build_left: bool,
-    hits: impl Fn(usize) -> &'a [u32],
+    hits: impl Fn(usize) -> I,
     gov: &Governor,
 ) -> Result<Vec<(u32, u32)>, ResourceError> {
     let probe_len = if build_left {
@@ -442,7 +505,7 @@ fn probe_pairs<'a>(
     for p in 0..probe_len {
         let hits = hits(p);
         m.work(1 + hits.len() as u64)?;
-        for &b in hits {
+        for b in hits {
             let (i, j) = if build_left {
                 (b, p as u32)
             } else {

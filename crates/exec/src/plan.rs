@@ -35,6 +35,18 @@ pub enum ExecOp {
         /// Relation name in the instance schema.
         rel: String,
     },
+    /// σ\[#1 = `key` ∧ `rest`\] over a base relation, answered from the
+    /// sorted first column of its resident table
+    /// ([`kernels::lookup`]) instead of a scan.
+    Lookup {
+        /// Relation name in the instance schema.
+        rel: String,
+        /// The value column 0 must hold.
+        key: Value,
+        /// A further predicate, tested on the rows holding `key` (0-based
+        /// columns).
+        rest: Option<RowPred>,
+    },
     /// The empty relation of a given arity (e.g. a statically
     /// unsatisfiable conjunct).
     Empty {
@@ -103,6 +115,23 @@ pub enum ExecOp {
     },
 }
 
+impl ExecOp {
+    /// The nodes this operator reads, left to right.
+    pub fn inputs(&self) -> Vec<ExecId> {
+        match self {
+            ExecOp::Select { input, .. } | ExecOp::Project { input, .. } => vec![*input],
+            ExecOp::Union { left, right }
+            | ExecOp::Difference { left, right }
+            | ExecOp::Intersect { left, right }
+            | ExecOp::Join { left, right, .. } => vec![*left, *right],
+            ExecOp::Scan { .. }
+            | ExecOp::Lookup { .. }
+            | ExecOp::Empty { .. }
+            | ExecOp::Const { .. } => vec![],
+        }
+    }
+}
+
 /// A flat-arena physical plan over the columnar kernels.
 #[derive(Clone, Debug, Default)]
 pub struct ExecPlan {
@@ -119,16 +148,7 @@ impl ExecPlan {
     /// Append an operator (children must already be in the arena) and
     /// make it the root.
     pub fn push(&mut self, op: ExecOp) -> ExecId {
-        debug_assert!(match &op {
-            ExecOp::Select { input, .. } | ExecOp::Project { input, .. } =>
-                *input < self.nodes.len(),
-            ExecOp::Union { left, right }
-            | ExecOp::Difference { left, right }
-            | ExecOp::Intersect { left, right }
-            | ExecOp::Join { left, right, .. } =>
-                *left < self.nodes.len() && *right < self.nodes.len(),
-            ExecOp::Scan { .. } | ExecOp::Empty { .. } | ExecOp::Const { .. } => true,
-        });
+        debug_assert!(op.inputs().iter().all(|&i| i < self.nodes.len()));
         self.nodes.push(op);
         self.root = self.nodes.len() - 1;
         self.root
@@ -143,6 +163,24 @@ impl ExecPlan {
     pub fn root(&self) -> ExecId {
         self.root
     }
+
+    /// Which nodes some operator reads whole: every input except the
+    /// right input of a [`JoinAlgo::Lookup`] join, which is only probed,
+    /// and the root.
+    fn read_whole(&self) -> Vec<bool> {
+        let mut whole = vec![false; self.nodes.len()];
+        if let Some(root) = whole.get_mut(self.root) {
+            *root = true;
+        }
+        for op in &self.nodes {
+            for i in op.inputs() {
+                let probed =
+                    matches!(op, ExecOp::Join { right, algo: JoinAlgo::Lookup, .. } if *right == i);
+                whole[i] |= !probed;
+            }
+        }
+        whole
+    }
 }
 
 /// Run a plan against an instance: scans read the instance version's
@@ -151,13 +189,17 @@ impl ExecPlan {
 /// values; replies render from the ids).
 ///
 /// The first governor touch is a checkpoint at `"exec.start"`, so
-/// injected faults and cancellations fire before any work. Each
-/// relation's first scan in an execution is metered one step per row as
-/// input admission (like the Datalog engine's EDB load), whether or not
-/// this version's table was already built, and is not charged as
-/// materialized memory. `Const` rows new to the arena are charged their
-/// growth at `"exec.intern"`; every operator's output is metered through
-/// [`BlockMeter`].
+/// injected faults and cancellations fire before any work. A relation
+/// some operator reads whole is metered, on its first scan in an
+/// execution, one step per row as input admission at `"exec.scan"`
+/// (like the Datalog engine's EDB load), whether or not this version's
+/// table was already built, and is not charged as materialized memory.
+/// A relation that is only looked up (a [`ExecOp::Lookup`], or the right
+/// input of a [`JoinAlgo::Lookup`] join) pays no admission: its work is
+/// one step per probe and per row in the probed range, at `"exec.lookup"`
+/// and `"exec.join.probe"`. `Const` rows new to the arena are charged
+/// their growth at `"exec.intern"`; every operator's output is metered
+/// through [`BlockMeter`].
 pub fn execute(
     plan: &ExecPlan,
     instance: &Instance,
@@ -166,13 +208,14 @@ pub fn execute(
     governor.checkpoint("exec.start")?;
     let resident = Resident::of(instance);
     let int = resident.interner();
+    let whole = plan.read_whole();
     let mut scanned: HashSet<&str> = HashSet::new();
     let mut slots: Vec<Arc<ColumnTable>> = Vec::with_capacity(plan.nodes.len());
 
-    for op in plan.nodes() {
+    for (id, op) in plan.nodes().iter().enumerate() {
         let table = match op {
             ExecOp::Scan { rel } => {
-                if scanned.insert(rel.as_str()) {
+                if whole[id] && scanned.insert(rel.as_str()) {
                     let mut m = BlockMeter::new(governor, "exec.scan");
                     m.work(instance.relation(rel).len() as u64)?;
                     m.finish()?;
@@ -180,6 +223,13 @@ pub fn execute(
                 slots.push(resident.scan(instance, rel));
                 continue;
             }
+            ExecOp::Lookup { rel, key, rest } => kernels::lookup(
+                &resident.scan(instance, rel),
+                key,
+                rest.as_ref(),
+                int,
+                governor,
+            )?,
             ExecOp::Empty { arity } => ColumnTable::empty(*arity),
             ExecOp::Const { arity, rows } => {
                 let mut m = BlockMeter::new(governor, "exec.const");

@@ -18,6 +18,7 @@
 use no_object::ValueId;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// A relation stored column-major over interned ids, in canonical
 /// (raw-id-sorted, duplicate-free) row order.
@@ -56,6 +57,16 @@ impl ColumnTable {
     /// One column's ids, row-aligned.
     pub fn col(&self, c: usize) -> &[ValueId] {
         &self.cols[c]
+    }
+
+    /// The rows whose first column holds `id`: canonical order sorts by
+    /// column 0 first, so they are one contiguous range, found by two
+    /// binary searches.
+    pub fn leading_range(&self, id: ValueId) -> Range<usize> {
+        let col = &self.cols[0];
+        let key = id.index();
+        let start = col.partition_point(|x| x.index() < key);
+        start..start + col[start..].partition_point(|x| x.index() == key)
     }
 
     /// Gather row `i` across columns.
@@ -231,6 +242,26 @@ mod tests {
         rev.reverse();
         let t2 = ColumnTable::from_rows(2, rev.iter().map(Vec::as_slice));
         assert_eq!(t, t2);
+    }
+
+    #[test]
+    fn leading_range_is_the_rows_with_that_first_column() {
+        let int = Interner::new();
+        let v = ids(&int, &["a", "b", "c", "d"]);
+        let rows: Vec<Vec<ValueId>> = vec![
+            vec![v[2], v[0]],
+            vec![v[0], v[1]],
+            vec![v[2], v[3]],
+            vec![v[0], v[0]],
+            vec![v[2], v[1]],
+        ];
+        let t = ColumnTable::from_rows(2, rows.iter().map(Vec::as_slice));
+        for &id in &v {
+            let range = t.leading_range(id);
+            let brute: Vec<usize> = (0..t.len()).filter(|&i| t.col(0)[i] == id).collect();
+            assert_eq!(range.clone().collect::<Vec<_>>(), brute);
+        }
+        assert!(t.leading_range(v[1]).is_empty(), "b leads no row");
     }
 
     #[test]

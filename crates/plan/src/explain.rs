@@ -37,6 +37,17 @@ pub fn op_detail(op: &Op) -> String {
     match op {
         Op::Scan { rel } => format!("scan {rel}"),
         Op::DeltaScan { rel } => format!("delta-scan Δ{rel}"),
+        Op::Lookup { rel, key, rest } => {
+            let key = Pred::EqConst(1, key.clone());
+            match rest {
+                Some(p) => format!(
+                    "lookup {rel}[{}], filter σ[{}]",
+                    pred_str(&key),
+                    pred_str(p)
+                ),
+                None => format!("lookup {rel}[{}]", pred_str(&key)),
+            }
+        }
         Op::Select { pred } => format!("select σ[{}]", pred_str(pred)),
         Op::Filter { desc } => format!("filter {desc}"),
         Op::Project { cols } => format!(

@@ -35,6 +35,16 @@ pub enum Op {
         /// IDB relation name.
         rel: String,
     },
+    /// σ\[#1 = key ∧ rest\] over a base relation, answered by probing its
+    /// resident table's sorted first column instead of scanning it.
+    Lookup {
+        /// Relation name.
+        rel: String,
+        /// The value column 1 must hold.
+        key: Value,
+        /// A further predicate tested on the rows found.
+        rest: Option<Pred>,
+    },
     /// σ_pred over the child (algebra predicates).
     Select {
         /// The predicate.
@@ -147,6 +157,7 @@ impl Op {
         match self {
             Op::Scan { .. } => "scan",
             Op::DeltaScan { .. } => "delta-scan",
+            Op::Lookup { .. } => "lookup",
             Op::Select { .. } => "select",
             Op::Filter { .. } => "filter",
             Op::Project { .. } => "project",

@@ -30,7 +30,7 @@ use crate::stats::Stats;
 use no_algebra::{Expr, Pred};
 use no_core::conjunctive::{CArg, ConjunctiveQuery};
 use no_exec::{ExecId, ExecOp, ExecPlan, JoinAlgo, RowPred, SetConjunct};
-use no_object::{Schema, Type};
+use no_object::{Schema, Type, Value};
 
 /// Inputs at or below this estimated cardinality take a nested loop —
 /// index build cost would dominate.
@@ -55,29 +55,40 @@ struct Side {
     vars: Vec<(String, usize)>,
     arity: usize,
     est: Option<u64>,
+    /// A bare scan of a base relation: its table is a resident one,
+    /// sorted by column 0, that a lookup join can probe unbuilt.
+    base_scan: bool,
 }
 
-/// Pick the physical join algorithm from whether the join has keys, its
-/// filter's first cross-side `∈`/`⊆` conjunct, and the estimated input
-/// sizes. The decision table (DESIGN.md §14):
+/// Pick the physical join algorithm from the join's keys, whether its
+/// right input is a bare base scan, its filter's first cross-side
+/// `∈`/`⊆` conjunct, and the estimated input sizes. The decision table
+/// (DESIGN.md §14):
 ///
 /// 1. no keys, a cross-side `∈`/`⊆` conjunct → element index on the
 ///    side holding the set;
 /// 2. no keys otherwise → nested loop over all pairs;
-/// 3. unknown estimates → hash join, build left (safe default);
-/// 4. either input ≤ [`SMALL_INPUT`] rows → nested loop;
-/// 5. otherwise → hash join, building the smaller side.
+/// 3. the right input a bare base scan and a key on its first column →
+///    lookup join: each left row probes the resident table's sorted
+///    first column, nothing is built;
+/// 4. unknown estimates → hash join, build left (safe default);
+/// 5. either input ≤ [`SMALL_INPUT`] rows → nested loop;
+/// 6. otherwise → hash join, building the smaller side.
 ///
 /// Pure in its inputs: for a fixed stats snapshot the choice is
 /// deterministic (property-tested in `tests/exec_differential.rs`).
 pub fn choose_join(
-    keyed: bool,
+    keys: &[(usize, usize)],
+    right_base_scan: bool,
     set_conjunct: Option<SetConjunct>,
     l_est: Option<u64>,
     r_est: Option<u64>,
 ) -> JoinAlgo {
-    if !keyed {
+    if keys.is_empty() {
         return set_conjunct.map_or(JoinAlgo::NestedLoop, JoinAlgo::ElementIndex);
+    }
+    if right_base_scan && keys.iter().any(|&(_, rc)| rc == 0) {
+        return JoinAlgo::Lookup;
     }
     let (Some(le), Some(re)) = (l_est, r_est) else {
         return JoinAlgo::Hash { build_left: true };
@@ -347,9 +358,14 @@ fn combine_sides(cur: Side, nxt: Side, eid: ExecId, nid: NodeId, est: Option<u64
         vars,
         arity: cur.arity + nxt.arity,
         est,
+        base_scan: false,
     }
 }
 
+/// One atom's operand: a lookup when its first column holds a constant
+/// or a pinned variable (the atom's other constants, pins and repeated
+/// variables tested on the rows it finds), a scan otherwise, with a
+/// select for those tests when there are any.
 fn prepare_atom(
     rel: &str,
     args: &[CArg],
@@ -359,18 +375,9 @@ fn prepare_atom(
     plan: &mut Plan,
 ) -> Side {
     let rows = stats.and_then(|s| s.rows(rel));
-    let mut eid = exec.push(ExecOp::Scan {
-        rel: rel.to_string(),
-    });
-    let mut nid = plan.add_est(
-        Op::Scan {
-            rel: rel.to_string(),
-        },
-        vec![],
-        rows,
-    );
     let mut est = rows;
     let mut vars: Vec<(String, usize)> = Vec::new();
+    let mut key: Option<Value> = None;
     let mut pred: Option<RowPred> = None;
     let push_pred = |p: RowPred, pred: &mut Option<RowPred>| {
         *pred = Some(match pred.take() {
@@ -379,44 +386,100 @@ fn prepare_atom(
         });
     };
     for (c, arg) in args.iter().enumerate() {
-        match arg {
-            CArg::Const(v) => {
-                push_pred(RowPred::EqConst(c, v.clone()), &mut pred);
-                est = shrink(est, stats.and_then(|s| s.distinct(rel, c)));
-            }
-            CArg::Var(v) => {
-                if let Some((_, c0)) = vars.iter().find(|(cv, _)| cv == v) {
+        let pinned = match arg {
+            CArg::Const(v) => Some(v),
+            CArg::Var(v) => match vars.iter().find(|(cv, _)| cv == v) {
+                Some((_, c0)) => {
                     push_pred(RowPred::EqCols(*c0, c), &mut pred);
-                } else {
-                    if let Some(pin) = cq.pins.get(v) {
-                        push_pred(RowPred::EqConst(c, pin.clone()), &mut pred);
-                        est = shrink(est, stats.and_then(|s| s.distinct(rel, c)));
-                    }
-                    vars.push((v.clone(), c));
+                    None
                 }
+                None => {
+                    vars.push((v.clone(), c));
+                    cq.pins.get(v)
+                }
+            },
+        };
+        if let Some(v) = pinned {
+            est = shrink(est, stats.and_then(|s| s.distinct(rel, c)));
+            if c == 0 {
+                key = Some(v.clone());
+            } else {
+                push_pred(RowPred::EqConst(c, v.clone()), &mut pred);
             }
         }
     }
-    if let Some(p) = pred {
-        eid = exec.push(ExecOp::Select {
-            input: eid,
-            pred: p.clone(),
-        });
-        nid = plan.add_est(
-            Op::Select {
-                pred: logical_pred(&p),
-            },
-            vec![nid],
-            est,
-        );
-    }
+    let base_scan = key.is_none() && pred.is_none();
+    let (eid, nid) = match key {
+        Some(key) => push_lookup(rel, key, pred, est, exec, plan),
+        None => {
+            let scan = push_scan(rel, rows, exec, plan);
+            match pred {
+                Some(p) => push_select(scan, p, est, exec, plan),
+                None => scan,
+            }
+        }
+    };
     Side {
         eid,
         nid,
         vars,
         arity: args.len(),
         est,
+        base_scan,
     }
+}
+
+fn push_scan(
+    rel: &str,
+    est: Option<u64>,
+    exec: &mut ExecPlan,
+    plan: &mut Plan,
+) -> (ExecId, NodeId) {
+    let eid = exec.push(ExecOp::Scan {
+        rel: rel.to_string(),
+    });
+    let nid = plan.add_est(
+        Op::Scan {
+            rel: rel.to_string(),
+        },
+        vec![],
+        est,
+    );
+    (eid, nid)
+}
+
+fn push_select(
+    (input, child): (ExecId, NodeId),
+    pred: RowPred,
+    est: Option<u64>,
+    exec: &mut ExecPlan,
+    plan: &mut Plan,
+) -> (ExecId, NodeId) {
+    let pred_l = logical_pred(&pred);
+    let eid = exec.push(ExecOp::Select { input, pred });
+    let nid = plan.add_est(Op::Select { pred: pred_l }, vec![child], est);
+    (eid, nid)
+}
+
+fn push_lookup(
+    rel: &str,
+    key: Value,
+    rest: Option<RowPred>,
+    est: Option<u64>,
+    exec: &mut ExecPlan,
+    plan: &mut Plan,
+) -> (ExecId, NodeId) {
+    let op = Op::Lookup {
+        rel: rel.to_string(),
+        key: key.clone(),
+        rest: rest.as_ref().map(logical_pred),
+    };
+    let eid = exec.push(ExecOp::Lookup {
+        rel: rel.to_string(),
+        key,
+        rest,
+    });
+    (eid, plan.add_est(op, vec![], est))
 }
 
 // ---------------------------------------------------------------------------
@@ -452,14 +515,14 @@ fn go(
         Expr::Rel(name) => {
             let arity = schema.get(name)?.arity();
             let est = stats.and_then(|s| s.rows(name));
-            let eid = exec.push(ExecOp::Scan { rel: name.clone() });
-            let nid = plan.add_est(Op::Scan { rel: name.clone() }, vec![], est);
+            let (eid, nid) = push_scan(name, est, exec, plan);
             Some(Side {
                 eid,
                 nid,
                 vars: Vec::new(),
                 arity,
                 est,
+                base_scan: true,
             })
         }
         Expr::Const(types, rows) => {
@@ -481,6 +544,7 @@ fn go(
                 vars: Vec::new(),
                 arity: types.len(),
                 est: Some(rows.len() as u64),
+                base_scan: false,
             })
         }
         Expr::Select(inner, pred) => {
@@ -490,17 +554,19 @@ fn go(
             if let Expr::Product(a, b) = inner.as_ref() {
                 return lower_join_pattern(a, b, pred, schema, stats, exec, plan, notes);
             }
+            if let Expr::Rel(name) = inner.as_ref() {
+                if let Some(side) = lower_lookup(name, pred, schema, stats, exec, plan) {
+                    return Some(side);
+                }
+            }
             let side = go(inner, schema, stats, exec, plan, notes)?;
-            let eid = exec.push(ExecOp::Select {
-                input: side.eid,
-                pred: row_pred(pred),
-            });
             let est = shrink(side.est, Some(2));
-            let nid = plan.add_est(Op::Select { pred: pred.clone() }, vec![side.nid], est);
+            let (eid, nid) = push_select((side.eid, side.nid), row_pred(pred), est, exec, plan);
             Some(Side {
                 eid,
                 nid,
                 est,
+                base_scan: false,
                 ..side
             })
         }
@@ -518,6 +584,7 @@ fn go(
                 vars: Vec::new(),
                 arity: cols0.len(),
                 est: side.est,
+                base_scan: false,
             })
         }
         Expr::Product(a, b) => {
@@ -564,11 +631,43 @@ fn go(
                 vars: Vec::new(),
                 arity: l.arity,
                 est,
+                base_scan: false,
             })
         }
         // The nested operators keep the tree-walk path.
         Expr::Nest(..) | Expr::Unnest(..) | Expr::Powerset(..) => None,
     }
+}
+
+/// σ\[pred\] over the base relation `name` as a lookup, when a top-level
+/// conjunct pins its first column to a constant; the other conjuncts are
+/// the lookup's `rest`. `None` when no conjunct does.
+fn lower_lookup(
+    name: &str,
+    pred: &Pred,
+    schema: &Schema,
+    stats: Option<&Stats>,
+    exec: &mut ExecPlan,
+    plan: &mut Plan,
+) -> Option<Side> {
+    let mut rest = conjuncts(pred);
+    let (at, key) = rest.iter().enumerate().find_map(|(at, &c)| match c {
+        Pred::EqConst(1, key) => Some((at, key)),
+        _ => None,
+    })?;
+    rest.remove(at);
+    let rest = rest.into_iter().map(row_pred).reduce(RowPred::and);
+    let rows = stats.and_then(|s| s.rows(name));
+    let est = shrink(rows, stats.and_then(|s| s.distinct(name, 0)));
+    let (eid, nid) = push_lookup(name, key.clone(), rest, est, exec, plan);
+    Some(Side {
+        eid,
+        nid,
+        vars: Vec::new(),
+        arity: schema.get(name)?.arity(),
+        est,
+        base_scan: false,
+    })
 }
 
 /// Flatten a predicate's top-level conjunction.
@@ -639,7 +738,8 @@ fn push_join(
 ) -> Side {
     let filter_conjuncts = filter.as_ref().map(conjuncts).unwrap_or_default();
     let algo = choose_join(
-        !keys.is_empty(),
+        &keys,
+        r.base_scan,
         set_conjunct(&filter_conjuncts, l.arity),
         l.est,
         r.est,
@@ -688,38 +788,53 @@ mod tests {
     fn decision_table_is_deterministic_and_tiered() {
         let sub = SetConjunct::Subset { sub: 1, set: 3 };
         let member = SetConjunct::In { elem: 0, set: 3 };
+        let on_first = [(1, 0)];
+        let on_second = [(0, 1)];
         // no keys: a cross-side ∈/⊆ conjunct → element index, at any size
         for (l, r) in [(None, None), (Some(3), Some(1000)), (Some(500), Some(500))] {
+            for scan in [false, true] {
+                assert_eq!(
+                    choose_join(&[], scan, Some(sub), l, r),
+                    JoinAlgo::ElementIndex(sub)
+                );
+                assert_eq!(
+                    choose_join(&[], scan, Some(member), l, r),
+                    JoinAlgo::ElementIndex(member)
+                );
+                // no keys and no set conjunct → nested loop over all pairs
+                assert_eq!(choose_join(&[], scan, None, l, r), JoinAlgo::NestedLoop);
+            }
+            // a bare base scan on the right keyed on its first column →
+            // lookup join, at any size and whatever the filter
+            assert_eq!(choose_join(&on_first, true, None, l, r), JoinAlgo::Lookup);
             assert_eq!(
-                choose_join(false, Some(sub), l, r),
-                JoinAlgo::ElementIndex(sub)
+                choose_join(&[(0, 1), (1, 0)], true, Some(sub), l, r),
+                JoinAlgo::Lookup
             );
-            assert_eq!(
-                choose_join(false, Some(member), l, r),
-                JoinAlgo::ElementIndex(member)
-            );
-            // no keys and no set conjunct → nested loop over all pairs
-            assert_eq!(choose_join(false, None, l, r), JoinAlgo::NestedLoop);
         }
-        // keys win over a set conjunct; unknown stats → hash, build left
-        assert_eq!(
-            choose_join(true, Some(sub), None, Some(100)),
-            JoinAlgo::Hash { build_left: true }
-        );
-        // tiny side → nested loop
-        assert_eq!(
-            choose_join(true, None, Some(3), Some(1000)),
-            JoinAlgo::NestedLoop
-        );
-        // otherwise hash, building the smaller side
-        assert_eq!(
-            choose_join(true, None, Some(100), Some(1000)),
-            JoinAlgo::Hash { build_left: true }
-        );
-        assert_eq!(
-            choose_join(true, None, Some(1000), Some(100)),
-            JoinAlgo::Hash { build_left: false }
-        );
+        // keyed on another column, or a right input that is not a bare
+        // scan: the size tiers. Keys win over a set conjunct; unknown
+        // stats → hash, build left
+        for (keys, scan) in [(&on_second[..], true), (&on_first[..], false)] {
+            assert_eq!(
+                choose_join(keys, scan, Some(sub), None, Some(100)),
+                JoinAlgo::Hash { build_left: true }
+            );
+            // tiny side → nested loop
+            assert_eq!(
+                choose_join(keys, scan, None, Some(3), Some(1000)),
+                JoinAlgo::NestedLoop
+            );
+            // otherwise hash, building the smaller side
+            assert_eq!(
+                choose_join(keys, scan, None, Some(100), Some(1000)),
+                JoinAlgo::Hash { build_left: true }
+            );
+            assert_eq!(
+                choose_join(keys, scan, None, Some(1000), Some(100)),
+                JoinAlgo::Hash { build_left: false }
+            );
+        }
     }
 
     #[test]

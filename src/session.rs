@@ -222,9 +222,14 @@ impl Store {
         self.db = Some(db);
     }
 
-    /// Detach the durable database (files stay on disk) and return it.
-    pub fn detach(&mut self) -> Option<Db> {
-        self.db.take()
+    /// Detach the durable database (files stay on disk) and return it
+    /// with the views maintained over it. The views leave with the
+    /// database: their rows hold its atom ids, which name other atoms in
+    /// the in-memory store that is live afterwards. The directory's view
+    /// checkpoint and log still hold them, and `op: open` restores them.
+    pub fn detach(&mut self) -> Option<(Db, ViewRegistry)> {
+        let db = self.db.take()?;
+        Some((db, std::mem::take(&mut self.views)))
     }
 
     /// Apply one parsed clause — a `schema R(U).` declaration, a fact or

@@ -428,7 +428,14 @@ impl Shell {
                         .write()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     match store.detach() {
-                        Some(db) => Ok(Some(format!("detached {}", db.dir().display()))),
+                        Some((db, views)) if views.is_empty() => {
+                            Ok(Some(format!("detached {}", db.dir().display())))
+                        }
+                        Some((db, views)) => Ok(Some(format!(
+                            "detached {}; its views closed with it: {}",
+                            db.dir().display(),
+                            views.names().collect::<Vec<_>>().join(", ")
+                        ))),
                         None => Err("no durable database attached".to_string()),
                     }
                 }
@@ -538,7 +545,7 @@ commands:
   :save              checkpoint the attached store (snapshot + log reset)
   :save <file>       write the database back out in the text format
   :sync              fsync the write-ahead log now
-  :close             detach the durable database (files stay on disk)
+  :close             detach the durable database and its views (files stay on disk)
   :schema            show the schema and its <i,k> classification
   :db                dump the database
   :classify <query>  language fragment + complexity bound (paper theorems)
@@ -935,6 +942,77 @@ mod tests {
         assert!(out.contains("views restored: 1"), "{out}");
         assert!(out.contains("1 views checkpointed"), "{out}");
         assert_eq!(reopen_and_extend(&store), (vec!["paths".to_string()], 3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The views a session lists.
+    fn view_names(s: &Session) -> Vec<String> {
+        let r = s.run(&Request {
+            op: Op::Stats,
+            ..Request::default()
+        });
+        r.stats.unwrap().views.into_iter().map(|v| v.view).collect()
+    }
+
+    /// `:close` takes the directory's views with the database. They used
+    /// to stay registered over the in-memory store, where their rows'
+    /// atom ids name other atoms: `G('x', 'y')` got no delta, since the
+    /// view already held `tc(a, b)` under `x`'s and `y`'s new ids.
+    #[test]
+    fn close_takes_the_views_with_the_database() {
+        let dir = scratch("close_views");
+        let (store, _) = store_with_a_view(&dir);
+        let mut sh = Shell::new();
+        sh.command(&format!(":open {store}")).unwrap();
+        assert_eq!(view_names(&sh.session), ["paths"]);
+        let out = sh.command(":close").unwrap().unwrap();
+        assert!(out.contains("its views closed with it: paths"), "{out}");
+        assert!(view_names(&sh.session).is_empty());
+        // a view materialized over the in-memory store answers in its atoms
+        sh.command(":insert schema G(U, U).").unwrap();
+        let tc = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
+        let r = sh.session.run(&Request {
+            op: Op::Materialize,
+            text: tc.into(),
+            view: "paths".into(),
+            ..Request::default()
+        });
+        assert!(r.ok, "{:?}", r.error);
+        let r = sh.session.run(&Request {
+            op: Op::Update,
+            text: "G('x', 'y').".into(),
+            ..Request::default()
+        });
+        assert_eq!(r.deltas[0].added[0].rows, ["('x', 'y')"]);
+        // the directory still holds its own
+        let out = sh.command(&format!(":open {store}")).unwrap().unwrap();
+        assert!(out.contains("views restored: 1"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `op: open` of a second directory swaps the first one's views out
+    /// with its database: the second starts with none.
+    #[test]
+    fn a_second_directory_does_not_inherit_the_firsts_views() {
+        let dir = scratch("second_dir");
+        let (store, _) = store_with_a_view(&dir);
+        let other = dir.join("other").display().to_string();
+        let s = Session::default();
+        let run = |op, text: &str| {
+            let r = s.run(&Request {
+                op,
+                text: text.into(),
+                ..Request::default()
+            });
+            assert!(r.ok, "{text}: {:?}", r.error);
+            r
+        };
+        run(Op::Open, &store);
+        assert_eq!(view_names(&s), ["paths"]);
+        run(Op::Open, &other);
+        assert!(view_names(&s).is_empty());
+        run(Op::Insert, "schema G(U, U).");
+        assert!(run(Op::Update, "G('a', 'b').").deltas.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

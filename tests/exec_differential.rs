@@ -1,8 +1,8 @@
 //! Operator/join-order differential fuzzer for the columnar kernels.
 //!
 //! The headline property of the exec subsystem: every physical join
-//! algorithm — nested loop, hash (building either side), element index —
-//! computes the *bit-identical* relation as each other, as a naive
+//! algorithm — nested loop, hash (building either side), lookup, element
+//! index — computes the *bit-identical* relation as each other, as a naive
 //! reference join written in plain Rust, and as the legacy tree-walk
 //! engines. Canonical column tables (rows sorted by raw interner id,
 //! deduplicated) make "bit-identical" a plain `==`: algorithm choice can
@@ -19,6 +19,13 @@
 //! budget every algorithm must trip with the same [`BudgetKind`], and a
 //! σ over a product keeps the range cap of the product it replaces.
 //!
+//! Lookups ride along: a `Lookup` on a relation's sorted first column
+//! equals the scan and select it replaces, bit for bit, on atom- and
+//! set-valued first columns, with random further predicates and absent
+//! keys (which admit nothing to the arena), and a lookup join equals the
+//! other algorithms on single and multi-key joins whose right input
+//! leads with a set.
+//!
 //! Satellite properties ride along: detailed statistics are *exact* on
 //! materialized relations, and planner algorithm choices are a pure
 //! function of the stats snapshot (re-planning renders the same text).
@@ -31,7 +38,9 @@ use nestdb::core::ast::{Formula, Term};
 use nestdb::core::error::EvalConfig;
 use nestdb::core::eval::{eval_query_with, Query};
 use nestdb::core::ranges::safe_eval;
-use nestdb::exec::{execute, ExecOp, ExecPlan, JoinAlgo, RowPred, SetConjunct};
+use nestdb::exec::{
+    execute, ColumnTable, ExecOp, ExecPlan, JoinAlgo, Resident, RowPred, SetConjunct,
+};
 use nestdb::object::{
     Atom, BudgetKind, Governor, Instance, Limits, Relation, RelationSchema, Schema, Type, Value,
 };
@@ -49,10 +58,11 @@ const SET_CONJUNCTS: [SetConjunct; 4] = [
 ];
 
 /// Every physical join algorithm under test.
-const ALGOS: [JoinAlgo; 7] = [
+const ALGOS: [JoinAlgo; 8] = [
     JoinAlgo::NestedLoop,
     JoinAlgo::Hash { build_left: true },
     JoinAlgo::Hash { build_left: false },
+    JoinAlgo::Lookup,
     JoinAlgo::ElementIndex(SET_CONJUNCTS[0]),
     JoinAlgo::ElementIndex(SET_CONJUNCTS[1]),
     JoinAlgo::ElementIndex(SET_CONJUNCTS[2]),
@@ -79,22 +89,26 @@ fn top_conjuncts(p: &RowPred) -> Vec<&RowPred> {
     }
 }
 
-/// Whether `algo` computes the join of `keyed` keys and `filter` — the
-/// planner's conditions: a hash join needs keys, and an element index
-/// needs its conjunct among the filter's top-level conjuncts.
-fn applicable(algo: JoinAlgo, keyed: bool, filter: Option<&RowPred>) -> bool {
+/// Whether `algo` computes the join on `keys` filtered by `filter` — the
+/// planner's conditions: a hash join needs keys, a lookup join a key on
+/// the right's first column, and an element index its conjunct among the
+/// filter's top-level conjuncts.
+fn applicable(algo: JoinAlgo, keys: &[(usize, usize)], filter: Option<&RowPred>) -> bool {
     match algo {
         JoinAlgo::NestedLoop => true,
-        JoinAlgo::Hash { .. } => keyed,
+        JoinAlgo::Hash { .. } => !keys.is_empty(),
+        JoinAlgo::Lookup => keys.iter().any(|&(_, rc)| rc == 0),
         JoinAlgo::ElementIndex(c) => {
             filter.is_some_and(|f| top_conjuncts(f).contains(&&conjunct_pred(c)))
         }
     }
 }
 
-/// The algorithms that compute an unfiltered key join.
+/// The algorithms that compute an unfiltered join on `l#2 = r#1`.
 fn key_join_algos() -> impl Iterator<Item = JoinAlgo> {
-    ALGOS.into_iter().filter(|&a| applicable(a, true, None))
+    ALGOS
+        .into_iter()
+        .filter(|&a| applicable(a, &[(1, 0)], None))
 }
 
 /// An instance with two binary atom relations `L` and `R`.
@@ -453,36 +467,50 @@ fn cancellation_stops_execution_immediately() {
     assert_eq!(err.site, "exec.start");
 }
 
-/// The planner's per-join algorithm choice lands in `:explain` output —
-/// a big skewed build side yields a hash join, a tiny input a nested
-/// loop — and the oracle plan has no columnar lowering at all.
-#[test]
-fn explain_records_algorithm_choices() {
-    // Tiny inputs: nested loop.
-    let (_u, _o, small) = graph_instance(4, &[(0, 1), (1, 2), (2, 3)]);
-    let q = Query::new(
+/// `{[x:U, y:U] | ∃z (G(x, z) ∧ G(a, b))}` with `[a, b]` = `second`: the
+/// two-hop query for `[z, y]`, the common-successor one for `[y, z]`.
+fn two_atoms(second: [&str; 2]) -> Query {
+    Query::new(
         vec![("x".to_string(), Type::Atom), ("y".to_string(), Type::Atom)],
         Formula::Exists(
             "z".to_string(),
             Type::Atom,
             Box::new(Formula::and([
                 Formula::Rel("G".to_string(), vec![Term::var("x"), Term::var("z")]),
-                Formula::Rel("G".to_string(), vec![Term::var("z"), Term::var("y")]),
+                Formula::Rel("G".to_string(), second.map(Term::var).to_vec()),
             ])),
         ),
-    );
-    let planned = Planner::new(small.schema())
-        .with_instance(&small)
-        .plan_calc(&q, CalcMode::Safe)
-        .unwrap();
-    let text = planned.render_text();
+    )
+}
+
+/// The planner's per-join algorithm choice lands in `:explain` output —
+/// a key on a bare scan's first column yields a lookup join at any size,
+/// and a key elsewhere a hash join on a big skewed build side and a
+/// nested loop on a tiny input — and the oracle plan has no columnar
+/// lowering at all.
+#[test]
+fn explain_records_algorithm_choices() {
+    let two_hop = two_atoms(["z", "y"]);
+    let common = two_atoms(["y", "z"]);
+    let explain = |i: &Instance, q: &Query| {
+        Planner::new(i.schema())
+            .with_instance(i)
+            .plan_calc(q, CalcMode::Safe)
+            .unwrap()
+            .render_text()
+    };
+    // Tiny inputs: nested loop, unless the right input is probed.
+    let (_u, _o, small) = graph_instance(4, &[(0, 1), (1, 2), (2, 3)]);
+    let text = explain(&small, &common);
     assert!(text.contains("NestedLoopJoin"), "{text}");
     assert!(text.contains("join-algorithms"), "{text}");
+    let text = explain(&small, &two_hop);
+    assert!(text.contains("LookupJoin, keys: l#2=r#1"), "{text}");
 
     // The oracle: the tree-walk plan, no columnar notes.
     let oracle = Planner::oracle(small.schema())
         .with_instance(&small)
-        .plan_calc(&q, CalcMode::Safe)
+        .plan_calc(&two_hop, CalcMode::Safe)
         .unwrap();
     assert!(
         !oracle.render_text().contains("Join"),
@@ -497,12 +525,10 @@ fn explain_records_algorithm_choices() {
     // column 2 — so the duplicates go in the edges' second component.
     let edges: Vec<(usize, usize)> = (0..120).map(|i| (i, i % 10)).collect();
     let (_u, _o, skewed) = graph_instance(120, &edges);
-    let planned = Planner::new(skewed.schema())
-        .with_instance(&skewed)
-        .plan_calc(&q, CalcMode::Safe)
-        .unwrap();
-    let text = planned.render_text();
-    assert!(text.contains("HashJoin"), "{text}");
+    let text = explain(&skewed, &common);
+    assert!(text.contains("HashJoin(build=left)"), "{text}");
+    let text = explain(&skewed, &two_hop);
+    assert!(text.contains("LookupJoin"), "{text}");
 }
 
 // ---------------------------------------------------------------------------
@@ -520,19 +546,41 @@ fn set_row((a, mask): (u32, u32)) -> Vec<Value> {
     vec![Value::Atom(Atom(a)), Value::set(members)]
 }
 
-/// An instance with two `(U, {U})` relations `L` and `R`.
-fn set_instance(l: &SetRows, r: &SetRows) -> Instance {
-    let ty = vec![Type::Atom, Type::set(Type::Atom)];
+/// The same rows with the set first: a `({U}, U)` relation.
+fn set_first_row(row: (u32, u32)) -> Vec<Value> {
+    let mut row = set_row(row);
+    row.reverse();
+    row
+}
+
+/// A relation's column types and rows, as values.
+type Rows = (Vec<Type>, Vec<Vec<Value>>);
+
+/// `rows` as a `(U, {U})` relation (`set_first` false) or a `({U}, U)`
+/// one.
+fn set_rel(rows: &SetRows, set_first: bool) -> Rows {
+    let (atom, set) = (Type::Atom, Type::set(Type::Atom));
+    if set_first {
+        (
+            vec![set, atom],
+            rows.iter().map(|&r| set_first_row(r)).collect(),
+        )
+    } else {
+        (vec![atom, set], rows.iter().map(|&r| set_row(r)).collect())
+    }
+}
+
+/// An instance with the relations `L` and `R`.
+fn rows_instance(l: &Rows, r: &Rows) -> Instance {
     let schema = Schema::from_relations([
-        RelationSchema::new("L", ty.clone()),
-        RelationSchema::new("R", ty),
+        RelationSchema::new("L", l.0.clone()),
+        RelationSchema::new("R", r.0.clone()),
     ]);
     let mut i = Instance::empty(schema);
-    for &row in l {
-        i.insert("L", set_row(row));
-    }
-    for &row in r {
-        i.insert("R", set_row(row));
+    for (rel, (_, rows)) in [("L", l), ("R", r)] {
+        for row in rows {
+            i.insert(rel, row.clone());
+        }
     }
     i
 }
@@ -552,24 +600,24 @@ fn pred_consts() -> [Value; 5] {
 /// (read cyclically from `*at`): leaves `=`, `=`-constant, `∈`, `⊆` on
 /// any columns (within or across sides, set-valued or not), inner nodes
 /// `¬`, `∧`, `∨`.
-fn decode_pred(codes: &[u32], at: &mut usize, depth: u32) -> RowPred {
+fn decode_pred(codes: &[u32], at: &mut usize, depth: u32, cols: usize) -> RowPred {
     let mut next = || {
         let c = codes[*at % codes.len()];
         *at += 1;
         c as usize
     };
     let kind = next() % if depth == 0 { 4 } else { 7 };
-    let (a, b) = (next() % 4, next() % 4);
+    let (a, b) = (next() % cols, next() % cols);
     match kind {
         0 => RowPred::EqCols(a, b),
-        1 => RowPred::EqConst(a, pred_consts()[b + next() % 2].clone()),
+        1 => RowPred::EqConst(a, pred_consts()[(b + next()) % 5].clone()),
         2 => RowPred::InCols(a, b),
         3 => RowPred::SubsetCols(a, b),
-        4 => RowPred::Not(Box::new(decode_pred(codes, at, depth - 1))),
-        5 => decode_pred(codes, at, depth - 1).and(decode_pred(codes, at, depth - 1)),
+        4 => RowPred::Not(Box::new(decode_pred(codes, at, depth - 1, cols))),
+        5 => decode_pred(codes, at, depth - 1, cols).and(decode_pred(codes, at, depth - 1, cols)),
         _ => RowPred::Or(
-            Box::new(decode_pred(codes, at, depth - 1)),
-            Box::new(decode_pred(codes, at, depth - 1)),
+            Box::new(decode_pred(codes, at, depth - 1, cols)),
+            Box::new(decode_pred(codes, at, depth - 1, cols)),
         ),
     }
 }
@@ -593,17 +641,16 @@ fn reference_holds(p: &RowPred, row: &[Value]) -> bool {
 
 /// `σ[keys ∧ filter](L × R)` in plain Rust.
 fn reference_select_product(
-    l: &SetRows,
-    r: &SetRows,
+    l: &[Vec<Value>],
+    r: &[Vec<Value>],
     keys: &[(usize, usize)],
     filter: Option<&RowPred>,
 ) -> BTreeSet<Vec<Value>> {
     let mut out = BTreeSet::new();
-    for &lr in l {
-        for &rr in r {
-            let (lv, rv) = (set_row(lr), set_row(rr));
+    for lv in l {
+        for rv in r {
             let keyed = keys.iter().all(|&(a, b)| lv[a] == rv[b]);
-            let row: Vec<Value> = lv.into_iter().chain(rv).collect();
+            let row: Vec<Value> = lv.iter().chain(rv).cloned().collect();
             if keyed && filter.is_none_or(|f| reference_holds(f, &row)) {
                 out.insert(row);
             }
@@ -636,23 +683,42 @@ fn run_counted(plan: &ExecPlan, i: &Instance) -> (BTreeSet<Vec<Value>>, u64) {
     (rel.iter().cloned().collect(), gov.steps_spent())
 }
 
-/// Every applicable algorithm's fused join equals the reference `σ(L ×
-/// R)`, with steps that do not depend on whether the scans were warm, on
-/// the hash join's build side or on the arena's id order (scanning `R`
-/// before `L` admits ids differently).
+/// `l` and `r` as two `(U, {U})` relations, for [`check_join`].
 fn check_fused_join(l: &SetRows, r: &SetRows, keys: &[(usize, usize)], filter: Option<&RowPred>) {
-    let i = set_instance(l, r);
-    let reordered = set_instance(l, r);
+    check_join(&set_rel(l, false), &set_rel(r, false), keys, filter);
+}
+
+/// An instance over `l` and `r` whose arena admitted `R`'s ids before
+/// `L`'s, so raw id order differs from a fresh instance's.
+fn reordered_instance(l: &Rows, r: &Rows) -> Instance {
+    let i = rows_instance(l, r);
     let mut scan_r = ExecPlan::new();
     scan_r.push(ExecOp::Scan { rel: "R".into() });
-    run_counted(&scan_r, &reordered);
-    let expected = reference_select_product(l, r, keys, filter);
+    run_counted(&scan_r, &i);
+    i
+}
+
+/// Every applicable algorithm's join equals the reference `σ(L × R)`,
+/// and every one answers the bit-identical table, with steps that do not
+/// depend on whether the scans were warm, on the hash join's build side
+/// or on the arena's id order (scanning `R` before `L` admits ids
+/// differently).
+fn check_join(l: &Rows, r: &Rows, keys: &[(usize, usize)], filter: Option<&RowPred>) {
+    let i = rows_instance(l, r);
+    let reordered = reordered_instance(l, r);
+    let expected = reference_select_product(&l.1, &r.1, keys, filter);
     let mut hash_steps = Vec::new();
-    for algo in ALGOS
-        .into_iter()
-        .filter(|&a| applicable(a, !keys.is_empty(), filter))
-    {
+    let mut first: Option<ColumnTable> = None;
+    for algo in ALGOS.into_iter().filter(|&a| applicable(a, keys, filter)) {
         let plan = fused_plan(keys, filter, algo);
+        let table = execute(&plan, &i, &Governor::unlimited())
+            .unwrap()
+            .table()
+            .clone();
+        match &first {
+            None => first = Some(table),
+            Some(f) => assert_eq!(f, &table, "{} is not bit-identical", algo.label()),
+        }
         let (rows, steps) = run_counted(&plan, &i);
         assert_eq!(
             rows,
@@ -703,7 +769,7 @@ proptest! {
         keyed in any::<bool>(),
         depth in 0u32..4,
     ) {
-        let tree = decode_pred(&codes, &mut 0, depth);
+        let tree = decode_pred(&codes, &mut 0, depth, 4);
         // anchors 0..4 put a set conjunct on top; 4 leaves the tree alone;
         // 5 adds no filter at all (the bare product or key join)
         let filter = match anchor {
@@ -713,6 +779,108 @@ proptest! {
         };
         let keys: &[(usize, usize)] = if keyed { &[(0, 0)] } else { &[] };
         check_fused_join(&l, &r, keys, filter.as_ref());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// lookups: probes of a relation's sorted first column
+// ---------------------------------------------------------------------------
+
+/// Lookup keys: the predicate constants (an atom no relation holds among
+/// them) and a set no relation holds.
+fn lookup_keys() -> Vec<Value> {
+    let mut keys = pred_consts().to_vec();
+    keys.push(Value::set([Value::Atom(Atom(99))]));
+    keys
+}
+
+/// `σ[#1 = key ∧ rest]` over `rel`: as a lookup, and as the scan and
+/// select it replaces.
+fn lookup_plans(rel: &str, key: &Value, rest: Option<&RowPred>) -> (ExecPlan, ExecPlan) {
+    let mut lookup = ExecPlan::new();
+    lookup.push(ExecOp::Lookup {
+        rel: rel.into(),
+        key: key.clone(),
+        rest: rest.cloned(),
+    });
+    let mut select = ExecPlan::new();
+    let input = select.push(ExecOp::Scan { rel: rel.into() });
+    let pin = RowPred::EqConst(0, key.clone());
+    let pred = rest.cloned().map_or(pin.clone(), |p| pin.and(p));
+    select.push(ExecOp::Select { input, pred });
+    (lookup, select)
+}
+
+/// On `L` and on `R`, a lookup answers the table its scan and select
+/// answer, bit for bit, and the reference rows. It admits nothing to
+/// the arena, and it spends one step for the probe, one per row holding
+/// the key and two per row answered (kept, then output), whether the
+/// table is warm or cold and whatever the arena's id order.
+fn check_lookup(l: &Rows, r: &Rows, key: &Value, rest: Option<&RowPred>) {
+    let i = rows_instance(l, r);
+    let reordered = reordered_instance(l, r);
+    for (rel, (_, rows)) in [("L", l), ("R", r)] {
+        let rows: BTreeSet<&Vec<Value>> = rows.iter().collect();
+        let keyed: Vec<&Vec<Value>> = rows.into_iter().filter(|row| &row[0] == key).collect();
+        let expected: BTreeSet<Vec<Value>> = (keyed.iter())
+            .filter(|row| rest.is_none_or(|p| reference_holds(p, row)))
+            .map(|row| row.to_vec())
+            .collect();
+        let (lookup, select) = lookup_plans(rel, key, rest);
+        let cold = run_counted(&lookup, &rows_instance(l, r));
+        let steps = 1 + keyed.len() as u64 + 2 * expected.len() as u64;
+        assert_eq!(cold, (expected, steps), "{rel}: lookup of {key:?}, cold");
+
+        let gov = Governor::unlimited();
+        let want = execute(&select, &i, &gov).unwrap().table().clone();
+        let int = Resident::of(&i).interner().clone();
+        let arena = (int.len(), int.bytes());
+        let got = execute(&lookup, &i, &gov).unwrap().table().clone();
+        assert_eq!(got, want, "{rel}: lookup vs scan and select");
+        assert_eq!((int.len(), int.bytes()), arena, "a lookup admits nothing");
+        assert_eq!(run_counted(&lookup, &i), cold, "{rel}: warm");
+        assert_eq!(run_counted(&lookup, &reordered), cold, "{rel}: id order");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Lookups on an atom-valued (`L`) and a set-valued (`R`) first
+    /// column, for present and absent keys, with or without a random
+    /// further predicate.
+    #[test]
+    fn lookup_equals_scan_and_select(
+        l in set_rows_strategy(),
+        r in set_rows_strategy(),
+        codes in prop::collection::vec(0u32..1000, 1..24),
+        key in 0usize..6,
+        filtered in any::<bool>(),
+        depth in 0u32..4,
+    ) {
+        let rest = filtered.then(|| decode_pred(&codes, &mut 0, depth, 2));
+        check_lookup(&set_rel(&l, false), &set_rel(&r, true), &lookup_keys()[key], rest.as_ref());
+    }
+
+    /// Lookup joins equal every other algorithm: the right input leads
+    /// with an atom or a set, on one key or two, filtered or not.
+    #[test]
+    fn lookup_join_equals_the_other_algorithms(
+        l in set_rows_strategy(),
+        r in set_rows_strategy(),
+        codes in prop::collection::vec(0u32..1000, 1..24),
+        shape in 0usize..4,
+        filtered in any::<bool>(),
+        depth in 0u32..4,
+    ) {
+        let filter = filtered.then(|| decode_pred(&codes, &mut 0, depth, 4));
+        let (set_first, keys): (bool, &[(usize, usize)]) = match shape {
+            0 => (false, &[(0, 0)]),
+            1 => (false, &[(0, 0), (1, 1)]),
+            2 => (true, &[(1, 0)]),
+            _ => (true, &[(1, 0), (0, 1)]),
+        };
+        check_join(&set_rel(&l, false), &set_rel(&r, set_first), keys, filter.as_ref());
     }
 }
 

@@ -279,9 +279,9 @@ fn planned_execution_degrades_gracefully() {
     }
 }
 
-/// Every columnar join algorithm unwinds cleanly through the kernel: the
-/// depth-1 fault fires on the `exec.start`
-/// checkpoint, deeper ones inside scan/build/probe metering. The element
+/// Every columnar join algorithm, and a lookup, unwinds cleanly through
+/// the kernel: the depth-1 fault fires on the `exec.start` checkpoint,
+/// deeper ones inside scan/lookup/build/probe metering. The element
 /// index runs the filtered σ[#2 ⊆ #4](T × T) over a set-valued `T`.
 #[test]
 fn exec_kernels_degrade_gracefully() {
@@ -313,6 +313,7 @@ fn exec_kernels_degrade_gracefully() {
             vec![(1, 0)],
             None,
         ),
+        (JoinAlgo::Lookup, &graph, "G", vec![(1, 0)], None),
         (
             JoinAlgo::ElementIndex(subset),
             &teams,
@@ -333,6 +334,14 @@ fn exec_kernels_degrade_gracefully() {
         });
         assert_degrades_gracefully(&format!("exec-{}", algo.label()), |g| execute(&p, i, g));
     }
+    let node = graph.relation("G").iter().next().unwrap()[0].clone();
+    let mut p = ExecPlan::new();
+    p.push(ExecOp::Lookup {
+        rel: "G".into(),
+        key: node,
+        rest: Some(RowPred::Not(Box::new(RowPred::EqCols(0, 1)))),
+    });
+    assert_degrades_gracefully("exec-lookup", |g| execute(&p, &graph, g));
 }
 
 /// Views: `materialize` runs the recursive stratum's Δ loop, and
