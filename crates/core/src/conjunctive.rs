@@ -1,28 +1,32 @@
-//! The flat conjunctive fragment of CALC, and its recognizer.
+//! The positive-existential fragment of CALC+IFP, and its one recognizer.
 //!
-//! A query is *flat conjunctive* when its body is (up to nesting of ∃ and
-//! ∧) a conjunction of positive relation atoms over plain variables and
-//! constants, plus equality conjuncts. For such queries active-domain and
-//! range-restricted semantics coincide with natural-join semantics —
-//! every satisfying assignment draws each variable's value from a
-//! relation column, hence from the active domain — so the planner may
-//! lower them to the columnar join kernels of `no-exec` instead of
-//! quantifier enumeration ([Thm 4.1]'s data-complexity bound is preserved
-//! since joins are polynomial in `|I|`).
+//! [`decompose`] reads a query body built from ∃, ∧, at most one
+//! top-level ∨, positive relation atoms over plain variables and
+//! constants, equality conjuncts, and applications of closed
+//! inflationary fixpoints whose bodies are (recursively) of the same
+//! shape. Every variable of every disjunct occurs in a positive atom, so
+//! active-domain and range-restricted semantics coincide with
+//! natural-join semantics — each satisfying assignment draws each value
+//! from a relation column, hence from the active domain. The planner
+//! reads its engine off the result, once per compile:
 //!
-//! [`decompose`] recognizes the fragment syntactically and conservatively:
-//! anything with negation, disjunction, ∀, →, ↔, membership, containment,
-//! projection terms, or fixpoints returns `None` and falls back to the
+//! - no fixpoint and one disjunct — a *flat conjunctive* query, lowered
+//!   to the columnar join kernels of `no-exec` ([Thm 4.1]'s
+//!   data-complexity bound is preserved since joins are polynomial in
+//!   `|I|`);
+//! - no fixpoint and several disjuncts — a union of such plans;
+//! - fixpoints — one more positive atom per application, over the IDB
+//!   relation a [`FixpointDef`] defines: the program the planner runs on
+//!   the semi-naive round engine.
+//!
+//! The recognizer is syntactic and conservative: anything with
+//! negation, nested disjunction, ∀, →, ↔, membership, containment,
+//! projection or fixpoint terms, or a partial or open fixpoint is a
+//! [`Reject`] naming the first obstacle, and the query stays on the
 //! tree-walk evaluator. Equalities are solved here — variable/variable
-//! merges via union–find, variable/constant pins, constant/constant either
-//! vanishing or marking the query statically unsatisfiable — so the
-//! lowered plan sees only atoms, canonical variables, and pins.
-//!
-//! [`decompose_fixpoints`] widens the same recognizer by one arm: an
-//! application of a closed inflationary fixpoint whose body is again in
-//! the fragment is one more positive atom. That is the
-//! positive-existential fragment of CALC+IFP, which the planner compiles
-//! to a Datalog program for the semi-naive round engine.
+//! merges via union–find, variable/constant pins, constant/constant
+//! either vanishing or marking the disjunct statically unsatisfiable — so
+//! the lowered plans see only atoms, canonical variables, and pins.
 
 use crate::ast::{FixOp, Fixpoint, Formula, RelName, Term, VarName};
 use crate::eval::Query;
@@ -70,9 +74,8 @@ struct Collector<'f> {
     var_eqs: Vec<(VarName, VarName)>,
     raw_pins: Vec<(VarName, Value)>,
     unsat: bool,
-    /// Where fixpoint applications register; `None` rejects them (the
-    /// flat fragment proper, which the columnar kernels serve).
-    fixes: Option<&'f mut Fixes>,
+    /// Where fixpoint applications register.
+    fixes: &'f mut Fixes,
 }
 
 impl Collector<'_> {
@@ -102,7 +105,7 @@ impl Collector<'_> {
             Formula::Rel(name, args) => {
                 let args = self.args(name, args)?;
                 // An enclosing fixpoint's relation variable reads its IDB.
-                let name = match self.fixes.as_deref().and_then(|fx| fx.in_scope(name)) {
+                let name = match self.fixes.in_scope(name) {
                     Some(idb) => idb.clone(),
                     None => name.clone(),
                 };
@@ -111,10 +114,7 @@ impl Collector<'_> {
             }
             Formula::FixApp(fix, args) => {
                 let args = self.args(&fix.rel, args)?;
-                let Some(fixes) = self.fixes.as_deref_mut() else {
-                    return Err(outside("a fixpoint application"));
-                };
-                let idb = fixes.apply(fix)?;
+                let idb = self.fixes.apply(fix)?;
                 self.atoms.push((idb, args));
                 Ok(())
             }
@@ -140,10 +140,8 @@ impl Collector<'_> {
                 _ => Err("= compares a projection, fixpoint term or out-of-scope variable".into()),
             },
             Formula::Not(g) => {
-                let recursive = self.fixes.as_deref().and_then(|fx| {
-                    let under = g.referenced_relations();
-                    under.into_iter().find(|r| fx.in_scope(r).is_some())
-                });
+                let under = g.referenced_relations();
+                let recursive = under.into_iter().find(|r| self.fixes.in_scope(r).is_some());
                 Err(match recursive {
                     Some(rel) => format!("{rel} occurs under ¬"),
                     None => outside("¬"),
@@ -174,20 +172,13 @@ fn resolve(parent: &mut HashMap<VarName, VarName>, v: &str) -> VarName {
     root
 }
 
-/// Recognize a flat conjunctive query, or `None` when any construct
-/// outside the fragment appears (the caller then falls back to the
-/// tree-walk path). Also `None` when some variable occurs in no atom —
-/// such queries need domain enumeration, not joins.
-pub fn decompose(q: &Query) -> Option<ConjunctiveQuery> {
-    conjunct(&q.head, &q.body, None).ok()
-}
-
 /// One conjunctive body over `head`; fixpoint applications are atoms over
-/// the IDB `fixes` names them, or a rejection when `fixes` is `None`.
+/// the IDB `fixes` names them. Rejected when some variable occurs in no
+/// atom: such a body needs domain enumeration, not joins.
 fn conjunct(
     head: &[(VarName, Type)],
     body: &Formula,
-    fixes: Option<&mut Fixes>,
+    fixes: &mut Fixes,
 ) -> Result<ConjunctiveQuery, Reject> {
     let mut c = Collector {
         bound: HashSet::new(),
@@ -275,28 +266,6 @@ fn conjunct(
     })
 }
 
-/// Recognize the *non-conjunctive* CALC fragment reachable by union: a
-/// body that is a top-level disjunction each of whose disjuncts is
-/// itself flat conjunctive over the full head. Active-domain and safe
-/// semantics still coincide — every disjunct range-restricts every head
-/// variable through a positive atom, and a union of such queries is the
-/// union of their (coinciding) answers — so the planner may lower the
-/// query as a union of conjunctive plans. Conservative like
-/// [`decompose`]: any disjunct outside the conjunctive fragment (nested
-/// disjunction included) rejects the whole query.
-pub fn decompose_union(q: &Query) -> Option<Vec<ConjunctiveQuery>> {
-    let Formula::Or(parts) = &q.body else {
-        return None;
-    };
-    if parts.len() < 2 {
-        return None;
-    }
-    parts
-        .iter()
-        .map(|d| conjunct(&q.head, d, None).ok())
-        .collect()
-}
-
 /// One fixpoint of a [`FixpointQuery`]: the IDB relation it defines and
 /// one conjunctive body per disjunct of `φ(S)`.
 #[derive(Clone, Debug, PartialEq)]
@@ -313,7 +282,8 @@ pub struct FixpointDef {
 
 /// A query in the positive-existential fragment of CALC+IFP: unions of
 /// flat conjunctive bodies in which a fixpoint application is one more
-/// positive atom, over the relation its [`FixpointDef`] defines.
+/// positive atom, over the relation its [`FixpointDef`] defines. With no
+/// fixpoints it is a flat conjunctive query, or a union of them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FixpointQuery {
     /// Every distinct fixpoint applied, inner before outer.
@@ -398,10 +368,7 @@ fn disjuncts(
         Formula::Or(parts) => parts.as_slice(),
         one => std::slice::from_ref(one),
     };
-    parts
-        .iter()
-        .map(|d| conjunct(head, d, Some(&mut *fixes)))
-        .collect()
+    parts.iter().map(|d| conjunct(head, d, fixes)).collect()
 }
 
 /// Recognize the positive-existential fragment of CALC+IFP: a body built
@@ -410,11 +377,9 @@ fn disjuncts(
 /// inflationary, closed, and — recursively — have such a body. With no
 /// negation anywhere every stage operator is monotone, so nested
 /// inflationary fixpoints, one simultaneous fixpoint and the least
-/// fixpoint of the corresponding Datalog program all coincide, and (as in
-/// [`decompose`]) every value is drawn from a relation column, so
-/// active-domain and safe semantics coincide too. The query must
-/// type-check; `Err` names the first construct outside the fragment.
-pub fn decompose_fixpoints(q: &Query) -> Result<FixpointQuery, Reject> {
+/// fixpoint of the corresponding Datalog program all coincide. The query
+/// must type-check; `Err` names the first construct outside the fragment.
+pub fn decompose(q: &Query) -> Result<FixpointQuery, Reject> {
     let mut fixes = Fixes::default();
     let disjuncts = disjuncts(&q.head, &q.body, &mut fixes)?;
     Ok(FixpointQuery {
@@ -440,6 +405,14 @@ mod tests {
         Formula::Rel("G".into(), vec![x, y])
     }
 
+    /// The one disjunct of a query with no fixpoint.
+    fn flat(q: &Query) -> ConjunctiveQuery {
+        let fq = decompose(q).expect("in the fragment");
+        assert!(fq.fixpoints.is_empty());
+        let [cq] = <[_; 1]>::try_from(fq.disjuncts).expect("one disjunct");
+        cq
+    }
+
     #[test]
     fn recognizes_join_with_existential() {
         // q(x) :- exists y (G(x,y) /\ G(y,x))
@@ -451,7 +424,7 @@ mod tests {
                 Box::new(Formula::and([g(var("x"), var("y")), g(var("y"), var("x"))])),
             ),
         );
-        let cq = decompose(&q).expect("conjunctive");
+        let cq = flat(&q);
         assert_eq!(cq.atoms.len(), 2);
         assert_eq!(cq.head, vec!["x".to_string()]);
         assert!(!cq.unsat);
@@ -481,7 +454,7 @@ mod tests {
             vec![("x".into(), Type::Atom), ("z".into(), Type::Atom)],
             body,
         );
-        let cq = decompose(&q).expect("conjunctive");
+        let cq = flat(&q);
         // y and z merged to one representative appearing in both atoms.
         let rep = &cq.head[1];
         assert!(cq
@@ -501,7 +474,7 @@ mod tests {
             Formula::Eq(var("x"), Term::Const(atom_val(&u, "b"))),
         ]);
         let q = Query::new(vec![("x".into(), Type::Atom)], body);
-        let cq = decompose(&q).expect("still conjunctive");
+        let cq = flat(&q);
         assert!(cq.unsat);
     }
 
@@ -512,7 +485,7 @@ mod tests {
             vec![("x".into(), Type::Atom), ("y".into(), Type::Atom)],
             Formula::or([g(var("x"), var("y")), g(var("y"), var("x"))]),
         );
-        let cqs = decompose_union(&q).expect("union of conjunctive");
+        let cqs = decompose(&q).expect("union of conjunctive").disjuncts;
         assert_eq!(cqs.len(), 2);
         assert_eq!(cqs[0].head, vec!["x".to_string(), "y".to_string()]);
         assert_eq!(cqs[1].atoms[0].1[0], CArg::Var("y".into()));
@@ -528,7 +501,7 @@ mod tests {
                 Formula::and([g(var("x"), var("x")), Formula::Eq(var("y"), var("y"))]),
             ]),
         );
-        assert!(decompose_union(&q).is_none());
+        assert!(decompose(&q).is_err());
         // negation inside a disjunct
         let q = Query::new(
             vec![("x".into(), Type::Atom)],
@@ -537,10 +510,7 @@ mod tests {
                 Formula::Not(Box::new(g(var("x"), var("x")))),
             ]),
         );
-        assert!(decompose_union(&q).is_none());
-        // a conjunctive (non-disjunctive) body is not this fragment
-        let q = Query::new(vec![("x".into(), Type::Atom)], g(var("x"), var("x")));
-        assert!(decompose_union(&q).is_none());
+        assert!(decompose(&q).is_err());
     }
 
     /// `ifp(name; x, y | G(x,y) ∨ ∃z (name(x,z) ∧ G(z,y)))`, optionally
@@ -575,7 +545,7 @@ mod tests {
         let fix = closure("S", FixOp::Ifp, None);
         let app = |a: &str, b: &str| Formula::FixApp(Arc::clone(&fix), vec![var(a), var(b)]);
         // one Arc applied twice is one IDB…
-        let fq = decompose_fixpoints(&pair_query(Formula::and([app("u", "v"), app("v", "u")])))
+        let fq = decompose(&pair_query(Formula::and([app("u", "v"), app("v", "u")])))
             .expect("in the fragment");
         assert_eq!(fq.fixpoints.len(), 1);
         let def = &fq.fixpoints[0];
@@ -588,19 +558,17 @@ mod tests {
             app("u", "v"),
             Formula::FixApp(other, vec![var("v"), var("u")]),
         ]);
-        let fq = decompose_fixpoints(&pair_query(both)).expect("in the fragment");
+        let fq = decompose(&pair_query(both)).expect("in the fragment");
         let names: Vec<&str> = fq.fixpoints.iter().map(|d| d.idb.as_str()).collect();
         assert_eq!(names, ["S", "S_2"]);
         assert_eq!(fq.fixpoints[1].disjuncts[1].atoms[0].0, "S_2");
-        // the flat recognizers still refuse fixpoints
-        assert!(decompose(&pair_query(app("u", "v"))).is_none());
     }
 
     #[test]
     fn fixpoint_rejections_name_the_first_obstacle() {
         let reject = |fix: Arc<Fixpoint>| {
             let q = pair_query(Formula::FixApp(fix, vec![var("u"), var("v")]));
-            decompose_fixpoints(&q).expect_err("outside the fragment")
+            decompose(&q).expect_err("outside the fragment")
         };
         assert_eq!(
             reject(closure("S", FixOp::Pfp, None)),
@@ -623,7 +591,10 @@ mod tests {
         let mk = |body: Formula| Query::new(vec![("x".into(), Type::Atom)], body);
         let cases = [
             Formula::Not(Box::new(g(var("x"), var("x")))),
-            Formula::or([g(var("x"), var("x")), g(var("x"), var("x"))]),
+            Formula::and([
+                g(var("x"), var("x")),
+                Formula::or([g(var("x"), var("x")), g(var("x"), var("x"))]),
+            ]),
             Formula::Forall("y".into(), Type::Atom, Box::new(g(var("x"), var("y")))),
             Formula::In(var("x"), var("x")),
             Formula::Rel("G".into(), vec![var("x"), var("x").proj(1)]),
@@ -632,7 +603,7 @@ mod tests {
         ];
         for body in cases {
             let q = mk(body);
-            assert!(decompose(&q).is_none(), "must reject {:?}", q.body);
+            assert!(decompose(&q).is_err(), "must reject {:?}", q.body);
         }
     }
 }

@@ -73,13 +73,6 @@ pub fn op_detail(op: &Op) -> String {
         Op::ActiveDomain { var, ty } => format!("active-domain {var}: {ty}"),
         Op::Enumerate { vars } => format!("enumerate ({})", vars.join(", ")),
         Op::Quantify { quant, var } => format!("quantify {quant}{var}"),
-        Op::RestoreColumns { perm } => format!(
-            "restore-columns [{}]",
-            perm.iter()
-                .map(|p| format!("#{}", p + 1))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
         Op::Fixpoint { op, rel } => format!("fixpoint {op} {rel}"),
         Op::Rule { head, delta_pos } => match delta_pos {
             Some(k) => format!("rule {head} [Δ at body literal {k}]"),

@@ -1,9 +1,10 @@
-//! CALC+IFP on the Datalog round engine: the positive-existential
-//! fragment compiles to a [`Program`] at plan time.
+//! CALC+IFP on the Datalog round engine: a query of the
+//! positive-existential fragment that applies fixpoints compiles to a
+//! [`Program`] at plan time.
 //!
 //! Section 3 of the paper: "inf-Datalog¬ is equivalent to CALC_i^k+IFP".
-//! For the fragment `no_core::conjunctive::decompose_fixpoints`
-//! recognizes the translation is direct — each fixpoint becomes one IDB
+//! For the [`FixpointQuery`] `no_core::conjunctive::decompose` returns,
+//! the translation is direct — each fixpoint becomes one IDB
 //! relation, each disjunct of its body one rule, and the query itself one
 //! more non-recursive rule into a fresh result relation (or no rule at
 //! all when the query just names a fixpoint's columns in order). Without
@@ -15,9 +16,7 @@
 //! stays on the tree-walk, which is also the oracle this path is tested
 //! against.
 
-use no_core::conjunctive::{
-    decompose_fixpoints, fresh_name, CArg, ConjunctiveQuery, FixpointQuery, Reject,
-};
+use no_core::conjunctive::{fresh_name, CArg, ConjunctiveQuery, FixpointQuery, Reject};
 use no_core::Query;
 use no_datalog::{DTerm, Literal, Program, Rule};
 use no_object::Schema;
@@ -69,11 +68,14 @@ fn identity_on(fq: &FixpointQuery) -> Option<&str> {
     (same && distinct && cq.pins.is_empty() && !cq.unsat).then_some(def.idb.as_str())
 }
 
-/// Compile `query` to a Datalog program and the name of the IDB relation
-/// that holds its answer, or say why it is outside the fragment. The
-/// query must type-check against `schema`.
-pub fn lower_ifp(schema: &Schema, query: &Query) -> Result<(Program, String), Reject> {
-    let fq = decompose_fixpoints(query)?;
+/// Compile `query`, recognized as `fq`, to a Datalog program and the
+/// name of the IDB relation that holds its answer, or say why it cannot
+/// run as one. The query must type-check against `schema`.
+pub fn lower_ifp(
+    schema: &Schema,
+    query: &Query,
+    fq: &FixpointQuery,
+) -> Result<(Program, String), Reject> {
     let mut program = Program::new();
     for def in &fq.fixpoints {
         // The tree-walk's fixpoint scope shadows a stored relation; a
@@ -90,7 +92,7 @@ pub fn lower_ifp(schema: &Schema, query: &Query) -> Result<(Program, String), Re
             .rules
             .extend(rules.filter_map(|cq| conjunctive_rule(&def.idb, cq)));
     }
-    if let Some(idb) = identity_on(&fq) {
+    if let Some(idb) = identity_on(fq) {
         return Ok((program, idb.to_string()));
     }
     let result = fresh_name("result", |name| {
@@ -107,11 +109,18 @@ pub fn lower_ifp(schema: &Schema, query: &Query) -> Result<(Program, String), Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CalcMode, Physical, Planner};
     use no_object::{RelationSchema, Type, Universe};
 
+    /// The program the planner runs `text` on, or the header line that
+    /// says why it stays on the tree-walk.
     fn lower(schema: &Schema, text: &str) -> Result<(Program, String), Reject> {
         let q = no_core::parse_query(text, &mut Universe::new()).expect("parses");
-        lower_ifp(schema, &q)
+        let planned = Planner::new(schema).plan_calc(&q, CalcMode::Safe).unwrap();
+        match planned.physical {
+            Physical::Ifp { program, result } => Ok((program, result)),
+            _ => Err(planned.header[1].clone()),
+        }
     }
 
     #[test]
@@ -140,7 +149,8 @@ mod tests {
         let shadow = "{[u:U, v:U] | ifp(G; x:U, y:U | G(x, y))(u, v)}";
         assert_eq!(
             lower(&schema, shadow).unwrap_err(),
-            "fixpoint relation G is named like a schema relation"
+            "fixpoints run on the tree-walk oracle: \
+             fixpoint relation G is named like a schema relation"
         );
     }
 }

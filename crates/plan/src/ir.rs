@@ -121,12 +121,6 @@ pub enum Op {
         /// The bound variable.
         var: String,
     },
-    /// Restore the original head column order after quantifier reordering
-    /// permuted the enumeration.
-    RestoreColumns {
-        /// `perm[i]` = original position of planned column `i`.
-        perm: Vec<usize>,
-    },
     /// A fixpoint sub-evaluation inside a CALC formula.
     Fixpoint {
         /// `"ifp"` or `"pfp"`.
@@ -173,7 +167,6 @@ impl Op {
             Op::ActiveDomain { .. } => "active-domain",
             Op::Enumerate { .. } => "enumerate",
             Op::Quantify { .. } => "quantify",
-            Op::RestoreColumns { .. } => "restore-columns",
             Op::Fixpoint { .. } => "fixpoint",
             Op::Rule { .. } => "rule",
             Op::Program { .. } => "program",

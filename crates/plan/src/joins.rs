@@ -3,13 +3,14 @@
 //! Two front-ends reach `no-exec`'s physical operators through this
 //! module:
 //!
-//! * **Flat conjunctive CALC** (recognized by
-//!   `no_core::conjunctive::decompose`): atoms become indexed scans,
-//!   intra-atom constants/duplicates and equality pins become selects,
-//!   and shared variables across atoms become equi-join keys. Join order
-//!   is greedy left-deep by estimated cardinality (connected atoms
-//!   preferred, source order breaking ties, so plans are deterministic
-//!   for a fixed statistics snapshot).
+//! * **Flat CALC** (a query `no_core::conjunctive::decompose` recognizes
+//!   with no fixpoint): per conjunctive disjunct, atoms become scans or
+//!   lookups, intra-atom constants/duplicates and equality pins become
+//!   selects, and shared variables across atoms become equi-join keys.
+//!   Join order is greedy left-deep by estimated cardinality (connected
+//!   atoms preferred, source order breaking ties, so plans are
+//!   deterministic for a fixed statistics snapshot). Several disjuncts
+//!   fold through the deduplicating union kernel.
 //! * **Flat algebra expressions** — everything except `Nest`/`Unnest`/
 //!   `Powerset`, which keep the tree-walk path. A `Select` directly over
 //!   a `Product` runs inside the join (predicate pushdown deliberately
@@ -166,29 +167,11 @@ fn row_pred(p: &Pred) -> RowPred {
 // conjunctive CALC
 // ---------------------------------------------------------------------------
 
-/// Lower a flat conjunctive query to the columnar kernels. Always
-/// succeeds: the fragment recognizer already rejected everything the
-/// kernels cannot run.
-pub fn lower_conjunctive_calc(
-    cq: &ConjunctiveQuery,
-    head_types: &[Type],
-    stats: Option<&Stats>,
-) -> ExecLowering {
-    let mut exec = ExecPlan::new();
-    let mut plan = Plan::new();
-    let mut notes = Vec::new();
-    let (_, nid, _) =
-        lower_conjunctive_into(cq, head_types, stats, &mut exec, &mut plan, &mut notes);
-    plan.root = nid;
-    ExecLowering { plan, exec, notes }
-}
-
-/// Lower a union of flat conjunctive queries (the disjunctive CALC
-/// fragment recognized by `no_core::conjunctive::decompose_union`): each
-/// disjunct lowers independently — join order and algorithms chosen per
-/// disjunct — and the results fold left through the deduplicating union
-/// kernel, so disjunctive views stay maintainable by the same delta
-/// kernels as conjunctive ones.
+/// Lower the disjuncts of a flat CALC query to the columnar kernels.
+/// Always succeeds: the recognizer already rejected everything the
+/// kernels cannot run. Each disjunct lowers independently — join order
+/// and algorithms chosen per disjunct — and several fold left through
+/// the deduplicating union kernel, their notes numbered by disjunct.
 pub fn lower_union_calc(
     cqs: &[ConjunctiveQuery],
     head_types: &[Type],
@@ -196,10 +179,14 @@ pub fn lower_union_calc(
 ) -> ExecLowering {
     let mut exec = ExecPlan::new();
     let mut plan = Plan::new();
-    let mut notes = vec![format!(
-        "disjunctive query: union of {} conjunctive plans",
-        cqs.len()
-    )];
+    let union = cqs.len() > 1;
+    let mut notes = Vec::new();
+    if union {
+        notes.push(format!(
+            "disjunctive query: union of {} conjunctive plans",
+            cqs.len()
+        ));
+    }
     let mut acc: Option<(ExecId, NodeId, Option<u64>)> = None;
     for (i, cq) in cqs.iter().enumerate() {
         let mut local_notes = Vec::new();
@@ -211,11 +198,13 @@ pub fn lower_union_calc(
             &mut plan,
             &mut local_notes,
         );
-        notes.extend(
-            local_notes
-                .into_iter()
-                .map(|n| format!("disjunct {}: {n}", i + 1)),
-        );
+        notes.extend(local_notes.into_iter().map(|n| {
+            if union {
+                format!("disjunct {}: {n}", i + 1)
+            } else {
+                n
+            }
+        }));
         acc = Some(match acc {
             None => (eid, nid, est),
             Some((prev_eid, prev_nid, prev_est)) => {
@@ -229,14 +218,14 @@ pub fn lower_union_calc(
             }
         });
     }
-    let (_, root, _) = acc.expect("decompose_union yields at least two disjuncts");
+    let (_, root, _) = acc.expect("decompose yields at least one disjunct");
     plan.root = root;
     ExecLowering { plan, exec, notes }
 }
 
-/// Shared body of the conjunctive lowerings: emit one disjunct's scans,
-/// selects, joins, and head projection into `exec`/`plan`, returning the
-/// projected result's ids and estimate (the caller sets the root).
+/// One disjunct of [`lower_union_calc`]: emit its scans, selects, joins,
+/// and head projection into `exec`/`plan`, returning the projected
+/// result's ids and estimate (the caller sets the root).
 fn lower_conjunctive_into(
     cq: &ConjunctiveQuery,
     head_types: &[Type],

@@ -11,19 +11,24 @@
 //! the same structured errors as the legacy tree-walk path — which is
 //! exactly what the differential suite proves.
 //!
+//! A CALC query is typechecked once and recognized once
+//! (`no_core::conjunctive::decompose`). The answer picks its engine — the
+//! columnar kernels, semi-naive rounds, or the tree-walk evaluator, whose
+//! served plan is the oracle's — and only that engine's plan is lowered.
+//!
 //! The pieces:
 //!
 //! - [`ir`] — the flat-arena logical plan (operators named after the
 //!   paper's constructs, down to Definition 5.2/5.3 range rules);
-//! - [`lower`] — CALC / algebra / Datalog¬ lowering;
+//! - [`lower`] — tree-walk CALC / algebra / Datalog¬ lowering;
 //! - [`stats`] — instance statistics (one data pass per instance version)
 //!   and schema fingerprints;
-//! - [`passes`] — pushdown, quantifier reordering, the semi-naive delta
-//!   rewrite, and governor-aware early-trip annotation;
-//! - [`joins`] — the join-algorithms pass: flat conjunctive CALC and flat
-//!   algebra expressions lower to the columnar `no-exec` kernels, with a
-//!   statistics-driven algorithm picked per join (hash / merge / nested
-//!   loop) and recorded in the plan;
+//! - [`passes`] — algebra pushdown, the semi-naive delta rewrite, and
+//!   governor-aware early-trip annotation;
+//! - [`joins`] — the join-algorithms pass: flat CALC (a union of
+//!   conjunctive disjuncts) and flat algebra expressions lower to the
+//!   columnar `no-exec` kernels, with a statistics-driven algorithm
+//!   picked per join and recorded in the plan;
 //! - [`ifp`] — the positive-existential fragment of CALC+IFP compiles to a
 //!   Datalog program, so its fixpoints run on the semi-naive round engine;
 //! - [`maintenance`] — strata and per-stratum maintenance strategies for
@@ -51,14 +56,17 @@ pub use explain::{json_escape, plan_tree_text};
 pub use ifp::lower_ifp;
 pub use ir::{Node, NodeId, Op, Plan};
 pub use joins::{choose_join, ExecLowering};
-pub use lower::{lower_algebra, lower_calc, lower_datalog, CalcLowering};
+pub use lower::{lower_algebra, lower_calc, lower_datalog};
 pub use maintenance::{plan_maintenance, MaintenancePlan, MaintenanceStrategy, StratumPlan};
 pub use passes::{delta_rewrite, Pass};
 pub use physical::{Answers, CalcMode, DatalogMode, ExecOrigin, Output, Physical, PlanError};
 pub use stats::{schema_fingerprint, Stats};
 
 use no_algebra::Expr;
+use no_core::conjunctive::FixpointQuery;
+use no_core::error::EvalError;
 use no_core::print::Printer;
+use no_core::typeck::{self, Checked};
 use no_core::Query;
 use no_datalog::Program;
 use no_object::{Governor, Instance, Limits, Schema};
@@ -76,7 +84,7 @@ pub struct Planner<'a> {
 
 impl<'a> Planner<'a> {
     /// The served planner for `schema`, with no stats or limits (stats
-    /// unlock reordering; limits unlock trip warnings).
+    /// unlock estimates and join choices; limits unlock trip warnings).
     pub fn new(schema: &'a Schema) -> Self {
         Planner {
             schema,
@@ -86,10 +94,11 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// The oracle planner: CALC runs on the tree-walk evaluator and the
-    /// algebra on its bottom-up evaluator, exactly as lowered, with no
-    /// rewrite. Datalog plans are the served ones, since every strategy
-    /// runs on the one round engine.
+    /// The oracle planner: CALC runs on the tree-walk evaluator (the
+    /// served planner's own fallback plan) and the algebra on its
+    /// bottom-up evaluator, exactly as lowered, with no rewrite. Datalog
+    /// plans are the served ones, since every strategy runs on the one
+    /// round engine.
     pub fn oracle(schema: &'a Schema) -> Self {
         Planner {
             oracle: true,
@@ -97,8 +106,8 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Use instance statistics (enables quantifier reordering and
-    /// cardinality estimates in `:explain`).
+    /// Use instance statistics (enables join choices and cardinality
+    /// estimates in `:explain`).
     pub fn with_stats(mut self, stats: Stats) -> Self {
         self.stats = Some(stats);
         self
@@ -117,143 +126,98 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Plan a CALC query under the given semantics.
+    /// Plan a CALC query under the given semantics. The query is
+    /// typechecked once, for its `⟨i,k⟩` class line, and recognized once
+    /// by `no_core::conjunctive::decompose`; only the engine that runs
+    /// is lowered:
+    ///
+    /// - no fixpoint: the columnar join kernels, a union of conjunctive
+    ///   plans when the body has several disjuncts. Every variable is
+    ///   restricted by a positive atom (rule 1 of Definition 5.2), so the
+    ///   two semantics coincide and one physical plan serves both;
+    /// - fixpoints: semi-naive Datalog rounds (see [`ifp`]), for the same
+    ///   reason in both modes;
+    /// - anything else, and every query the oracle plans: the tree-walk.
     pub fn plan_calc(&self, query: &Query, mode: CalcMode) -> Result<Planned, PlanError> {
-        let lowered = lower::lower_calc(self.schema, self.stats.as_ref(), query)?;
+        let checked = typeck::check(self.schema, &query.head, &query.body)
+            .map_err(|e| PlanError::Calc(EvalError::ShapeError(e.to_string())))?;
+        let (i, k) = checked.ik();
+        let class = format!("query class: CALC⟨i={i}, k={k}⟩");
         let mode_label = match mode {
             CalcMode::ActiveDomain => "active-domain",
             CalcMode::Safe => "safe",
         };
-        let class = format!("query class: CALC⟨i={}, k={}⟩", lowered.ik.0, lowered.ik.1);
         if self.oracle {
-            let physical = Physical::Calc {
-                query: query.clone(),
-                var_types: lowered.var_types,
-                mode,
-                restore: None,
-                pins: Vec::new(),
-            };
-            let header = vec![class];
-            return Ok(self.finish(lowered.plan, physical, "calc", mode_label, vec![], header));
+            return Ok(self.tree_walk(query, mode, mode_label, checked, vec![class]));
         }
-
-        // Closed positive-existential IFPs compile to a Datalog program
-        // and run on the semi-naive round engine; one physical plan
-        // serves both modes for the same reason as below. Any other
-        // fixpoint query stays on the tree-walk evaluator and says why.
-        let mut oracle_note = None;
-        if no_core::nf::metrics(&query.body).fixpoint_depth > 0 {
-            match self.plan_ifp(query, &class, mode_label) {
+        let note = match no_core::conjunctive::decompose(query) {
+            Ok(fq) if fq.fixpoints.is_empty() => {
+                let lowering = joins::lower_union_calc(
+                    &fq.disjuncts,
+                    &query.output_types(),
+                    self.stats.as_ref(),
+                );
+                let class_note = match fq.disjuncts.len() {
+                    1 => "flat conjunctive query: lowered to columnar join kernels",
+                    _ => "disjunctive query: lowered to a union of conjunctive plans",
+                };
+                let mut header = vec![class, class_note.to_string()];
+                header.extend(lowering.notes);
+                let physical = Physical::Exec {
+                    plan: lowering.exec,
+                    origin: ExecOrigin::Calc,
+                };
+                let applied = vec![Pass::Joins.name()];
+                return Ok(self.finish(
+                    lowering.plan,
+                    physical,
+                    "calc",
+                    mode_label,
+                    applied,
+                    header,
+                ));
+            }
+            Ok(fq) => match self.plan_ifp(query, &fq, &class, mode_label) {
                 Ok(planned) => return Ok(planned),
-                Err(why) => {
-                    oracle_note = Some(format!("fixpoints run on the tree-walk oracle: {why}"))
-                }
-            }
-        }
-
-        // Flat conjunctive queries lower to the columnar join kernels
-        // instead of quantifier enumeration: the recognized fragment has
-        // identical active-domain and safe semantics (every variable is
-        // restricted by a positive atom — rule 1 of Definition 5.2), so
-        // one physical plan serves both modes.
-        let head_types: Vec<no_object::Type> = query.head.iter().map(|(_, t)| t.clone()).collect();
-        let lowering = if let Some(cq) = no_core::conjunctive::decompose(query) {
-            Some((
-                joins::lower_conjunctive_calc(&cq, &head_types, self.stats.as_ref()),
-                "flat conjunctive query: lowered to columnar join kernels",
-            ))
-        } else {
-            // The non-conjunctive fragment reachable by union: a
-            // top-level disjunction of flat conjunctive disjuncts
-            // lowers to a union of conjunctive plans.
-            no_core::conjunctive::decompose_union(query).map(|cqs| {
-                (
-                    joins::lower_union_calc(&cqs, &head_types, self.stats.as_ref()),
-                    "disjunctive query: lowered to a union of conjunctive plans",
-                )
-            })
+                Err(why) => Some(why),
+            },
+            Err(why) => (no_core::nf::metrics(&query.body).fixpoint_depth > 0).then_some(why),
         };
-        if let Some((lowering, class_note)) = lowering {
-            let applied = vec![Pass::Joins.name()];
-            let mut header = vec![class, class_note.to_string()];
-            header.extend(lowering.notes);
-            let physical = Physical::Exec {
-                plan: lowering.exec,
-                origin: ExecOrigin::Calc,
-            };
-            return Ok(self.finish(lowering.plan, physical, "calc", mode_label, applied, header));
-        }
-
-        let mut plan = lowered.plan;
-        let mut query = query.clone();
-        let mut applied = vec![Pass::Pushdown.name()];
         let mut header = vec![class];
-        header.extend(oracle_note);
+        header.extend(note.map(|why| format!("fixpoints run on the tree-walk oracle: {why}")));
+        Ok(self.tree_walk(query, mode, mode_label, checked, header))
+    }
 
-        // Pushdown: top-level `v = c` conjuncts pin ranges to singletons.
-        let printer = Printer::new();
-        let pins = passes::calc_pins(&query);
-        for (v, c) in &pins {
-            if let Some(pos) = query.head.iter().position(|(hv, _)| hv == v) {
-                let id = lowered.range_nodes[pos];
-                plan.nodes[id].est = Some(1);
-                plan.nodes[id].note = Some(format!("pinned to {} by pushdown", printer.value(c)));
-            }
-            header.push(format!(
-                "pinned: {v} = {} (top-level equality)",
-                printer.value(c)
-            ));
-        }
-
-        // Reorder: enumerate the cheapest range first; a RestoreColumns
-        // root puts the output back in source order.
-        let mut restore = None;
-        if self.stats.is_some() {
-            applied.push(Pass::Reorder.name());
-            let ests: Vec<Option<u64>> = lowered
-                .range_nodes
-                .iter()
-                .map(|&id| plan.nodes[id].est)
-                .collect();
-            if let Some(perm) = passes::sort_permutation(&ests) {
-                let head = query.head.clone();
-                query.head = perm.iter().map(|&i| head[i].clone()).collect();
-                let en = lowered.enumerate;
-                let matrix = *plan.nodes[en].children.last().expect("matrix child");
-                let mut children: Vec<NodeId> =
-                    perm.iter().map(|&i| lowered.range_nodes[i]).collect();
-                children.push(matrix);
-                plan.nodes[en].children = children;
-                if let Op::Enumerate { vars } = &mut plan.nodes[en].op {
-                    *vars = query.head.iter().map(|(v, _)| v.clone()).collect();
-                }
-                let est = plan.nodes[en].est;
-                plan.root = plan.add_est(Op::RestoreColumns { perm: perm.clone() }, vec![en], est);
-                header.push("quantifiers reordered by estimated range size".to_string());
-                restore = Some(perm);
-            }
-        }
-
+    /// The tree-walk plan of a typechecked query, the same for the oracle
+    /// and the served fallback: the query runs as written.
+    fn tree_walk(
+        &self,
+        query: &Query,
+        mode: CalcMode,
+        mode_label: &str,
+        checked: Checked,
+        header: Vec<String>,
+    ) -> Planned {
+        let plan = lower::lower_calc(self.schema, self.stats.as_ref(), query, &checked.var_types);
         let physical = Physical::Calc {
-            query,
-            var_types: lowered.var_types,
+            query: query.clone(),
+            var_types: checked.var_types,
             mode,
-            restore,
-            pins,
         };
-        Ok(self.finish(plan, physical, "calc", mode_label, applied, header))
+        self.finish(plan, physical, "calc", mode_label, vec![], header)
     }
 
     /// The Datalog plan of a query in the positive-existential fragment
-    /// of CALC+IFP (see [`ifp`]), or why it has none. Rendered and
-    /// delta-rewritten like a semi-naive Datalog request.
+    /// of CALC+IFP, recognized as `fq` (see [`ifp`]), or why it has none.
+    /// Rendered and delta-rewritten like a semi-naive Datalog request.
     fn plan_ifp(
         &self,
         query: &Query,
+        fq: &FixpointQuery,
         class: &str,
         mode_label: &str,
     ) -> Result<Planned, no_core::conjunctive::Reject> {
-        let (program, result) = ifp::lower_ifp(self.schema, query)?;
+        let (program, result) = ifp::lower_ifp(self.schema, query, fq)?;
         let plan = lower::lower_datalog(
             self.schema,
             self.stats.as_ref(),
@@ -619,62 +583,6 @@ mod tests {
                 .into_relation();
             assert_eq!(rel.len(), 1, "only the edge out of atom 0");
         }
-    }
-
-    #[test]
-    fn reorder_restores_column_order() {
-        // Head (x, y) where y's best relation (E, 1 row) is smaller than
-        // x's (G, 3 rows) forces a permutation; columns must come back in
-        // source order.
-        let schema2 = Schema::from_relations([
-            RelationSchema::new("G", vec![Type::Atom, Type::Atom]),
-            RelationSchema::new("E", vec![Type::Atom]),
-        ]);
-        let mut inst = Instance::empty(schema2.clone());
-        for (x, y) in [(0u32, 1u32), (1, 2), (2, 0)] {
-            inst.insert("G", vec![Value::Atom(Atom(x)), Value::Atom(Atom(y))]);
-        }
-        inst.insert("E", vec![Value::Atom(Atom(2))]);
-        // The negated conjunct keeps the query outside the join fragment,
-        // so it is served by quantifier enumeration, which reorders.
-        let q = Query::new(
-            vec![("x".to_string(), Type::Atom), ("y".to_string(), Type::Atom)],
-            Formula::and([
-                Formula::Rel("G".to_string(), vec![Term::var("x"), Term::var("y")]),
-                Formula::Rel("E".to_string(), vec![Term::var("y")]),
-                Formula::Not(Box::new(Formula::Rel(
-                    "G".to_string(),
-                    vec![Term::var("y"), Term::var("x")],
-                ))),
-            ]),
-        );
-        let planner = Planner::new(&schema2).with_instance(&inst);
-        let planned = planner.plan_calc(&q, CalcMode::Safe).unwrap();
-        match &planned.physical {
-            Physical::Calc { restore, .. } => {
-                assert_eq!(restore.as_deref(), Some(&[1usize, 0][..]), "y first");
-            }
-            _ => unreachable!(),
-        }
-        let gov = Governor::unlimited();
-        let rel = planned
-            .physical
-            .execute(&inst, &gov)
-            .unwrap()
-            .into_relation();
-        // G(1,2) ∧ E(2) ∧ ¬G(2,1): row must come back as (x=1, y=2), not
-        // permuted.
-        let row = rel.iter().next().unwrap().clone();
-        assert_eq!(row, vec![Value::Atom(Atom(1)), Value::Atom(Atom(2))]);
-        // the unpermuted oracle agrees
-        let oracle = Planner::oracle(&schema2)
-            .plan_calc(&q, CalcMode::Safe)
-            .unwrap()
-            .physical
-            .execute(&inst, &gov)
-            .unwrap()
-            .into_relation();
-        assert_eq!(rel, oracle);
     }
 
     #[test]

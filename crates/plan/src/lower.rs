@@ -1,10 +1,10 @@
 //! Lowering the three front-ends into the logical plan IR.
 //!
-//! - **CALC** lowers through the existing machinery: `typeck::check` for
-//!   variable typings, then `rr::analyze` (Definitions 5.2/5.3) so every
-//!   head variable's range source is a plan operator *named by the rule
-//!   that justified it* — the complexity certificate's trace literally
-//!   annotates the plan.
+//! - **CALC** on the tree-walk lowers through `rr::analyze`
+//!   (Definitions 5.2/5.3) over the typechecked variable typings, so
+//!   every head variable's range source is a plan operator *named by the
+//!   rule that justified it* — the complexity certificate's trace
+//!   literally annotates the plan.
 //! - **The algebra** lowers structurally — its expression tree *is* a
 //!   plan already; lowering is a change of representation.
 //! - **Datalog¬** rules lower to Join/Filter/Project trees under a
@@ -16,38 +16,22 @@ use crate::physical::{DatalogMode, PlanError};
 use crate::stats::Stats;
 use no_algebra::Expr;
 use no_core::ast::{Formula, VarName};
-use no_core::error::EvalError;
 use no_core::print::Printer;
-use no_core::{rr, typeck, Query};
+use no_core::{rr, Query};
 use no_datalog::{DTerm, Literal, Program};
 use no_object::{Schema, Type};
 use std::collections::BTreeMap;
 
-/// What CALC lowering produced besides the plan itself.
-pub struct CalcLowering {
-    /// The logical plan.
-    pub plan: Plan,
-    /// Variable typings (needed at execution time for range computation).
-    pub var_types: BTreeMap<VarName, Type>,
-    /// The `Enumerate` node (its leading children are the per-head-var
-    /// range sources, in head order — the reorder pass permutes them).
-    pub enumerate: NodeId,
-    /// Per head variable, the id of its range-source node.
-    pub range_nodes: Vec<NodeId>,
-    /// `⟨i,k⟩` of the checked query (for the plan header).
-    pub ik: (usize, usize),
-}
-
-/// Lower a CALC query: ranges named by their Definition 5.2/5.3 rules,
+/// Lower a typechecked CALC query (`var_types` from `typeck::check`) to
+/// its tree-walk plan: ranges named by their Definition 5.2/5.3 rules,
 /// quantifiers, fixpoints, and the matrix as documented filter nodes.
 pub fn lower_calc(
     schema: &Schema,
     stats: Option<&Stats>,
     query: &Query,
-) -> Result<CalcLowering, PlanError> {
-    let checked = typeck::check(schema, &query.head, &query.body)
-        .map_err(|e| PlanError::Calc(EvalError::ShapeError(e.to_string())))?;
-    let analysis = rr::analyze(schema, &checked.var_types, &query.body);
+    var_types: &BTreeMap<VarName, Type>,
+) -> Plan {
+    let analysis = rr::analyze(schema, var_types, &query.body);
     let mut plan = Plan::new();
 
     let mut range_nodes = Vec::new();
@@ -83,27 +67,20 @@ pub fn lower_calc(
     }
 
     let matrix = lower_matrix(&mut plan, stats, &query.body);
-    let mut children = range_nodes.clone();
-    children.push(matrix);
     let est = range_nodes
         .iter()
         .map(|&id| plan.node(id).est)
         .try_fold(1u64, |acc, e| e.map(|e| acc.saturating_mul(e)));
-    let enumerate = plan.add_est(
+    let mut children = range_nodes;
+    children.push(matrix);
+    plan.root = plan.add_est(
         Op::Enumerate {
             vars: query.head.iter().map(|(v, _)| v.clone()).collect(),
         },
         children,
         est,
     );
-    plan.root = enumerate;
-    Ok(CalcLowering {
-        plan,
-        var_types: checked.var_types,
-        enumerate,
-        range_nodes,
-        ik: (checked.set_height, checked.tuple_width),
-    })
+    plan
 }
 
 /// Lower the matrix of a CALC body: quantifiers and top-level conjunction
@@ -429,6 +406,12 @@ mod tests {
         Schema::from_relations([RelationSchema::new("G", vec![Type::Atom, Type::Atom])])
     }
 
+    fn typed(schema: &Schema, q: &Query) -> BTreeMap<VarName, Type> {
+        no_core::typeck::check(schema, &q.head, &q.body)
+            .unwrap()
+            .var_types
+    }
+
     #[test]
     fn calc_lowering_names_rr_rules() {
         let schema = graph_schema();
@@ -436,9 +419,8 @@ mod tests {
             vec![("x".to_string(), Type::Atom), ("y".to_string(), Type::Atom)],
             Formula::Rel("G".to_string(), vec![Term::var("x"), Term::var("y")]),
         );
-        let lowered = lower_calc(&schema, None, &q).unwrap();
-        let ranges: Vec<_> = lowered
-            .plan
+        let plan = lower_calc(&schema, None, &q, &typed(&schema, &q));
+        let ranges: Vec<_> = plan
             .nodes
             .iter()
             .filter_map(|n| match &n.op {
@@ -448,7 +430,6 @@ mod tests {
             .collect();
         assert_eq!(ranges.len(), 2, "both head vars restricted");
         assert!(ranges.iter().all(|(_, r)| r == "1"), "{ranges:?}");
-        assert_eq!(lowered.ik, (0, 0));
     }
 
     #[test]
@@ -461,9 +442,8 @@ mod tests {
                 vec![Term::var("x"), Term::var("y")],
             ))),
         );
-        let lowered = lower_calc(&schema, None, &q).unwrap();
-        let ad = lowered
-            .plan
+        let plan = lower_calc(&schema, None, &q, &typed(&schema, &q));
+        let ad = plan
             .nodes
             .iter()
             .filter(|n| matches!(n.op, Op::ActiveDomain { .. }))

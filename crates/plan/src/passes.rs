@@ -5,28 +5,23 @@
 //! on generated instances. The steps, named in `:explain`'s `passes:`
 //! line when they apply:
 //!
-//! | pass                  | rewrite                                          |
-//! |-----------------------|--------------------------------------------------|
-//! | `pushdown`            | selections sink into products/unions/differences; top-level `v = c` conjuncts pin CALC ranges to singletons |
-//! | `reorder-quantifiers` | head variables enumerate smallest range first (cheap stats from the instance) |
-//! | `join-algorithms`     | flat fragments lower to the columnar kernels, one algorithm per join (see `crate::joins`) |
-//! | `delta-rewrite`       | semi-naive Datalog¬: recursive rules expand into Δ-pinned variants |
-//! | `governor-trips`      | annotate operators whose estimate already exceeds a governor budget — the plan says *where* evaluation will trip before any fuel is spent |
+//! | pass              | rewrite                                          |
+//! |-------------------|--------------------------------------------------|
+//! | `pushdown`        | algebra selections sink into products/unions/differences |
+//! | `join-algorithms` | flat fragments lower to the columnar kernels, one algorithm per join (see `crate::joins`) |
+//! | `delta-rewrite`   | semi-naive Datalog¬: recursive rules expand into Δ-pinned variants |
+//! | `governor-trips`  | annotate operators whose estimate already exceeds a governor budget — the plan says *where* evaluation will trip before any fuel is spent |
 
 use crate::ir::{Node, NodeId, Op, Plan};
 use no_algebra::{Expr, Pred};
-use no_core::ast::{Formula, Term};
-use no_core::Query;
-use no_object::{Limits, Schema, Value};
+use no_object::{Limits, Schema};
 use std::collections::BTreeSet;
 
 /// One step of the served pipeline, named in plan renderings.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Pass {
-    /// Predicate pushdown (algebra selections, CALC constant pins).
+    /// Algebra selection pushdown.
     Pushdown,
-    /// Quantifier reordering by estimated range cardinality.
-    Reorder,
     /// Columnar lowering with per-join algorithm selection (hash, merge,
     /// or nested loop) for the flat conjunctive fragment.
     Joins,
@@ -41,7 +36,6 @@ impl Pass {
     pub fn name(self) -> &'static str {
         match self {
             Pass::Pushdown => "pushdown",
-            Pass::Reorder => "reorder-quantifiers",
             Pass::Joins => "join-algorithms",
             Pass::Delta => "delta-rewrite",
             Pass::Trips => "governor-trips",
@@ -212,63 +206,6 @@ fn pushdown_once(expr: &Expr, schema: &Schema) -> (Expr, bool) {
         Expr::Union(a, b) => binary!(Expr::Union, a, b),
         Expr::Difference(a, b) => binary!(Expr::Difference, a, b),
         Expr::Intersect(a, b) => binary!(Expr::Intersect, a, b),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// pushdown (CALC constant pins)
-// ---------------------------------------------------------------------------
-
-/// Top-level conjuncts of a body (the whole body when it is not a
-/// conjunction). Only these may pin variables: under quantifiers,
-/// negation, or disjunction the equality is not globally forced.
-fn top_conjuncts(f: &Formula) -> Vec<&Formula> {
-    match f {
-        Formula::And(parts) => parts.iter().flat_map(top_conjuncts).collect(),
-        other => vec![other],
-    }
-}
-
-/// Constant pins justified by top-level `v = c` conjuncts over head
-/// variables: any satisfying assignment must bind `v` to exactly `c`, so
-/// `v`'s range collapses to the singleton.
-pub fn calc_pins(query: &Query) -> Vec<(String, Value)> {
-    let head: BTreeSet<&str> = query.head.iter().map(|(v, _)| v.as_str()).collect();
-    let mut pins = Vec::new();
-    for c in top_conjuncts(&query.body) {
-        if let Formula::Eq(a, b) = c {
-            let pin = match (a, b) {
-                (Term::Var(v), Term::Const(c)) | (Term::Const(c), Term::Var(v))
-                    if head.contains(v.as_str()) =>
-                {
-                    Some((v.clone(), c.clone()))
-                }
-                _ => None,
-            };
-            if let Some((v, c)) = pin {
-                if !pins.iter().any(|(pv, _)| *pv == v) {
-                    pins.push((v, c));
-                }
-            }
-        }
-    }
-    pins
-}
-
-// ---------------------------------------------------------------------------
-// reorder-quantifiers
-// ---------------------------------------------------------------------------
-
-/// A stable ascending-by-estimate permutation, or `None` when it is the
-/// identity. `perm[i]` = the original index enumerated at position `i`;
-/// unknown estimates sort last (ties keep source order — determinism).
-pub fn sort_permutation(ests: &[Option<u64>]) -> Option<Vec<usize>> {
-    let mut perm: Vec<usize> = (0..ests.len()).collect();
-    perm.sort_by_key(|&i| (ests[i].unwrap_or(u64::MAX), i));
-    if perm.iter().enumerate().all(|(i, &p)| i == p) {
-        None
-    } else {
-        Some(perm)
     }
 }
 
@@ -486,16 +423,6 @@ mod tests {
             }
             other => panic!("expected difference, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sort_permutation_is_stable_and_identity_aware() {
-        assert_eq!(sort_permutation(&[Some(1), Some(2)]), None);
-        assert_eq!(
-            sort_permutation(&[Some(9), Some(2), None]),
-            Some(vec![1, 0, 2])
-        );
-        assert_eq!(sort_permutation(&[Some(3), Some(3)]), None, "stable ties");
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! semi-naive Datalog¬ round engine and the columnar `no-exec` kernels.
 //! Every engine threads the [`Governor`] fuel/memory accounting at every
 //! site, so each physical path draws from the same meters and trips with
-//! the same structured [`ResourceError`]s. What the optimizer changes is
-//! *which* engine invocation runs (variable order, pinned ranges, delta
-//! rewriting, pushed-down selections), never how work is accounted.
+//! the same structured [`ResourceError`]s. What the planner changes is
+//! *which* engine invocation runs (kernels, rounds with delta rewriting,
+//! pushed-down selections), never how work is accounted; a tree-walk
+//! plan runs its query exactly as written.
 
 use no_algebra::{AlgebraError, Expr};
 use no_core::ast::VarName;
@@ -21,7 +22,7 @@ use no_datalog::{
     Strategy, StratifyError,
 };
 use no_exec::Answer;
-use no_object::{Governor, Instance, Interner, Relation, ResourceError, Type, Value};
+use no_object::{Governor, Instance, Interner, Relation, ResourceError, Type};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -60,23 +61,16 @@ impl DatalogMode {
 /// same computation operator by operator.
 #[derive(Clone, Debug)]
 pub enum Physical {
-    /// A CALC query (head possibly permuted by quantifier reordering).
+    /// A CALC query on the tree-walk evaluator: the oracle's plan, and
+    /// the served plan of every query outside the recognized fragment.
     Calc {
-        /// The query to run (after optimizer rewrites).
+        /// The query to run, as written.
         query: Query,
         /// Variable typings from plan-time typechecking (safe mode needs
         /// them to recompute ranges per instance).
         var_types: BTreeMap<VarName, Type>,
         /// Semantics.
         mode: CalcMode,
-        /// `Some(perm)` when the head was reordered: planned column `i`
-        /// is original column `perm[i]`, and execution restores the
-        /// original order before returning.
-        restore: Option<Vec<usize>>,
-        /// Constant pins from predicate pushdown: each `(v, c)` came from
-        /// a top-level conjunct `v = c`, so `v`'s range collapses to the
-        /// singleton `{c}` (intersected with any computed range).
-        pins: Vec<(String, Value)>,
     },
     /// An algebra expression (after pushdown rewrites).
     Algebra {
@@ -228,20 +222,6 @@ impl From<AlgebraError> for PlanError {
     }
 }
 
-/// Permute a result relation's columns back to the original head order:
-/// planned column `i` holds original column `perm[i]`.
-fn restore_columns(rel: Relation, perm: &[usize]) -> Relation {
-    rel.iter()
-        .map(|row| {
-            let mut out = vec![Value::Atom(no_object::Atom(0)); row.len()];
-            for (i, v) in row.iter().enumerate() {
-                out[perm[i]] = v.clone();
-            }
-            out
-        })
-        .collect()
-}
-
 impl Physical {
     /// Execute the plan on an instance, drawing from `governor` — the
     /// same contract as every engine entry point.
@@ -251,43 +231,15 @@ impl Physical {
                 query,
                 var_types,
                 mode,
-                restore,
-                pins,
             } => {
                 let order = active_order(instance, query);
                 let mut ev = Evaluator::with_governor(instance, order, governor.clone());
-                match mode {
-                    CalcMode::ActiveDomain => {
-                        if !pins.is_empty() {
-                            let map = pins
-                                .iter()
-                                .map(|(v, c)| (v.clone(), vec![c.clone()]))
-                                .collect();
-                            ev = ev.with_ranges(map);
-                        }
-                    }
-                    CalcMode::Safe => {
-                        let ranges =
-                            compute_ranges_governed(instance, var_types, &query.body, governor)?;
-                        let mut map = ranges.to_range_map();
-                        for (v, c) in pins {
-                            match map.get_mut(v) {
-                                // An empty intersection is sound: the
-                                // pinned conjunct is unsatisfiable then.
-                                Some(vs) => vs.retain(|x| x == c),
-                                None => {
-                                    map.insert(v.clone(), vec![c.clone()]);
-                                }
-                            }
-                        }
-                        ev = ev.with_ranges(map);
-                    }
+                if *mode == CalcMode::Safe {
+                    let ranges =
+                        compute_ranges_governed(instance, var_types, &query.body, governor)?;
+                    ev = ev.with_ranges(ranges.to_range_map());
                 }
                 let rel = ev.query(query)?;
-                let rel = match restore {
-                    Some(perm) => restore_columns(rel, perm),
-                    None => rel,
-                };
                 Ok(Output::Relation(Answer::intern(&rel, &Interner::new())))
             }
             Physical::Algebra { expr } => {
@@ -326,33 +278,5 @@ impl Physical {
                 Ok(Output::Relation(answer))
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use no_object::Atom;
-
-    #[test]
-    fn restore_columns_inverts_a_permutation() {
-        let rel: Relation = [vec![
-            Value::Atom(Atom(0)),
-            Value::Atom(Atom(1)),
-            Value::Atom(Atom(2)),
-        ]]
-        .into_iter()
-        .collect();
-        // planned column 0 is original column 2, etc.
-        let out = restore_columns(rel, &[2, 0, 1]);
-        let row = out.iter().next().unwrap().clone();
-        assert_eq!(
-            row,
-            vec![
-                Value::Atom(Atom(1)),
-                Value::Atom(Atom(2)),
-                Value::Atom(Atom(0))
-            ]
-        );
     }
 }
