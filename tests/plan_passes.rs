@@ -1,11 +1,12 @@
 //! Served plan ≡ oracle: the planner's two configurations agree.
 //!
-//! The planner builds either the served plan (every rewrite of the
-//! pipeline: pushdown, quantifier reordering, the columnar join kernels,
-//! the IFP-to-rounds lowering, the semi-naive delta rewrite) or the
-//! oracle plan (the tree-walk evaluators, exactly as lowered). On random
-//! graphs, the served plan, the oracle plan and the engine's free
-//! function must return identical relations.
+//! The planner builds either the served plan (algebra pushdown, the
+//! columnar join kernels, the IFP-to-rounds lowering, the semi-naive
+//! delta rewrite) or the oracle plan (the tree-walk evaluators, exactly
+//! as lowered). On random graphs, the served plan, the oracle plan and
+//! the engine's free function must return identical relations; a CALC
+//! query the served planner leaves on the tree-walk gets the oracle's
+//! own plan.
 //!
 //! The query corpus is shared with the differential harness: the analyzer
 //! pool (AD fallbacks, sets, tuples, fixpoints) for CALC under both
@@ -21,9 +22,10 @@ use nestdb::core::error::EvalConfig;
 use nestdb::core::eval::eval_query_with;
 use nestdb::core::ranges::safe_eval;
 use nestdb::datalog::{DTerm, Literal, Program};
-use nestdb::object::{Governor, Instance, Type};
-use nestdb::plan::{CalcMode, DatalogMode, Output, Planner};
+use nestdb::object::{Governor, Instance, Type, Universe};
+use nestdb::plan::{plan_tree_text, CalcMode, DatalogMode, Output, Physical, Planner};
 use proptest::prelude::*;
+use std::path::Path;
 
 fn tc_program() -> Program {
     let mut p = Program::new();
@@ -49,7 +51,7 @@ fn tc_program() -> Program {
 
 /// Query sources shared with the differential harness: certified
 /// range-restricted shapes plus deliberate active-domain fallbacks, with a
-/// constant-pin query appended so the pushdown pass has something to pin.
+/// constant-pin query appended, which the kernels serve as a lookup.
 fn calc_pool() -> Vec<&'static str> {
     vec![
         "{[x:U, y:U] | G(x, y)}",
@@ -155,4 +157,77 @@ proptest! {
             prop_assert_eq!(&run(&oracle, &i).into_idb(), want, "oracle plan ({:?})", mode);
         }
     }
+}
+
+/// The served tree-walk plan is the oracle's plan. Every pool query, every
+/// `data/queries.calc` line and the closure with `S` under ¬ are planned
+/// against `data/graph.no` with its statistics. Whenever the served plan is
+/// the tree-walk, both planners build the same `Physical::Calc` and the
+/// same plan tree.
+#[test]
+fn served_tree_walk_is_the_oracle_plan() {
+    let data = |name: &str| {
+        std::fs::read_to_string(
+            Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("data")
+                .join(name),
+        )
+        .expect("the data corpus is checked in")
+    };
+    let mut u = Universe::new();
+    let (_, i) = nestdb::object::text::parse_database(&data("graph.no"), &mut u).unwrap();
+    let corpus = data("queries.calc");
+    let lines = corpus
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('%'));
+    let negated_closure =
+        "{[u:U, v:U] | ifp(S; x:U, y:U | G(x, y) \\/ exists z:U (G(x, z) /\\ ~S(z, y)))(u, v)}";
+    let mut walked = 0;
+    for text in calc_pool()
+        .into_iter()
+        .chain(lines)
+        .chain([negated_closure])
+    {
+        let q = nestdb::core::parse_query(text, &mut u).expect("corpus queries parse");
+        for mode in [CalcMode::ActiveDomain, CalcMode::Safe] {
+            let served = Planner::new(i.schema())
+                .with_instance(&i)
+                .plan_calc(&q, mode)
+                .unwrap();
+            let Physical::Calc {
+                query,
+                var_types,
+                mode: m,
+                ..
+            } = &served.physical
+            else {
+                continue;
+            };
+            let oracle = Planner::oracle(i.schema())
+                .with_instance(&i)
+                .plan_calc(&q, mode)
+                .unwrap();
+            let Physical::Calc {
+                query: oq,
+                var_types: ot,
+                mode: om,
+                ..
+            } = &oracle.physical
+            else {
+                panic!("the oracle plans {text} off the tree-walk");
+            };
+            assert_eq!((query, var_types, m), (oq, ot, om), "{text} ({mode:?})");
+            assert_eq!(
+                plan_tree_text(&served.plan),
+                plan_tree_text(&oracle.plan),
+                "{text} ({mode:?})"
+            );
+            walked += 1;
+        }
+    }
+    assert_eq!(
+        walked,
+        2 * 10,
+        "the tree-walk texts of the pool, the corpus and the closure"
+    );
 }
