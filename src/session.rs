@@ -68,8 +68,9 @@ pub const PLAN_CACHE_CAPACITY: usize = 64;
 // ---------------------------------------------------------------------------
 
 /// The mutable database state behind a session: an interning [`Universe`],
-/// an in-memory [`Instance`], and — once attached — a durable [`Db`] that
-/// takes over both. Shared behind `Arc<RwLock<_>>` with this protocol:
+/// an in-memory [`Instance`] and the views maintained over it, and — once
+/// attached — a durable [`Db`] with views of its own, which takes over all
+/// three until it is detached. Shared behind `Arc<RwLock<_>>` with this protocol:
 ///
 /// * `eval`, `explain` and `analyze` take the lock **shared**, once, from
 ///   parse through render, so independent reads overlap on independent
@@ -88,8 +89,9 @@ pub const PLAN_CACHE_CAPACITY: usize = 64;
 pub struct Store {
     universe: Universe,
     instance: Instance,
-    db: Option<Db>,
     views: ViewRegistry,
+    /// The attached database and its views: their rows hold its atom ids.
+    db: Option<(Db, ViewRegistry)>,
     /// Reads that took the exclusive lock to intern new atom names.
     exclusive_reads: u64,
 }
@@ -111,8 +113,8 @@ impl Store {
         Store {
             universe,
             instance,
-            db: None,
             views: ViewRegistry::new(),
+            db: None,
             exclusive_reads: 0,
         }
     }
@@ -120,7 +122,7 @@ impl Store {
     /// The live universe: the durable store's when one is attached.
     pub fn universe(&self) -> &Universe {
         match &self.db {
-            Some(db) => db.universe(),
+            Some((db, _)) => db.universe(),
             None => &self.universe,
         }
     }
@@ -130,7 +132,7 @@ impl Store {
     /// atom names from the logged clauses themselves.
     pub fn universe_mut(&mut self) -> &mut Universe {
         match &mut self.db {
-            Some(db) => db.universe_mut(),
+            Some((db, _)) => db.universe_mut(),
             None => &mut self.universe,
         }
     }
@@ -138,30 +140,41 @@ impl Store {
     /// The live instance: the durable store's when one is attached.
     pub fn instance(&self) -> &Instance {
         match &self.db {
-            Some(db) => db.instance(),
+            Some((db, _)) => db.instance(),
             None => &self.instance,
         }
     }
 
     /// The attached durable database, if any.
     pub fn db(&self) -> Option<&Db> {
-        self.db.as_ref()
+        self.db.as_ref().map(|(db, _)| db)
     }
 
     /// Mutable access to the attached durable database.
     pub fn db_mut(&mut self) -> Option<&mut Db> {
-        self.db.as_mut()
+        self.db.as_mut().map(|(db, _)| db)
     }
 
-    /// The materialized views maintained over this store.
+    /// The live views: the durable store's when one is attached.
     pub fn views(&self) -> &ViewRegistry {
-        &self.views
+        match &self.db {
+            Some((_, views)) => views,
+            None => &self.views,
+        }
     }
 
-    /// Mutable access to the view registry (e.g. to drop a view or
+    /// Mutable access to the live view registry (e.g. to drop a view or
     /// install a restored registry).
     pub fn views_mut(&mut self) -> &mut ViewRegistry {
-        &mut self.views
+        self.live().0
+    }
+
+    /// The live view registry beside the live instance it maintains.
+    fn live(&mut self) -> (&mut ViewRegistry, &Instance) {
+        match &mut self.db {
+            Some((db, views)) => (views, db.instance()),
+            None => (&mut self.views, &self.instance),
+        }
     }
 
     /// Define (or replace) the materialized view `name` from Datalog¬
@@ -174,14 +187,10 @@ impl Store {
     ) -> Result<(), IvmError> {
         let program = no_datalog::parse_program(source, self.universe_mut())
             .map_err(|e| IvmError::Parse(e.to_string()))?;
-        // the registry is taken out so its mutation can overlap the
-        // instance borrow (both live behind `self`)
-        let mut views = std::mem::take(&mut self.views);
-        let result = views
-            .materialize_program(name, source.to_string(), program, self.instance(), gov)
-            .map(|_| ());
-        self.views = views;
-        result
+        let (views, instance) = self.live();
+        views
+            .materialize_program(name, source.to_string(), program, instance, gov)
+            .map(|_| ())
     }
 
     /// Incrementally maintain every view under `delta`, which describes
@@ -192,34 +201,32 @@ impl Store {
         delta: &BaseDelta,
         gov: &Governor,
     ) -> Result<BTreeMap<String, ViewDelta>, IvmError> {
-        let mut views = std::mem::take(&mut self.views);
-        let result = views.maintain(self.instance(), delta, gov);
-        self.views = views;
-        result
+        let (views, instance) = self.live();
+        views.maintain(instance, delta, gov)
     }
 
     /// Re-materialize every view from scratch against the live instance
     /// (the recovery fallback when incremental state is unusable).
     pub fn recompute_views(&mut self, gov: &Governor) -> Result<(), IvmError> {
-        let mut views = std::mem::take(&mut self.views);
-        let result = views.recompute_all(self.instance(), gov);
-        self.views = views;
-        result
+        let (views, instance) = self.live();
+        views.recompute_all(instance, gov)
     }
 
     /// Persist the view registry into the attached durable database's
     /// views checkpoint (no-op without one).
     pub fn save_views_checkpoint(&mut self) -> Result<(), no_storage::StorageError> {
-        if let Some(db) = &mut self.db {
-            let body = encode_registry(&self.views, db.universe());
+        if let Some((db, views)) = &mut self.db {
+            let body = encode_registry(views, db.universe());
             db.save_views(&body)?;
         }
         Ok(())
     }
 
-    /// Attach a durable database; it owns the live state from here on.
+    /// Attach a durable database, with no views yet; it owns the live
+    /// state from here on. The in-memory store's views are set aside, not
+    /// dropped: [`Store::detach`] makes them live again.
     pub fn attach(&mut self, db: Db) {
-        self.db = Some(db);
+        self.db = Some((db, ViewRegistry::new()));
     }
 
     /// Detach the durable database (files stay on disk) and return it
@@ -228,8 +235,7 @@ impl Store {
     /// the in-memory store that is live afterwards. The directory's view
     /// checkpoint and log still hold them, and `op: open` restores them.
     pub fn detach(&mut self) -> Option<(Db, ViewRegistry)> {
-        let db = self.db.take()?;
-        Some((db, std::mem::take(&mut self.views)))
+        self.db.take()
     }
 
     /// Apply one parsed clause — a `schema R(U).` declaration, a fact or
@@ -247,7 +253,7 @@ impl Store {
             (Clause::Retract(name, _), true) => format!("deleted from {name}"),
             (Clause::Retract(name, _), false) => format!("not in {name}"),
         };
-        let Some(db) = &mut self.db else {
+        let Some((db, _)) = &mut self.db else {
             self.instance.apply(clause);
             return Ok(message);
         };
@@ -272,7 +278,7 @@ impl Store {
     /// facts as its delta, also when the import failed partway.
     pub fn import(&mut self, src: &str, gov: &Governor) -> Result<ImportStats, String> {
         let (result, landed) = match &mut self.db {
-            Some(db) => {
+            Some((db, _)) => {
                 let from = db.epoch_clauses().len();
                 let result = db.import_text(src).map(drop).map_err(|e| e.to_string());
                 (result, db.epoch_clauses().skip(from).cloned().collect())
@@ -294,10 +300,8 @@ impl Store {
             }
         };
         if !landed.is_empty() {
-            let mut views = std::mem::take(&mut self.views);
-            let caught_up = catch_up(&mut views, self.instance(), &landed, gov);
-            self.views = views;
-            if caught_up.is_err() {
+            let (views, instance) = self.live();
+            if catch_up(views, instance, &landed, gov).is_err() {
                 let _ = self.recompute_views(gov);
             }
         }
@@ -963,6 +967,13 @@ impl Session {
         }
         let registry = self.restore_views(&mut db, &mut msg);
         let mut store = self.write_store();
+        if store.db().is_none() && !store.views().is_empty() {
+            let names: Vec<&str> = store.views().names().collect();
+            msg.push_str(&format!(
+                "\nin-memory views set aside until close: {}",
+                names.join(", ")
+            ));
+        }
         store.attach(db);
         *store.views_mut() = registry;
         Response::message(msg)

@@ -990,6 +990,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Each database keeps its own views: `:open` sets the in-memory
+    /// store's views aside and `:close` brings them back, so an update
+    /// after `:close` pushes their delta again.
+    #[test]
+    fn close_brings_back_the_in_memory_views() {
+        let dir = scratch("memory_views");
+        let store = dir.join("store").display().to_string();
+        let mut sh = Shell::new();
+        sh.command(":insert schema G(U, U).").unwrap();
+        sh.command(":insert G('a', 'b').").unwrap();
+        let tc = "rel tc(U, U).\ntc(x, y) :- G(x, y).\ntc(x, y) :- tc(x, z), G(z, y).";
+        let r = sh.session.run(&Request {
+            op: Op::Materialize,
+            text: tc.into(),
+            view: "paths".into(),
+            ..Request::default()
+        });
+        assert!(r.ok, "{:?}", r.error);
+        let out = sh.command(&format!(":open {store}")).unwrap().unwrap();
+        assert!(
+            out.contains("in-memory views set aside until close: paths"),
+            "{out}"
+        );
+        assert!(view_names(&sh.session).is_empty());
+        sh.command(":close").unwrap();
+        assert_eq!(view_names(&sh.session), ["paths"]);
+        let r = sh.session.run(&Request {
+            op: Op::Update,
+            text: "G('b', 'c').".into(),
+            ..Request::default()
+        });
+        assert!(r.ok, "{:?}", r.error);
+        assert_eq!(r.deltas[0].added[0].rows, ["('a', 'c')", "('b', 'c')"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// `op: open` of a second directory swaps the first one's views out
     /// with its database: the second starts with none.
     #[test]
