@@ -812,7 +812,9 @@ fn maintain_view(
 /// Counting maintenance for one non-recursive stratum: the signed
 /// telescoping sum over body positions, applied to the derivation
 /// counts. Returns the stratum's exact per-relation (add, del) change
-/// and the count updates to commit — O(change), never a rebuild.
+/// and the count updates to commit — O(change), never a rebuild. Each
+/// row held, a count update and an add or del row, is charged at
+/// `ivm.derive`.
 #[allow(clippy::type_complexity)]
 fn maintain_counting(
     view: &MaintainedView,
@@ -843,6 +845,8 @@ fn maintain_counting(
                 let new = cur + d;
                 debug_assert!(new >= 0, "derivation count went negative for {name}");
                 let new = new.max(0) as u64;
+                let held = if (cur == 0) == (new == 0) { 1 } else { 2 };
+                gov.charge_mem("ivm.derive", held * 8 * fact.len() as u64)?;
                 if cur == 0 && new > 0 {
                     add.insert(fact.clone());
                 } else if cur > 0 && new == 0 {
@@ -856,7 +860,8 @@ fn maintain_counting(
 }
 
 /// The signed per-fact derivation-count changes for a set of
-/// non-recursive rules under external deltas.
+/// non-recursive rules under external deltas; each fact the map holds
+/// is charged at `ivm.derive`.
 fn counting_changes(
     rules: &[&Rule],
     ctx: &MaintCtx<'_>,
@@ -888,6 +893,9 @@ fn counting_changes(
                 let pin = Pin { lit: idx, rows };
                 let entry = signed.entry(rule.head.clone()).or_default();
                 for_each_firing(rule, Some(pin), &phase_of, ctx, gov, &mut |row| {
+                    if !entry.contains_key(&row) {
+                        gov.charge_mem("ivm.derive", 8 * row.len() as u64)?;
+                    }
                     *entry.entry(row).or_insert(0) += sign;
                     Ok(true)
                 })?;

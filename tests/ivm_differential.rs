@@ -354,7 +354,10 @@ fn materialize_steps_do_not_depend_on_hash_order() {
 /// beside `n4→n5`, then of one batch that deletes `n4→n5` and inserts
 /// `n3→n4`. No row the delete over-deletes has a surviving derivation,
 /// so DRed's re-derivation, which stops at a fact's first witness,
-/// finds none and its steps do not depend on hash order.
+/// finds none and its steps do not depend on hash order. Counting
+/// maintenance charges the rows it holds: `hops` holds `hop(n3, n5)`,
+/// whose two derivations cancel, and `hop(n2, n4)`, which it adds — 64
+/// bytes.
 #[test]
 fn metering_of_counting_and_stratified_views_is_pinned() {
     let mut got = Vec::new();
@@ -381,8 +384,8 @@ fn metering_of_counting_and_stratified_views_is_pinned() {
     assert_eq!(
         got,
         [
-            ("hops", (14, 32), (23, 0)),
-            ("unreach", (120, 640), (94, 104)),
+            ("hops", (14, 32), (23, 64)),
+            ("unreach", (120, 640), (94, 776)),
         ]
     );
 }
@@ -459,6 +462,41 @@ fn metering_over_delete_is_charged() {
         Err(IvmError::Resource(e)) => {
             assert_eq!((e.budget, e.site), (BudgetKind::Memory, "ivm.derive"))
         }
+        other => panic!("expected a memory trip, got {other:?}"),
+    }
+    assert_eq!(encode_registry(&reg, &universe), before);
+}
+
+/// Counting maintenance charges the rows it holds, as the Δ loop does:
+/// deleting the first edge of one locality-fixture chain holds the lost
+/// `hop(n0, n2)` in the signed count changes (16 bytes), then as a count
+/// update and a del row (32 more). Under a 32-byte cap the delete trips
+/// at `ivm.derive` and the view keeps its rows and counts.
+#[test]
+fn metering_counting_maintenance_is_charged() {
+    let (u, instance) = chain_fixture(1);
+    let mut universe = u.clone();
+    let mut reg = ViewRegistry::new();
+    reg.materialize(
+        "hops",
+        HOP_SRC,
+        &mut universe,
+        &instance,
+        &Governor::unlimited(),
+    )
+    .expect("materialize");
+    let before = encode_registry(&reg, &universe);
+    let capped = Governor::new(Limits {
+        max_memory_bytes: 32,
+        ..Limits::unlimited()
+    });
+    let mut del = BaseDelta::new();
+    del.delete("G", edge(&u, 0, 1));
+    match reg.maintain(&instance, &del, &capped) {
+        Err(IvmError::Resource(e)) => assert_eq!(
+            (e.budget, e.site, e.spent, e.limit),
+            (BudgetKind::Memory, "ivm.derive", 48, 32)
+        ),
         other => panic!("expected a memory trip, got {other:?}"),
     }
     assert_eq!(encode_registry(&reg, &universe), before);
