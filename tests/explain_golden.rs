@@ -69,8 +69,8 @@ fn calc_corpus_explain_snapshots() {
     check_golden("explain.calc.golden", &snapshot);
 }
 
-/// A constant-pinned conjunction: the pushdown pass must pin `x` to `'a'`
-/// and the reorder pass must enumerate the pinned variable first.
+/// A constant-pinned conjunction: the recognizer solves `x = 'a'` into a
+/// pin on `G`'s first column, which the kernels serve as a `lookup`.
 #[test]
 fn calc_pinned_explain_snapshot() {
     let (mut u, instance) = graph_db();
@@ -83,8 +83,8 @@ fn calc_pinned_explain_snapshot() {
 
 /// The one planner decision about fixpoints, both ways: a closure applied
 /// to a constant lowers to Datalog rounds with a result rule, and the same
-/// closure with `S` under a negation stays on the tree-walk oracle and
-/// says why.
+/// closure with `S` under a negation stays on the tree-walk oracle, says
+/// why, and runs the oracle's plan.
 #[test]
 fn calc_ifp_explain_snapshots() {
     let (mut u, instance) = graph_db();
